@@ -205,12 +205,12 @@ class Simulation:
         k = config.kernel
         self.truth = CircleTrajectory(k.trajectory_radius_m, k.trajectory_period_s)
         self.imu_model = ImuModel(
-            accel_bias=np.array(k.accel_bias), gyro_bias=np.array(k.gyro_bias),
+            accel_bias=k.accel_bias, gyro_bias=k.gyro_bias,
             accel_noise_std=k.accel_noise_std, gyro_noise_std=k.gyro_noise_std,
             rate_hz=config.imu_rate_hz)
         self.field = LandmarkField(
             generate_landmarks(k.landmark_count, self.engine.stream("landmarks")))
-        self.world_map = WorldMap()
+        self.world_map = WorldMap(k.landmark_count)
         self.est_pose = self.truth.pose_at(0)
         self.prev_imu = None
         self.last_propagated_ns = 0
@@ -540,13 +540,13 @@ class Simulation:
             self.matched_counts.append(matched)
         self.update_completions.append(now)
         self.stall_tracker.record_update_completion(now)
-        err = float(np.linalg.norm(self.est_pose.position
-                                   - self.truth.pose_at(now).position))
+        err = float(np.linalg.norm(np.subtract(self.est_pose.position,
+                                               self.truth.pose_at(now).position)))
         self.error_samples.append((now, err))
 
     def _apply_mapping(self, block) -> None:
         k = self.config.kernel
-        extend_map(self.world_map, block, self.field.truth,
+        extend_map(self.world_map, block, self.field.points,
                    rng=self.engine.stream("map"), noise_std=k.map_noise_std)
 
     # ------------------------------------------------------------------

@@ -201,9 +201,15 @@ def load_trace(path) -> list[dict]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {i}: invalid trace record: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise ValueError(f"{path}: line {i}: trace record is not a JSON object")
+            t = rec.get("t_ns")
+            if t is not None and (not isinstance(t, int) or isinstance(t, bool)):
+                raise ValueError(f"{path}: line {i}: t_ns is not an integer: {t!r}")
+            records.append(rec)
     return records
 
 
@@ -244,6 +250,9 @@ def audit_trace(records: list[dict]) -> AuditResult:
             continue
         tr = rec.get("transition")
         bank = rec.get("bank")
+        if bank not in state:
+            violate(rec, "malformed-record", f"{tr} record names no bank 0 or 1: {bank!r}")
+            continue
         if tr == "FillStart":
             if state[bank] != EMPTY:
                 violate(rec, "fill-on-empty", f"fill into bank {bank} in state {state[bank]}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -69,6 +70,28 @@ class RelayConfig:
             raise ConfigError("relay copy latency range must satisfy 0 < min <= max")
 
 
+def _is_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require(ok: bool, key: str, expected: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"scenario.kernel.{key}: expected {expected}, got {value!r}")
+
+
+# Landmark truth is held in memory as one (count, 3) array.
+MAX_LANDMARKS = 1_000_000
+
+
 @dataclass(frozen=True)
 class KernelConfig:
     accel_bias: tuple = (0.05, 0.02, 0.0)
@@ -87,8 +110,30 @@ class KernelConfig:
     updates_enabled: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "accel_bias", tuple(self.accel_bias))
-        object.__setattr__(self, "gyro_bias", tuple(self.gyro_bias))
+        for key in ("accel_bias", "gyro_bias"):
+            value = getattr(self, key)
+            _require(isinstance(value, (list, tuple)) and len(value) == 3
+                     and all(map(_is_number, value)), key, "3 finite numbers", value)
+            object.__setattr__(self, key, tuple(value))
+        for key in ("accel_noise_std", "gyro_noise_std", "obs_noise_std", "map_noise_std"):
+            value = getattr(self, key)
+            _require(_is_number(value) and value >= 0, key, "a finite number >= 0", value)
+        _require(_is_number(self.update_gain) and 0 <= self.update_gain <= 1,
+                 "update_gain", "a number in [0, 1]", self.update_gain)
+        _require(_is_count(self.min_matches) and self.min_matches >= 0,
+                 "min_matches", "an integer >= 0", self.min_matches)
+        _require(_is_count(self.landmark_count) and 0 <= self.landmark_count <= MAX_LANDMARKS,
+                 "landmark_count", f"an integer in [0, {MAX_LANDMARKS}]", self.landmark_count)
+        _require(_is_number(self.visibility_range_m) and self.visibility_range_m > 0,
+                 "visibility_range_m", "a finite number > 0", self.visibility_range_m)
+        _require(_is_number(self.fov_deg) and 0 < self.fov_deg <= 360,
+                 "fov_deg", "a number in (0, 360]", self.fov_deg)
+        _require(_is_number(self.trajectory_radius_m) and self.trajectory_radius_m >= 0,
+                 "trajectory_radius_m", "a finite number >= 0", self.trajectory_radius_m)
+        _require(_is_number(self.trajectory_period_s) and self.trajectory_period_s > 0,
+                 "trajectory_period_s", "a finite number > 0", self.trajectory_period_s)
+        _require(isinstance(self.updates_enabled, bool),
+                 "updates_enabled", "true or false", self.updates_enabled)
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,14 @@ class TestAudit:
         assert not result.ok
         assert result.first()["rule"] == "lock-registered-only"
 
+    @pytest.mark.parametrize("bank", [None, 2, "0"])
+    def test_bank_record_without_a_valid_bank_is_malformed(self, bank):
+        rec = {"t_ns": 0, "entity": "bank", "transition": "FillStart"}
+        if bank is not None:
+            rec["bank"] = bank
+        result = rpt.audit_trace([rec])
+        assert [v["rule"] for v in result.violations] == ["malformed-record"]
+
     def test_time_travel_is_flagged(self):
         records = [{"t_ns": 5, "entity": "x", "transition": "y"},
                    {"t_ns": 4, "entity": "x", "transition": "y"}]
@@ -136,6 +144,21 @@ class TestCli:
         rpt.write_trace(records, trace)
         assert cli.main(["audit", str(trace)]) == 1
         assert "fill-complete" in capsys.readouterr().out
+
+    def test_audit_of_malformed_bank_record_exits_one(self, tmp_path, capsys):
+        trace = tmp_path / "nobank.jsonl"
+        trace.write_text('{"t_ns": 0, "entity": "bank", "transition": "FillStart"}\n')
+        assert cli.main(["audit", str(trace)]) == 1
+        assert "malformed-record" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "7", '{"t_ns": "x"}'])
+    def test_audit_of_non_record_line_is_one_error_line(self, tmp_path, capsys, line):
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text('{"t_ns": 0, "entity": "x", "transition": "y"}\n' + line + "\n")
+        assert cli.main(["audit", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 2" in err
+        assert err.count("\n") == 1
 
     def test_missing_scenario_file(self, capsys):
         assert cli.main(["run", "--scenario", "/no/such/file.json"]) == 2

@@ -1,7 +1,9 @@
 import dataclasses
+import json
 
 import pytest
 
+import slamsim.cli as cli
 from slamsim.pipeline import Simulation
 from slamsim.scenario import (ArchVariant, KernelConfig, PRESET_NAMES, RelayConfig,
                               ScenarioConfig, build, preset)
@@ -51,6 +53,49 @@ class TestValidation:
     def test_relay_copy_range_ordering(self):
         with pytest.raises(ConfigError):
             RelayConfig(copy_latency_ms_min=3.0, copy_latency_ms_max=1.0)
+
+
+class TestKernelValidation:
+    def _kernel(self, **kernel):
+        return ScenarioConfig.from_dict({"variant": "slam-arch", "kernel": kernel})
+
+    def test_fractional_landmark_count(self):
+        with pytest.raises(ConfigError, match="kernel.landmark_count"):
+            self._kernel(landmark_count=2.5)
+
+    def test_negative_landmark_count(self):
+        with pytest.raises(ConfigError, match="kernel.landmark_count"):
+            self._kernel(landmark_count=-1)
+
+    def test_bias_needs_three_components(self):
+        with pytest.raises(ConfigError, match="kernel.accel_bias"):
+            self._kernel(accel_bias=[0.1, 0.0])
+        with pytest.raises(ConfigError, match="kernel.gyro_bias"):
+            self._kernel(gyro_bias=[0.0, "x", 0.0])
+
+    @pytest.mark.parametrize("key", ["accel_noise_std", "gyro_noise_std",
+                                     "obs_noise_std", "map_noise_std"])
+    def test_negative_noise_std(self, key):
+        with pytest.raises(ConfigError, match=f"kernel.{key}"):
+            self._kernel(**{key: -0.01})
+
+    def test_cli_reports_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"variant": "slam-arch",
+                                    "kernel": {"landmark_count": 2.5}}))
+        assert cli.main(["run", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "landmark_count" in err
+        assert err.count("\n") == 1
+
+    def test_valid_configs_keep_their_digests(self):
+        digests = {name: preset(name).digest() for name in PRESET_NAMES}
+        assert digests == {"baseline-cpu": "a0d8132ab66a1c97",
+                           "hetero-dsp": "6ef2e60e19445098",
+                           "slam-arch": "71e92e3aa828e026"}
+        # integer components stay integers in the canonical form
+        config = self._kernel(accel_bias=[0, 0, 0], landmark_count=4000)
+        assert config.digest() == "aa36523507d2f23a"
 
 
 class TestSerialization:
