@@ -9,8 +9,9 @@ from .kernel import (CameraFrame, CircleTrajectory, FeatureBlock, ImuModel, ImuS
 from .pipeline import ImuBatchBuffer, Simulation, StallTracker
 from .report import (MetricsReport, audit_trace, build_report, load_trace,
                      run_scenario, write_trace)
-from .scenario import ArchVariant, ScenarioConfig, build, preset
-from .soc import (ComputeUnitSpec, ConfigError, LatencyTable, MemoryPath, MemorySpec,
-                  PowerCalibration, PowerLedger, Stage, UnitKind, task_energy_mj)
+from .scenario import (VARIANTS, ArchVariant, Handoff, Ingest, ScenarioConfig, VariantSpec,
+                       build, preset)
+from .soc import (ComputeUnitSpec, ConfigError, LatencyTable, MemoryPath, PowerCalibration,
+                  PowerLedger, SocConfig, Stage, UnitKind, task_energy_mj)
 
 __version__ = "0.1.0"

@@ -43,11 +43,7 @@ class EventKind(Enum):
     FRAME_ARRIVED = "frame_arrived"
     IMU_SAMPLE_READY = "imu_sample_ready"
     TASK_DONE = "task_done"
-    BANK_FILLED = "bank_filled"
-    INTERRUPT = "interrupt"
-    GC_START = "gc_start"
     GC_END = "gc_end"
-    THROTTLE_TICK = "throttle_tick"
     SIM_END = "sim_end"
 
 

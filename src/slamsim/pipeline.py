@@ -1,21 +1,27 @@
-"""The simulated SLAM execution fabric for the three architecture variants.
+"""The simulated SLAM execution fabric.
 
 All "threads" here are simulated entities inside the single-threaded event
-engine; the protocol's concurrency is modeled, not executed. Variants:
+engine; the protocol's concurrency is modeled, not executed. A variant is one
+`VariantSpec` entry in `scenario.VARIANTS`: its compute units, the unit each
+stage runs on, an ingest policy and a handoff. Ingest policies:
 
-* baseline-cpu: four stage threads on four CPU cores, shared-memory handoff.
-  A frame arriving while feature extraction is busy is dropped (the source
-  outruns the pipeline).
-* hetero-dsp: feature extraction offloaded to the DSP via a CPU relay core
-  that copies each frame into memory (1-3 ms, 3 MiB allocation). Crossing an
-  allocation budget triggers a garbage-collection pause that freezes every
-  CPU thread; in-flight DSP work completes but its results wait.
-* slam-arch: the DSP ingests frames straight from the sensor pins, writes
-  features into a two-bank scratchpad, and notifies the CPU through the
-  bank-swap interrupt protocol. Update+propagation/mapping are consolidated
-  onto two cores; IMU samples buffer while mapping runs and are consumed in
-  one batch afterward. When the pipeline cannot take a frame the source is
-  throttled (the frame is dropped and counted).
+* drop-if-busy: a frame arriving while feature extraction is busy is dropped
+  (the source outruns the pipeline).
+* cpu-relay: a CPU relay core copies each frame into memory (1-3 ms, 3 MiB
+  allocation) before feature extraction. Crossing an allocation budget
+  triggers a garbage-collection pause that freezes every CPU thread;
+  in-flight DSP work completes but its results wait. Frames arriving during
+  the pause are dropped.
+* sensor-pin: the extraction unit reads frames straight from the sensor
+  pins. When the pipeline cannot take a frame the source is throttled (the
+  frame is dropped and counted).
+
+Handoffs from feature extraction to update and mapping:
+
+* shared: through shared memory; each IMU sample kicks propagation.
+* two-bank: features are written into a two-bank scratchpad and the CPU is
+  notified through the bank-swap interrupt protocol; IMU samples buffer
+  while mapping runs and are consumed in one batch afterward.
 """
 
 from __future__ import annotations
@@ -27,12 +33,12 @@ import numpy as np
 
 from .bank import (FeatureBankController, MAPPING_CONSUMER, UPDATE_CONSUMER)
 from .engine import Engine, EventKind, NS_PER_S, ms_to_ns, s_to_ns
-from .kernel import (CameraFrame, ImuModel, CircleTrajectory, LandmarkField, Pose,
-                     WorldMap, extend_map, extract_features, generate_landmarks,
-                     propagate, sample_imu, update_pose)
-from .scenario import ArchVariant, ScenarioConfig
-from .soc import (ComputeUnitSpec, ConfigError, LatencyTable, MemoryPath, MemorySpec,
-                  PowerCalibration, PowerLedger, Stage, UnitKind)
+from .kernel import (CameraFrame, ImuModel, CircleTrajectory, LandmarkField, WorldMap,
+                     extend_map, extract_features, generate_landmarks, propagate,
+                     sample_imu, update_pose)
+from .scenario import VARIANTS, Handoff, Ingest, ScenarioConfig
+from .soc import (ComputeUnitSpec, LatencyTable, PowerCalibration, PowerLedger, Stage,
+                  UnitKind)
 
 
 @dataclass
@@ -86,10 +92,9 @@ class UnitExecutor:
     """FIFO task execution on one compute unit, with optional freezing by
     garbage-collection pauses (running task suspends, queued tasks wait)."""
 
-    def __init__(self, sim: "Simulation", unit_id: str, freezable: bool):
+    def __init__(self, sim: "Simulation", unit_id: str):
         self.sim = sim
         self.unit_id = unit_id
-        self.freezable = freezable
         self.queue: deque[_Task] = deque()
         self.task: _Task | None = None
         self.target = f"exec:{unit_id}"
@@ -106,7 +111,7 @@ class UnitExecutor:
         if self.task is not None or not self.queue:
             return
         now = self.sim.engine.now()
-        if self.freezable and now < self.sim.frozen_until_ns:
+        if now < self.sim.frozen_until_ns:
             return  # kicked again at GC end
         task = self.queue.popleft()
         task.start_ns = now
@@ -167,32 +172,9 @@ class Simulation:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
+        self.spec = VARIANTS[config.variant]
         self.engine = Engine(config.seed)
         soc = config.soc
-        self.path = config.effective_memory_path()
-        self.latency = LatencyTable.default(
-            feature_access_fraction=soc.feature_access_fraction,
-            overrides={
-                (Stage.FEATURE_EXTRACTION, UnitKind.CPU_CORE, None): soc.feature_extraction_cpu_ms,
-                (Stage.FEATURE_EXTRACTION, UnitKind.GPU, None): soc.feature_extraction_gpu_ms,
-                (Stage.FEATURE_EXTRACTION, UnitKind.DSP, None): soc.feature_extraction_dsp_ms,
-                (Stage.PROPAGATION, UnitKind.CPU_CORE, None): soc.propagation_ms,
-                (Stage.UPDATE, UnitKind.CPU_CORE, MemoryPath.SHARED): soc.update_shared_ms,
-                (Stage.MAPPING, UnitKind.CPU_CORE, MemoryPath.SHARED): soc.mapping_shared_ms,
-                (Stage.UPDATE, UnitKind.CPU_CORE, MemoryPath.SCRATCHPAD):
-                    soc.update_shared_ms * (1.0 - soc.feature_access_fraction),
-                (Stage.MAPPING, UnitKind.CPU_CORE, MemoryPath.SCRATCHPAD):
-                    soc.mapping_shared_ms * (1.0 - soc.feature_access_fraction),
-            })
-        self.mem = MemorySpec(
-            shared_access_ns=soc.shared_access_ns,
-            scratchpad_capacity_bytes=soc.scratchpad_capacity_bytes,
-            scratchpad_banks=soc.scratchpad_banks,
-            scratchpad_access_ns=soc.scratchpad_access_ns,
-            scratchpad_dynamic_w=soc.scratchpad_dynamic_w,
-            scratchpad_leakage_w=soc.scratchpad_leakage_w,
-            io_pin_power_w=soc.io_pin_power_w,
-        )
         self.calibration = PowerCalibration(
             baseline_static_w=soc.baseline_static_w,
             unit_idle_fraction=soc.unit_idle_fraction,
@@ -221,7 +203,7 @@ class Simulation:
         self.frames_offered = 0
         self.frames_accepted = 0
         self.frames_dropped = 0  # ingest-busy drops and GC-freeze drops
-        self.frames_throttled = 0  # slam-arch bank back-pressure
+        self.frames_throttled = 0  # sensor-pin back-pressure
         self.update_completions: list[int] = []
         self.error_samples: list[tuple[int, float]] = []
         self.matched_counts: list[int] = []
@@ -241,53 +223,28 @@ class Simulation:
 
     def _build_units(self) -> None:
         soc = self.config.soc
-        cpu = lambda i, io=False: ComputeUnitSpec(f"cpu{i}", UnitKind.CPU_CORE,
-                                                  soc.cpu_peak_power_w, direct_io=io)
-        variant = self.config.variant
-        static = {}
-        if variant is ArchVariant.BASELINE_CPU:
-            units = [cpu(0, io=True), cpu(1), cpu(2), cpu(3)]
-            self.stage_units = {Stage.FEATURE_EXTRACTION: "cpu0", Stage.PROPAGATION: "cpu1",
-                                Stage.UPDATE: "cpu2", Stage.MAPPING: "cpu3"}
-        elif variant is ArchVariant.HETERO_DSP:
-            units = [cpu(0, io=True), cpu(1), cpu(2), cpu(3),
-                     ComputeUnitSpec("dsp", UnitKind.DSP, soc.dsp_peak_power_w)]
-            self.stage_units = {Stage.RELAY: "cpu0", Stage.PROPAGATION: "cpu1",
-                                Stage.UPDATE: "cpu2", Stage.MAPPING: "cpu3",
-                                Stage.FEATURE_EXTRACTION: "dsp"}
-        elif variant is ArchVariant.SLAM_ARCH:
-            units = [cpu(0), cpu(1),
-                     ComputeUnitSpec("dsp", UnitKind.DSP, soc.dsp_peak_power_w,
-                                     direct_io=True)]
-            self.stage_units = {Stage.MAPPING: "cpu0", Stage.PROPAGATION: "cpu0",
-                                Stage.UPDATE: "cpu1", Stage.FEATURE_EXTRACTION: "dsp"}
-            static["io_pins"] = self.mem.io_pin_power_w
-            static["scratchpad_active"] = self.mem.scratchpad_dynamic_w
-            static["scratchpad_leakage"] = self.mem.scratchpad_leakage_w
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown variant {variant}")
-
-        self.units = {u.id: u for u in units}
-        self.ledger = PowerLedger(self.units, static)
-        # Reject stage->unit mappings absent from the latency table at build time.
-        for stage, unit_id in self.stage_units.items():
-            kind = self.units[unit_id].kind
-            if stage is Stage.RELAY:
-                continue  # relay cost comes from the copy-latency model
-            if not self.latency.has(stage, kind, self.path):
-                raise ConfigError(
-                    f"stage {stage.value} mapped to {unit_id} ({kind.value}) has no "
-                    f"latency entry")
+        spec = self.spec
+        self.units = {uid: ComputeUnitSpec(uid, kind, soc.peak_power_w(kind))
+                      for uid, kind in spec.units}
+        self.ledger = PowerLedger(self.units,
+                                  {name: getattr(soc, name) for name in spec.static_sources})
         # GC freezes new starts everywhere; a running DSP task still completes
-        # (maybe_gc only suspends running tasks on CPU cores).
-        self.execs = {uid: UnitExecutor(self, uid, freezable=True)
-                      for uid in self.units}
+        # (maybe_gc suspends running tasks on every other unit).
+        self.execs = {uid: UnitExecutor(self, uid) for uid in self.units}
+        self.stage_exec = {stage: self.execs[uid] for stage, uid in spec.stage_units.items()}
+        # Each stage's latency, resolved once; a stage mapped to a unit kind
+        # the latency table lacks is a ConfigError here. Relay cost comes from
+        # the copy-latency model.
+        latency, path = LatencyTable.default(soc), self.config.effective_memory_path()
+        self.stage_ns = {
+            stage: ms_to_ns(latency.stage_latency_ms(stage, self.units[uid].kind, path))
+            for stage, uid in spec.stage_units.items() if stage is not Stage.RELAY}
         self.controller = None
         self.pending_frame = None
         self.active_cycle_bank = None
-        if self.config.variant is ArchVariant.SLAM_ARCH:
+        if spec.handoff is Handoff.TWO_BANK:
             self.controller = FeatureBankController(
-                banks=self.mem.scratchpad_banks,
+                banks=soc.scratchpad_banks,
                 trace=lambda tr, d: self._emit("bank", tr, **d))
 
     def _wire_sources(self) -> None:
@@ -311,9 +268,9 @@ class Simulation:
         self.stage_durations_ns[task.stage].append(task.duration_ns)
         self._emit(unit_id, "TaskDone", stage=task.stage.value)
 
-    def _stage_ns(self, stage: Stage, unit_id: str) -> int:
-        kind = self.units[unit_id].kind
-        return ms_to_ns(self.latency.stage_latency_ms(stage, kind, self.path))
+    def _submit(self, stage: Stage, payload, on_done, on_start=None) -> None:
+        self.stage_exec[stage].submit(
+            _Task(stage, self.stage_ns[stage], payload, on_done, on_start))
 
     def _make_frame(self, frame_id: int, t_ns: int) -> CameraFrame:
         k = self.config.kernel
@@ -340,63 +297,53 @@ class Simulation:
         sample = sample_imu(self.imu_model, self.truth, now, self.engine.stream("imu"))
         self.imu_samples_emitted += 1
         self.imu_buffer.push(sample)
-        if self.config.variant is not ArchVariant.SLAM_ARCH:
+        if self.spec.handoff is Handoff.SHARED:
             self._kick_propagation()
 
     # ------------------------------------------------------------------
-    # frame routing per architecture
+    # frame ingest
 
     def on_frame_arrival(self, frame_id: int, now: int) -> None:
-        variant = self.config.variant
-        if variant is ArchVariant.BASELINE_CPU:
-            fe = self.execs[self.stage_units[Stage.FEATURE_EXTRACTION]]
-            if not fe.idle():
-                self.frames_dropped += 1
-                self._emit("pipeline", "FrameDropped", frame=frame_id, reason="ingest_busy")
-                return
-            frame = self._make_frame(frame_id, now)
-            self.frames_accepted += 1
-            self._emit("pipeline", "FrameAccepted", frame=frame_id)
-            fe.submit(_Task(Stage.FEATURE_EXTRACTION,
-                            self._stage_ns(Stage.FEATURE_EXTRACTION, fe.unit_id),
-                            frame, self._on_feature_extraction_done))
-        elif variant is ArchVariant.HETERO_DSP:
-            if now < self.frozen_until_ns:
-                self.frames_dropped += 1
-                self._emit("pipeline", "FrameDropped", frame=frame_id, reason="gc_frozen")
-                return
-            frame = self._make_frame(frame_id, now)
-            self.frames_accepted += 1
-            self._emit("pipeline", "FrameAccepted", frame=frame_id)
-            relay = self.execs[self.stage_units[Stage.RELAY]]
-            copy_ms = self.engine.stream("relay").uniform(
-                self.config.relay.copy_latency_ms_min,
-                self.config.relay.copy_latency_ms_max)
-            relay.submit(_Task(Stage.RELAY, ms_to_ns(copy_ms), frame,
-                               self._on_relay_copy_done))
-        else:  # SLAM_ARCH
-            if self.pending_frame is not None:
-                self.frames_throttled += 1
-                self._emit("pipeline", "FrameThrottled", frame=frame_id)
-                return
-            frame = self._make_frame(frame_id, now)
-            self.frames_accepted += 1
-            self._emit("pipeline", "FrameAccepted", frame=frame_id)
+        ingest = self.spec.ingest
+        if ingest is Ingest.SENSOR_PIN and self.pending_frame is not None:
+            self.frames_throttled += 1
+            self._emit("pipeline", "FrameThrottled", frame=frame_id)
+            return
+        if ingest is Ingest.DROP_IF_BUSY and \
+                not self.stage_exec[Stage.FEATURE_EXTRACTION].idle():
+            return self._drop(frame_id, "ingest_busy")
+        if ingest is Ingest.CPU_RELAY and now < self.frozen_until_ns:
+            return self._drop(frame_id, "gc_frozen")
+        frame = self._make_frame(frame_id, now)
+        self.frames_accepted += 1
+        self._emit("pipeline", "FrameAccepted", frame=frame_id)
+        if ingest is Ingest.CPU_RELAY:
+            relay = self.config.relay
+            copy_ms = self.engine.stream("relay").uniform(relay.copy_latency_ms_min,
+                                                          relay.copy_latency_ms_max)
+            self.stage_exec[Stage.RELAY].submit(
+                _Task(Stage.RELAY, ms_to_ns(copy_ms), frame, self._on_relay_copy_done))
+        else:
+            self._extract(frame)
+
+    def _drop(self, frame_id: int, reason: str) -> None:
+        self.frames_dropped += 1
+        self._emit("pipeline", "FrameDropped", frame=frame_id, reason=reason)
+
+    def _extract(self, frame) -> None:
+        """Hand an accepted frame to feature extraction."""
+        if self.spec.handoff is Handoff.TWO_BANK:
             self.pending_frame = frame
             self._try_start_fill()
-
-    # ------------------------------------------------------------------
-    # shared-memory pipelines (baseline, hetero)
+        else:
+            self._submit(Stage.FEATURE_EXTRACTION, frame, self._on_feature_extraction_done)
 
     def _on_relay_copy_done(self, task: _Task) -> None:
         frame = task.payload
         self.alloc_counter_bytes += frame.size_bytes
         self.alloc_total_bytes += frame.size_bytes
         self.maybe_gc()
-        fe = self.execs[self.stage_units[Stage.FEATURE_EXTRACTION]]
-        fe.submit(_Task(Stage.FEATURE_EXTRACTION,
-                        self._stage_ns(Stage.FEATURE_EXTRACTION, fe.unit_id),
-                        frame, self._on_feature_extraction_done))
+        self._extract(frame)
 
     def maybe_gc(self) -> None:
         budget = int(self.config.relay.heap_budget_mib * 1024 * 1024)
@@ -418,15 +365,13 @@ class Simulation:
         for ex in self.execs.values():
             ex.try_start()
 
+    # ------------------------------------------------------------------
+    # shared-memory handoff
+
     def _on_feature_extraction_done(self, task: _Task) -> None:
-        frame = task.payload
-        block = extract_features(frame, self.engine.stream("features"))
-        upd = self.execs[self.stage_units[Stage.UPDATE]]
-        mp = self.execs[self.stage_units[Stage.MAPPING]]
-        upd.submit(_Task(Stage.UPDATE, self._stage_ns(Stage.UPDATE, upd.unit_id),
-                         block, self._on_update_done))
-        mp.submit(_Task(Stage.MAPPING, self._stage_ns(Stage.MAPPING, mp.unit_id),
-                        block, self._on_mapping_done))
+        block = extract_features(task.payload, self.engine.stream("features"))
+        self._submit(Stage.UPDATE, block, self._on_update_done)
+        self._submit(Stage.MAPPING, block, self._on_mapping_done)
 
     def _on_update_done(self, task: _Task) -> None:
         self._apply_update(task.payload)
@@ -435,27 +380,22 @@ class Simulation:
         self._apply_mapping(task.payload)
 
     def _kick_propagation(self) -> None:
-        prop = self.execs[self.stage_units[Stage.PROPAGATION]]
-        if not prop.idle() or not self.imu_buffer.samples:
+        if not self.stage_exec[Stage.PROPAGATION].idle() or not self.imu_buffer.samples:
             return
-        batch = self.imu_buffer.drain()
-        prop.submit(_Task(Stage.PROPAGATION,
-                          self._stage_ns(Stage.PROPAGATION, prop.unit_id),
-                          batch, self._on_propagation_done))
+        self._submit(Stage.PROPAGATION, self.imu_buffer.drain(), self._on_propagation_done)
 
     def _on_propagation_done(self, task: _Task) -> None:
         self._apply_propagation(task.payload)
-        if self.config.variant is not ArchVariant.SLAM_ARCH:
+        if self.spec.handoff is Handoff.SHARED:
             self._kick_propagation()
 
     # ------------------------------------------------------------------
-    # scratchpad trigger pipeline (slam-arch)
+    # two-bank scratchpad handoff
 
     def _try_start_fill(self) -> None:
         if self.pending_frame is None:
             return
-        dsp = self.execs[self.stage_units[Stage.FEATURE_EXTRACTION]]
-        if not dsp.idle():
+        if not self.stage_exec[Stage.FEATURE_EXTRACTION].idle():
             return
         bank = self.controller.writable_bank()
         if bank is None:
@@ -463,9 +403,7 @@ class Simulation:
         frame = self.pending_frame
         self.pending_frame = None
         self.controller.begin_fill(bank)
-        dsp.submit(_Task(Stage.FEATURE_EXTRACTION,
-                         self._stage_ns(Stage.FEATURE_EXTRACTION, dsp.unit_id),
-                         (frame, bank), self._on_bank_fill_done))
+        self._submit(Stage.FEATURE_EXTRACTION, (frame, bank), self._on_bank_fill_done)
 
     def _on_bank_fill_done(self, task: _Task) -> None:
         frame, bank = task.payload
@@ -479,16 +417,12 @@ class Simulation:
         bank = self.controller.acknowledge()
         self.active_cycle_bank = bank
         block = self.controller.banks[bank].block
-        upd = self.execs[self.stage_units[Stage.UPDATE]]
-        mp = self.execs[self.stage_units[Stage.MAPPING]]
-        upd.submit(_Task(Stage.UPDATE, self._stage_ns(Stage.UPDATE, upd.unit_id),
-                         (bank, block), self._on_cycle_update_done,
-                         on_start=lambda t: self._emit(
-                             "bank", "ConsumeStart", bank=bank, consumer=UPDATE_CONSUMER)))
-        mp.submit(_Task(Stage.MAPPING, self._stage_ns(Stage.MAPPING, mp.unit_id),
-                        (bank, block), self._on_cycle_mapping_done,
-                        on_start=lambda t: self._emit(
-                            "bank", "ConsumeStart", bank=bank, consumer=MAPPING_CONSUMER)))
+        self._submit(Stage.UPDATE, (bank, block), self._on_cycle_update_done,
+                     on_start=lambda t: self._emit(
+                         "bank", "ConsumeStart", bank=bank, consumer=UPDATE_CONSUMER))
+        self._submit(Stage.MAPPING, (bank, block), self._on_cycle_mapping_done,
+                     on_start=lambda t: self._emit(
+                         "bank", "ConsumeStart", bank=bank, consumer=MAPPING_CONSUMER))
 
     def _on_cycle_update_done(self, task: _Task) -> None:
         bank, block = task.payload
@@ -502,11 +436,7 @@ class Simulation:
         self.controller.consumer_done(bank, MAPPING_CONSUMER)
         # Mapping done: the propagation thread consumes buffered IMU in batch.
         if self.imu_buffer.samples:
-            prop = self.execs[self.stage_units[Stage.PROPAGATION]]
-            batch = self.imu_buffer.drain()
-            prop.submit(_Task(Stage.PROPAGATION,
-                              self._stage_ns(Stage.PROPAGATION, prop.unit_id),
-                              batch, self._on_propagation_done))
+            self._submit(Stage.PROPAGATION, self.imu_buffer.drain(), self._on_propagation_done)
         self._maybe_release(bank)
 
     def _maybe_release(self, bank: int) -> None:

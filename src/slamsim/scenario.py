@@ -1,8 +1,9 @@
-"""Scenario configuration: the three architecture presets plus free-form
-configs loaded from flat JSON files.
+"""Scenario configuration: the three architecture variants and their presets,
+plus free-form configs loaded from flat JSON files.
 
 Every model constant is overridable from the scenario file; unknown keys are
-rejected with the offending key named. The schema is documented in the README.
+rejected with the offending key named, and every value is type- and
+range-checked. The schema is documented in the README.
 """
 
 from __future__ import annotations
@@ -10,17 +11,82 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from types import MappingProxyType
 
-from .soc import ConfigError, MemoryPath
+from .soc import (ConfigError, MemoryPath, SocConfig, Stage, UnitKind, _is_count,
+                  _is_number, _require)
 
 
 class ArchVariant(Enum):
     BASELINE_CPU = "baseline-cpu"
     HETERO_DSP = "hetero-dsp"
     SLAM_ARCH = "slam-arch"
+
+
+class Ingest(Enum):
+    """How an arriving camera frame enters the pipeline."""
+
+    DROP_IF_BUSY = "drop-if-busy"  # dropped while feature extraction is busy
+    CPU_RELAY = "cpu-relay"  # copied into memory by a CPU core; GC-prone
+    SENSOR_PIN = "sensor-pin"  # read from the pins; throttled while one waits
+
+
+class Handoff(Enum):
+    """How feature blocks reach update and mapping."""
+
+    SHARED = "shared"  # through shared memory; IMU propagated per sample
+    TWO_BANK = "two-bank"  # bank-swap scratchpad; IMU batched after mapping
+
+
+@dataclass(frozen=True)
+class VariantSpec:
+    """One SoC design. Unit order fixes the ledger's summation order, and
+    `static_sources` (SocConfig field names) the order of the static sum."""
+
+    units: tuple  # (unit id, UnitKind) pairs
+    stage_units: MappingProxyType  # Stage -> unit id
+    ingest: Ingest
+    handoff: Handoff
+    memory_path: MemoryPath  # default when the scenario names none
+    camera_fps: int  # the preset's offered load
+    duration_s: float  # the preset's length
+    static_sources: tuple = ()
+
+    def __post_init__(self):
+        # The sensor-pin ingest holds one frame for the next bank fill.
+        if (self.ingest is Ingest.SENSOR_PIN) != (self.handoff is Handoff.TWO_BANK):
+            raise ConfigError("the sensor-pin ingest and the two-bank handoff go together")
+
+
+_CPU, _DSP = UnitKind.CPU_CORE, UnitKind.DSP
+
+VARIANTS = {
+    ArchVariant.BASELINE_CPU: VariantSpec(
+        units=(("cpu0", _CPU), ("cpu1", _CPU), ("cpu2", _CPU), ("cpu3", _CPU)),
+        stage_units=MappingProxyType({
+            Stage.FEATURE_EXTRACTION: "cpu0", Stage.PROPAGATION: "cpu1",
+            Stage.UPDATE: "cpu2", Stage.MAPPING: "cpu3"}),
+        ingest=Ingest.DROP_IF_BUSY, handoff=Handoff.SHARED,
+        memory_path=MemoryPath.SHARED, camera_fps=30, duration_s=30.0),
+    ArchVariant.HETERO_DSP: VariantSpec(
+        units=(("cpu0", _CPU), ("cpu1", _CPU), ("cpu2", _CPU), ("cpu3", _CPU),
+               ("dsp", _DSP)),
+        stage_units=MappingProxyType({
+            Stage.RELAY: "cpu0", Stage.PROPAGATION: "cpu1", Stage.UPDATE: "cpu2",
+            Stage.MAPPING: "cpu3", Stage.FEATURE_EXTRACTION: "dsp"}),
+        ingest=Ingest.CPU_RELAY, handoff=Handoff.SHARED,
+        memory_path=MemoryPath.SHARED, camera_fps=30, duration_s=60.0),
+    ArchVariant.SLAM_ARCH: VariantSpec(
+        units=(("cpu0", _CPU), ("cpu1", _CPU), ("dsp", _DSP)),
+        stage_units=MappingProxyType({
+            Stage.MAPPING: "cpu0", Stage.PROPAGATION: "cpu0", Stage.UPDATE: "cpu1",
+            Stage.FEATURE_EXTRACTION: "dsp"}),
+        ingest=Ingest.SENSOR_PIN, handoff=Handoff.TWO_BANK,
+        memory_path=MemoryPath.SCRATCHPAD, camera_fps=50, duration_s=30.0,
+        static_sources=("io_pin_power_w", "scratchpad_dynamic_w", "scratchpad_leakage_w")),
+}
 
 
 def _from_dict(cls, data: dict, context: str):
@@ -34,29 +100,6 @@ def _from_dict(cls, data: dict, context: str):
 
 
 @dataclass(frozen=True)
-class SocConfig:
-    cpu_peak_power_w: float = 2.5
-    dsp_peak_power_w: float = 1.5
-    gpu_peak_power_w: float = 2.3
-    baseline_static_w: float = 0.0
-    unit_idle_fraction: float = 0.45
-    shared_access_ns: float = 100.0
-    scratchpad_capacity_bytes: int = 8192
-    scratchpad_banks: int = 2
-    scratchpad_access_ns: float = 0.4
-    scratchpad_dynamic_w: float = 0.15
-    scratchpad_leakage_w: float = 0.002
-    io_pin_power_w: float = 0.1
-    feature_access_fraction: float = 0.2
-    feature_extraction_cpu_ms: float = 45.0
-    feature_extraction_gpu_ms: float = 50.0
-    feature_extraction_dsp_ms: float = 20.0
-    propagation_ms: float = 2.0
-    update_shared_ms: float = 30.0
-    mapping_shared_ms: float = 15.0
-
-
-@dataclass(frozen=True)
 class RelayConfig:
     copy_latency_ms_min: float = 1.0
     copy_latency_ms_max: float = 3.0
@@ -64,28 +107,15 @@ class RelayConfig:
     gc_pause_ms: float = 120.0
 
     def __post_init__(self):
-        if self.gc_pause_ms <= 100.0:
-            raise ConfigError("gc_pause_ms must exceed 100 ms")
-        if not 0 < self.copy_latency_ms_min <= self.copy_latency_ms_max:
-            raise ConfigError("relay copy latency range must satisfy 0 < min <= max")
-
-
-def _is_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond float range
-        return False
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _require(ok: bool, key: str, expected: str, value) -> None:
-    if not ok:
-        raise ConfigError(f"scenario.kernel.{key}: expected {expected}, got {value!r}")
+        lo, hi = self.copy_latency_ms_min, self.copy_latency_ms_max
+        _require(_is_number(lo) and lo > 0, "relay.copy_latency_ms_min",
+                 "a finite number > 0", lo)
+        _require(_is_number(hi) and hi >= lo, "relay.copy_latency_ms_max",
+                 f"a finite number >= copy_latency_ms_min ({lo!r})", hi)
+        _require(_is_number(self.heap_budget_mib) and self.heap_budget_mib > 0,
+                 "relay.heap_budget_mib", "a finite number > 0", self.heap_budget_mib)
+        _require(_is_number(self.gc_pause_ms) and self.gc_pause_ms > 100,
+                 "relay.gc_pause_ms", "a finite number > 100", self.gc_pause_ms)
 
 
 # Landmark truth is held in memory as one (count, 3) array.
@@ -113,27 +143,33 @@ class KernelConfig:
         for key in ("accel_bias", "gyro_bias"):
             value = getattr(self, key)
             _require(isinstance(value, (list, tuple)) and len(value) == 3
-                     and all(map(_is_number, value)), key, "3 finite numbers", value)
+                     and all(map(_is_number, value)), f"kernel.{key}",
+                     "3 finite numbers", value)
             object.__setattr__(self, key, tuple(value))
         for key in ("accel_noise_std", "gyro_noise_std", "obs_noise_std", "map_noise_std"):
             value = getattr(self, key)
-            _require(_is_number(value) and value >= 0, key, "a finite number >= 0", value)
+            _require(_is_number(value) and value >= 0, f"kernel.{key}",
+                     "a finite number >= 0", value)
         _require(_is_number(self.update_gain) and 0 <= self.update_gain <= 1,
-                 "update_gain", "a number in [0, 1]", self.update_gain)
+                 "kernel.update_gain", "a number in [0, 1]", self.update_gain)
         _require(_is_count(self.min_matches) and self.min_matches >= 0,
-                 "min_matches", "an integer >= 0", self.min_matches)
+                 "kernel.min_matches", "an integer >= 0", self.min_matches)
         _require(_is_count(self.landmark_count) and 0 <= self.landmark_count <= MAX_LANDMARKS,
-                 "landmark_count", f"an integer in [0, {MAX_LANDMARKS}]", self.landmark_count)
+                 "kernel.landmark_count", f"an integer in [0, {MAX_LANDMARKS}]",
+                 self.landmark_count)
         _require(_is_number(self.visibility_range_m) and self.visibility_range_m > 0,
-                 "visibility_range_m", "a finite number > 0", self.visibility_range_m)
+                 "kernel.visibility_range_m", "a finite number > 0", self.visibility_range_m)
         _require(_is_number(self.fov_deg) and 0 < self.fov_deg <= 360,
-                 "fov_deg", "a number in (0, 360]", self.fov_deg)
+                 "kernel.fov_deg", "a number in (0, 360]", self.fov_deg)
         _require(_is_number(self.trajectory_radius_m) and self.trajectory_radius_m >= 0,
-                 "trajectory_radius_m", "a finite number >= 0", self.trajectory_radius_m)
+                 "kernel.trajectory_radius_m", "a finite number >= 0", self.trajectory_radius_m)
         _require(_is_number(self.trajectory_period_s) and self.trajectory_period_s > 0,
-                 "trajectory_period_s", "a finite number > 0", self.trajectory_period_s)
+                 "kernel.trajectory_period_s", "a finite number > 0", self.trajectory_period_s)
         _require(isinstance(self.updates_enabled, bool),
-                 "updates_enabled", "true or false", self.updates_enabled)
+                 "kernel.updates_enabled", "true or false", self.updates_enabled)
+
+
+MIN_FRAME_BYTES = 3 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -145,29 +181,33 @@ class ScenarioConfig:
     seed: int = 1
     warmup_s: float = 2.0
     memory_path: MemoryPath | None = None  # default chosen per variant
-    frame_size_bytes: int = 3 * 1024 * 1024
+    frame_size_bytes: int = MIN_FRAME_BYTES
     loss_threshold_ms: float = 100.0
     soc: SocConfig = field(default_factory=SocConfig)
     relay: RelayConfig = field(default_factory=RelayConfig)
     kernel: KernelConfig = field(default_factory=KernelConfig)
 
     def __post_init__(self):
-        if not 0 < self.camera_fps <= 60:
-            raise ConfigError(f"camera_fps {self.camera_fps} out of (0, 60]")
-        if not 0 < self.imu_rate_hz <= 1000:
-            raise ConfigError(f"imu_rate_hz {self.imu_rate_hz} out of (0, 1000]")
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s must be > 0")
-        if self.warmup_s < 0 or self.warmup_s >= self.duration_s:
-            raise ConfigError("warmup_s must be in [0, duration_s)")
-        if self.frame_size_bytes < 3 * 1024 * 1024:
-            raise ConfigError("frame_size_bytes must be at least 3 MiB")
+        _require(_is_count(self.camera_fps) and 0 < self.camera_fps <= 60,
+                 "camera_fps", "an integer in [1, 60]", self.camera_fps)
+        _require(_is_count(self.imu_rate_hz) and 0 < self.imu_rate_hz <= 1000,
+                 "imu_rate_hz", "an integer in [1, 1000]", self.imu_rate_hz)
+        _require(_is_number(self.duration_s) and self.duration_s > 0,
+                 "duration_s", "a finite number > 0", self.duration_s)
+        _require(_is_count(self.seed) and self.seed >= 0, "seed", "an integer >= 0", self.seed)
+        _require(_is_number(self.warmup_s) and 0 <= self.warmup_s < self.duration_s,
+                 "warmup_s", f"a number in [0, duration_s = {self.duration_s!r})",
+                 self.warmup_s)
+        _require(_is_count(self.frame_size_bytes) and self.frame_size_bytes >= MIN_FRAME_BYTES,
+                 "frame_size_bytes", f"an integer >= {MIN_FRAME_BYTES} (3 MiB)",
+                 self.frame_size_bytes)
+        _require(_is_number(self.loss_threshold_ms) and self.loss_threshold_ms >= 0,
+                 "loss_threshold_ms", "a finite number >= 0", self.loss_threshold_ms)
 
     def effective_memory_path(self) -> MemoryPath:
         if self.memory_path is not None:
             return self.memory_path
-        return (MemoryPath.SCRATCHPAD if self.variant is ArchVariant.SLAM_ARCH
-                else MemoryPath.SHARED)
+        return VARIANTS[self.variant].memory_path
 
     # -- serialization ------------------------------------------------------
 
@@ -237,16 +277,12 @@ def preset(name: str) -> ScenarioConfig:
     """Calibrated configs for the three comparison points. Offered camera
     load slightly exceeds the expected achieved FPS so the bottleneck, not
     the source, limits throughput."""
-    if name == ArchVariant.BASELINE_CPU.value:
-        return ScenarioConfig(variant=ArchVariant.BASELINE_CPU, camera_fps=30,
-                              duration_s=30.0)
-    if name == ArchVariant.HETERO_DSP.value:
-        return ScenarioConfig(variant=ArchVariant.HETERO_DSP, camera_fps=30,
-                              duration_s=60.0)
-    if name == ArchVariant.SLAM_ARCH.value:
-        return ScenarioConfig(variant=ArchVariant.SLAM_ARCH, camera_fps=50,
-                              duration_s=30.0)
-    raise ConfigError(f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}")
+    if name not in PRESET_NAMES:
+        raise ConfigError(f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}")
+    variant = ArchVariant(name)
+    spec = VARIANTS[variant]
+    return ScenarioConfig(variant=variant, camera_fps=spec.camera_fps,
+                          duration_s=spec.duration_s)
 
 
 def build(config: ScenarioConfig):

@@ -1,9 +1,10 @@
 """SoC model: compute units, stage latency tables, and power/energy accounting.
 
-Latency and power constants default to measured values for the modeled SoC:
-2.5 W per CPU core, 1.5 W DSP, 2.3 W GPU; feature extraction 45/50/20 ms on
-CPU/GPU/DSP; update 30 ms and mapping 15 ms over shared memory, improving by
-the 20% feature-access fraction when fed from the scratchpad buffer.
+`SocConfig` is the single source of every latency, memory and power
+constant. Its defaults are measured values for the modeled SoC: 2.5 W per
+CPU core, 1.5 W DSP, 2.3 W GPU; feature extraction 45/50/20 ms on CPU/GPU/DSP;
+update 30 ms and mapping 15 ms over shared memory, improving by the 20%
+feature-access fraction when fed from the scratchpad buffer.
 
 Power model: a unit draws its peak power while busy and an idle fraction of
 peak while powered but idle. A global baseline static term plus explicit
@@ -14,11 +15,12 @@ parameters, not measurements, and live in scenario config.
 
 from __future__ import annotations
 
+import math
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .engine import NS_PER_MS, NS_PER_S
+from .engine import NS_PER_S
 
 
 class ConfigError(ValueError):
@@ -48,44 +50,104 @@ class MemoryPath(Enum):
     SCRATCHPAD = "scratchpad"
 
 
-DEFAULT_PEAK_POWER_W = {
-    UnitKind.CPU_CORE: 2.5,
-    UnitKind.DSP: 1.5,
-    UnitKind.GPU: 2.3,
-}
+def _is_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
 
-# Fraction of update/mapping execution time spent on feature memory accesses
-# over the shared path; eliminated by the scratchpad path.
-FEATURE_ACCESS_FRACTION = 0.20
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require(ok: bool, key: str, expected: str, value) -> None:
+    """`key` is the dotted path below the scenario root, e.g. `soc.propagation_ms`."""
+    if not ok:
+        raise ConfigError(f"scenario.{key}: expected {expected}, got {value!r}")
+
+
+# The bank-swap controller (bank.py) is defined for exactly two banks.
+SCRATCHPAD_BANKS = 2
+
+_PEAK_POWER_FIELD = {UnitKind.CPU_CORE: "cpu_peak_power_w",
+                     UnitKind.DSP: "dsp_peak_power_w",
+                     UnitKind.GPU: "gpu_peak_power_w"}
+
+
+@dataclass(frozen=True)
+class SocConfig:
+    cpu_peak_power_w: float = 2.5
+    dsp_peak_power_w: float = 1.5
+    gpu_peak_power_w: float = 2.3
+    baseline_static_w: float = 0.0
+    unit_idle_fraction: float = 0.45
+    # shared_access_ns, scratchpad_capacity_bytes and scratchpad_access_ns
+    # are accepted but not read by the model; removing a key would change
+    # every config digest.
+    shared_access_ns: float = 100.0
+    scratchpad_capacity_bytes: int = 8192
+    scratchpad_banks: int = SCRATCHPAD_BANKS
+    scratchpad_access_ns: float = 0.4
+    scratchpad_dynamic_w: float = 0.15
+    scratchpad_leakage_w: float = 0.002
+    io_pin_power_w: float = 0.1
+    # Fraction of update/mapping execution time spent on feature memory
+    # accesses over the shared path; eliminated by the scratchpad path.
+    feature_access_fraction: float = 0.2
+    feature_extraction_cpu_ms: float = 45.0
+    feature_extraction_gpu_ms: float = 50.0
+    feature_extraction_dsp_ms: float = 20.0
+    propagation_ms: float = 2.0
+    update_shared_ms: float = 30.0
+    mapping_shared_ms: float = 15.0
+
+    def __post_init__(self):
+        for key in ("cpu_peak_power_w", "dsp_peak_power_w", "gpu_peak_power_w",
+                    "feature_extraction_cpu_ms", "feature_extraction_gpu_ms",
+                    "feature_extraction_dsp_ms", "propagation_ms", "update_shared_ms",
+                    "mapping_shared_ms"):
+            value = getattr(self, key)
+            _require(_is_number(value) and value > 0, f"soc.{key}",
+                     "a finite number > 0", value)
+        for key in ("baseline_static_w", "shared_access_ns", "scratchpad_access_ns",
+                    "scratchpad_dynamic_w", "scratchpad_leakage_w", "io_pin_power_w"):
+            value = getattr(self, key)
+            _require(_is_number(value) and value >= 0, f"soc.{key}",
+                     "a finite number >= 0", value)
+        _require(_is_number(self.unit_idle_fraction) and 0 <= self.unit_idle_fraction <= 1,
+                 "soc.unit_idle_fraction", "a number in [0, 1]", self.unit_idle_fraction)
+        _require(_is_number(self.feature_access_fraction)
+                 and 0 <= self.feature_access_fraction < 1,
+                 "soc.feature_access_fraction", "a number in [0, 1)",
+                 self.feature_access_fraction)
+        _require(_is_count(self.scratchpad_capacity_bytes) and self.scratchpad_capacity_bytes > 0,
+                 "soc.scratchpad_capacity_bytes", "an integer > 0",
+                 self.scratchpad_capacity_bytes)
+        _require(_is_count(self.scratchpad_banks) and self.scratchpad_banks == SCRATCHPAD_BANKS,
+                 "soc.scratchpad_banks", str(SCRATCHPAD_BANKS), self.scratchpad_banks)
+
+    def peak_power_w(self, kind: UnitKind) -> float:
+        return getattr(self, _PEAK_POWER_FIELD[kind])
+
+    @property
+    def bank_capacity_bytes(self) -> int:
+        return self.scratchpad_capacity_bytes // self.scratchpad_banks
 
 
 @dataclass(frozen=True)
 class ComputeUnitSpec:
     id: str
     kind: UnitKind
-    peak_power_w: float = 0.0
-    direct_io: bool = False
+    peak_power_w: float = 0.0  # 0: the kind's default from SocConfig()
 
     def __post_init__(self):
         if self.peak_power_w == 0.0:
-            object.__setattr__(self, "peak_power_w", DEFAULT_PEAK_POWER_W[self.kind])
+            object.__setattr__(self, "peak_power_w", SocConfig().peak_power_w(self.kind))
         if self.peak_power_w <= 0:
             raise ConfigError(f"unit {self.id}: peak_power_w must be > 0")
-
-
-@dataclass(frozen=True)
-class MemorySpec:
-    shared_access_ns: float = 100.0
-    scratchpad_capacity_bytes: int = 8192
-    scratchpad_banks: int = 2
-    scratchpad_access_ns: float = 0.4
-    scratchpad_dynamic_w: float = 0.15
-    scratchpad_leakage_w: float = 0.002
-    io_pin_power_w: float = 0.1
-
-    @property
-    def bank_capacity_bytes(self) -> int:
-        return self.scratchpad_capacity_bytes // self.scratchpad_banks
 
 
 @dataclass(frozen=True)
@@ -114,25 +176,18 @@ class LatencyTable:
         self._entries = dict(entries)
 
     @classmethod
-    def default(cls, feature_access_fraction: float = FEATURE_ACCESS_FRACTION,
-                overrides: dict | None = None) -> "LatencyTable":
-        shared_update = 30.0
-        shared_mapping = 15.0
-        entries = {
-            (Stage.FEATURE_EXTRACTION, UnitKind.CPU_CORE, None): 45.0,
-            (Stage.FEATURE_EXTRACTION, UnitKind.GPU, None): 50.0,
-            (Stage.FEATURE_EXTRACTION, UnitKind.DSP, None): 20.0,
-            (Stage.PROPAGATION, UnitKind.CPU_CORE, None): 2.0,
-            (Stage.UPDATE, UnitKind.CPU_CORE, MemoryPath.SHARED): shared_update,
-            (Stage.MAPPING, UnitKind.CPU_CORE, MemoryPath.SHARED): shared_mapping,
-            (Stage.UPDATE, UnitKind.CPU_CORE, MemoryPath.SCRATCHPAD):
-                shared_update * (1.0 - feature_access_fraction),
-            (Stage.MAPPING, UnitKind.CPU_CORE, MemoryPath.SCRATCHPAD):
-                shared_mapping * (1.0 - feature_access_fraction),
-        }
-        if overrides:
-            entries.update(overrides)
-        return cls(entries)
+    def default(cls, soc: SocConfig = SocConfig()) -> "LatencyTable":
+        cpu, keep = UnitKind.CPU_CORE, 1.0 - soc.feature_access_fraction
+        return cls({
+            (Stage.FEATURE_EXTRACTION, cpu, None): soc.feature_extraction_cpu_ms,
+            (Stage.FEATURE_EXTRACTION, UnitKind.GPU, None): soc.feature_extraction_gpu_ms,
+            (Stage.FEATURE_EXTRACTION, UnitKind.DSP, None): soc.feature_extraction_dsp_ms,
+            (Stage.PROPAGATION, cpu, None): soc.propagation_ms,
+            (Stage.UPDATE, cpu, MemoryPath.SHARED): soc.update_shared_ms,
+            (Stage.MAPPING, cpu, MemoryPath.SHARED): soc.mapping_shared_ms,
+            (Stage.UPDATE, cpu, MemoryPath.SCRATCHPAD): soc.update_shared_ms * keep,
+            (Stage.MAPPING, cpu, MemoryPath.SCRATCHPAD): soc.mapping_shared_ms * keep,
+        })
 
     def stage_latency_ms(self, stage: Stage, unit: UnitKind,
                          path: MemoryPath | None = None) -> float:
@@ -145,17 +200,15 @@ class LatencyTable:
         raise ConfigError(f"no latency configured for stage={stage.value} on {unit.value}"
                           + (f" via {path.value}" if path else ""))
 
-    def has(self, stage: Stage, unit: UnitKind, path: MemoryPath | None = None) -> bool:
-        return (stage, unit, path) in self._entries or (stage, unit, None) in self._entries
-
 
 def task_energy_mj(table: LatencyTable, stage: Stage, unit: ComputeUnitSpec | UnitKind,
                    path: MemoryPath | None = None) -> float:
-    """Energy of one stage execution: peak power x stage latency."""
+    """Energy of one stage execution: peak power x stage latency. A bare
+    UnitKind is priced at its default peak power from SocConfig()."""
     if isinstance(unit, ComputeUnitSpec):
         kind, peak = unit.kind, unit.peak_power_w
     else:
-        kind, peak = unit, DEFAULT_PEAK_POWER_W[unit]
+        kind, peak = unit, SocConfig().peak_power_w(unit)
     return peak * table.stage_latency_ms(stage, kind, path)
 
 
@@ -172,9 +225,6 @@ class PowerLedger:
         self.units = dict(units)
         self.static_sources_w = dict(static_sources_w or {})
         self._busy: dict[str, list[tuple[int, int]]] = {u: [] for u in self.units}
-
-    def add_static_source(self, name: str, watts: float) -> None:
-        self.static_sources_w[name] = watts
 
     def record_busy(self, unit_id: str, from_ns: int, to_ns: int) -> None:
         if unit_id not in self.units:
@@ -210,17 +260,27 @@ class PowerLedger:
         return self.busy_ns(unit_id, window) / (t1 - t0)
 
     def dynamic_energy_j(self, window: tuple[int, int] | None = None) -> float:
-        return sum(self.units[u].peak_power_w * self.busy_ns(u, window) / NS_PER_S
-                   for u in self.units)
+        return self._dynamic_j(self._busy_per_unit(window))
 
     def idle_energy_j(self, window: tuple[int, int],
                       calibration: PowerCalibration) -> float:
-        t0, t1 = window
-        span = t1 - t0
+        return self._idle_j(window, calibration, self._busy_per_unit(window))
+
+    def _busy_per_unit(self, window: tuple[int, int] | None) -> list[int]:
+        """busy_ns of every unit, in unit order."""
+        return [self.busy_ns(u, window) for u in self.units]
+
+    def _dynamic_j(self, busy: list[int]) -> float:
+        return sum(spec.peak_power_w * b / NS_PER_S
+                   for spec, b in zip(self.units.values(), busy))
+
+    def _idle_j(self, window: tuple[int, int], calibration: PowerCalibration,
+                busy: list[int]) -> float:
+        span = window[1] - window[0]
         total = 0.0
-        for u, spec in self.units.items():
+        for spec, b in zip(self.units.values(), busy):
             idle_w = calibration.unit_idle_fraction * spec.peak_power_w
-            total += idle_w * (span - self.busy_ns(u, window)) / NS_PER_S
+            total += idle_w * (span - b) / NS_PER_S
         return total
 
     def static_energy_j(self, window: tuple[int, int],
@@ -231,8 +291,9 @@ class PowerLedger:
 
     def total_energy_j(self, window: tuple[int, int],
                        calibration: PowerCalibration) -> float:
-        return (self.dynamic_energy_j(window)
-                + self.idle_energy_j(window, calibration)
+        busy = self._busy_per_unit(window)  # one walk of the intervals
+        return (self._dynamic_j(busy)
+                + self._idle_j(window, calibration, busy)
                 + self.static_energy_j(window, calibration))
 
     def average_power_w(self, window: tuple[int, int],

@@ -1,11 +1,14 @@
+import dataclasses
+from types import MappingProxyType
+
 import pytest
 
-from slamsim.engine import NS_PER_MS, ms_to_ns
+from slamsim.engine import NS_PER_MS, NS_PER_S, ms_to_ns
 from slamsim.kernel import ImuSample
 from slamsim.pipeline import ImuBatchBuffer, Simulation, StallTracker
 from slamsim.report import audit_trace
-from slamsim.scenario import ArchVariant, ScenarioConfig
-from slamsim.soc import Stage
+from slamsim.scenario import VARIANTS, ArchVariant, ScenarioConfig
+from slamsim.soc import ConfigError, SocConfig, Stage, UnitKind
 
 
 def _run(variant, fps, duration_s, **kwargs):
@@ -155,3 +158,44 @@ def test_same_seed_runs_are_identical():
     assert a.trace == b.trace
     assert a.update_completions == b.update_completions
     assert a.error_samples == b.error_samples
+
+
+def _replace_unit(variant, old_id, new_id, kind, stage):
+    """The variant's table entry with unit `old_id` swapped for a `kind` unit
+    that runs `stage`."""
+    spec = VARIANTS[variant]
+    units = tuple((new_id, kind) if uid == old_id else (uid, k) for uid, k in spec.units)
+    return dataclasses.replace(
+        spec, units=units, stage_units=MappingProxyType({**spec.stage_units, stage: new_id}))
+
+
+class TestVariantTable:
+    def test_a_new_variant_is_one_table_entry(self, monkeypatch):
+        # hetero-dsp with feature extraction on a GPU instead of the DSP
+        monkeypatch.setitem(VARIANTS, ArchVariant.HETERO_DSP, _replace_unit(
+            ArchVariant.HETERO_DSP, "dsp", "gpu", UnitKind.GPU, Stage.FEATURE_EXTRACTION))
+        soc = SocConfig(gpu_peak_power_w=3.1)
+        sim = _run(ArchVariant.HETERO_DSP, 30, 5.0, soc=soc)
+
+        assert list(sim.units) == ["cpu0", "cpu1", "cpu2", "cpu3", "gpu"]
+        assert set(sim.stage_durations_ns[Stage.FEATURE_EXTRACTION]) == {50 * NS_PER_MS}
+        gpu_busy = sim.ledger.busy_ns("gpu")
+        cpu_busy = sum(sim.ledger.busy_ns(u) for u in ("cpu0", "cpu1", "cpu2", "cpu3"))
+        assert gpu_busy > 0
+        assert sim.ledger.dynamic_energy_j() == pytest.approx(
+            (3.1 * gpu_busy + soc.cpu_peak_power_w * cpu_busy) / NS_PER_S)
+        assert audit_trace(sim.trace).ok
+
+    def test_stage_without_a_latency_entry_fails_at_build(self, monkeypatch):
+        # propagation has latency entries for CPU cores only
+        monkeypatch.setitem(VARIANTS, ArchVariant.BASELINE_CPU, _replace_unit(
+            ArchVariant.BASELINE_CPU, "cpu1", "gpu", UnitKind.GPU, Stage.PROPAGATION))
+        with pytest.raises(ConfigError, match="propagation on gpu"):
+            Simulation(ScenarioConfig(variant=ArchVariant.BASELINE_CPU))
+
+    def test_static_sources_follow_the_table_and_soc_config(self):
+        soc = SocConfig(io_pin_power_w=0.3)
+        slam = Simulation(ScenarioConfig(variant=ArchVariant.SLAM_ARCH, soc=soc))
+        base = Simulation(ScenarioConfig(variant=ArchVariant.BASELINE_CPU, soc=soc))
+        assert list(slam.ledger.static_sources_w.values()) == [0.3, 0.15, 0.002]
+        assert base.ledger.static_sources_w == {}

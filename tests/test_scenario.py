@@ -5,9 +5,9 @@ import pytest
 
 import slamsim.cli as cli
 from slamsim.pipeline import Simulation
-from slamsim.scenario import (ArchVariant, KernelConfig, PRESET_NAMES, RelayConfig,
-                              ScenarioConfig, build, preset)
-from slamsim.soc import ConfigError, MemoryPath
+from slamsim.scenario import (ArchVariant, Handoff, Ingest, KernelConfig, PRESET_NAMES,
+                              RelayConfig, ScenarioConfig, VARIANTS, build, preset)
+from slamsim.soc import ConfigError, MemoryPath, SocConfig
 
 
 class TestPresets:
@@ -96,6 +96,70 @@ class TestKernelValidation:
         # integer components stay integers in the canonical form
         config = self._kernel(accel_bias=[0, 0, 0], landmark_count=4000)
         assert config.digest() == "aa36523507d2f23a"
+
+
+class TestSchemaValidation:
+    @pytest.mark.parametrize("scenario, key", [
+        ({"soc": {"scratchpad_banks": 3}}, "soc.scratchpad_banks"),
+        ({"soc": {"feature_access_fraction": 1.5}}, "soc.feature_access_fraction"),
+        ({"soc": {"update_shared_ms": -5}}, "soc.update_shared_ms"),
+        ({"camera_fps": "30"}, "camera_fps"),
+        ({"soc": {"cpu_peak_power_w": "2"}}, "soc.cpu_peak_power_w"),
+    ])
+    def test_cli_reports_one_error_line(self, tmp_path, capsys, scenario, key):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"variant": "slam-arch", **scenario}))
+        assert cli.main(["run", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario.{key}: expected ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(SocConfig)])
+    def test_every_soc_key_is_checked(self, key):
+        for bad in ("1", True, None, float("nan"), -1):
+            with pytest.raises(ConfigError, match=f"^scenario.soc.{key}: expected "):
+                ScenarioConfig.from_dict({"variant": "slam-arch", "soc": {key: bad}})
+
+    @pytest.mark.parametrize("key", ["camera_fps", "imu_rate_hz", "duration_s", "seed",
+                                     "warmup_s", "frame_size_bytes", "loss_threshold_ms"])
+    def test_every_numeric_top_level_key_is_checked(self, key):
+        for bad in ("1", True, None, float("inf"), -1):
+            with pytest.raises(ConfigError, match=f"^scenario.{key}: expected "):
+                ScenarioConfig.from_dict({"variant": "slam-arch", key: bad})
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RelayConfig)])
+    def test_every_relay_key_is_checked(self, key):
+        with pytest.raises(ConfigError, match=f"^scenario.relay.{key}: expected "):
+            ScenarioConfig.from_dict({"variant": "hetero-dsp", "relay": {key: "1"}})
+
+    def test_integer_fields_reject_floats(self):
+        defaults = ScenarioConfig(variant=ArchVariant.SLAM_ARCH)
+        for key in ("camera_fps", "imu_rate_hz", "seed", "frame_size_bytes"):
+            with pytest.raises(ConfigError, match=f"scenario.{key}"):
+                ScenarioConfig.from_dict({"variant": "slam-arch",
+                                          key: float(getattr(defaults, key))})
+        with pytest.raises(ConfigError, match="scenario.soc.scratchpad_banks"):
+            SocConfig(scratchpad_banks=2.0)
+
+    def test_boundary_values_are_accepted(self):
+        soc = SocConfig(feature_access_fraction=0.0, unit_idle_fraction=1.0,
+                        baseline_static_w=0.0, io_pin_power_w=0)
+        config = ScenarioConfig(variant=ArchVariant.SLAM_ARCH, camera_fps=60,
+                                imu_rate_hz=1000, seed=0, warmup_s=0.0,
+                                loss_threshold_ms=0, soc=soc)
+        assert config.soc.feature_access_fraction == 0.0
+
+
+class TestVariantTable:
+    def test_every_variant_has_one_entry(self):
+        assert set(VARIANTS) == set(ArchVariant)
+
+    def test_sensor_pin_ingest_needs_the_two_bank_handoff(self):
+        spec = VARIANTS[ArchVariant.SLAM_ARCH]
+        with pytest.raises(ConfigError, match="sensor-pin"):
+            dataclasses.replace(spec, handoff=Handoff.SHARED)
+        with pytest.raises(ConfigError, match="sensor-pin"):
+            dataclasses.replace(spec, ingest=Ingest.DROP_IF_BUSY)
 
 
 class TestSerialization:

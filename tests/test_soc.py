@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from slamsim.engine import NS_PER_MS, NS_PER_S
 from slamsim.soc import (ComputeUnitSpec, ConfigError, LatencyTable, LedgerError,
-                         MemoryPath, MemorySpec, PowerCalibration, PowerLedger,
+                         MemoryPath, PowerCalibration, PowerLedger, SocConfig,
                          Stage, UnitKind, task_energy_mj)
 
 
@@ -31,6 +31,21 @@ class TestLatencyTable:
     def test_unmapped_pair_is_a_config_error(self, table):
         with pytest.raises(ConfigError):
             table.stage_latency_ms(Stage.PROPAGATION, UnitKind.GPU)
+
+    def test_every_entry_derives_from_soc_config(self):
+        soc = SocConfig(feature_extraction_cpu_ms=41.0, feature_extraction_gpu_ms=52.0,
+                        feature_extraction_dsp_ms=18.0, propagation_ms=3.0,
+                        update_shared_ms=40.0, mapping_shared_ms=10.0,
+                        feature_access_fraction=0.5)
+        table = LatencyTable.default(soc)
+        cpu, fe = UnitKind.CPU_CORE, Stage.FEATURE_EXTRACTION
+        assert [table.stage_latency_ms(fe, kind)
+                for kind in (cpu, UnitKind.GPU, UnitKind.DSP)] == [41.0, 52.0, 18.0]
+        assert table.stage_latency_ms(Stage.PROPAGATION, cpu) == 3.0
+        assert table.stage_latency_ms(Stage.UPDATE, cpu, MemoryPath.SHARED) == 40.0
+        assert table.stage_latency_ms(Stage.MAPPING, cpu, MemoryPath.SHARED) == 10.0
+        assert table.stage_latency_ms(Stage.UPDATE, cpu, MemoryPath.SCRATCHPAD) == 20.0
+        assert table.stage_latency_ms(Stage.MAPPING, cpu, MemoryPath.SCRATCHPAD) == 5.0
 
 
 class TestTaskEnergy:
@@ -79,15 +94,27 @@ class TestPowerLedger:
             / NS_PER_S == pytest.approx(2.5)
 
     def test_idle_system_with_only_scratchpad_leakage(self):
-        mem = MemorySpec()
+        soc = SocConfig()
         ledger = PowerLedger({"cpu0": ComputeUnitSpec("cpu0", UnitKind.CPU_CORE)},
-                             {"scratchpad_leakage": mem.scratchpad_leakage_w})
+                             {"scratchpad_leakage": soc.scratchpad_leakage_w})
         cal = PowerCalibration(baseline_static_w=0.0, unit_idle_fraction=0.0)
         assert ledger.average_power_w((0, NS_PER_S), cal) == pytest.approx(0.002)
 
     def test_empty_window_is_an_error(self, ledger):
         with pytest.raises(LedgerError):
             ledger.average_power_w((5, 5), PowerCalibration())
+
+    def test_evaluation_walks_each_unit_once(self, ledger, monkeypatch):
+        walked = []
+        busy_ns = PowerLedger.busy_ns
+
+        def counting(self, unit_id, window=None):
+            walked.append(unit_id)
+            return busy_ns(self, unit_id, window)
+
+        monkeypatch.setattr(PowerLedger, "busy_ns", counting)
+        ledger.average_power_w((0, NS_PER_S), PowerCalibration())
+        assert walked == ["cpu0", "dsp"]
 
 
 @given(st.lists(st.tuples(st.integers(0, 50), st.integers(1, 20)), max_size=20),
@@ -115,11 +142,17 @@ def test_ledger_conservation(chunks, idle_fraction, static_w):
         pytest.approx(ledger.total_energy_j(window, cal))
 
 
-def test_memory_spec_bank_holds_a_feature_block():
-    mem = MemorySpec()
-    assert mem.bank_capacity_bytes == 4096
+def test_scratchpad_bank_holds_a_feature_block():
+    soc = SocConfig()
+    assert soc.bank_capacity_bytes == 4096
     from slamsim.kernel import FEATURE_BLOCK_MAX_BYTES
-    assert mem.bank_capacity_bytes >= FEATURE_BLOCK_MAX_BYTES
+    assert soc.bank_capacity_bytes >= FEATURE_BLOCK_MAX_BYTES
+
+
+def test_soc_config_peak_power_per_kind():
+    soc = SocConfig(cpu_peak_power_w=2.0, dsp_peak_power_w=1.0, gpu_peak_power_w=3.0)
+    assert [soc.peak_power_w(k) for k in (UnitKind.CPU_CORE, UnitKind.DSP, UnitKind.GPU)] \
+        == [2.0, 1.0, 3.0]
 
 
 def test_unit_peak_power_defaults():
