@@ -8,9 +8,9 @@ contributions elsewhere, never as individually scheduled events.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -47,13 +47,15 @@ class EventKind(Enum):
     SIM_END = "sim_end"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """A scheduled event; the queue holds these tuples directly. `seq` is
+    unique, so heap comparisons are decided by (at, seq) and never reach
+    `target`."""
     at: int  # ns
     seq: int  # global tie-breaker, assigned at schedule time
     target: str
     kind: EventKind
-    payload: dict = field(default_factory=dict, compare=False)
+    payload: Any = None
 
 
 class Engine:
@@ -88,16 +90,16 @@ class Engine:
     def on(self, target: str, handler) -> None:
         self._handlers[target] = handler
 
-    def schedule(self, at: int, target: str, kind: EventKind, payload: dict | None = None) -> Event:
+    def schedule(self, at: int, target: str, kind: EventKind, payload: Any = None) -> Event:
         if at < self._now:
             raise SchedulingError(
                 f"cannot schedule {kind.value} at t={at} ns; clock is at {self._now} ns"
             )
-        ev = Event(at=int(at), seq=self._seq, target=target, kind=kind,
-                   payload=payload if payload is not None else {})
+        # tuple.__new__ skips the Python-level __new__ that Event(...) runs.
+        ev = tuple.__new__(Event, (int(at), self._seq, target, kind, payload))
         self._seq += 1
         self.scheduled_count += 1
-        heappush(self._queue, (ev.at, ev.seq, ev))
+        heappush(self._queue, ev)
         return ev
 
     def run_until(self, end: int) -> None:
@@ -106,14 +108,15 @@ class Engine:
         A SIM_END event stops the loop immediately (clock left at its
         timestamp).
         """
-        while self._queue and self._queue[0][0] <= end:
-            _, _, ev = heappop(self._queue)
+        queue, handlers, sim_end = self._queue, self._handlers, EventKind.SIM_END
+        while queue and queue[0][0] <= end:
+            ev = heappop(queue)
             self._now = ev.at
             self.delivered_count += 1
-            if ev.kind is EventKind.SIM_END:
+            if ev.kind is sim_end:
                 self._stopped = True
                 return
-            handler = self._handlers.get(ev.target)
+            handler = handlers.get(ev.target)
             if handler is not None:
                 handler(ev)
         self._now = max(self._now, end)

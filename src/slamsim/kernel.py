@@ -6,7 +6,7 @@ drift correction, and map extension. Everything here is a pure function over
 explicit state so architectural stalls in the pipeline produce measurable
 tracking error without hidden coupling.
 
-Data layout. The per-sample IMU path (`sample_imu`, `propagate`) and the
+Data layout. The IMU path (`sample_imu_block`, `propagate`) and the
 trajectories work on Python floats: vectors are 3-tuples, quaternions are
 4-tuples (w, x, y, z), and a `Pose` holds three such tuples. The feature path
 is struct-of-arrays over the dense landmark ids 0..N-1: landmark truth is one
@@ -21,6 +21,16 @@ it. Vector norms and quaternion dot products are the exception: numpy takes
 them with its BLAS dot product, which may accumulate with fused multiply-adds
 and so differs in the last bit from a Python sum of squares. `_dot` and
 `_norm` keep that BLAS call.
+
+Block-drawn IMU noise. numpy's `rng.normal(0.0, std, 3)` returns
+`0.0 + std * z` for three standard normals `z` taken one after another from
+the generator. `sample_imu_block` draws the noise of n samples at once as
+`rng.standard_normal((n, cols))` and forms `0.0 + std * z` from it: gyro noise
+from the first 3 columns and accel noise from the last 3, with cols 6, or 3
+when only one of the two stds is > 0 (no draw when both are 0). Row i then
+holds exactly the six numbers, in the same draw order, that sample i taken
+alone would draw, so the samples and the generator state after the block are
+bit-identical to n single-sample calls; `sample_imu` is the 1-sample block.
 
 Conventions: accelerometer samples are gravity-compensated specific force
 (gravity handling is out of scope for this model). The drift-correction
@@ -273,15 +283,37 @@ class CircleTrajectory:
 # ---------------------------------------------------------------------------
 # operations
 
+def sample_imu_block(model: ImuModel, truth, times_ns, rng: np.random.Generator
+                     ) -> list[ImuSample]:
+    """One IMU sample per time in `times_ns`: true analytic signal + bias +
+    Gaussian noise, with the noise of the whole block drawn in one call (see
+    the module notes). Equal, value and draw for draw, to `sample_imu` at each
+    time in turn."""
+    gyro_std, accel_std = model.gyro_noise_std, model.accel_noise_std
+    gyro_bias, accel_bias = model.gyro_bias, model.accel_bias
+    cols = 3 * ((gyro_std > 0) + (accel_std > 0))
+    gyro_noise = accel_noise = None
+    if cols:
+        z = rng.standard_normal((len(times_ns), cols))
+        if gyro_std > 0:
+            gyro_noise = (0.0 + gyro_std * z[:, :3]).tolist()
+        if accel_std > 0:
+            accel_noise = (0.0 + accel_std * z[:, cols - 3:]).tolist()
+    samples = []
+    for i, t_ns in enumerate(times_ns):
+        gyro = _add(truth.gyro_body(t_ns), gyro_bias)
+        accel = _add(truth.accel_body(t_ns), accel_bias)
+        if gyro_noise is not None:
+            gyro = _add(gyro, gyro_noise[i])
+        if accel_noise is not None:
+            accel = _add(accel, accel_noise[i])
+        samples.append(ImuSample(t_ns, gyro, accel))
+    return samples
+
+
 def sample_imu(model: ImuModel, truth, t_ns: int, rng: np.random.Generator) -> ImuSample:
     """True analytic signal + bias + Gaussian noise (six scalars)."""
-    gyro = _add(truth.gyro_body(t_ns), model.gyro_bias)
-    accel = _add(truth.accel_body(t_ns), model.accel_bias)
-    if model.gyro_noise_std > 0:
-        gyro = _add(gyro, rng.normal(0.0, model.gyro_noise_std, 3).tolist())
-    if model.accel_noise_std > 0:
-        accel = _add(accel, rng.normal(0.0, model.accel_noise_std, 3).tolist())
-    return ImuSample(t_ns, gyro, accel)
+    return sample_imu_block(model, truth, (t_ns,), rng)[0]
 
 
 def propagate(pose: Pose, batch: list[ImuSample], from_t_ns: int,

@@ -35,10 +35,17 @@ from .bank import (FeatureBankController, MAPPING_CONSUMER, UPDATE_CONSUMER)
 from .engine import Engine, EventKind, NS_PER_S, ms_to_ns, s_to_ns
 from .kernel import (CameraFrame, ImuModel, CircleTrajectory, LandmarkField, WorldMap,
                      extend_map, extract_features, generate_landmarks, propagate,
-                     sample_imu, update_pose)
+                     sample_imu_block, update_pose)
+# Unused here, but perfbench/tracing.py wraps `pipeline.sample_imu` by name.
+from .kernel import sample_imu  # noqa: F401
 from .scenario import VARIANTS, Handoff, Ingest, ScenarioConfig
 from .soc import (ComputeUnitSpec, LatencyTable, PowerCalibration, PowerLedger, Stage,
                   UnitKind)
+
+# IMU samples are made in blocks of this many consecutive sample indices, one
+# kernel call per block. Block k covers indices k*IMU_BLOCK+1 .. (k+1)*IMU_BLOCK,
+# so the blocks, and with them the draws, do not depend on how a run is sliced.
+IMU_BLOCK = 128
 
 
 @dataclass
@@ -120,8 +127,7 @@ class UnitExecutor:
         self.task = task
         if task.on_start is not None:
             task.on_start(task)
-        self.sim.engine.schedule(task.end_ns, self.target, EventKind.TASK_DONE,
-                                 {"end": task.end_ns})
+        self.sim.engine.schedule(task.end_ns, self.target, EventKind.TASK_DONE)
 
     def freeze_running(self, resume_at_ns: int) -> None:
         """Suspend the running task for a GC pause; completion is pushed out
@@ -135,14 +141,13 @@ class UnitExecutor:
             task.segments.append((task.seg_start_ns, now))
         task.seg_start_ns = resume_at_ns
         task.end_ns += pause
-        self.sim.engine.schedule(task.end_ns, self.target, EventKind.TASK_DONE,
-                                 {"end": task.end_ns})
+        self.sim.engine.schedule(task.end_ns, self.target, EventKind.TASK_DONE)
 
     def _on_task_done(self, ev) -> None:
         task = self.task
-        if task is None or ev.payload["end"] != task.end_ns:
-            return  # stale completion from before a freeze
-        now = self.sim.engine.now()
+        now = ev.at
+        if task is None or now != task.end_ns:
+            return  # stale completion: a freeze moved the task's end later
         if task.seg_start_ns < now:
             task.segments.append((task.seg_start_ns, now))
         for a, b in task.segments:
@@ -196,6 +201,8 @@ class Simulation:
         self.est_pose = self.truth.pose_at(0)
         self.prev_imu = None
         self.last_propagated_ns = 0
+        self.imu_block: list = []
+        self.imu_block_first = 0  # sample index of imu_block[0]; 0: none yet
         self.imu_buffer = ImuBatchBuffer()
 
         # metrics
@@ -239,6 +246,8 @@ class Simulation:
         self.stage_ns = {
             stage: ms_to_ns(latency.stage_latency_ms(stage, self.units[uid].kind, path))
             for stage, uid in spec.stage_units.items() if stage is not Stage.RELAY}
+        # Shared handoff: every IMU sample kicks propagation.
+        self.imu_kicks_propagation = spec.handoff is Handoff.SHARED
         self.controller = None
         self.pending_frame = None
         self.active_cycle_bank = None
@@ -251,18 +260,19 @@ class Simulation:
         self.engine.on("frames", self._on_frame_event)
         self.engine.on("imu", self._on_imu_event)
         self.engine.on("gc", self._on_gc_end)
+        # A source event's payload is its 1-based index k; it fires at
+        # k * NS_PER_S // rate.
         self.engine.schedule(NS_PER_S // self.config.camera_fps, "frames",
-                             EventKind.FRAME_ARRIVED, {"k": 1})
+                             EventKind.FRAME_ARRIVED, 1)
         self.engine.schedule(NS_PER_S // self.config.imu_rate_hz, "imu",
-                             EventKind.IMU_SAMPLE_READY, {"k": 1})
+                             EventKind.IMU_SAMPLE_READY, 1)
 
     # ------------------------------------------------------------------
     # bookkeeping helpers
 
     def _emit(self, entity: str, transition: str, **detail) -> None:
-        rec = {"t_ns": self.engine.now(), "entity": entity, "transition": transition}
-        rec.update(detail)
-        self.trace.append(rec)
+        self.trace.append({"t_ns": self.engine.now(), "entity": entity,
+                           "transition": transition, **detail})
 
     def note_task_done(self, unit_id: str, task: _Task) -> None:
         self.stage_durations_ns[task.stage].append(task.duration_ns)
@@ -283,22 +293,35 @@ class Simulation:
     # sources
 
     def _on_frame_event(self, ev) -> None:
-        k = ev.payload["k"]
+        k = ev.payload
         self.frames_offered += 1
         self.engine.schedule(((k + 1) * NS_PER_S) // self.config.camera_fps,
-                             "frames", EventKind.FRAME_ARRIVED, {"k": k + 1})
+                             "frames", EventKind.FRAME_ARRIVED, k + 1)
         self.on_frame_arrival(k, self.engine.now())
 
     def _on_imu_event(self, ev) -> None:
-        k = ev.payload["k"]
-        now = self.engine.now()
+        k = ev.payload
         self.engine.schedule(((k + 1) * NS_PER_S) // self.config.imu_rate_hz,
-                             "imu", EventKind.IMU_SAMPLE_READY, {"k": k + 1})
-        sample = sample_imu(self.imu_model, self.truth, now, self.engine.stream("imu"))
+                             "imu", EventKind.IMU_SAMPLE_READY, k + 1)
         self.imu_samples_emitted += 1
-        self.imu_buffer.push(sample)
-        if self.spec.handoff is Handoff.SHARED:
+        self.imu_buffer.push(self._imu_sample(k))
+        if self.imu_kicks_propagation:
             self._kick_propagation()
+
+    def _imu_sample(self, k: int):
+        """IMU sample k, taken at the time its event fires. A sample outside
+        the current block draws the whole block that holds it; the last block
+        of a run draws past the end, which only advances the "imu" stream."""
+        i = k - self.imu_block_first
+        if not 0 <= i < len(self.imu_block):
+            self.imu_block_first = first = k - (k - 1) % IMU_BLOCK
+            rate = self.config.imu_rate_hz
+            self.imu_block = sample_imu_block(
+                self.imu_model, self.truth,
+                [(j * NS_PER_S) // rate for j in range(first, first + IMU_BLOCK)],
+                self.engine.stream("imu"))
+            i = k - first
+        return self.imu_block[i]
 
     # ------------------------------------------------------------------
     # frame ingest
@@ -358,7 +381,7 @@ class Simulation:
         for uid, ex in self.execs.items():
             if self.units[uid].kind is not UnitKind.DSP:
                 ex.freeze_running(self.frozen_until_ns)
-        self.engine.schedule(self.frozen_until_ns, "gc", EventKind.GC_END, {})
+        self.engine.schedule(self.frozen_until_ns, "gc", EventKind.GC_END)
 
     def _on_gc_end(self, ev) -> None:
         self._emit("runtime", "GcEnd")
@@ -386,7 +409,7 @@ class Simulation:
 
     def _on_propagation_done(self, task: _Task) -> None:
         self._apply_propagation(task.payload)
-        if self.spec.handoff is Handoff.SHARED:
+        if self.imu_kicks_propagation:
             self._kick_propagation()
 
     # ------------------------------------------------------------------

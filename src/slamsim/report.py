@@ -84,9 +84,12 @@ def build_report(sim: Simulation) -> MetricsReport:
             "p99": _percentile(ms, 0.99),
         }
 
+    # Energy, power and utilizations all come from one busy_ns per unit;
+    # average power is PowerLedger.average_power_w's expression.
     full = (0, duration_ns)
-    avg_power = sim.ledger.average_power_w(full, sim.calibration)
-    total_energy = sim.ledger.total_energy_j(full, sim.calibration)
+    busy = sim.ledger.busy_per_unit(full)
+    total_energy = sim.ledger.total_energy_j(full, sim.calibration, busy)
+    avg_power = total_energy / ((full[1] - full[0]) / NS_PER_S)
 
     relay_ms = [ns_to_ms(d) for d in sim.stage_durations_ns[Stage.RELAY]]
     relay_busy_per_frame = sum(relay_ms) / len(relay_ms) if relay_ms else 0.0
@@ -118,7 +121,8 @@ def build_report(sim: Simulation) -> MetricsReport:
         relay_alloc_mib=sim.alloc_total_bytes / MIB,
         relay_alloc_rate_mib_s=sim.alloc_total_bytes / MIB / cfg.duration_s,
         relay_busy_ms_per_frame=relay_busy_per_frame,
-        unit_utilization={uid: sim.ledger.utilization(uid, full) for uid in sim.units},
+        unit_utilization={uid: b / (full[1] - full[0])
+                          for uid, b in zip(sim.ledger.units, busy)},
         map_size=len(sim.world_map),
     )
 

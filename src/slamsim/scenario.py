@@ -170,6 +170,10 @@ class KernelConfig:
 
 
 MIN_FRAME_BYTES = 3 * 1024 * 1024
+# duration_s: at least one engine tick, so the run's window is never empty, and
+# at most one simulated hour.
+MIN_DURATION_S = 1e-9
+MAX_DURATION_S = 3600.0
 
 
 @dataclass(frozen=True)
@@ -192,8 +196,9 @@ class ScenarioConfig:
                  "camera_fps", "an integer in [1, 60]", self.camera_fps)
         _require(_is_count(self.imu_rate_hz) and 0 < self.imu_rate_hz <= 1000,
                  "imu_rate_hz", "an integer in [1, 1000]", self.imu_rate_hz)
-        _require(_is_number(self.duration_s) and self.duration_s > 0,
-                 "duration_s", "a finite number > 0", self.duration_s)
+        _require(_is_number(self.duration_s)
+                 and MIN_DURATION_S <= self.duration_s <= MAX_DURATION_S, "duration_s",
+                 f"a number in [{MIN_DURATION_S:g}, {MAX_DURATION_S:g}]", self.duration_s)
         _require(_is_count(self.seed) and self.seed >= 0, "seed", "an integer >= 0", self.seed)
         _require(_is_number(self.warmup_s) and 0 <= self.warmup_s < self.duration_s,
                  "warmup_s", f"a number in [0, duration_s = {self.duration_s!r})",

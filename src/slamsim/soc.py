@@ -44,6 +44,11 @@ class Stage(Enum):
     MAPPING = "mapping"
     RELAY = "relay"
 
+    # Stage keys the per-task dict lookups of the pipeline. Enum's own hash
+    # is a Python-level call on the member name; members are singletons and
+    # no set of Stage is ever iterated, so the identity hash is equivalent.
+    __hash__ = object.__hash__
+
 
 class MemoryPath(Enum):
     SHARED = "shared"
@@ -224,7 +229,9 @@ class PowerLedger:
                  static_sources_w: dict[str, float] | None = None):
         self.units = dict(units)
         self.static_sources_w = dict(static_sources_w or {})
+        # Sorted, disjoint busy intervals per unit, and their exact total.
         self._busy: dict[str, list[tuple[int, int]]] = {u: [] for u in self.units}
+        self._busy_total: dict[str, int] = {u: 0 for u in self.units}
 
     def record_busy(self, unit_id: str, from_ns: int, to_ns: int) -> None:
         if unit_id not in self.units:
@@ -243,12 +250,17 @@ class PowerLedger:
             insort(intervals, probe)
         else:
             intervals.append((from_ns, to_ns))
+        self._busy_total[unit_id] += to_ns - from_ns
 
     def busy_ns(self, unit_id: str, window: tuple[int, int] | None = None) -> int:
+        intervals = self._busy[unit_id]
+        if not intervals or window is None or \
+                (window[0] <= intervals[0][0] and intervals[-1][1] <= window[1]):
+            return self._busy_total[unit_id]  # the window holds every interval
+        t0, t1 = window
         total = 0
-        for a, b in self._busy[unit_id]:
-            if window is not None:
-                a, b = max(a, window[0]), min(b, window[1])
+        for a, b in intervals:
+            a, b = max(a, t0), min(b, t1)
             if b > a:
                 total += b - a
         return total
@@ -260,13 +272,13 @@ class PowerLedger:
         return self.busy_ns(unit_id, window) / (t1 - t0)
 
     def dynamic_energy_j(self, window: tuple[int, int] | None = None) -> float:
-        return self._dynamic_j(self._busy_per_unit(window))
+        return self._dynamic_j(self.busy_per_unit(window))
 
     def idle_energy_j(self, window: tuple[int, int],
                       calibration: PowerCalibration) -> float:
-        return self._idle_j(window, calibration, self._busy_per_unit(window))
+        return self._idle_j(window, calibration, self.busy_per_unit(window))
 
-    def _busy_per_unit(self, window: tuple[int, int] | None) -> list[int]:
+    def busy_per_unit(self, window: tuple[int, int] | None) -> list[int]:
         """busy_ns of every unit, in unit order."""
         return [self.busy_ns(u, window) for u in self.units]
 
@@ -289,9 +301,11 @@ class PowerLedger:
         static_w = calibration.baseline_static_w + sum(self.static_sources_w.values())
         return static_w * span_s
 
-    def total_energy_j(self, window: tuple[int, int],
-                       calibration: PowerCalibration) -> float:
-        busy = self._busy_per_unit(window)  # one walk of the intervals
+    def total_energy_j(self, window: tuple[int, int], calibration: PowerCalibration,
+                       busy: list[int] | None = None) -> float:
+        """`busy` is busy_per_unit(window), if the caller already has it."""
+        if busy is None:
+            busy = self.busy_per_unit(window)
         return (self._dynamic_j(busy)
                 + self._idle_j(window, calibration, busy)
                 + self.static_energy_j(window, calibration))

@@ -10,7 +10,7 @@ from slamsim.kernel import (CameraFrame, CircleTrajectory, ImuModel, ImuSample,
                             extend_map, extract_features, feature_capacity,
                             generate_landmarks, propagate, quat_exp, quat_from_yaw,
                             quat_multiply, quat_normalize, quat_rotate, sample_imu,
-                            update_pose,
+                            sample_imu_block, update_pose,
                             FEATURE_BLOCK_HEADER_BYTES, FEATURE_BLOCK_MAX_BYTES,
                             FEATURE_RECORD_BYTES)
 
@@ -318,6 +318,12 @@ def _assert_pose_equal(pose, p, v, q):
     assert np.array_equal(pose.orientation, q)
 
 
+def _imu_bits(sample):
+    """A sample as exact bytes: equal only if every float is bit-identical."""
+    t_ns, gyro, accel = sample
+    return t_ns, np.asarray(gyro, float).tobytes(), np.asarray(accel, float).tobytes()
+
+
 _bias = st.floats(-0.5, 0.5, allow_nan=False)
 _std = st.one_of(st.just(0.0), st.floats(0.0, 0.2, allow_nan=False))
 
@@ -361,6 +367,29 @@ class TestBitExactness:
             _assert_pose_equal(pose, p, v, q)
             prev, ref_prev = chunk[-1], ref_chunk[-1]
             start += n
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           accel_bias=st.tuples(_bias, _bias, _bias),
+           gyro_bias=st.tuples(_bias, _bias, _bias),
+           accel_std=_std, gyro_std=_std,
+           rate_hz=st.sampled_from([1, 7, 30, 200, 333, 1000]),
+           blocks=st.lists(st.integers(1, 150), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_block_sampling_matches_per_sample(self, seed, accel_bias, gyro_bias,
+                                               accel_std, gyro_std, rate_hz, blocks):
+        truth = CircleTrajectory(3.0, 40.0)
+        model = ImuModel(accel_bias=accel_bias, gyro_bias=gyro_bias,
+                         accel_noise_std=accel_std, gyro_noise_std=gyro_std,
+                         rate_hz=rate_hz)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        times = [(k * NS_PER_S) // rate_hz for k in range(1, sum(blocks) + 1)]
+        samples, start = [], 0
+        for n in blocks:
+            samples += sample_imu_block(model, truth, times[start:start + n], rng)
+            start += n
+        ref = [sample_imu(model, truth, t, ref_rng) for t in times]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert [_imu_bits(s) for s in samples] == [_imu_bits(s) for s in ref]
 
     @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 1200),
            visible_share=st.floats(0.0, 1.0), known_share=st.floats(0.0, 1.0),

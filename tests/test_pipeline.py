@@ -1,13 +1,15 @@
 import dataclasses
+from functools import lru_cache
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slamsim.engine import NS_PER_MS, NS_PER_S, ms_to_ns
 from slamsim.kernel import ImuSample
-from slamsim.pipeline import ImuBatchBuffer, Simulation, StallTracker
-from slamsim.report import audit_trace
-from slamsim.scenario import VARIANTS, ArchVariant, ScenarioConfig
+from slamsim.pipeline import IMU_BLOCK, ImuBatchBuffer, Simulation, StallTracker
+from slamsim.report import audit_trace, build_report, run_scenario
+from slamsim.scenario import VARIANTS, ArchVariant, RelayConfig, ScenarioConfig
 from slamsim.soc import ConfigError, SocConfig, Stage, UnitKind
 
 
@@ -111,6 +113,80 @@ class TestHeteroPipeline:
         # feature extraction keeps completing despite pauses
         assert len(sim.stage_durations_ns[Stage.FEATURE_EXTRACTION]) > 0
         assert len(sim.update_completions) > 0
+
+
+def test_task_frozen_by_two_gc_pauses():
+    """An update task frozen twice: both completions scheduled before a
+    freeze are stale and ignored, and the task books exactly its three
+    running segments. Sources fire first at 1 s, so nothing else runs."""
+    sim = Simulation(ScenarioConfig(variant=ArchVariant.HETERO_DSP, camera_fps=1,
+                                    imu_rate_hz=1, duration_s=1.0, warmup_s=0.0))
+    ms, pause = NS_PER_MS, ms_to_ns(sim.config.relay.gc_pause_ms)
+    ex = sim.stage_exec[Stage.UPDATE]
+    deliveries, done = [], []
+    sim.engine.on(ex.target, lambda ev: (deliveries.append(ev.at), ex._on_task_done(ev)))
+    sim._submit(Stage.UPDATE, None, lambda task: done.append(sim.engine.now()))
+
+    def gc_at(t_ns):
+        sim.engine.run_until(t_ns)
+        sim.alloc_counter_bytes = int(sim.config.relay.heap_budget_mib * 1024 * 1024)
+        sim.maybe_gc()
+
+    gc_at(5 * ms)
+    gc_at(5 * ms + pause + 5 * ms)
+    sim.run()
+
+    end = 30 * ms + 2 * pause
+    assert sim.gc_stalls == [(5 * ms, 5 * ms + pause),
+                             (10 * ms + pause, 10 * ms + 2 * pause)]
+    assert deliveries == [30 * ms, 30 * ms + pause, end]
+    assert done == [end]
+    assert sim.stage_durations_ns[Stage.UPDATE] == [30 * ms]
+    segments = [(0, 5 * ms), (5 * ms + pause, 10 * ms + pause), (10 * ms + 2 * pause, end)]
+    assert [sim.ledger.busy_ns("cpu2", seg) for seg in segments] == [5 * ms, 5 * ms, 20 * ms]
+    assert sim.ledger.busy_ns("cpu2", (0, 1000 * ms)) == 30 * ms
+
+
+# A 1 kHz IMU makes many sample blocks, and a small heap budget makes
+# hetero-dsp pause for GC about every 0.7 s.
+SLICED_CONFIG = dict(imu_rate_hz=1000, duration_s=3.0, warmup_s=0.5,
+                     relay=RelayConfig(heap_budget_mib=60.0))
+
+
+@lru_cache(maxsize=None)
+def _plain_run(variant):
+    report, sim = run_scenario(ScenarioConfig(variant=variant, **SLICED_CONFIG))
+    return report.to_json_line(), sim.trace, sim.gc_stalls, sim.duration_ns
+
+
+def _structured_cuts(variant):
+    """Cuts on and next to every IMU block boundary, and at the start, inside
+    and at the end of every GC pause of the plain run."""
+    _, _, gc_stalls, duration_ns = _plain_run(variant)
+    rate = SLICED_CONFIG["imu_rate_hz"]
+    cuts = []
+    for first in range(1, rate * int(SLICED_CONFIG["duration_s"]), IMU_BLOCK):
+        t = (first * NS_PER_S) // rate
+        cuts += [t - 1, t]
+    for a, b in gc_stalls:
+        cuts += [a, (a + b) // 2, b - 1, b]
+    return [t for t in cuts if t <= duration_ns]
+
+
+@pytest.mark.parametrize("variant", list(ArchVariant))
+@given(cuts=st.lists(st.integers(0, int(SLICED_CONFIG["duration_s"] * NS_PER_S)),
+                     max_size=12))
+@settings(max_examples=3, deadline=None)
+def test_sliced_run_matches_plain_run(variant, cuts):
+    line, trace, gc_stalls, _ = _plain_run(variant)
+    sim = Simulation(ScenarioConfig(variant=variant, **SLICED_CONFIG))
+    for cut in sorted(cuts + _structured_cuts(variant)):
+        sim.engine.run_until(cut)
+    sim.run()
+    assert build_report(sim).to_json_line() == line
+    assert sim.trace == trace
+    if variant is ArchVariant.HETERO_DSP:
+        assert len(gc_stalls) >= 3
 
 
 class TestSlamArchPipeline:

@@ -105,6 +105,8 @@ class TestSchemaValidation:
         ({"soc": {"update_shared_ms": -5}}, "soc.update_shared_ms"),
         ({"camera_fps": "30"}, "camera_fps"),
         ({"soc": {"cpu_peak_power_w": "2"}}, "soc.cpu_peak_power_w"),
+        ({"duration_s": 1e9}, "duration_s"),
+        ({"duration_s": 1e-10, "warmup_s": 0}, "duration_s"),
     ])
     def test_cli_reports_one_error_line(self, tmp_path, capsys, scenario, key):
         path = tmp_path / "scenario.json"
@@ -140,6 +142,14 @@ class TestSchemaValidation:
                                           key: float(getattr(defaults, key))})
         with pytest.raises(ConfigError, match="scenario.soc.scratchpad_banks"):
             SocConfig(scratchpad_banks=2.0)
+
+    def test_duration_is_bounded_to_one_hour(self):
+        for bad in (3600.5, 1e9, 1e-10):
+            with pytest.raises(ConfigError, match=r"^scenario.duration_s: expected a "
+                                                  r"number in \[1e-09, 3600\], got "):
+                ScenarioConfig(variant=ArchVariant.SLAM_ARCH, duration_s=bad, warmup_s=0.0)
+        for good in (1e-9, 3600, 3600.0):
+            ScenarioConfig(variant=ArchVariant.SLAM_ARCH, duration_s=good, warmup_s=0.0)
 
     def test_boundary_values_are_accepted(self):
         soc = SocConfig(feature_access_fraction=0.0, unit_idle_fraction=1.0,

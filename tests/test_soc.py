@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from slamsim.engine import NS_PER_MS, NS_PER_S
 from slamsim.soc import (ComputeUnitSpec, ConfigError, LatencyTable, LedgerError,
@@ -140,6 +140,29 @@ def test_ledger_conservation(chunks, idle_fraction, static_w):
     assert ledger.total_energy_j(window, cal) == pytest.approx(expected)
     assert ledger.average_power_w(window, cal) * span_s == \
         pytest.approx(ledger.total_energy_j(window, cal))
+
+
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 30)), max_size=25),
+       st.randoms(use_true_random=False),
+       st.lists(st.tuples(st.integers(-50, 1200), st.integers(0, 1300)), max_size=10))
+@settings(max_examples=50)
+def test_busy_ns_total_matches_the_interval_walk(chunks, random, windows):
+    """The running total (any window holding every interval) and the walk
+    (partial windows) agree with a direct sum over the clipped intervals,
+    for intervals recorded out of order."""
+    intervals, cursor = [], 0
+    for gap, width in chunks:
+        intervals.append((cursor + gap, cursor + gap + width))
+        cursor += gap + width
+    random.shuffle(intervals)
+    ledger = PowerLedger({"u": ComputeUnitSpec("u", UnitKind.CPU_CORE)})
+    for a, b in intervals:
+        ledger.record_busy("u", a, b)
+    covering = [(0, cursor), (-5, cursor + 5)] + ([(0, 0)] if not intervals else [])
+    for t0, t1 in windows + covering:
+        expected = sum(max(0, min(b, t1) - max(a, t0)) for a, b in intervals)
+        assert ledger.busy_ns("u", (t0, t1)) == expected
+    assert ledger.busy_ns("u") == sum(b - a for a, b in intervals)
 
 
 def test_scratchpad_bank_holds_a_feature_block():
