@@ -10,10 +10,10 @@ Data layout. The IMU path (`sample_imu_block`, `propagate`) and the
 trajectories work on Python floats: vectors are 3-tuples, quaternions are
 4-tuples (w, x, y, z), and a `Pose` holds three such tuples. The feature path
 is struct-of-arrays over the dense landmark ids 0..N-1: landmark truth is one
-(N, 3) array, a frame's `Sightings` and a `FeatureBlock` are an int id array
-plus a (k, 2) pixel array, and a `WorldMap` is a bool `known` mask plus an
-(N, 3) point array, so matching and map extension are single masked
-gathers.
+(N, 3) array with contiguous coordinates, a frame's `Sightings` and a
+`FeatureBlock` are an int id array plus a (k, 2) pixel array computed on
+demand, and a `WorldMap` is a bool `known` mask plus an (N, 3) point array,
+so matching and map extension are single masked gathers.
 
 Numerics. Every sum, product and quotient is written term by term in the
 order of the reference numpy formulation, so results are bit-identical to
@@ -21,6 +21,29 @@ it. Vector norms and quaternion dot products are the exception: numpy takes
 them with its BLAS dot product, which may accumulate with fused multiply-adds
 and so differs in the last bit from a Python sum of squares. `_dot` and
 `_norm` keep that BLAS call.
+
+Pixels on demand. No report, trace or pipeline decision reads a pixel; they
+read feature ids and counts. So `LandmarkField.visible` builds only the
+visibility mask and hands its operands (rel, heading, depth, dist, idx) to
+the `Sightings`, which projects them with `_pinhole` the first time `pixels`
+is read and caches the result. A `FeatureBlock` over the cap keeps the same
+subset of those pixels, `sightings.pixels[keep]`. The projection works on the
+mask pass's own operands (`rel[idx] @ heading`, `depth[idx] * dist[idx]`),
+which nothing else holds, so pixels read late are the bits of pixels
+projected at once. The mask's `rel @ heading` is one gemv over all rows, and
+the projection's a gemv over the visible rows: OpenBLAS does not promise the
+same rounding for a row of both, so neither is derived from the other.
+
+Visibility distance. `np.linalg.norm(rel, axis=1)` is the square root of
+numpy's add-reduce of the squares over each row of 3. numpy adds fewer than 8
+terms one after another, from the left, so the norm is
+`sqrt((x*x + y*y) + z*z)`; summing the squared columns left to right gives
+the same IEEE result while reading the coordinates as whole columns instead
+of a strided reduce over a length-3 axis. `rel` itself is written by one
+subtraction from the contiguous coordinate rows of the landmark array
+(`generate_landmarks` stores them that way) into a C-order (N, 3) array:
+subtraction is exact per element, so only the gemv depends on the layout,
+and it gets the C-order matrix it is specified on.
 
 Block-drawn IMU noise. numpy's `rng.normal(0.0, std, 3)` returns
 `0.0 + std * z` for three standard normals `z` taken one after another from
@@ -43,6 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -170,11 +194,31 @@ class ImuModel:
             raise ValueError(f"imu rate_hz {self.rate_hz} out of [1, 1000]")
 
 
-@dataclass(frozen=True)
-class Sightings:
+class _LazyPixels:
+    """A (k, 2) pixel array that is either given or computed by `project()`
+    the first time `pixels` is read, then cached (see the module notes). The
+    projection and the operands it holds are dropped once it has run."""
+    __slots__ = ("_pixels", "_project")
+
+    def __init__(self, pixels, project):
+        self._pixels = pixels
+        self._project = project
+
+    @property
+    def pixels(self) -> np.ndarray:
+        if self._pixels is None:
+            self._pixels, self._project = self._project(), None
+        return self._pixels
+
+
+class Sightings(_LazyPixels):
     """Landmarks seen in one frame: ascending ids and their (k, 2) pixels."""
-    ids: np.ndarray
-    pixels: np.ndarray
+    __slots__ = ("ids",)
+
+    def __init__(self, ids: np.ndarray, pixels: np.ndarray | None = None, *,
+                 project=None):
+        super().__init__(pixels, project)
+        self.ids = ids
 
     def __len__(self):
         return len(self.ids)
@@ -188,12 +232,17 @@ class CameraFrame:
     size_bytes: int = 3 * 1024 * 1024
 
 
-@dataclass(frozen=True)
-class FeatureBlock:
-    frame_id: int
-    features: np.ndarray  # landmark ids, one per feature
-    pixels: np.ndarray  # (len(features), 2)
-    serialized_bytes: int
+class FeatureBlock(_LazyPixels):
+    """One frame's extracted features: landmark ids, one per feature, their
+    (len(features), 2) pixels, and the block's serialized size in bytes."""
+    __slots__ = ("frame_id", "features", "serialized_bytes")
+
+    def __init__(self, frame_id: int, features: np.ndarray, pixels: np.ndarray | None,
+                 serialized_bytes: int, *, project=None):
+        super().__init__(pixels, project)
+        self.frame_id = frame_id
+        self.features = features
+        self.serialized_bytes = serialized_bytes
 
 
 class WorldMap:
@@ -375,14 +424,15 @@ def extract_features(frame: CameraFrame, rng: np.random.Generator | None = None,
     landmark, capped so the serialized block fits a scratchpad bank. Over the
     cap, a sorted random subset is kept (the first `cap` without `rng`)."""
     cap = feature_capacity(max_bytes)
-    ids, pixels = frame.visible_landmarks.ids, frame.visible_landmarks.pixels
+    sightings = frame.visible_landmarks
+    ids, keep = sightings.ids, slice(None)
     if len(ids) > cap:
         keep = (np.sort(rng.choice(len(ids), size=cap, replace=False))
                 if rng is not None else slice(cap))
-        ids, pixels = ids[keep], pixels[keep]
+        ids = ids[keep]
     size = FEATURE_BLOCK_HEADER_BYTES + FEATURE_RECORD_BYTES * len(ids)
-    return FeatureBlock(frame_id=frame.frame_id, features=ids, pixels=pixels,
-                        serialized_bytes=size)
+    return FeatureBlock(frame.frame_id, ids, None, size,
+                        project=lambda: sightings.pixels[keep])
 
 
 def update_pose(pose: Pose, block: FeatureBlock, world_map: WorldMap, truth_pose: Pose,
@@ -427,14 +477,22 @@ def extend_map(world_map: WorldMap, block: FeatureBlock, landmark_points: np.nda
 def generate_landmarks(count: int, rng: np.random.Generator,
                        ring_radius_m: float = 8.0, height_spread_m: float = 2.0) -> np.ndarray:
     """Scatter landmarks on a cylinder around the trajectory loop; row i of
-    the (count, 3) result is the position of landmark id i."""
+    the (count, 3) result is the position of landmark id i. The result is
+    the transpose of a (3, count) array, so each coordinate is contiguous."""
     angles = rng.uniform(0.0, 2.0 * math.pi, count).tolist()
     radii = ring_radius_m + rng.uniform(-1.0, 1.0, count)
     heights = rng.uniform(-height_spread_m, height_spread_m, count)
     # libm's cos/sin, not numpy's vector kernels, which may round differently
     cos = np.fromiter(map(math.cos, angles), float, count)
     sin = np.fromiter(map(math.sin, angles), float, count)
-    return np.column_stack((radii * cos, radii * sin, heights))
+    return np.stack((radii * cos, radii * sin, heights)).T
+
+
+def _pinhole(rel, heading, depth, dist, idx) -> np.ndarray:
+    """Pinhole pixels of the rows `idx` of the visibility pass's operands."""
+    lateral = rel[idx] - np.outer(rel[idx] @ heading, heading)
+    scale = np.maximum(depth[idx] * dist[idx], 1e-6)
+    return 300.0 * lateral[:, :2] / scale[:, None]
 
 
 class LandmarkField:
@@ -442,20 +500,27 @@ class LandmarkField:
 
     def __init__(self, points: np.ndarray):
         self.points = points
+        self._columns = np.ascontiguousarray(points.T)  # x, y, z rows
 
     def visible(self, true_pose: Pose, max_range_m: float = 12.0,
                 fov_deg: float = 100.0) -> Sightings:
         """Landmarks inside a forward field-of-view cone and range of the
-        true pose, with a simple pinhole projection to pixels."""
+        true pose, with a simple pinhole projection to pixels that runs when
+        the pixels are first read."""
         heading = np.array(quat_rotate(true_pose.orientation, (1.0, 0.0, 0.0)))
         cos_half = math.cos(math.radians(fov_deg) / 2.0)
-        rel = self.points - true_pose.position
-        dist = np.linalg.norm(rel, axis=1)
+        # rel = points - position in C order, the layout of the gemv below,
+        # written from the contiguous coordinate rows; the distance sums the
+        # squared columns left to right.
+        rel = np.empty(self.points.shape)
+        np.subtract(self._columns, np.array(true_pose.position)[:, None], out=rel.T)
+        x, y, z = rel.T
+        dist = x * x
+        dist += y * y
+        dist += z * z
+        np.sqrt(dist, out=dist)
         with np.errstate(invalid="ignore", divide="ignore"):
             depth = (rel @ heading) / dist
         mask = (dist > 1e-6) & (dist <= max_range_m) & (depth >= cos_half)
-        idx = np.nonzero(mask)[0]
-        lateral = rel[idx] - np.outer(rel[idx] @ heading, heading)
-        scale = np.maximum(depth[idx] * dist[idx], 1e-6)
-        pixels = 300.0 * lateral[:, :2] / scale[:, None]
-        return Sightings(idx, pixels)
+        idx = np.flatnonzero(mask)
+        return Sightings(idx, project=partial(_pinhole, rel, heading, depth, dist, idx))

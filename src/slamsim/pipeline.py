@@ -483,10 +483,11 @@ class Simulation:
 
     def _apply_update(self, block) -> None:
         now = self.engine.now()
+        truth_pose = self.truth.pose_at(now)
         k = self.config.kernel
         if k.updates_enabled:
             corrected, matched = update_pose(
-                self.est_pose, block, self.world_map, self.truth.pose_at(now),
+                self.est_pose, block, self.world_map, truth_pose,
                 rng=self.engine.stream("obs"), gain=k.update_gain,
                 obs_noise_std=k.obs_noise_std, min_matches=k.min_matches)
             self.est_pose = corrected
@@ -494,7 +495,7 @@ class Simulation:
         self.update_completions.append(now)
         self.stall_tracker.record_update_completion(now)
         err = float(np.linalg.norm(np.subtract(self.est_pose.position,
-                                               self.truth.pose_at(now).position)))
+                                               truth_pose.position)))
         self.error_samples.append((now, err))
 
     def _apply_mapping(self, block) -> None:

@@ -168,10 +168,12 @@ class PowerCalibration:
     unit_idle_fraction: float = 0.45
 
     def __post_init__(self):
-        if self.baseline_static_w < 0:
-            raise ConfigError("baseline_static_w must be >= 0")
-        if not (0.0 <= self.unit_idle_fraction <= 1.0):
-            raise ConfigError("unit_idle_fraction must be in [0, 1]")
+        if not (_is_number(self.baseline_static_w) and self.baseline_static_w >= 0):
+            raise ConfigError("baseline_static_w: expected a finite number >= 0, "
+                              f"got {self.baseline_static_w!r}")
+        if not (_is_number(self.unit_idle_fraction) and 0 <= self.unit_idle_fraction <= 1):
+            raise ConfigError("unit_idle_fraction: expected a number in [0, 1], "
+                              f"got {self.unit_idle_fraction!r}")
 
 
 class LatencyTable:

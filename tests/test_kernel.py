@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slamsim import kernel
 from slamsim.engine import NS_PER_S
 from slamsim.kernel import (CameraFrame, CircleTrajectory, ImuModel, ImuSample,
                             LandmarkField, Pose, Sightings, StationaryTrajectory, WorldMap,
@@ -324,6 +325,23 @@ def _imu_bits(sample):
     return t_ns, np.asarray(gyro, float).tobytes(), np.asarray(accel, float).tobytes()
 
 
+def _eager_visible(points, pose, max_range_m=12.0, fov_deg=100.0):
+    """The visibility pass as first specified: a C-order landmark array,
+    norm by np.linalg.norm and every pixel projected at once. Returns
+    (ids, pixels)."""
+    heading = np.array(quat_rotate(pose.orientation, (1.0, 0.0, 0.0)))
+    cos_half = math.cos(math.radians(fov_deg) / 2.0)
+    rel = np.ascontiguousarray(points) - pose.position
+    dist = np.linalg.norm(rel, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        depth = (rel @ heading) / dist
+    mask = (dist > 1e-6) & (dist <= max_range_m) & (depth >= cos_half)
+    idx = np.nonzero(mask)[0]
+    lateral = rel[idx] - np.outer(rel[idx] @ heading, heading)
+    scale = np.maximum(depth[idx] * dist[idx], 1e-6)
+    return idx, 300.0 * lateral[:, :2] / scale[:, None]
+
+
 _bias = st.floats(-0.5, 0.5, allow_nan=False)
 _std = st.one_of(st.just(0.0), st.floats(0.0, 0.2, allow_nan=False))
 
@@ -468,6 +486,79 @@ class TestBitExactness:
         assert len(wm) == len(ref_map)
         for lid, point in ref_map.items():
             assert np.array_equal(wm.point(lid), point)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(0, 5000),
+           where=st.sampled_from(["trajectory", "off", "inside", "on-landmark"]),
+           fov_deg=st.one_of(st.floats(1e-3, 360.0), st.just(360.0)),
+           max_range_m=st.floats(0.5, 30.0))
+    @settings(max_examples=60, deadline=None)
+    def test_visibility_matches_eager_reference(self, seed, count, where, fov_deg,
+                                                max_range_m):
+        rng = np.random.default_rng(seed)
+        points = generate_landmarks(count, rng)
+        q = quat_normalize(tuple(rng.normal(size=4)))
+        if where == "trajectory":
+            position = CircleTrajectory().pose_at(int(rng.integers(0, 60 * NS_PER_S))).position
+        elif where == "off":
+            position = tuple(rng.uniform(-15.0, 15.0, 3))
+        elif where == "inside":  # inside the landmark ring, off the loop
+            r, a = rng.uniform(0.0, 6.5), rng.uniform(0.0, 2.0 * math.pi)
+            position = (r * math.cos(a), r * math.sin(a), rng.uniform(-2.0, 2.0))
+        else:  # exactly at a landmark: a zero distance, excluded by the 1e-6 floor
+            position = tuple(points[rng.integers(count)]) if count else (0.0, 0.0, 0.0)
+        pose = Pose(position, (0.0, 0.0, 0.0), q)
+        sightings = LandmarkField(points).visible(pose, max_range_m, fov_deg)
+        ids, pixels = _eager_visible(points, pose, max_range_m, fov_deg)
+        assert sightings.ids.tobytes() == ids.tobytes()
+        assert sightings.pixels.shape == pixels.shape
+        assert sightings.pixels.tobytes() == pixels.tobytes()
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), use_rng=st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_capped_block_pixels_match_eager_subset(self, seed, use_rng):
+        world = np.random.default_rng(seed)
+        points = generate_landmarks(4000, world)
+        pose = CircleTrajectory().pose_at(int(world.integers(0, 60 * NS_PER_S)))
+        ids, pixels = _eager_visible(points, pose)
+        assert len(ids) > feature_capacity()
+        frame = CameraFrame(frame_id=0, t_ns=0,
+                            visible_landmarks=LandmarkField(points).visible(pose))
+        rng = np.random.default_rng(seed + 1) if use_rng else None
+        block = extract_features(frame, rng)
+        if use_rng:
+            ref_rng = np.random.default_rng(seed + 1)
+            keep = np.sort(ref_rng.choice(len(ids), size=feature_capacity(), replace=False))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        else:
+            keep = slice(feature_capacity())
+        assert block.features.tobytes() == ids[keep].tobytes()
+        assert block.pixels.tobytes() == pixels[keep].tobytes()
+
+    def test_pixels_are_projected_on_first_read_only(self, monkeypatch):
+        projections = []
+        pinhole = kernel._pinhole
+
+        def counting(*args):
+            projections.append(args[-1])
+            return pinhole(*args)
+
+        monkeypatch.setattr(kernel, "_pinhole", counting)
+        points = generate_landmarks(4000, np.random.default_rng(5))
+        pose = CircleTrajectory().pose_at(NS_PER_S)
+        sightings = LandmarkField(points).visible(pose)
+        frame = CameraFrame(frame_id=0, t_ns=0, visible_landmarks=sightings)
+        rng = np.random.default_rng(6)
+        block = extract_features(frame, rng)
+        wm = WorldMap(len(points))
+        update_pose(Pose.identity(), block, wm, pose, rng=rng, obs_noise_std=0.1)
+        extend_map(wm, block, points, rng=rng, noise_std=0.1)
+        assert len(sightings) > feature_capacity() == len(block.features)
+        assert projections == []
+        block_pixels = block.pixels
+        assert len(projections) == 1 and projections[0] is sightings.ids
+        assert block.pixels is block_pixels
+        assert sightings.pixels.shape == (len(sightings), 2)
+        assert len(projections) == 1
 
     @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(0, 500))
     @settings(max_examples=30, deadline=None)

@@ -2,9 +2,11 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import slamsim.cli as cli
 from slamsim.pipeline import Simulation
+from slamsim.report import audit_trace, run_scenario
 from slamsim.scenario import (ArchVariant, Handoff, Ingest, KernelConfig, PRESET_NAMES,
                               RelayConfig, ScenarioConfig, VARIANTS, build, preset)
 from slamsim.soc import ConfigError, MemoryPath, SocConfig
@@ -230,3 +232,106 @@ class TestMemoryPathDefaults:
         config = ScenarioConfig(variant=ArchVariant.SLAM_ARCH,
                                 memory_path=MemoryPath.SHARED)
         assert config.effective_memory_path() is MemoryPath.SHARED
+
+
+# ---------------------------------------------------------------------------
+# Any scenario dict either is refused with a ConfigError or runs to a trace
+# that passes the audit and a ledger that conserves energy.
+
+_pos = st.floats(1e-3, 50.0)
+_nonneg = st.floats(0.0, 5.0)
+_fraction = st.floats(0.0, 1.0)
+_vec3 = st.lists(st.floats(-0.2, 0.2), min_size=3, max_size=3)
+# Wrong types, non-finite and out-of-range values; some are valid for some keys.
+_junk = st.sampled_from([None, "1", True, [], {}, [1.0, 2.0], float("nan"),
+                         float("inf"), -float("inf"), -1, -0.5, 0, 0.0, 2, 1e-300,
+                         10 ** 400, 1e308])
+
+_VALID = {
+    "top": {"camera_fps": st.integers(1, 60), "imu_rate_hz": st.integers(1, 1000),
+            "seed": st.integers(0, 2 ** 32), "memory_path": st.sampled_from(
+                [None, "shared", "scratchpad"]),
+            "frame_size_bytes": st.integers(3 * 1024 * 1024, 64 * 1024 * 1024),
+            "loss_threshold_ms": st.floats(0.0, 500.0)},
+    "soc": {**{k: _pos for k in ("cpu_peak_power_w", "dsp_peak_power_w", "gpu_peak_power_w",
+                                 "feature_extraction_cpu_ms", "feature_extraction_gpu_ms",
+                                 "feature_extraction_dsp_ms", "propagation_ms",
+                                 "update_shared_ms", "mapping_shared_ms")},
+            **{k: _nonneg for k in ("baseline_static_w", "shared_access_ns",
+                                    "scratchpad_access_ns", "scratchpad_dynamic_w",
+                                    "scratchpad_leakage_w", "io_pin_power_w")},
+            "unit_idle_fraction": _fraction,
+            "feature_access_fraction": st.floats(0.0, 0.99),
+            "scratchpad_capacity_bytes": st.integers(1, 1 << 20),
+            "scratchpad_banks": st.just(2)},
+    "relay": {"copy_latency_ms_min": st.floats(1e-3, 5.0),
+              "copy_latency_ms_max": st.floats(5.0, 20.0),
+              "heap_budget_mib": st.floats(1.0, 500.0),
+              "gc_pause_ms": st.floats(100.5, 400.0)},
+    "kernel": {"accel_bias": _vec3, "gyro_bias": _vec3,
+               **{k: st.floats(0.0, 0.1) for k in ("accel_noise_std", "gyro_noise_std",
+                                                   "obs_noise_std", "map_noise_std")},
+               "update_gain": _fraction, "min_matches": st.integers(0, 50),
+               "landmark_count": st.integers(0, 1500),
+               "visibility_range_m": st.floats(0.1, 30.0),
+               "fov_deg": st.floats(1e-3, 360.0),
+               "trajectory_radius_m": st.floats(0.0, 20.0),
+               "trajectory_period_s": st.floats(1e-3, 600.0),
+               "updates_enabled": st.booleans()},
+}
+
+
+@st.composite
+def _section(draw, name):
+    keys = draw(st.lists(st.sampled_from(sorted(_VALID[name])), unique=True, max_size=4))
+    return {k: draw(_VALID[name][k]) for k in keys}
+
+
+@st.composite
+def _scenario(draw):
+    """A valid scenario with a short duration, then up to two faults: a junk
+    value for one key or one section, an unknown variant or an unknown key."""
+    data = draw(_section("top"))
+    data["variant"] = draw(st.sampled_from(PRESET_NAMES))
+    data["duration_s"] = draw(st.floats(0.05, 1.0))
+    data["warmup_s"] = draw(st.floats(0.0, 0.99)) * data["duration_s"]
+    for name in ("soc", "relay", "kernel"):
+        if draw(st.booleans()):
+            data[name] = draw(_section(name))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        fault = draw(st.sampled_from(["top", "soc", "relay", "kernel", "section",
+                                      "variant", "unknown"]))
+        if fault == "variant":
+            data["variant"] = draw(st.sampled_from(["nope", None, 3]))
+        elif fault == "unknown":
+            data["bogus"] = 1
+        elif fault == "section":
+            data[draw(st.sampled_from(["soc", "relay", "kernel"]))] = draw(_junk)
+        elif fault == "top":
+            data[draw(st.sampled_from(sorted(_VALID["top"]) + ["duration_s", "warmup_s"]))] \
+                = draw(_junk)
+        elif isinstance(data.get(fault, {}), dict):
+            data[fault] = {**data.get(fault, {}),
+                           draw(st.sampled_from(sorted(_VALID[fault]))): draw(_junk)}
+    return data
+
+
+class TestAnyScenario:
+    @given(_scenario())
+    @settings(max_examples=60, deadline=None)
+    def test_refused_or_runs_audited_and_conserved(self, data):
+        try:
+            config = ScenarioConfig.from_dict(data)
+        except ConfigError:
+            return
+        report, sim = run_scenario(config)
+        assert audit_trace(sim.trace).ok
+        full = (0, sim.duration_ns)
+        ledger, cal = sim.ledger, sim.calibration
+        for unit in ledger.units:
+            assert 0 <= ledger.busy_ns(unit) <= sim.duration_ns
+        parts = (ledger.dynamic_energy_j(full) + ledger.idle_energy_j(full, cal)
+                 + ledger.static_energy_j(full, cal))
+        assert ledger.total_energy_j(full, cal) == pytest.approx(parts, rel=1e-12)
+        assert report.total_energy_j == pytest.approx(parts, rel=1e-12)
+        assert all(0.0 <= u <= 1.0 for u in report.unit_utilization.values())

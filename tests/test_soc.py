@@ -117,6 +117,24 @@ class TestPowerLedger:
         assert walked == ["cpu0", "dsp"]
 
 
+class TestPowerCalibration:
+    @pytest.mark.parametrize("field, value", [
+        ("baseline_static_w", float("nan")), ("baseline_static_w", float("inf")),
+        ("baseline_static_w", -0.1), ("baseline_static_w", "1.0"),
+        ("baseline_static_w", True), ("baseline_static_w", None),
+        ("unit_idle_fraction", True), ("unit_idle_fraction", "0.5"),
+        ("unit_idle_fraction", float("nan")), ("unit_idle_fraction", 1.5),
+        ("unit_idle_fraction", -0.1),
+    ])
+    def test_rejects_with_the_field_named(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}: expected"):
+            PowerCalibration(**{field: value})
+
+    def test_accepts_the_range_ends(self):
+        PowerCalibration(baseline_static_w=0, unit_idle_fraction=0)
+        PowerCalibration(baseline_static_w=2.5, unit_idle_fraction=1.0)
+
+
 @given(st.lists(st.tuples(st.integers(0, 50), st.integers(1, 20)), max_size=20),
        st.floats(0.0, 1.0), st.floats(0.0, 3.0))
 def test_ledger_conservation(chunks, idle_fraction, static_w):
