@@ -3,6 +3,20 @@
 The clock is integer nanoseconds so event ordering is exact; sub-nanosecond
 costs (e.g. scratchpad accesses) are accumulated as energy/latency
 contributions elsewhere, never as individually scheduled events.
+
+A periodic source can run lazily (`start_source`): sample k falls at
+k * NS_PER_S // rate, but has no event of its own. The engine keeps
+`sample_index`, the last sample that counts as delivered, up to date with one
+check per delivered event: before an event at (at, seq) is handled, every
+sample the removed per-sample event chain would have delivered first counts
+as delivered. Sample k's removed event would have taken its seq when sample
+k-1 was delivered, so k counts as delivered before an event E if t_k < E.at,
+or if t_k == E.at and sample k-1 already counted as delivered when E was
+scheduled. The engine reserves that seq each time `sample_index` moves, so
+`schedule_next_sample` can place a real event at the exact (at, seq) position
+of the next sample, for the one case where its arrival acts (the
+synchronization point of a temporally decoupled source, as in SystemC
+TLM-2.0's quantum keeper).
 """
 
 from __future__ import annotations
@@ -17,6 +31,9 @@ import numpy as np
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
+
+# The next sample time while no source runs: later than any clock value.
+_NO_SOURCE_NS = 1 << 63
 
 
 def ms_to_ns(ms: float) -> int:
@@ -76,6 +93,11 @@ class Engine:
         self._stopped = False
         self.scheduled_count = 0
         self.delivered_count = 0
+        # The lazy periodic source (see the module notes).
+        self.sample_index = 0  # last sample that counts as delivered
+        self._sample_rate_hz = 0
+        self._next_sample_ns = _NO_SOURCE_NS
+        self._next_sample_seq = 0  # seq reserved for the next sample's event
 
     def now(self) -> int:
         return self._now
@@ -102,8 +124,43 @@ class Engine:
         heappush(self._queue, ev)
         return ev
 
+    def start_source(self, rate_hz: int) -> None:
+        """Start the lazy periodic source: sample 0 counts as delivered now,
+        and sample k falls at k * NS_PER_S // rate_hz."""
+        self._sample_rate_hz = rate_hz
+        self.sample_index = 0
+        self._next_sample_ns = NS_PER_S // rate_hz
+        self._reserve_sample_seq()
+
+    def schedule_next_sample(self, target: str, kind: EventKind) -> Event:
+        """Schedule a real event for sample `sample_index + 1`, at the (at,
+        seq) position its per-sample event would have had; payload is k."""
+        ev = tuple.__new__(Event, (self._next_sample_ns, self._next_sample_seq, target, kind,
+                                   self.sample_index + 1))
+        self.scheduled_count += 1
+        heappush(self._queue, ev)
+        return ev
+
+    def _reserve_sample_seq(self) -> None:
+        self._next_sample_seq = self._seq
+        self._seq += 1
+
+    def _deliver_samples(self, at: int, seq: int) -> None:
+        """Count as delivered every sample ordered before an event at (at,
+        seq); called only when the next sample falls at or before `at`."""
+        if at > self._next_sample_ns:
+            k = (at * self._sample_rate_hz - 1) // NS_PER_S  # the last with t_k < at
+        elif seq >= self._next_sample_seq:
+            k = self.sample_index + 1  # tie: scheduled after sample k-1 was delivered
+        else:
+            return
+        self.sample_index = k
+        self._next_sample_ns = ((k + 1) * NS_PER_S) // self._sample_rate_hz
+        self._reserve_sample_seq()
+
     def run_until(self, end: int) -> None:
-        """Process every event with at <= end; afterwards now() == end.
+        """Process every event with at <= end; afterwards now() == end, and
+        every source sample at or before end counts as delivered.
 
         A SIM_END event stops the loop immediately (clock left at its
         timestamp).
@@ -111,8 +168,11 @@ class Engine:
         queue, handlers, sim_end = self._queue, self._handlers, EventKind.SIM_END
         while queue and queue[0][0] <= end:
             ev = heappop(queue)
-            self._now = ev.at
+            at = ev[0]
+            self._now = at
             self.delivered_count += 1
+            if at >= self._next_sample_ns:
+                self._deliver_samples(at, ev[1])
             if ev.kind is sim_end:
                 self._stopped = True
                 return
@@ -120,3 +180,6 @@ class Engine:
             if handler is not None:
                 handler(ev)
         self._now = max(self._now, end)
+        if self._next_sample_ns <= end:
+            # The samples up to `end` had their events handled in this call.
+            self._deliver_samples(end + 1, 0)

@@ -54,6 +54,18 @@ when only one of the two stds is > 0 (no draw when both are 0). Row i then
 holds exactly the six numbers, in the same draw order, that sample i taken
 alone would draw, so the samples and the generator state after the block are
 bit-identical to n single-sample calls; `sample_imu` is the 1-sample block.
+Each component is summed as `(truth + bias) + noise`, written out per
+component rather than through `_add`.
+
+Rotation reuse. `propagate` starts a batch by rotating the previous batch's
+last accel sample into the world frame with the pose's orientation, which is
+the rotation the previous call ended on whenever nothing changed the
+orientation in between. The pose `propagate` returns keeps that last rotation
+in `last_rotation`, with the orientation and accel tuples it came from, and a
+call reuses it only when `pose.orientation` and `prev_sample.accel` are those
+very tuple objects. `update_pose` replaces the orientation with a new tuple,
+so after an update the rotation is computed afresh. A reused rotation was
+computed from the same values, so the result is the same bits either way.
 
 Conventions: accelerometer samples are gravity-compensated specific force
 (gravity handling is out of scope for this model). The drift-correction
@@ -65,7 +77,7 @@ not estimator research.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
@@ -157,13 +169,16 @@ class Pose:
     position: tuple  # m, world frame
     velocity: tuple  # m/s, world frame
     orientation: tuple  # unit quaternion (w, x, y, z), body->world
+    # (orientation, body accel, world accel) of the last sample `propagate`
+    # integrated into this pose (see the module notes).
+    last_rotation: tuple | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def identity(cls) -> "Pose":
         return cls((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
 
     def copy(self) -> "Pose":
-        return Pose(self.position, self.velocity, self.orientation)
+        return Pose(self.position, self.velocity, self.orientation, self.last_rotation)
 
 
 class ImuSample(NamedTuple):
@@ -348,15 +363,21 @@ def sample_imu_block(model: ImuModel, truth, times_ns, rng: np.random.Generator
             gyro_noise = (0.0 + gyro_std * z[:, :3]).tolist()
         if accel_std > 0:
             accel_noise = (0.0 + accel_std * z[:, cols - 3:]).tolist()
+    gbx, gby, gbz = gyro_bias
+    abx, aby, abz = accel_bias
     samples = []
     for i, t_ns in enumerate(times_ns):
-        gyro = _add(truth.gyro_body(t_ns), gyro_bias)
-        accel = _add(truth.accel_body(t_ns), accel_bias)
+        gx, gy, gz = truth.gyro_body(t_ns)
+        gx, gy, gz = gx + gbx, gy + gby, gz + gbz
+        ax, ay, az = truth.accel_body(t_ns)
+        ax, ay, az = ax + abx, ay + aby, az + abz
         if gyro_noise is not None:
-            gyro = _add(gyro, gyro_noise[i])
+            nx, ny, nz = gyro_noise[i]
+            gx, gy, gz = gx + nx, gy + ny, gz + nz
         if accel_noise is not None:
-            accel = _add(accel, accel_noise[i])
-        samples.append(ImuSample(t_ns, gyro, accel))
+            nx, ny, nz = accel_noise[i]
+            ax, ay, az = ax + nx, ay + ny, az + nz
+        samples.append(ImuSample(t_ns, (gx, gy, gz), (ax, ay, az)))
     return samples
 
 
@@ -382,7 +403,11 @@ def propagate(pose: Pose, batch: list[ImuSample], from_t_ns: int,
     px, py, pz = pose.position
     prev_t = from_t_ns
     if prev_sample is not None:
-        prev_accel_world = quat_rotate(q, prev_sample.accel)
+        last = pose.last_rotation
+        if last is not None and last[0] is q and last[1] is prev_sample.accel:
+            prev_accel_world = last[2]
+        else:
+            prev_accel_world = quat_rotate(q, prev_sample.accel)
         prev_gyro = prev_sample.gyro
     else:
         prev_accel_world = prev_gyro = None
@@ -409,7 +434,7 @@ def propagate(pose: Pose, batch: list[ImuSample], from_t_ns: int,
         prev_t = t_ns
         prev_accel_world = accel_world
         prev_gyro = gyro
-    return Pose((px, py, pz), (vx, vy, vz), q)
+    return Pose((px, py, pz), (vx, vy, vz), q, (q, accel, accel_world))
 
 
 def feature_capacity(max_bytes: int = FEATURE_BLOCK_MAX_BYTES,

@@ -18,16 +18,36 @@ stage runs on, an ingest policy and a handoff. Ingest policies:
 
 Handoffs from feature extraction to update and mapping:
 
-* shared: through shared memory; each IMU sample kicks propagation.
+* shared: through shared memory; an IMU sample that arrives while the
+  propagation unit is idle kicks propagation, which takes every sample
+  delivered so far.
 * two-bank: features are written into a two-bank scratchpad and the CPU is
   notified through the bank-swap interrupt protocol; IMU samples buffer
   while mapping runs and are consumed in one batch afterward.
+
+The IMU is a lazy source (`Engine.start_source`): a sample has no event of
+its own, and a propagation kick or the drain after mapping takes the samples
+(taken, delivered] straight from the sample blocks. Sample k, at
+t_k = k * NS_PER_S // imu_rate_hz, counts as delivered before an event E if
+
+* t_k < E.at, or
+* t_k == E.at and sample k-1 already counted as delivered when E was
+  scheduled.
+
+Sample 0 counts as delivered when the sources are wired, after the first
+frame is scheduled. This is the (at, seq) order a chain of one event per
+sample would have, each event scheduled by its predecessor's handler: at a
+1 kHz rate a 2 ms task that starts on a sample time also ends on one, so
+whether the coincident sample joins the batch taken at that instant is the
+common case. A real "imu" event is scheduled only while the shared-handoff
+propagation unit is idle, the one case where an arrival acts; it sits at the
+(at, seq) position of the sample it stands for.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,22 +83,6 @@ class StallTracker:
         self.last_update_completion_ns = now_ns
 
 
-@dataclass
-class ImuBatchBuffer:
-    samples: deque = field(default_factory=deque)
-    high_water: int = 0
-
-    def push(self, sample) -> None:
-        self.samples.append(sample)
-        if len(self.samples) > self.high_water:
-            self.high_water = len(self.samples)
-
-    def drain(self) -> list:
-        batch = list(self.samples)
-        self.samples.clear()
-        return batch
-
-
 class _Task:
     __slots__ = ("stage", "duration_ns", "payload", "on_done", "on_start",
                  "start_ns", "end_ns", "seg_start_ns", "segments")
@@ -97,13 +101,15 @@ class _Task:
 
 class UnitExecutor:
     """FIFO task execution on one compute unit, with optional freezing by
-    garbage-collection pauses (running task suspends, queued tasks wait)."""
+    garbage-collection pauses (running task suspends, queued tasks wait).
+    `on_idle`, if set, is called whenever a completion leaves the unit idle."""
 
     def __init__(self, sim: "Simulation", unit_id: str):
         self.sim = sim
         self.unit_id = unit_id
         self.queue: deque[_Task] = deque()
         self.task: _Task | None = None
+        self.on_idle = None
         self.target = f"exec:{unit_id}"
         sim.engine.on(self.target, self._on_task_done)
 
@@ -156,6 +162,8 @@ class UnitExecutor:
         self.task = None
         task.on_done(task)
         self.try_start()
+        if self.on_idle is not None and self.task is None and not self.queue:
+            self.on_idle()
 
     def finalize(self, end_ns: int) -> None:
         """Book busy time of a task still in flight when the run ends."""
@@ -201,9 +209,13 @@ class Simulation:
         self.est_pose = self.truth.pose_at(0)
         self.prev_imu = None
         self.last_propagated_ns = 0
+        # The sample block last drawn; before the first, an empty block ending
+        # just before sample 1.
         self.imu_block: list = []
-        self.imu_block_first = 0  # sample index of imu_block[0]; 0: none yet
-        self.imu_buffer = ImuBatchBuffer()
+        self.imu_block_first = 1 - IMU_BLOCK  # sample index of imu_block[0]
+        self.imu_taken = 0  # last sample taken into a propagation batch
+        self.imu_max_batch = 0
+        self.imu_wakeup_pending = False
 
         # metrics
         self.stall_tracker = StallTracker(ms_to_ns(config.loss_threshold_ms))
@@ -214,7 +226,6 @@ class Simulation:
         self.update_completions: list[int] = []
         self.error_samples: list[tuple[int, float]] = []
         self.matched_counts: list[int] = []
-        self.imu_samples_emitted = 0
         self.imu_samples_processed = 0
         self.stage_durations_ns: dict[Stage, list[int]] = {s: [] for s in Stage}
         self.alloc_counter_bytes = 0
@@ -246,7 +257,7 @@ class Simulation:
         self.stage_ns = {
             stage: ms_to_ns(latency.stage_latency_ms(stage, self.units[uid].kind, path))
             for stage, uid in spec.stage_units.items() if stage is not Stage.RELAY}
-        # Shared handoff: every IMU sample kicks propagation.
+        # Shared handoff: an IMU sample kicks propagation.
         self.imu_kicks_propagation = spec.handoff is Handoff.SHARED
         self.controller = None
         self.pending_frame = None
@@ -264,8 +275,20 @@ class Simulation:
         # k * NS_PER_S // rate.
         self.engine.schedule(NS_PER_S // self.config.camera_fps, "frames",
                              EventKind.FRAME_ARRIVED, 1)
-        self.engine.schedule(NS_PER_S // self.config.imu_rate_hz, "imu",
-                             EventKind.IMU_SAMPLE_READY, 1)
+        self.engine.start_source(self.config.imu_rate_hz)
+        if self.imu_kicks_propagation:
+            self.stage_exec[Stage.PROPAGATION].on_idle = self._schedule_imu_wakeup
+            self._schedule_imu_wakeup()
+
+    @property
+    def imu_samples_emitted(self) -> int:
+        return self.engine.sample_index
+
+    @property
+    def imu_high_water(self) -> int:
+        """The most samples ever delivered and not yet taken: the largest
+        batch, or what is still pending."""
+        return max(self.imu_max_batch, self.engine.sample_index - self.imu_taken)
 
     # ------------------------------------------------------------------
     # bookkeeping helpers
@@ -299,29 +322,37 @@ class Simulation:
                              "frames", EventKind.FRAME_ARRIVED, k + 1)
         self.on_frame_arrival(k, self.engine.now())
 
-    def _on_imu_event(self, ev) -> None:
-        k = ev.payload
-        self.engine.schedule(((k + 1) * NS_PER_S) // self.config.imu_rate_hz,
-                             "imu", EventKind.IMU_SAMPLE_READY, k + 1)
-        self.imu_samples_emitted += 1
-        self.imu_buffer.push(self._imu_sample(k))
-        if self.imu_kicks_propagation:
-            self._kick_propagation()
+    def _schedule_imu_wakeup(self) -> None:
+        """The propagation unit is idle: the next sample's arrival kicks it."""
+        if not self.imu_wakeup_pending:
+            self.imu_wakeup_pending = True
+            self.engine.schedule_next_sample("imu", EventKind.IMU_SAMPLE_READY)
 
-    def _imu_sample(self, k: int):
-        """IMU sample k, taken at the time its event fires. A sample outside
-        the current block draws the whole block that holds it; the last block
-        of a run draws past the end, which only advances the "imu" stream."""
-        i = k - self.imu_block_first
-        if not 0 <= i < len(self.imu_block):
-            self.imu_block_first = first = k - (k - 1) % IMU_BLOCK
+    def _on_imu_event(self, ev) -> None:
+        self.imu_wakeup_pending = False
+        self._kick_propagation()
+
+    def _take_imu(self) -> list:
+        """The samples delivered and not yet taken, in order. Blocks are drawn
+        in order as the batches reach them; the block the last batch ends in
+        may run past the end of the run, which only advances the "imu"
+        stream."""
+        hi = self.engine.sample_index
+        first = self.imu_block_first
+        batch = self.imu_block[self.imu_taken + 1 - first:hi + 1 - first]
+        while first + IMU_BLOCK <= hi:
+            first += IMU_BLOCK
             rate = self.config.imu_rate_hz
             self.imu_block = sample_imu_block(
                 self.imu_model, self.truth,
                 [(j * NS_PER_S) // rate for j in range(first, first + IMU_BLOCK)],
                 self.engine.stream("imu"))
-            i = k - first
-        return self.imu_block[i]
+            batch += self.imu_block[:hi + 1 - first]
+        self.imu_block_first = first
+        self.imu_taken = hi
+        if len(batch) > self.imu_max_batch:
+            self.imu_max_batch = len(batch)
+        return batch
 
     # ------------------------------------------------------------------
     # frame ingest
@@ -403,9 +434,14 @@ class Simulation:
         self._apply_mapping(task.payload)
 
     def _kick_propagation(self) -> None:
-        if not self.stage_exec[Stage.PROPAGATION].idle() or not self.imu_buffer.samples:
-            return
-        self._submit(Stage.PROPAGATION, self.imu_buffer.drain(), self._on_propagation_done)
+        if self.stage_exec[Stage.PROPAGATION].idle():
+            self._propagate_delivered()
+
+    def _propagate_delivered(self) -> None:
+        """Submit every delivered sample not yet taken as one batch."""
+        batch = self._take_imu()
+        if batch:
+            self._submit(Stage.PROPAGATION, batch, self._on_propagation_done)
 
     def _on_propagation_done(self, task: _Task) -> None:
         self._apply_propagation(task.payload)
@@ -458,8 +494,7 @@ class Simulation:
         self._apply_mapping(block)
         self.controller.consumer_done(bank, MAPPING_CONSUMER)
         # Mapping done: the propagation thread consumes buffered IMU in batch.
-        if self.imu_buffer.samples:
-            self._submit(Stage.PROPAGATION, self.imu_buffer.drain(), self._on_propagation_done)
+        self._propagate_delivered()
         self._maybe_release(bank)
 
     def _maybe_release(self, bank: int) -> None:

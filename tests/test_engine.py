@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from slamsim.engine import Engine, EventKind, NS_PER_S, SchedulingError
+from slamsim.engine import NS_PER_MS, NS_PER_S, Engine, EventKind, SchedulingError
 
 
 def test_empty_run_terminates_at_sim_end():
@@ -92,3 +92,60 @@ def test_delivery_order_is_sort_by_at_seq_and_no_loss(events):
     eng.run_until(1000)
     assert delivered == sorted(scheduled)
     assert eng.delivered_count == len(scheduled)
+
+
+def _sample_counts_seen(rate_hz, delays, lazy):
+    """Two chains of events whose handlers each schedule a successor after
+    the next delay (in half sample periods, 0 included); returns, per handled
+    event, its time and the samples delivered before it, and the samples
+    delivered by the end. The source is either lazy or an explicit chain of
+    one event per sample, each scheduled by its predecessor's handler."""
+    eng = Engine(seed=0)
+    half = NS_PER_S // rate_hz // 2
+    seen, pending = [], iter(delays)
+    chain = [0]  # samples handled by the explicit chain
+
+    def handler(ev):
+        seen.append((ev.at, eng.sample_index if lazy else chain[0]))
+        d = next(pending, None)
+        if d is not None:
+            eng.schedule(eng.now() + d * half, "x", EventKind.TASK_DONE)
+
+    def on_sample(ev):
+        chain[0] = ev.payload
+        eng.schedule(((ev.payload + 1) * NS_PER_S) // rate_hz, "imu", ev.kind, ev.payload + 1)
+
+    eng.on("x", handler)
+    eng.on("imu", on_sample)
+    eng.schedule(2 * half, "x", EventKind.TASK_DONE)  # before the source starts
+    if lazy:
+        eng.start_source(rate_hz)
+    else:
+        eng.schedule(NS_PER_S // rate_hz, "imu", EventKind.IMU_SAMPLE_READY, 1)
+    eng.schedule(2 * half, "x", EventKind.TASK_DONE)  # after it
+    end = 10 * NS_PER_S // rate_hz
+    eng.run_until(end // 2)
+    eng.run_until(end)
+    return seen, eng.sample_index if lazy else chain[0]
+
+
+@given(rate_hz=st.sampled_from([2, 40, 250, 1000]),
+       delays=st.lists(st.integers(0, 4), max_size=40))
+def test_lazy_source_delivers_what_a_sample_event_chain_would(rate_hz, delays):
+    lazy = _sample_counts_seen(rate_hz, delays, lazy=True)
+    assert lazy == _sample_counts_seen(rate_hz, delays, lazy=False)
+    assert lazy[1] == 10
+
+
+def test_next_sample_event_sits_at_the_samples_position():
+    eng = Engine(seed=0)
+    order = []
+    eng.on("x", lambda ev: order.append(("x", ev.at, eng.sample_index)))
+    eng.on("imu", lambda ev: order.append(("imu", ev.at, eng.sample_index)))
+    eng.start_source(1000)
+    eng.schedule(NS_PER_MS, "x", EventKind.TASK_DONE)  # sample 0 delivered: after sample 1
+    ev = eng.schedule_next_sample("imu", EventKind.IMU_SAMPLE_READY)
+    assert (ev.at, ev.payload) == (NS_PER_MS, 1)
+    eng.run_until(NS_PER_MS)
+    assert order == [("imu", NS_PER_MS, 1), ("x", NS_PER_MS, 1)]
+    assert eng.scheduled_count == 2

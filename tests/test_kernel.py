@@ -313,6 +313,48 @@ def _np_propagate(p, v, q, batch, from_t_ns, prev_sample=None):
     return p, v, q
 
 
+def _rerotating_propagate(pose, batch, from_t_ns, prev_sample=None):
+    """`propagate` as it was before it reused the previous batch's last
+    rotation: every call rotates `prev_sample.accel` afresh."""
+    if not batch:
+        return pose.copy()
+    q = pose.orientation
+    vx, vy, vz = pose.velocity
+    px, py, pz = pose.position
+    prev_t = from_t_ns
+    if prev_sample is not None:
+        prev_accel_world = quat_rotate(q, prev_sample.accel)
+        prev_gyro = prev_sample.gyro
+    else:
+        prev_accel_world = prev_gyro = None
+    for t_ns, gyro, accel in batch:
+        dt = (t_ns - prev_t) / NS_PER_S
+        gx, gy, gz = gyro
+        if prev_gyro is not None:
+            hx, hy, hz = prev_gyro
+            gx, gy, gz = 0.5 * (hx + gx), 0.5 * (hy + gy), 0.5 * (hz + gz)
+        q = quat_normalize(quat_multiply(q, quat_exp((gx * dt, gy * dt, gz * dt))))
+        accel_world = quat_rotate(q, accel)
+        ax, ay, az = accel_world
+        a0x, a0y, a0z = accel_world if prev_accel_world is None else prev_accel_world
+        nvx = vx + 0.5 * (a0x + ax) * dt
+        nvy = vy + 0.5 * (a0y + ay) * dt
+        nvz = vz + 0.5 * (a0z + az) * dt
+        px = px + 0.5 * (vx + nvx) * dt
+        py = py + 0.5 * (vy + nvy) * dt
+        pz = pz + 0.5 * (vz + nvz) * dt
+        vx, vy, vz = nvx, nvy, nvz
+        prev_t = t_ns
+        prev_accel_world = accel_world
+        prev_gyro = gyro
+    return Pose((px, py, pz), (vx, vy, vz), q)
+
+
+def _pose_bits(pose):
+    return tuple(np.asarray(c, float).tobytes()
+                 for c in (pose.position, pose.velocity, pose.orientation))
+
+
 def _assert_pose_equal(pose, p, v, q):
     assert np.array_equal(pose.position, p)
     assert np.array_equal(pose.velocity, v)
@@ -408,6 +450,54 @@ class TestBitExactness:
         ref = [sample_imu(model, truth, t, ref_rng) for t in times]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert [_imu_bits(s) for s in samples] == [_imu_bits(s) for s in ref]
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           rate_hz=st.sampled_from([1, 7, 200, 333, 1000]),
+           steps=st.lists(st.tuples(st.integers(1, 9),
+                                    st.sampled_from(["none", "update", "no-match",
+                                                     "equal-copy", "set-orientation",
+                                                     "skip", "restart"])),
+                          min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_propagate_matches_rerotating_reference(self, seed, rate_hz, steps):
+        """`propagate` reuses the previous batch's last rotation; chained
+        batches with updates, copies, orientations set in place and skipped
+        samples between them must give the bits of a propagate that rotates
+        afresh."""
+        truth = CircleTrajectory(4.0, 30.0)
+        model = ImuModel(accel_bias=(0.05, 0.02, 0.0), gyro_bias=(0.0005, 0.0, 0.0002),
+                         accel_noise_std=0.02, gyro_noise_std=0.002, rate_hz=rate_hz)
+        rng = np.random.default_rng(seed)
+        count = sum(n + 1 for n, _ in steps)
+        times = [(k * NS_PER_S) // rate_hz for k in range(1, count + 1)]
+        samples = sample_imu_block(model, truth, times, rng)
+        world_map = _map(20, range(20))
+        block = extract_features(_frame(range(20)))
+
+        pose = ref = truth.pose_at(0)
+        prev, from_t, start = None, 0, 0
+        for n, between in steps:
+            batch = samples[start:start + n]
+            pose = propagate(pose, batch, from_t, prev_sample=prev)
+            ref = _rerotating_propagate(ref, batch, from_t, prev_sample=prev)
+            assert _pose_bits(pose) == _pose_bits(ref)
+            prev, from_t, start = batch[-1], batch[-1].t_ns, start + n
+            truth_pose = truth.pose_at(from_t)
+            if between == "update":
+                pose, _ = update_pose(pose, block, world_map, truth_pose, gain=0.5)
+                ref, _ = update_pose(ref, block, world_map, truth_pose, gain=0.5)
+            elif between == "no-match":  # too few matches: an unchanged copy
+                pose, _ = update_pose(pose, block, world_map, truth_pose, min_matches=21)
+                ref, _ = update_pose(ref, block, world_map, truth_pose, min_matches=21)
+            elif between == "equal-copy":  # equal values in new tuples
+                pose = Pose(*(tuple(list(c)) for c in (pose.position, pose.velocity,
+                                                        pose.orientation)))
+            elif between == "set-orientation":
+                pose.orientation = ref.orientation = truth_pose.orientation
+            elif between == "skip":  # the next batch starts after another sample
+                prev, from_t, start = samples[start], samples[start].t_ns, start + 1
+            elif between == "restart":
+                prev = None
 
     @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 1200),
            visible_share=st.floats(0.0, 1.0), known_share=st.floats(0.0, 1.0),

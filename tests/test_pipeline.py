@@ -1,15 +1,17 @@
 import dataclasses
+from collections import deque
 from functools import lru_cache
 from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slamsim.engine import NS_PER_MS, NS_PER_S, ms_to_ns
-from slamsim.kernel import ImuSample
-from slamsim.pipeline import IMU_BLOCK, ImuBatchBuffer, Simulation, StallTracker
+from slamsim.engine import NS_PER_MS, NS_PER_S, EventKind, ms_to_ns
+from slamsim.kernel import sample_imu_block
+from slamsim.pipeline import IMU_BLOCK, Simulation, StallTracker
 from slamsim.report import audit_trace, build_report, run_scenario
-from slamsim.scenario import VARIANTS, ArchVariant, RelayConfig, ScenarioConfig
+from slamsim.scenario import (VARIANTS, ArchVariant, KernelConfig, RelayConfig, ScenarioConfig,
+                              preset)
 from slamsim.soc import ConfigError, SocConfig, Stage, UnitKind
 
 
@@ -31,17 +33,23 @@ class TestStallTracker:
         assert tr.loss_count == 1
 
 
-class TestImuBatchBuffer:
-    def test_push_drain_high_water(self):
-        buf = ImuBatchBuffer()
-        for t in (1, 2, 3):
-            buf.push(ImuSample(t_ns=t, gyro=None, accel=None))
-        assert buf.high_water == 3
-        batch = buf.drain()
-        assert [s.t_ns for s in batch] == [1, 2, 3]
-        assert not buf.samples
-        buf.push(ImuSample(t_ns=4, gyro=None, accel=None))
-        assert buf.high_water == 3  # high-water mark persists
+class TestImuCounters:
+    """High-water marks and emitted counts as the one-event-per-sample IMU
+    chain reported them (its buffer's deepest point and its event count)."""
+
+    @pytest.mark.parametrize("name, high_water, emitted", [
+        ("baseline-cpu", 1, 6000), ("hetero-dsp", 24, 12000), ("slam-arch", 10, 6000)])
+    def test_presets(self, name, high_water, emitted):
+        sim = Simulation(preset(name))
+        sim.run()
+        assert (sim.imu_high_water, sim.imu_samples_emitted) == (high_water, emitted)
+
+    def test_imu_storm(self):
+        sim = Simulation(ScenarioConfig(variant=ArchVariant.HETERO_DSP, camera_fps=30,
+                                        imu_rate_hz=1000, duration_s=60.0, seed=1,
+                                        kernel=KernelConfig(landmark_count=40)))
+        sim.run()
+        assert (sim.imu_high_water, sim.imu_samples_emitted) == (122, 60000)
 
 
 class TestBaselinePipeline:
@@ -216,7 +224,7 @@ class TestSlamArchPipeline:
 
     def test_imu_batching_consumes_everything_processed(self, sim):
         assert 0 < sim.imu_samples_processed <= sim.imu_samples_emitted
-        assert sim.imu_buffer.high_water >= 2  # samples buffer while mapping runs
+        assert sim.imu_high_water >= 2  # samples buffer while mapping runs
 
 
 def test_memory_path_override_changes_stage_times():
@@ -275,3 +283,186 @@ class TestVariantTable:
         base = Simulation(ScenarioConfig(variant=ArchVariant.BASELINE_CPU, soc=soc))
         assert list(slam.ledger.static_sources_w.values()) == [0.3, 0.15, 0.002]
         assert base.ledger.static_sources_w == {}
+
+
+# ---------------------------------------------------------------------------
+# The lazy IMU source against the one-event-per-sample chain it replaced.
+
+class EagerImuSimulation(Simulation):
+    """Test oracle: every IMU sample is an engine event scheduled by its
+    predecessor's handler. The handler appends the sample to a FIFO buffer and
+    kicks propagation, and kicks and the drain after mapping empty the
+    buffer."""
+
+    def _wire_sources(self):
+        self.imu_buffer = deque()
+        self.eager_high_water = 0
+        self.eager_emitted = 0
+        self.eager_block, self.eager_block_first = [], 0
+        self.engine.on("frames", self._on_frame_event)
+        self.engine.on("imu", self._on_imu_event)
+        self.engine.on("gc", self._on_gc_end)
+        self.engine.schedule(NS_PER_S // self.config.camera_fps, "frames",
+                             EventKind.FRAME_ARRIVED, 1)
+        self.engine.schedule(NS_PER_S // self.config.imu_rate_hz, "imu",
+                             EventKind.IMU_SAMPLE_READY, 1)
+
+    @property
+    def imu_samples_emitted(self):
+        return self.eager_emitted
+
+    @property
+    def imu_high_water(self):
+        return self.eager_high_water
+
+    def _on_imu_event(self, ev):
+        k = ev.payload
+        self.engine.schedule(((k + 1) * NS_PER_S) // self.config.imu_rate_hz,
+                             "imu", EventKind.IMU_SAMPLE_READY, k + 1)
+        self.eager_emitted += 1
+        self.imu_buffer.append(self._sample(k))
+        self.eager_high_water = max(self.eager_high_water, len(self.imu_buffer))
+        if self.imu_kicks_propagation:
+            self._kick_propagation()
+
+    def _sample(self, k):
+        i = k - self.eager_block_first
+        if not 0 <= i < len(self.eager_block):
+            self.eager_block_first = first = k - (k - 1) % IMU_BLOCK
+            rate = self.config.imu_rate_hz
+            self.eager_block = sample_imu_block(
+                self.imu_model, self.truth,
+                [(j * NS_PER_S) // rate for j in range(first, first + IMU_BLOCK)],
+                self.engine.stream("imu"))
+            i = k - first
+        return self.eager_block[i]
+
+    def _take_imu(self):
+        batch = list(self.imu_buffer)
+        self.imu_buffer.clear()
+        return batch
+
+
+def _record_batches(sim):
+    """Every propagation batch `sim` applies, with the time it completes."""
+    batches, apply = [], sim._apply_propagation
+
+    def record(batch):
+        batches.append((sim.engine.now(), batch))
+        apply(batch)
+
+    sim._apply_propagation = record
+    return batches
+
+
+def _outputs(sim):
+    return (build_report(sim).to_json_line(), sim.trace, sim.imu_samples_processed,
+            sim.imu_samples_emitted, sim.imu_high_water)
+
+
+def _assert_lazy_matches_eager(config, cuts=()):
+    eager = EagerImuSimulation(config)
+    eager_batches = _record_batches(eager)
+    eager.run()
+    lazy = Simulation(config)
+    lazy_batches = _record_batches(lazy)
+    for cut in sorted(cuts):
+        lazy.engine.run_until(cut)
+    lazy.run()
+    assert _outputs(lazy) == _outputs(eager)
+    assert lazy_batches == eager_batches
+    assert lazy.engine.delivered_count <= eager.engine.delivered_count
+
+
+# IMU rates whose sample period is a whole number of ns.
+EVEN_RATES = [r for r in range(1, 1001) if NS_PER_S % r == 0]
+EVEN_FPS = [r for r in EVEN_RATES if r <= 60]
+
+
+@st.composite
+def tie_heavy_configs(draw, variant):
+    """A short run whose stage latencies, relay copies and GC pauses are whole
+    multiples of the IMU sample period, or of a half, quarter or fifth of it,
+    so that tasks started between samples can end on one."""
+    rate = draw(st.one_of(st.sampled_from([20, 40, 50, 1000]), st.sampled_from(EVEN_RATES)))
+    period_ns = NS_PER_S // rate
+    parts = draw(st.sampled_from([d for d in (1, 1, 2, 4, 5) if period_ns % d == 0]))
+    quantum_ms = period_ns // parts / NS_PER_MS
+    periods = lambda hi: draw(st.integers(1, hi * parts)) * quantum_ms  # noqa: E731
+    # A drain after a mapping stage no longer than one period can coincide
+    # with a sample that was delivered when the stage started.
+    mapping_ms = draw(st.one_of(st.integers(1, parts), st.integers(1, 30 * parts))) * quantum_ms
+    soc = SocConfig(propagation_ms=periods(4), update_shared_ms=periods(40),
+                    mapping_shared_ms=mapping_ms, feature_extraction_cpu_ms=periods(50),
+                    feature_extraction_dsp_ms=periods(30), feature_access_fraction=0.0)
+    if draw(st.booleans()):
+        soc = SocConfig()  # the presets' latencies: on a 1 ms grid, some below a period
+    copy_ms = periods(4)
+    pause_ms = quantum_ms * draw(st.integers(int(100 / quantum_ms) + 1,
+                                             int(150 / quantum_ms) + 1))
+    relay = RelayConfig(copy_latency_ms_min=copy_ms, copy_latency_ms_max=copy_ms,
+                        heap_budget_mib=draw(st.floats(12.0, 60.0)), gc_pause_ms=pause_ms)
+    fps = draw(st.one_of(st.just(50), st.sampled_from(EVEN_FPS)))
+    return ScenarioConfig(variant=variant, camera_fps=fps,
+                          imu_rate_hz=rate, duration_s=draw(st.sampled_from([1.0, 1.5, 2.0])),
+                          warmup_s=0.5, seed=draw(st.integers(0, 2 ** 16)), soc=soc,
+                          relay=relay)
+
+
+class TestLazyImuSource:
+    @pytest.mark.parametrize("variant", list(ArchVariant))
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_tie_heavy_runs_match_the_event_chain(self, variant, data):
+        _assert_lazy_matches_eager(data.draw(tie_heavy_configs(variant)))
+
+    @pytest.mark.parametrize("variant", list(ArchVariant))
+    @given(data=st.data())
+    @settings(max_examples=4, deadline=None)
+    def test_runs_sliced_at_sample_times_match_the_event_chain(self, variant, data):
+        config = data.draw(tie_heavy_configs(variant))
+        rate, end = config.imu_rate_hz, int(config.duration_s * NS_PER_S)
+        ks = data.draw(st.lists(st.integers(1, int(config.duration_s * rate)), max_size=8))
+        offsets = data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=len(ks),
+                                     max_size=len(ks)))
+        cuts = [min(end, (k * NS_PER_S) // rate + d) for k, d in zip(ks, offsets)]
+        _assert_lazy_matches_eager(config, cuts)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_slam_arch_with_a_sample_period_longer_than_mapping(self, seed):
+        # At 40 Hz a 25 ms period outlasts the 12 ms mapping stage, so many
+        # drains after mapping find no sample, or exactly the one due then.
+        config = ScenarioConfig(variant=ArchVariant.SLAM_ARCH, camera_fps=50,
+                                imu_rate_hz=40, duration_s=4.0, warmup_s=1.0, seed=seed)
+        _assert_lazy_matches_eager(config)
+        _assert_lazy_matches_eager(dataclasses.replace(
+            config, soc=SocConfig(feature_access_fraction=0.0)))
+
+    @pytest.mark.parametrize("budget", [12.0, 30.0, 60.0])
+    def test_hetero_dsp_under_gc_freezes(self, budget):
+        config = ScenarioConfig(variant=ArchVariant.HETERO_DSP, imu_rate_hz=1000,
+                                duration_s=4.0, relay=RelayConfig(heap_budget_mib=budget))
+        _assert_lazy_matches_eager(config)
+
+    @pytest.mark.parametrize("variant, unit", [(ArchVariant.BASELINE_CPU, "cpu2"),
+                                               (ArchVariant.HETERO_DSP, "cpu0")])
+    def test_propagation_on_a_unit_shared_with_another_stage(self, monkeypatch, variant,
+                                                             unit):
+        # The unit also goes idle when another stage's task ends; the next
+        # sample after that must kick propagation as its own event would.
+        spec = VARIANTS[variant]
+        monkeypatch.setitem(VARIANTS, variant, dataclasses.replace(
+            spec, stage_units=MappingProxyType({**spec.stage_units, Stage.PROPAGATION: unit})))
+        for rate in (200, 1000):
+            _assert_lazy_matches_eager(ScenarioConfig(
+                variant=variant, imu_rate_hz=rate, duration_s=3.0, warmup_s=0.5,
+                relay=RelayConfig(heap_budget_mib=30.0)))
+
+    def test_events_only_where_a_sample_can_start_propagation(self):
+        config = ScenarioConfig(variant=ArchVariant.SLAM_ARCH, duration_s=2.0, warmup_s=0.5)
+        sim = Simulation(config)
+        imu_events = []
+        sim.engine.on("imu", imu_events.append)
+        sim.run()
+        assert imu_events == []  # two-bank: samples never kick propagation
+        assert sim.imu_samples_emitted == 400
