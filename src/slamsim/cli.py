@@ -9,6 +9,7 @@ consulted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from . import report as rpt
@@ -39,42 +40,46 @@ def _load_scenario(spec: str, seed=None, duration=None) -> ScenarioConfig:
     return config
 
 
-def _write_out(text: str, output) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _open_output(stack: contextlib.ExitStack, path):
+    """Open an output file before anything is simulated, so that an
+    unwritable path fails at once; None (stdout) when no path is given."""
+    return stack.enter_context(open(path, "w", encoding="utf-8")) if path else None
+
+
+def _write_out(text: str, out) -> None:
+    (out or sys.stdout).write(text)
 
 
 def _cmd_run(args) -> int:
     config = _load_scenario(args.scenario, args.seed, args.duration)
-    report, sim = rpt.run_scenario(config)
-    if args.trace:
-        rpt.write_trace(sim.trace, args.trace)
-    if args.format == "text":
-        _write_out(rpt.report_text(report), args.output)
-    elif args.format == "json-lines":
-        _write_out(report.to_json_line(), args.output)
-    else:
-        _write_out(rpt.compare_csv([report]), args.output)
+    with contextlib.ExitStack() as stack:
+        out = _open_output(stack, args.output)
+        trace = _open_output(stack, args.trace)
+        report, sim = rpt.run_scenario(config)
+        if trace:
+            rpt.dump_trace(sim.trace, trace)
+        if args.format == "text":
+            _write_out(rpt.report_text(report), out)
+        elif args.format == "json-lines":
+            _write_out(report.to_json_line(), out)
+        else:
+            _write_out(rpt.compare_csv([report]), out)
     return 0
 
 
 def _cmd_compare(args) -> int:
     if len(args.scenarios) < 2:
         raise CliError("compare needs at least two scenarios")
-    reports = []
-    for spec in args.scenarios:
-        config = _load_scenario(spec, args.seed, args.duration)
-        report, _ = rpt.run_scenario(config)
-        reports.append(report)
-    if args.format == "text":
-        _write_out(rpt.compare_text(reports), args.output)
-    elif args.format == "json-lines":
-        _write_out(rpt.compare_json_lines(reports), args.output)
-    else:
-        _write_out(rpt.compare_csv(reports), args.output)
+    configs = [_load_scenario(spec, args.seed, args.duration) for spec in args.scenarios]
+    with contextlib.ExitStack() as stack:
+        out = _open_output(stack, args.output)
+        reports = [rpt.run_scenario(config)[0] for config in configs]
+        if args.format == "text":
+            _write_out(rpt.compare_text(reports), out)
+        elif args.format == "json-lines":
+            _write_out(rpt.compare_json_lines(reports), out)
+        else:
+            _write_out(rpt.compare_csv(reports), out)
     return 0
 
 

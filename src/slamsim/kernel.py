@@ -45,7 +45,7 @@ subtraction from the contiguous coordinate rows of the landmark array
 subtraction is exact per element, so only the gemv depends on the layout,
 and it gets the C-order matrix it is specified on.
 
-Block-drawn IMU noise. numpy's `rng.normal(0.0, std, 3)` returns
+Array-drawn IMU blocks. numpy's `rng.normal(0.0, std, 3)` returns
 `0.0 + std * z` for three standard normals `z` taken one after another from
 the generator. `sample_imu_block` draws the noise of n samples at once as
 `rng.standard_normal((n, cols))` and forms `0.0 + std * z` from it: gyro noise
@@ -54,18 +54,19 @@ when only one of the two stds is > 0 (no draw when both are 0). Row i then
 holds exactly the six numbers, in the same draw order, that sample i taken
 alone would draw, so the samples and the generator state after the block are
 bit-identical to n single-sample calls; `sample_imu` is the 1-sample block.
-Each component is summed as `(truth + bias) + noise`, written out per
-component rather than through `_add`.
+The true signals come from the trajectory's `imu_signals` as (n, 3) arrays,
+the same operations as `gyro_body` / `accel_body` done column-wise with
+libm's sin and cos, and every component is summed column-wise as
+`(truth + bias) + noise`: each element meets the same IEEE operations on the
+same operands as in the scalar form. The block becomes Python floats with a
+single `.tolist()`.
 
-Rotation reuse. `propagate` starts a batch by rotating the previous batch's
-last accel sample into the world frame with the pose's orientation, which is
-the rotation the previous call ended on whenever nothing changed the
-orientation in between. The pose `propagate` returns keeps that last rotation
-in `last_rotation`, with the orientation and accel tuples it came from, and a
-call reuses it only when `pose.orientation` and `prev_sample.accel` are those
-very tuple objects. `update_pose` replaces the orientation with a new tuple,
-so after an update the rotation is computed afresh. A reused rotation was
-computed from the same values, so the result is the same bits either way.
+Straight-line integration. `propagate` writes `quat_exp`, `quat_multiply`,
+`quat_normalize` and `quat_rotate` out inside its loop with the operands in
+the helpers' order, including the `0.0` terms of the rotation's pure
+quaternion and the negated components of the conjugate, so every sample meets
+the helpers' operations; both norms keep the BLAS dot of `_norm`. The helpers
+stay for their other callers and as the specification of the loop.
 
 Conventions: accelerometer samples are gravity-compensated specific force
 (gravity handling is out of scope for this model). The drift-correction
@@ -77,7 +78,7 @@ not estimator research.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -169,16 +170,13 @@ class Pose:
     position: tuple  # m, world frame
     velocity: tuple  # m/s, world frame
     orientation: tuple  # unit quaternion (w, x, y, z), body->world
-    # (orientation, body accel, world accel) of the last sample `propagate`
-    # integrated into this pose (see the module notes).
-    last_rotation: tuple | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def identity(cls) -> "Pose":
         return cls((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
 
     def copy(self) -> "Pose":
-        return Pose(self.position, self.velocity, self.orientation, self.last_rotation)
+        return Pose(self.position, self.velocity, self.orientation)
 
 
 class ImuSample(NamedTuple):
@@ -310,6 +308,11 @@ class StationaryTrajectory:
     def accel_body(self, t_ns: int) -> tuple:
         return (0.0, 0.0, 0.0)
 
+    def imu_signals(self, times_ns) -> tuple[np.ndarray, np.ndarray]:
+        """`gyro_body` and `accel_body` at each time, as two (n, 3) arrays."""
+        n = len(times_ns)
+        return np.zeros((n, 3)), np.zeros((n, 3))
+
 
 class CircleTrajectory:
     """Smooth closed loop: constant-speed horizontal circle, heading along
@@ -343,6 +346,25 @@ class CircleTrajectory:
         # Rz(-yaw) @ a_world; a_world has no vertical component
         return (c * ax - s * ay, s * ax + c * ay, 0.0)
 
+    def imu_signals(self, times_ns) -> tuple[np.ndarray, np.ndarray]:
+        """`gyro_body` and `accel_body` at each time, as two (n, 3) arrays
+        with the same bits: the same operations column-wise, with libm's
+        cos/sin, not numpy's vector kernels, which may round differently."""
+        n = len(times_ns)
+        r, w = self.radius, self.omega
+        th = w * (np.asarray(times_ns, dtype=np.int64) / NS_PER_S)
+        th_list, neg_yaw = th.tolist(), (-(th + math.pi / 2)).tolist()
+        k = -r * w * w
+        ax = k * np.fromiter(map(math.cos, th_list), float, n)
+        ay = k * np.fromiter(map(math.sin, th_list), float, n)
+        c = np.fromiter(map(math.cos, neg_yaw), float, n)
+        s = np.fromiter(map(math.sin, neg_yaw), float, n)
+        gyro, accel = np.zeros((n, 3)), np.zeros((n, 3))
+        gyro[:, 2] = w
+        accel[:, 0] = c * ax - s * ay
+        accel[:, 1] = s * ax + c * ay
+        return gyro, accel
+
 
 # ---------------------------------------------------------------------------
 # operations
@@ -350,35 +372,23 @@ class CircleTrajectory:
 def sample_imu_block(model: ImuModel, truth, times_ns, rng: np.random.Generator
                      ) -> list[ImuSample]:
     """One IMU sample per time in `times_ns`: true analytic signal + bias +
-    Gaussian noise, with the noise of the whole block drawn in one call (see
-    the module notes). Equal, value and draw for draw, to `sample_imu` at each
-    time in turn."""
+    Gaussian noise, with the whole block drawn as arrays (see the module
+    notes). Equal, value and draw for draw, to `sample_imu` at each time in
+    turn."""
     gyro_std, accel_std = model.gyro_noise_std, model.accel_noise_std
-    gyro_bias, accel_bias = model.gyro_bias, model.accel_bias
+    gyro, accel = truth.imu_signals(times_ns)
+    gyro += model.gyro_bias
+    accel += model.accel_bias
     cols = 3 * ((gyro_std > 0) + (accel_std > 0))
-    gyro_noise = accel_noise = None
     if cols:
         z = rng.standard_normal((len(times_ns), cols))
         if gyro_std > 0:
-            gyro_noise = (0.0 + gyro_std * z[:, :3]).tolist()
+            gyro += 0.0 + gyro_std * z[:, :3]
         if accel_std > 0:
-            accel_noise = (0.0 + accel_std * z[:, cols - 3:]).tolist()
-    gbx, gby, gbz = gyro_bias
-    abx, aby, abz = accel_bias
-    samples = []
-    for i, t_ns in enumerate(times_ns):
-        gx, gy, gz = truth.gyro_body(t_ns)
-        gx, gy, gz = gx + gbx, gy + gby, gz + gbz
-        ax, ay, az = truth.accel_body(t_ns)
-        ax, ay, az = ax + abx, ay + aby, az + abz
-        if gyro_noise is not None:
-            nx, ny, nz = gyro_noise[i]
-            gx, gy, gz = gx + nx, gy + ny, gz + nz
-        if accel_noise is not None:
-            nx, ny, nz = accel_noise[i]
-            ax, ay, az = ax + nx, ay + ny, az + nz
-        samples.append(ImuSample(t_ns, (gx, gy, gz), (ax, ay, az)))
-    return samples
+            accel += 0.0 + accel_std * z[:, cols - 3:]
+    rows = np.hstack((gyro, accel)).tolist()
+    return [ImuSample(t_ns, (gx, gy, gz), (ax, ay, az))
+            for t_ns, (gx, gy, gz, ax, ay, az) in zip(times_ns, rows)]
 
 
 def sample_imu(model: ImuModel, truth, t_ns: int, rng: np.random.Generator) -> ImuSample:
@@ -395,35 +405,60 @@ def propagate(pose: Pose, batch: list[ImuSample], from_t_ns: int,
     `from_t_ns`, which makes batched and sample-by-sample integration give
     bit-identical results (each interval is paired with the same endpoints
     either way); without it the first interval degrades to a rectangle rule.
+    The loop is `quat_exp`, `quat_multiply`, `quat_normalize` and
+    `quat_rotate` written out (see the module notes).
     """
     if not batch:
         return pose.copy()
-    q = pose.orientation
+    qw, qx, qy, qz = pose.orientation
     vx, vy, vz = pose.velocity
     px, py, pz = pose.position
     prev_t = from_t_ns
     if prev_sample is not None:
-        last = pose.last_rotation
-        if last is not None and last[0] is q and last[1] is prev_sample.accel:
-            prev_accel_world = last[2]
-        else:
-            prev_accel_world = quat_rotate(q, prev_sample.accel)
-        prev_gyro = prev_sample.gyro
+        a0x, a0y, a0z = quat_rotate(pose.orientation, prev_sample.accel)
+        hx, hy, hz = prev_sample.gyro
     else:
-        prev_accel_world = prev_gyro = None
-    for sample in batch:
-        t_ns, gyro, accel = sample
+        a0x = a0y = a0z = hx = hy = hz = None
+    for t_ns, gyro, accel in batch:
         if t_ns <= prev_t:
             raise ValueError("IMU batch timestamps must be strictly increasing")
         dt = (t_ns - prev_t) / NS_PER_S
         gx, gy, gz = gyro
-        if prev_gyro is not None:
-            hx, hy, hz = prev_gyro
-            gx, gy, gz = 0.5 * (hx + gx), 0.5 * (hy + gy), 0.5 * (hz + gz)
-        q = quat_normalize(quat_multiply(q, quat_exp((gx * dt, gy * dt, gz * dt))))
-        accel_world = quat_rotate(q, accel)
-        ax, ay, az = accel_world
-        a0x, a0y, a0z = accel_world if prev_accel_world is None else prev_accel_world
+        if hx is None:
+            ox, oy, oz = gx * dt, gy * dt, gz * dt
+        else:
+            ox = 0.5 * (hx + gx) * dt
+            oy = 0.5 * (hy + gy) * dt
+            oz = 0.5 * (hz + gz) * dt
+        # quat_exp
+        o = np.array((ox, oy, oz))
+        angle = math.sqrt(o.dot(o))
+        if angle < 1e-12:
+            ew, ex, ey, ez = 1.0, 0.5 * ox, 0.5 * oy, 0.5 * oz
+        else:
+            half = 0.5 * angle
+            s = math.sin(half)
+            ew, ex, ey, ez = math.cos(half), s * (ox / angle), s * (oy / angle), s * (oz / angle)
+        # quat_multiply, then quat_normalize
+        mw = qw * ew - qx * ex - qy * ey - qz * ez
+        mx = qw * ex + qx * ew + qy * ez - qz * ey
+        my = qw * ey - qx * ez + qy * ew + qz * ex
+        mz = qw * ez + qx * ey - qy * ex + qz * ew
+        m = np.array((mw, mx, my, mz))
+        n = math.sqrt(m.dot(m))
+        qw, qx, qy, qz = mw / n, mx / n, my / n, mz / n
+        # quat_rotate: (q * (0, accel)) * conj(q), vector part
+        bx, by, bz = accel
+        tw = qw * 0.0 - qx * bx - qy * by - qz * bz
+        tx = qw * bx + qx * 0.0 + qy * bz - qz * by
+        ty = qw * by - qx * bz + qy * 0.0 + qz * bx
+        tz = qw * bz + qx * by - qy * bx + qz * 0.0
+        cx, cy, cz = -qx, -qy, -qz
+        ax = tw * cx + tx * qw + ty * cz - tz * cy
+        ay = tw * cy - tx * cz + ty * qw + tz * cx
+        az = tw * cz + tx * cy - ty * cx + tz * qw
+        if a0x is None:
+            a0x, a0y, a0z = ax, ay, az
         nvx = vx + 0.5 * (a0x + ax) * dt
         nvy = vy + 0.5 * (a0y + ay) * dt
         nvz = vz + 0.5 * (a0z + az) * dt
@@ -432,9 +467,9 @@ def propagate(pose: Pose, batch: list[ImuSample], from_t_ns: int,
         pz = pz + 0.5 * (vz + nvz) * dt
         vx, vy, vz = nvx, nvy, nvz
         prev_t = t_ns
-        prev_accel_world = accel_world
-        prev_gyro = gyro
-    return Pose((px, py, pz), (vx, vy, vz), q, (q, accel, accel_world))
+        a0x, a0y, a0z = ax, ay, az
+        hx, hy, hz = gx, gy, gz
+    return Pose((px, py, pz), (vx, vy, vz), (qw, qx, qy, qz))
 
 
 def feature_capacity(max_bytes: int = FEATURE_BLOCK_MAX_BYTES,

@@ -42,6 +42,16 @@ whether the coincident sample joins the batch taken at that instant is the
 common case. A real "imu" event is scheduled only while the shared-handoff
 propagation unit is idle, the one case where an arrival acts; it sits at the
 (at, seq) position of the sample it stands for.
+
+The estimate is integrated when it is read, not when a propagation task
+completes. A completion (`_apply_propagation`) counts its samples and appends
+them to `imu_pending`; `propagate` runs once over everything pending at the
+start of each update and whenever `est_pose` is read, so `sim.est_pose` is
+exact at any time, also between `run_until` slices. This gives the bits of
+integrating each batch as it completes: only an update changes the pose
+between two reads, and `propagate` over a concatenation of batches equals
+chained calls that each get the previous batch's last sample, since every
+interval meets the same endpoints either way.
 """
 
 from __future__ import annotations
@@ -206,7 +216,8 @@ class Simulation:
         self.field = LandmarkField(
             generate_landmarks(k.landmark_count, self.engine.stream("landmarks")))
         self.world_map = WorldMap(k.landmark_count)
-        self.est_pose = self.truth.pose_at(0)
+        self._est_pose = self.truth.pose_at(0)  # integrated up to last_propagated_ns
+        self.imu_pending: list = []  # propagated samples not yet integrated
         self.prev_imu = None
         self.last_propagated_ns = 0
         # The sample block last drawn; before the first, an empty block ending
@@ -279,6 +290,12 @@ class Simulation:
         if self.imu_kicks_propagation:
             self.stage_exec[Stage.PROPAGATION].on_idle = self._schedule_imu_wakeup
             self._schedule_imu_wakeup()
+
+    @property
+    def est_pose(self):
+        """The estimated pose with every completed propagation integrated."""
+        self._integrate_pending()
+        return self._est_pose
 
     @property
     def imu_samples_emitted(self) -> int:
@@ -510,27 +527,35 @@ class Simulation:
     # functional kernel application
 
     def _apply_propagation(self, batch: list) -> None:
-        self.est_pose = propagate(self.est_pose, batch, self.last_propagated_ns,
-                                  prev_sample=self.prev_imu)
-        self.prev_imu = batch[-1]
-        self.last_propagated_ns = batch[-1].t_ns
+        """A propagation task completed: its batch is integrated on the next
+        read of `est_pose` (see the module notes)."""
+        self.imu_pending += batch
         self.imu_samples_processed += len(batch)
+
+    def _integrate_pending(self) -> None:
+        pending = self.imu_pending
+        if pending:
+            self._est_pose = propagate(self._est_pose, pending, self.last_propagated_ns,
+                                       prev_sample=self.prev_imu)
+            self.prev_imu = pending[-1]
+            self.last_propagated_ns = pending[-1].t_ns
+            self.imu_pending = []
 
     def _apply_update(self, block) -> None:
         now = self.engine.now()
         truth_pose = self.truth.pose_at(now)
         k = self.config.kernel
+        pose = self.est_pose
         if k.updates_enabled:
-            corrected, matched = update_pose(
-                self.est_pose, block, self.world_map, truth_pose,
+            pose, matched = update_pose(
+                pose, block, self.world_map, truth_pose,
                 rng=self.engine.stream("obs"), gain=k.update_gain,
                 obs_noise_std=k.obs_noise_std, min_matches=k.min_matches)
-            self.est_pose = corrected
+            self._est_pose = pose
             self.matched_counts.append(matched)
         self.update_completions.append(now)
         self.stall_tracker.record_update_completion(now)
-        err = float(np.linalg.norm(np.subtract(self.est_pose.position,
-                                               truth_pose.position)))
+        err = float(np.linalg.norm(np.subtract(pose.position, truth_pose.position)))
         self.error_samples.append((now, err))
 
     def _apply_mapping(self, block) -> None:

@@ -193,8 +193,13 @@ def compare_json_lines(reports: list[MetricsReport]) -> str:
 
 def write_trace(records: list[dict], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+        dump_trace(records, fh)
+
+
+def dump_trace(records: list[dict], fh) -> None:
+    """Write trace records to an open text file, one JSON object a line."""
+    for rec in records:
+        fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_trace(path) -> list[dict]:

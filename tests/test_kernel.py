@@ -314,8 +314,9 @@ def _np_propagate(p, v, q, batch, from_t_ns, prev_sample=None):
 
 
 def _rerotating_propagate(pose, batch, from_t_ns, prev_sample=None):
-    """`propagate` as it was before it reused the previous batch's last
-    rotation: every call rotates `prev_sample.accel` afresh."""
+    """`propagate` written with the quaternion helpers, one call each per
+    sample; every call rotates `prev_sample.accel` afresh with the pose's
+    orientation."""
     if not batch:
         return pose.copy()
     q = pose.orientation
@@ -367,6 +368,14 @@ def _imu_bits(sample):
     return t_ns, np.asarray(gyro, float).tobytes(), np.asarray(accel, float).tobytes()
 
 
+def _assert_signals_match_scalar(truth, times):
+    """`imu_signals` gives the bits of `gyro_body` and `accel_body`."""
+    gyro, accel = truth.imu_signals(times)
+    assert gyro.shape == accel.shape == (len(times), 3)
+    assert [_imu_bits(s) for s in zip(times, gyro, accel)] == \
+        [_imu_bits((t, truth.gyro_body(t), truth.accel_body(t))) for t in times]
+
+
 def _eager_visible(points, pose, max_range_m=12.0, fov_deg=100.0):
     """The visibility pass as first specified: a C-order landmark array,
     norm by np.linalg.norm and every pixel projected at once. Returns
@@ -386,6 +395,11 @@ def _eager_visible(points, pose, max_range_m=12.0, fov_deg=100.0):
 
 _bias = st.floats(-0.5, 0.5, allow_nan=False)
 _std = st.one_of(st.just(0.0), st.floats(0.0, 0.2, allow_nan=False))
+_period = st.floats(1.0, 600.0)
+_trajectories = st.one_of(
+    st.builds(StationaryTrajectory, st.tuples(_bias, _bias, _bias)),
+    st.builds(CircleTrajectory, st.just(0.0), _period),
+    st.builds(CircleTrajectory, st.floats(0.0, 20.0), _period))
 
 
 class TestBitExactness:
@@ -433,16 +447,19 @@ class TestBitExactness:
            gyro_bias=st.tuples(_bias, _bias, _bias),
            accel_std=_std, gyro_std=_std,
            rate_hz=st.sampled_from([1, 7, 30, 200, 333, 1000]),
-           blocks=st.lists(st.integers(1, 150), min_size=1, max_size=6))
+           blocks=st.lists(st.integers(1, 150), min_size=1, max_size=6),
+           truth=_trajectories, start_s=st.integers(0, 3600))
     @settings(max_examples=40, deadline=None)
     def test_block_sampling_matches_per_sample(self, seed, accel_bias, gyro_bias,
-                                               accel_std, gyro_std, rate_hz, blocks):
-        truth = CircleTrajectory(3.0, 40.0)
+                                               accel_std, gyro_std, rate_hz, blocks,
+                                               truth, start_s):
+        times = [(k * NS_PER_S) // rate_hz + start_s * NS_PER_S
+                 for k in range(1, sum(blocks) + 1)]
+        _assert_signals_match_scalar(truth, times)
         model = ImuModel(accel_bias=accel_bias, gyro_bias=gyro_bias,
                          accel_noise_std=accel_std, gyro_noise_std=gyro_std,
                          rate_hz=rate_hz)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        times = [(k * NS_PER_S) // rate_hz for k in range(1, sum(blocks) + 1)]
         samples, start = [], 0
         for n in blocks:
             samples += sample_imu_block(model, truth, times[start:start + n], rng)
@@ -450,6 +467,12 @@ class TestBitExactness:
         ref = [sample_imu(model, truth, t, ref_rng) for t in times]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert [_imu_bits(s) for s in samples] == [_imu_bits(s) for s in ref]
+
+    @given(truth=_trajectories,
+           times=st.lists(st.integers(0, 10 ** 13), min_size=1, max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_truth_signals_match_scalar(self, truth, times):
+        _assert_signals_match_scalar(truth, times)
 
     @given(seed=st.integers(0, 2 ** 32 - 1),
            rate_hz=st.sampled_from([1, 7, 200, 333, 1000]),
@@ -460,10 +483,9 @@ class TestBitExactness:
                           min_size=1, max_size=20))
     @settings(max_examples=60, deadline=None)
     def test_propagate_matches_rerotating_reference(self, seed, rate_hz, steps):
-        """`propagate` reuses the previous batch's last rotation; chained
-        batches with updates, copies, orientations set in place and skipped
-        samples between them must give the bits of a propagate that rotates
-        afresh."""
+        """`propagate` inlines the quaternion helpers; chained batches with
+        updates, copies, orientations set in place and skipped samples
+        between them must give the bits of the helper-call reference."""
         truth = CircleTrajectory(4.0, 30.0)
         model = ImuModel(accel_bias=(0.05, 0.02, 0.0), gyro_bias=(0.0005, 0.0, 0.0002),
                          accel_noise_std=0.02, gyro_noise_std=0.002, rate_hz=rate_hz)

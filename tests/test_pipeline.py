@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slamsim.engine import NS_PER_MS, NS_PER_S, EventKind, ms_to_ns
-from slamsim.kernel import sample_imu_block
+from slamsim import pipeline
+from slamsim.kernel import propagate, sample_imu_block
 from slamsim.pipeline import IMU_BLOCK, Simulation, StallTracker
 from slamsim.report import audit_trace, build_report, run_scenario
 from slamsim.scenario import (VARIANTS, ArchVariant, KernelConfig, RelayConfig, ScenarioConfig,
@@ -466,3 +467,71 @@ class TestLazyImuSource:
         sim.run()
         assert imu_events == []  # two-bank: samples never kick propagation
         assert sim.imu_samples_emitted == 400
+
+
+# ---------------------------------------------------------------------------
+# Deferred integration against integrating each batch as its task completes.
+
+class EagerPropagationSimulation(Simulation):
+    """Test oracle: every completed propagation batch is integrated into the
+    estimate at once, each call chained to the previous batch's last
+    sample."""
+
+    def _apply_propagation(self, batch):
+        self._est_pose = propagate(self._est_pose, batch, self.last_propagated_ns,
+                                   prev_sample=self.prev_imu)
+        self.prev_imu = batch[-1]
+        self.last_propagated_ns = batch[-1].t_ns
+        self.imu_samples_processed += len(batch)
+
+
+def _pose_bits(pose):
+    return tuple(map(float.hex, pose.position + pose.velocity + pose.orientation))
+
+
+def _estimates(sim, cuts=()):
+    """Run `sim`, cut at `cuts`; the estimate's bits after every update, at
+    every cut and at the end, and the report line."""
+    after_updates, apply = [], sim._apply_update
+
+    def record(block):
+        apply(block)
+        after_updates.append((sim.engine.now(), _pose_bits(sim.est_pose)))
+
+    sim._apply_update = record
+    at_cuts = []
+    for cut in sorted(cuts):
+        sim.engine.run_until(cut)
+        at_cuts.append(_pose_bits(sim.est_pose))
+    sim.run()
+    at_cuts.append(_pose_bits(sim.est_pose))
+    return (after_updates, at_cuts, build_report(sim).to_json_line(),
+            sim.imu_samples_processed)
+
+
+class TestDeferredIntegration:
+    @pytest.mark.parametrize("variant", list(ArchVariant))
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_estimate_matches_integration_on_completion(self, variant, data):
+        config = data.draw(tie_heavy_configs(variant))
+        cuts = data.draw(st.lists(st.integers(0, int(config.duration_s * NS_PER_S)),
+                                  max_size=8))
+        assert _estimates(Simulation(config), cuts) == \
+            _estimates(EagerPropagationSimulation(config), cuts)
+
+    @pytest.mark.parametrize("variant", list(ArchVariant))
+    def test_propagate_runs_once_per_read(self, monkeypatch, variant):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "propagate", counting)
+        config = ScenarioConfig(variant=variant, imu_rate_hz=1000, duration_s=3.0,
+                                relay=RelayConfig(heap_budget_mib=30.0))
+        sim = Simulation(config)
+        updates = _estimates(sim)[0]
+        assert 0 < len(calls) <= len(updates) + 1
+        assert updates == _estimates(EagerPropagationSimulation(config))[0]

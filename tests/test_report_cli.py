@@ -160,6 +160,22 @@ class TestCli:
         assert err.startswith("error: ") and "line 2" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", "preset:slam-arch", "--duration", "2.5", "--trace", "{bad}"],
+        ["run", "--scenario", "preset:slam-arch", "--output", "{bad}"],
+        ["compare", "preset:baseline-cpu", "preset:slam-arch", "--output", "{bad}"],
+        ["compare", "preset:baseline-cpu", "/no/such/file.json"],
+    ])
+    def test_bad_paths_fail_before_simulating(self, tmp_path, capsys, monkeypatch, argv):
+        def no_simulation(config):
+            raise AssertionError("simulated before the paths were checked")
+
+        monkeypatch.setattr(rpt, "run_scenario", no_simulation)
+        bad = str(tmp_path / "missing" / "out.jsonl")
+        assert cli.main([a.format(bad=bad) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_scenario_file(self, capsys):
         assert cli.main(["run", "--scenario", "/no/such/file.json"]) == 2
         assert "not found" in capsys.readouterr().err
