@@ -61,7 +61,6 @@ class EventKind(Enum):
     IMU_SAMPLE_READY = "imu_sample_ready"
     TASK_DONE = "task_done"
     GC_END = "gc_end"
-    SIM_END = "sim_end"
 
 
 class Event(NamedTuple):
@@ -90,7 +89,6 @@ class Engine:
         self._seq = 0
         self._handlers: dict[str, callable] = {}
         self._streams: dict[str, np.random.Generator] = {}
-        self._stopped = False
         self.scheduled_count = 0
         self.delivered_count = 0
         # The lazy periodic source (see the module notes).
@@ -160,12 +158,8 @@ class Engine:
 
     def run_until(self, end: int) -> None:
         """Process every event with at <= end; afterwards now() == end, and
-        every source sample at or before end counts as delivered.
-
-        A SIM_END event stops the loop immediately (clock left at its
-        timestamp).
-        """
-        queue, handlers, sim_end = self._queue, self._handlers, EventKind.SIM_END
+        every source sample at or before end counts as delivered."""
+        queue, handlers = self._queue, self._handlers
         while queue and queue[0][0] <= end:
             ev = heappop(queue)
             at = ev[0]
@@ -173,9 +167,6 @@ class Engine:
             self.delivered_count += 1
             if at >= self._next_sample_ns:
                 self._deliver_samples(at, ev[1])
-            if ev.kind is sim_end:
-                self._stopped = True
-                return
             handler = handlers.get(ev.target)
             if handler is not None:
                 handler(ev)

@@ -10,10 +10,11 @@ Data layout. The IMU path (`sample_imu_block`, `propagate`) and the
 trajectories work on Python floats: vectors are 3-tuples, quaternions are
 4-tuples (w, x, y, z), and a `Pose` holds three such tuples. The feature path
 is struct-of-arrays over the dense landmark ids 0..N-1: landmark truth is one
-(N, 3) array with contiguous coordinates, a frame's `Sightings` and a
-`FeatureBlock` are an int id array plus a (k, 2) pixel array computed on
-demand, and a `WorldMap` is a bool `known` mask plus an (N, 3) point array,
-so matching and map extension are single masked gathers.
+(N, 3) array with contiguous coordinates, a frame's visible landmarks and a
+`FeatureBlock`'s features are ascending int id arrays, and a `WorldMap` is a
+bool `known` mask plus an (N, 3) point array, so matching and map extension
+are single masked gathers. Drift correction and mapping read only which
+landmarks were seen, so no pixel is projected.
 
 Numerics. Every sum, product and quotient is written term by term in the
 order of the reference numpy formulation, so results are bit-identical to
@@ -21,18 +22,6 @@ it. Vector norms and quaternion dot products are the exception: numpy takes
 them with its BLAS dot product, which may accumulate with fused multiply-adds
 and so differs in the last bit from a Python sum of squares. `_dot` and
 `_norm` keep that BLAS call.
-
-Pixels on demand. No report, trace or pipeline decision reads a pixel; they
-read feature ids and counts. So `LandmarkField.visible` builds only the
-visibility mask and hands its operands (rel, heading, depth, dist, idx) to
-the `Sightings`, which projects them with `_pinhole` the first time `pixels`
-is read and caches the result. A `FeatureBlock` over the cap keeps the same
-subset of those pixels, `sightings.pixels[keep]`. The projection works on the
-mask pass's own operands (`rel[idx] @ heading`, `depth[idx] * dist[idx]`),
-which nothing else holds, so pixels read late are the bits of pixels
-projected at once. The mask's `rel @ heading` is one gemv over all rows, and
-the projection's a gemv over the visible rows: OpenBLAS does not promise the
-same rounding for a row of both, so neither is derived from the other.
 
 Visibility distance. `np.linalg.norm(rel, axis=1)` is the square root of
 numpy's add-reduce of the squares over each row of 3. numpy adds fewer than 8
@@ -79,7 +68,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -207,55 +195,20 @@ class ImuModel:
             raise ValueError(f"imu rate_hz {self.rate_hz} out of [1, 1000]")
 
 
-class _LazyPixels:
-    """A (k, 2) pixel array that is either given or computed by `project()`
-    the first time `pixels` is read, then cached (see the module notes). The
-    projection and the operands it holds are dropped once it has run."""
-    __slots__ = ("_pixels", "_project")
-
-    def __init__(self, pixels, project):
-        self._pixels = pixels
-        self._project = project
-
-    @property
-    def pixels(self) -> np.ndarray:
-        if self._pixels is None:
-            self._pixels, self._project = self._project(), None
-        return self._pixels
-
-
-class Sightings(_LazyPixels):
-    """Landmarks seen in one frame: ascending ids and their (k, 2) pixels."""
-    __slots__ = ("ids",)
-
-    def __init__(self, ids: np.ndarray, pixels: np.ndarray | None = None, *,
-                 project=None):
-        super().__init__(pixels, project)
-        self.ids = ids
-
-    def __len__(self):
-        return len(self.ids)
-
-
 @dataclass(frozen=True)
 class CameraFrame:
     frame_id: int
     t_ns: int
-    visible_landmarks: Sightings
+    visible_landmarks: np.ndarray  # ascending landmark ids
     size_bytes: int = 3 * 1024 * 1024
 
 
-class FeatureBlock(_LazyPixels):
-    """One frame's extracted features: landmark ids, one per feature, their
-    (len(features), 2) pixels, and the block's serialized size in bytes."""
-    __slots__ = ("frame_id", "features", "serialized_bytes")
-
-    def __init__(self, frame_id: int, features: np.ndarray, pixels: np.ndarray | None,
-                 serialized_bytes: int, *, project=None):
-        super().__init__(pixels, project)
-        self.frame_id = frame_id
-        self.features = features
-        self.serialized_bytes = serialized_bytes
+class FeatureBlock(NamedTuple):
+    """One frame's extracted features: landmark ids, one per feature, and
+    the block's serialized size in bytes."""
+    frame_id: int
+    features: np.ndarray
+    serialized_bytes: int
 
 
 class WorldMap:
@@ -484,15 +437,12 @@ def extract_features(frame: CameraFrame, rng: np.random.Generator | None = None,
     landmark, capped so the serialized block fits a scratchpad bank. Over the
     cap, a sorted random subset is kept (the first `cap` without `rng`)."""
     cap = feature_capacity(max_bytes)
-    sightings = frame.visible_landmarks
-    ids, keep = sightings.ids, slice(None)
+    ids = frame.visible_landmarks
     if len(ids) > cap:
-        keep = (np.sort(rng.choice(len(ids), size=cap, replace=False))
-                if rng is not None else slice(cap))
-        ids = ids[keep]
+        ids = (ids[np.sort(rng.choice(len(ids), size=cap, replace=False))]
+               if rng is not None else ids[:cap])
     size = FEATURE_BLOCK_HEADER_BYTES + FEATURE_RECORD_BYTES * len(ids)
-    return FeatureBlock(frame.frame_id, ids, None, size,
-                        project=lambda: sightings.pixels[keep])
+    return FeatureBlock(frame.frame_id, ids, size)
 
 
 def update_pose(pose: Pose, block: FeatureBlock, world_map: WorldMap, truth_pose: Pose,
@@ -548,13 +498,6 @@ def generate_landmarks(count: int, rng: np.random.Generator,
     return np.stack((radii * cos, radii * sin, heights)).T
 
 
-def _pinhole(rel, heading, depth, dist, idx) -> np.ndarray:
-    """Pinhole pixels of the rows `idx` of the visibility pass's operands."""
-    lateral = rel[idx] - np.outer(rel[idx] @ heading, heading)
-    scale = np.maximum(depth[idx] * dist[idx], 1e-6)
-    return 300.0 * lateral[:, :2] / scale[:, None]
-
-
 class LandmarkField:
     """Landmark truth positions with a vectorized visibility query."""
 
@@ -563,10 +506,9 @@ class LandmarkField:
         self._columns = np.ascontiguousarray(points.T)  # x, y, z rows
 
     def visible(self, true_pose: Pose, max_range_m: float = 12.0,
-                fov_deg: float = 100.0) -> Sightings:
-        """Landmarks inside a forward field-of-view cone and range of the
-        true pose, with a simple pinhole projection to pixels that runs when
-        the pixels are first read."""
+                fov_deg: float = 100.0) -> np.ndarray:
+        """Ascending ids of the landmarks inside a forward field-of-view cone
+        and range of the true pose."""
         heading = np.array(quat_rotate(true_pose.orientation, (1.0, 0.0, 0.0)))
         cos_half = math.cos(math.radians(fov_deg) / 2.0)
         # rel = points - position in C order, the layout of the gemv below,
@@ -582,5 +524,4 @@ class LandmarkField:
         with np.errstate(invalid="ignore", divide="ignore"):
             depth = (rel @ heading) / dist
         mask = (dist > 1e-6) & (dist <= max_range_m) & (depth >= cos_half)
-        idx = np.flatnonzero(mask)
-        return Sightings(idx, project=partial(_pinhole, rel, heading, depth, dist, idx))
+        return np.flatnonzero(mask)

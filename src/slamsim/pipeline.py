@@ -57,7 +57,6 @@ interval meets the same endpoints either way.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,21 +75,6 @@ from .soc import (ComputeUnitSpec, LatencyTable, PowerCalibration, PowerLedger, 
 # kernel call per block. Block k covers indices k*IMU_BLOCK+1 .. (k+1)*IMU_BLOCK,
 # so the blocks, and with them the draws, do not depend on how a run is sliced.
 IMU_BLOCK = 128
-
-
-@dataclass
-class StallTracker:
-    """Records a tracking-loss event whenever the gap between consecutive
-    update completions exceeds the loss threshold."""
-
-    loss_threshold_ns: int
-    last_update_completion_ns: int = 0
-    loss_count: int = 0
-
-    def record_update_completion(self, now_ns: int) -> None:
-        if now_ns - self.last_update_completion_ns > self.loss_threshold_ns:
-            self.loss_count += 1
-        self.last_update_completion_ns = now_ns
 
 
 class _Task:
@@ -229,14 +213,12 @@ class Simulation:
         self.imu_wakeup_pending = False
 
         # metrics
-        self.stall_tracker = StallTracker(ms_to_ns(config.loss_threshold_ms))
         self.frames_offered = 0
         self.frames_accepted = 0
         self.frames_dropped = 0  # ingest-busy drops and GC-freeze drops
         self.frames_throttled = 0  # sensor-pin back-pressure
         self.update_completions: list[int] = []
         self.error_samples: list[tuple[int, float]] = []
-        self.matched_counts: list[int] = []
         self.imu_samples_processed = 0
         self.stage_durations_ns: dict[Stage, list[int]] = {s: [] for s in Stage}
         self.alloc_counter_bytes = 0
@@ -547,14 +529,12 @@ class Simulation:
         k = self.config.kernel
         pose = self.est_pose
         if k.updates_enabled:
-            pose, matched = update_pose(
+            pose, _ = update_pose(
                 pose, block, self.world_map, truth_pose,
                 rng=self.engine.stream("obs"), gain=k.update_gain,
                 obs_noise_std=k.obs_noise_std, min_matches=k.min_matches)
             self._est_pose = pose
-            self.matched_counts.append(matched)
         self.update_completions.append(now)
-        self.stall_tracker.record_update_completion(now)
         err = float(np.linalg.norm(np.subtract(pose.position, truth_pose.position)))
         self.error_samples.append((now, err))
 

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .engine import NS_PER_S, ns_to_ms, ns_to_s
+from .engine import NS_PER_MS, NS_PER_S, ms_to_ns, ns_to_ms, ns_to_s
 from .pipeline import Simulation
 from .soc import Stage
 
@@ -62,6 +62,13 @@ class MetricsReport:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def tracking_loss_count(completions_ns: list[int], threshold_ns: int) -> int:
+    """Gaps between consecutive update completions longer than the loss
+    threshold, the first gap measured from t = 0, over the whole run."""
+    return sum(b - a > threshold_ns
+               for a, b in zip([0, *completions_ns], completions_ns))
+
+
 def build_report(sim: Simulation) -> MetricsReport:
     cfg = sim.config
     duration_ns = sim.duration_ns
@@ -74,15 +81,11 @@ def build_report(sim: Simulation) -> MetricsReport:
     errors = [e for t, e in sim.error_samples if window[0] < t <= window[1]]
     rms = math.sqrt(sum(e * e for e in errors) / len(errors)) if errors else 0.0
 
-    stage_latency = {}
-    for stage, durs in sim.stage_durations_ns.items():
-        if not durs:
-            continue
-        ms = [ns_to_ms(d) for d in durs]
-        stage_latency[stage.value] = {
-            "mean": sum(ms) / len(ms),
-            "p99": _percentile(ms, 0.99),
-        }
+    # ns_to_ms's expression, without a call per duration
+    stage_ms = {stage: [d / NS_PER_MS for d in durs]
+                for stage, durs in sim.stage_durations_ns.items() if durs}
+    stage_latency = {stage.value: {"mean": sum(ms) / len(ms), "p99": _percentile(ms, 0.99)}
+                     for stage, ms in stage_ms.items()}
 
     # Energy, power and utilizations all come from one busy_ns per unit;
     # average power is PowerLedger.average_power_w's expression.
@@ -91,7 +94,7 @@ def build_report(sim: Simulation) -> MetricsReport:
     total_energy = sim.ledger.total_energy_j(full, sim.calibration, busy)
     avg_power = total_energy / ((full[1] - full[0]) / NS_PER_S)
 
-    relay_ms = [ns_to_ms(d) for d in sim.stage_durations_ns[Stage.RELAY]]
+    relay_ms = stage_ms.get(Stage.RELAY)
     relay_busy_per_frame = sum(relay_ms) / len(relay_ms) if relay_ms else 0.0
 
     gc_total_ms = sum(ns_to_ms(b - a) for a, b in sim.gc_stalls)
@@ -116,7 +119,8 @@ def build_report(sim: Simulation) -> MetricsReport:
         energy_per_frame_mj=1000.0 * total_energy / frames_for_energy,
         gc_stall_count=len(sim.gc_stalls),
         gc_stall_total_ms=gc_total_ms,
-        tracking_loss_count=sim.stall_tracker.loss_count,
+        tracking_loss_count=tracking_loss_count(sim.update_completions,
+                                                ms_to_ns(cfg.loss_threshold_ms)),
         rms_position_error_m=rms,
         relay_alloc_mib=sim.alloc_total_bytes / MIB,
         relay_alloc_rate_mib_s=sim.alloc_total_bytes / MIB / cfg.duration_s,

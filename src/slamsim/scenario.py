@@ -288,9 +288,3 @@ def preset(name: str) -> ScenarioConfig:
     spec = VARIANTS[variant]
     return ScenarioConfig(variant=variant, camera_fps=spec.camera_fps,
                           duration_s=spec.duration_s)
-
-
-def build(config: ScenarioConfig):
-    """Wire a runnable simulation from a validated config."""
-    from .pipeline import Simulation
-    return Simulation(config)

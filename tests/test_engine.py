@@ -4,11 +4,11 @@ from hypothesis import given, strategies as st
 from slamsim.engine import NS_PER_MS, NS_PER_S, Engine, EventKind, SchedulingError
 
 
-def test_empty_run_terminates_at_sim_end():
+def test_empty_run_ends_at_end():
     eng = Engine(seed=0)
-    eng.schedule(0, "x", EventKind.SIM_END)
     eng.run_until(10 * NS_PER_S)
-    assert eng.now() == 0
+    assert eng.now() == 10 * NS_PER_S
+    assert eng.delivered_count == 0
 
 
 def test_same_timestamp_delivered_in_seq_order():

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slamsim import kernel
 from slamsim.engine import NS_PER_S
 from slamsim.kernel import (CameraFrame, CircleTrajectory, ImuModel, ImuSample,
-                            LandmarkField, Pose, Sightings, StationaryTrajectory, WorldMap,
+                            LandmarkField, Pose, StationaryTrajectory, WorldMap,
                             extend_map, extract_features, feature_capacity,
                             generate_landmarks, propagate, quat_exp, quat_from_yaw,
                             quat_multiply, quat_normalize, quat_rotate, sample_imu,
@@ -133,15 +132,9 @@ class TestPropagation:
         assert np.array_equal(out.position, pose.position)
 
 
-def _sightings(ids, pixels=None):
-    ids = np.asarray(ids, dtype=np.intp)
-    if pixels is None:
-        pixels = np.zeros((len(ids), 2))
-    return Sightings(ids, np.asarray(pixels, dtype=float))
-
-
-def _frame(ids, pixels=None, frame_id=0):
-    return CameraFrame(frame_id=frame_id, t_ns=0, visible_landmarks=_sightings(ids, pixels))
+def _frame(ids, frame_id=0):
+    return CameraFrame(frame_id=frame_id, t_ns=0,
+                       visible_landmarks=np.asarray(ids, dtype=np.intp))
 
 
 class TestFeatures:
@@ -153,14 +146,11 @@ class TestFeatures:
     def test_block_never_exceeds_bank_capacity(self):
         block = extract_features(_frame(range(500), frame_id=1), np.random.default_rng(0))
         assert len(block.features) == 200
-        assert block.pixels.shape == (200, 2)
         assert block.serialized_bytes <= FEATURE_BLOCK_MAX_BYTES
 
     def test_small_frame_keeps_all_features(self):
-        pixels = [[float(i), 0.0] for i in range(5)]
-        block = extract_features(_frame(range(5), pixels, frame_id=2))
+        block = extract_features(_frame(range(5), frame_id=2))
         assert block.features.tolist() == list(range(5))
-        assert block.pixels[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert block.serialized_bytes == FEATURE_BLOCK_HEADER_BYTES \
             + 5 * FEATURE_RECORD_BYTES
 
@@ -221,9 +211,9 @@ class TestVisibility:
         lm = generate_landmarks(60, rng)
         pose = Pose(tuple(rng.uniform(-6, 6, 3)), (0.0, 0.0, 0.0),
                     quat_normalize(tuple(rng.normal(size=4))))
-        sightings = LandmarkField(lm).visible(pose)
-        fast = set(sightings.ids.tolist())
-        assert len(sightings) == len(fast) == len(sightings.pixels)
+        ids = LandmarkField(lm).visible(pose)
+        fast = set(ids.tolist())
+        assert len(ids) == len(fast)
 
         heading = np.array(quat_rotate(pose.orientation, (1.0, 0.0, 0.0)))
         cos_half = math.cos(math.radians(100.0) / 2)
@@ -377,9 +367,8 @@ def _assert_signals_match_scalar(truth, times):
 
 
 def _eager_visible(points, pose, max_range_m=12.0, fov_deg=100.0):
-    """The visibility pass as first specified: a C-order landmark array,
-    norm by np.linalg.norm and every pixel projected at once. Returns
-    (ids, pixels)."""
+    """The visibility pass as first specified: a C-order landmark array and
+    the norm by np.linalg.norm. Returns the visible ids."""
     heading = np.array(quat_rotate(pose.orientation, (1.0, 0.0, 0.0)))
     cos_half = math.cos(math.radians(fov_deg) / 2.0)
     rel = np.ascontiguousarray(points) - pose.position
@@ -387,10 +376,7 @@ def _eager_visible(points, pose, max_range_m=12.0, fov_deg=100.0):
     with np.errstate(invalid="ignore", divide="ignore"):
         depth = (rel @ heading) / dist
     mask = (dist > 1e-6) & (dist <= max_range_m) & (depth >= cos_half)
-    idx = np.nonzero(mask)[0]
-    lateral = rel[idx] - np.outer(rel[idx] @ heading, heading)
-    scale = np.maximum(depth[idx] * dist[idx], 1e-6)
-    return idx, 300.0 * lateral[:, :2] / scale[:, None]
+    return np.nonzero(mask)[0]
 
 
 _bias = st.floats(-0.5, 0.5, allow_nan=False)
@@ -533,7 +519,6 @@ class TestBitExactness:
         world = np.random.default_rng(seed)
         landmarks = generate_landmarks(size, world)
         ids = np.flatnonzero(world.uniform(size=size) < visible_share)
-        pixels = world.normal(0.0, 100.0, (len(ids), 2))
         known = np.flatnonzero(world.uniform(size=size) < known_share)
         known_points = world.normal(0.0, 5.0, (len(known), 3))
         truth_q = quat_normalize(tuple(world.normal(size=4)))
@@ -550,15 +535,15 @@ class TestBitExactness:
         rng = np.random.default_rng(seed + 1) if use_rng else None
         wm = WorldMap(size)
         wm.insert(known, known_points)
-        block = extract_features(_frame(ids, pixels), rng)
+        block = extract_features(_frame(ids), rng)
         corrected, matched = update_pose(pose, block, wm, truth, rng=rng, gain=gain,
                                          obs_noise_std=obs_std, min_matches=min_matches)
         inserted = extend_map(wm, block, landmarks, rng=rng, noise_std=map_std)
 
         ref_rng = np.random.default_rng(seed + 1) if use_rng else None
         ref_map = {int(i): pt for i, pt in zip(known, known_points)}
-        # extract_features: one feature per sighting, a sorted subset over the cap
-        visible = list(zip(ids.tolist(), pixels))
+        # extract_features: one feature per visible landmark, a sorted subset over the cap
+        visible = ids.tolist()
         if len(visible) > 200:
             if ref_rng is not None:
                 idx = sorted(ref_rng.choice(len(visible), size=200, replace=False))
@@ -566,7 +551,7 @@ class TestBitExactness:
             else:
                 visible = visible[:200]
         # update_pose
-        ref_matched = sum(1 for lid, _ in visible if lid in ref_map)
+        ref_matched = sum(1 for lid in visible if lid in ref_map)
         p, v, oq = (np.array(c) for c in (pose.position, pose.velocity, pose.orientation))
         if ref_matched >= min_matches:
             est_p, est_v = np.array(truth.position), np.array(truth.velocity)
@@ -577,7 +562,7 @@ class TestBitExactness:
             oq = _np_normalize(_np_slerp(oq, np.array(truth.orientation), gain))
         # extend_map
         ref_inserted = 0
-        for lid, _ in visible:
+        for lid in visible:
             if lid in ref_map:
                 continue
             point = landmarks[lid]
@@ -589,9 +574,7 @@ class TestBitExactness:
         assert world.bit_generator.state == state
         if use_rng:
             assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert block.features.tolist() == [lid for lid, _ in visible]
-        assert np.array_equal(block.pixels.reshape(-1, 2),
-                              np.array([px for _, px in visible]).reshape(-1, 2))
+        assert block.features.tolist() == visible
         assert matched == ref_matched
         _assert_pose_equal(corrected, p, v, oq)
         assert inserted == ref_inserted
@@ -619,19 +602,16 @@ class TestBitExactness:
         else:  # exactly at a landmark: a zero distance, excluded by the 1e-6 floor
             position = tuple(points[rng.integers(count)]) if count else (0.0, 0.0, 0.0)
         pose = Pose(position, (0.0, 0.0, 0.0), q)
-        sightings = LandmarkField(points).visible(pose, max_range_m, fov_deg)
-        ids, pixels = _eager_visible(points, pose, max_range_m, fov_deg)
-        assert sightings.ids.tobytes() == ids.tobytes()
-        assert sightings.pixels.shape == pixels.shape
-        assert sightings.pixels.tobytes() == pixels.tobytes()
+        ids = LandmarkField(points).visible(pose, max_range_m, fov_deg)
+        assert ids.tobytes() == _eager_visible(points, pose, max_range_m, fov_deg).tobytes()
 
     @given(seed=st.integers(0, 2 ** 32 - 1), use_rng=st.booleans())
     @settings(max_examples=15, deadline=None)
-    def test_capped_block_pixels_match_eager_subset(self, seed, use_rng):
+    def test_capped_block_ids_match_eager_subset(self, seed, use_rng):
         world = np.random.default_rng(seed)
         points = generate_landmarks(4000, world)
         pose = CircleTrajectory().pose_at(int(world.integers(0, 60 * NS_PER_S)))
-        ids, pixels = _eager_visible(points, pose)
+        ids = _eager_visible(points, pose)
         assert len(ids) > feature_capacity()
         frame = CameraFrame(frame_id=0, t_ns=0,
                             visible_landmarks=LandmarkField(points).visible(pose))
@@ -644,33 +624,6 @@ class TestBitExactness:
         else:
             keep = slice(feature_capacity())
         assert block.features.tobytes() == ids[keep].tobytes()
-        assert block.pixels.tobytes() == pixels[keep].tobytes()
-
-    def test_pixels_are_projected_on_first_read_only(self, monkeypatch):
-        projections = []
-        pinhole = kernel._pinhole
-
-        def counting(*args):
-            projections.append(args[-1])
-            return pinhole(*args)
-
-        monkeypatch.setattr(kernel, "_pinhole", counting)
-        points = generate_landmarks(4000, np.random.default_rng(5))
-        pose = CircleTrajectory().pose_at(NS_PER_S)
-        sightings = LandmarkField(points).visible(pose)
-        frame = CameraFrame(frame_id=0, t_ns=0, visible_landmarks=sightings)
-        rng = np.random.default_rng(6)
-        block = extract_features(frame, rng)
-        wm = WorldMap(len(points))
-        update_pose(Pose.identity(), block, wm, pose, rng=rng, obs_noise_std=0.1)
-        extend_map(wm, block, points, rng=rng, noise_std=0.1)
-        assert len(sightings) > feature_capacity() == len(block.features)
-        assert projections == []
-        block_pixels = block.pixels
-        assert len(projections) == 1 and projections[0] is sightings.ids
-        assert block.pixels is block_pixels
-        assert sightings.pixels.shape == (len(sightings), 2)
-        assert len(projections) == 1
 
     @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(0, 500))
     @settings(max_examples=30, deadline=None)

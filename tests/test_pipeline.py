@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from slamsim.engine import NS_PER_MS, NS_PER_S, EventKind, ms_to_ns
 from slamsim import pipeline
 from slamsim.kernel import propagate, sample_imu_block
-from slamsim.pipeline import IMU_BLOCK, Simulation, StallTracker
-from slamsim.report import audit_trace, build_report, run_scenario
+from slamsim.pipeline import IMU_BLOCK, Simulation
+from slamsim.report import audit_trace, build_report, run_scenario, tracking_loss_count
 from slamsim.scenario import (VARIANTS, ArchVariant, KernelConfig, RelayConfig, ScenarioConfig,
                               preset)
 from slamsim.soc import ConfigError, SocConfig, Stage, UnitKind
@@ -24,14 +24,16 @@ def _run(variant, fps, duration_s, **kwargs):
     return sim
 
 
-class TestStallTracker:
+class TestTrackingLoss:
     def test_counts_gaps_over_threshold(self):
-        tr = StallTracker(loss_threshold_ns=ms_to_ns(100))
-        tr.record_update_completion(ms_to_ns(50))
-        tr.record_update_completion(ms_to_ns(120))
-        assert tr.loss_count == 0
-        tr.record_update_completion(ms_to_ns(300))
-        assert tr.loss_count == 1
+        threshold = ms_to_ns(100)
+        completions = [ms_to_ns(50), ms_to_ns(120)]
+        assert tracking_loss_count(completions, threshold) == 0
+        assert tracking_loss_count(completions + [ms_to_ns(300)], threshold) == 1
+
+    def test_first_gap_is_measured_from_zero(self):
+        assert tracking_loss_count([ms_to_ns(108)], ms_to_ns(100)) == 1
+        assert tracking_loss_count([], ms_to_ns(100)) == 0
 
 
 class TestImuCounters:

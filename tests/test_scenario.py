@@ -8,7 +8,7 @@ import slamsim.cli as cli
 from slamsim.pipeline import Simulation
 from slamsim.report import audit_trace, run_scenario
 from slamsim.scenario import (ArchVariant, Handoff, Ingest, KernelConfig, PRESET_NAMES,
-                              RelayConfig, ScenarioConfig, VARIANTS, build, preset)
+                              RelayConfig, ScenarioConfig, VARIANTS, preset)
 from slamsim.soc import ConfigError, MemoryPath, SocConfig
 
 
@@ -20,8 +20,9 @@ class TestPresets:
         for name in PRESET_NAMES:
             config = preset(name)
             assert config.variant.value == name
-            assert isinstance(build(dataclasses.replace(config, duration_s=3.0)),
-                              Simulation)
+            sim = Simulation(dataclasses.replace(config, duration_s=3.0))
+            assert sim.config.variant is config.variant
+            assert sim.duration_ns == 3_000_000_000
 
     def test_unknown_preset_lists_valid_names(self):
         with pytest.raises(ConfigError, match="baseline-cpu"):
