@@ -78,8 +78,7 @@ IMU_BLOCK = 128
 
 
 class _Task:
-    __slots__ = ("stage", "duration_ns", "payload", "on_done", "on_start",
-                 "start_ns", "end_ns", "seg_start_ns", "segments")
+    __slots__ = ("stage", "duration_ns", "payload", "on_done", "on_start")
 
     def __init__(self, stage, duration_ns, payload, on_done, on_start=None):
         self.stage = stage
@@ -87,22 +86,26 @@ class _Task:
         self.payload = payload
         self.on_done = on_done
         self.on_start = on_start
-        self.start_ns = None
-        self.end_ns = None
-        self.seg_start_ns = None
-        self.segments = []
 
 
 class UnitExecutor:
     """FIFO task execution on one compute unit, with optional freezing by
     garbage-collection pauses (running task suspends, queued tasks wait).
-    `on_idle`, if set, is called whenever a completion leaves the unit idle."""
+    `on_idle`, if set, is called whenever a completion leaves the unit idle.
+
+    The running task's current segment starts at `seg_start_ns`; it is booked
+    in the ledger when it ends, at a freeze, at completion or at the end of
+    the run. The unit runs one task at a time, so what it books reaches the
+    ledger in time order, as the ledger requires, and the whole run
+    `(0, duration)` covers all of it."""
 
     def __init__(self, sim: "Simulation", unit_id: str):
         self.sim = sim
         self.unit_id = unit_id
         self.queue: deque[_Task] = deque()
         self.task: _Task | None = None
+        self.seg_start_ns = 0  # the running task's current segment start
+        self.end_ns = 0  # and its completion time, pushed out by freezes
         self.on_idle = None
         self.target = f"exec:{unit_id}"
         sim.engine.on(self.target, self._on_task_done)
@@ -121,37 +124,35 @@ class UnitExecutor:
         if now < self.sim.frozen_until_ns:
             return  # kicked again at GC end
         task = self.queue.popleft()
-        task.start_ns = now
-        task.seg_start_ns = now
-        task.end_ns = now + task.duration_ns
+        self.seg_start_ns = now
+        self.end_ns = now + task.duration_ns
         self.task = task
         if task.on_start is not None:
             task.on_start(task)
-        self.sim.engine.schedule(task.end_ns, self.target, EventKind.TASK_DONE)
+        self.sim.engine.schedule(self.end_ns, self.target, EventKind.TASK_DONE)
+
+    def _book(self, end_ns: int) -> None:
+        """Book the running segment, if it has any length, up to `end_ns`."""
+        if self.seg_start_ns < end_ns:
+            self.sim.ledger.record_busy(self.unit_id, self.seg_start_ns, end_ns)
 
     def freeze_running(self, resume_at_ns: int) -> None:
         """Suspend the running task for a GC pause; completion is pushed out
         and the frozen span is excluded from busy time."""
-        task = self.task
-        if task is None:
+        if self.task is None:
             return
         now = self.sim.engine.now()
-        pause = resume_at_ns - now
-        if task.seg_start_ns < now:
-            task.segments.append((task.seg_start_ns, now))
-        task.seg_start_ns = resume_at_ns
-        task.end_ns += pause
-        self.sim.engine.schedule(task.end_ns, self.target, EventKind.TASK_DONE)
+        self._book(now)
+        self.seg_start_ns = resume_at_ns
+        self.end_ns += resume_at_ns - now
+        self.sim.engine.schedule(self.end_ns, self.target, EventKind.TASK_DONE)
 
     def _on_task_done(self, ev) -> None:
         task = self.task
         now = ev.at
-        if task is None or now != task.end_ns:
+        if task is None or now != self.end_ns:
             return  # stale completion: a freeze moved the task's end later
-        if task.seg_start_ns < now:
-            task.segments.append((task.seg_start_ns, now))
-        for a, b in task.segments:
-            self.sim.ledger.record_busy(self.unit_id, a, b)
+        self._book(now)
         self.sim.note_task_done(self.unit_id, task)
         self.task = None
         task.on_done(task)
@@ -161,16 +162,9 @@ class UnitExecutor:
 
     def finalize(self, end_ns: int) -> None:
         """Book busy time of a task still in flight when the run ends."""
-        task = self.task
-        if task is None:
-            return
-        for a, b in task.segments:
-            self.sim.ledger.record_busy(self.unit_id, a, b)
-        if task.seg_start_ns < end_ns:
-            self.sim.ledger.record_busy(self.unit_id, task.seg_start_ns,
-                                        min(task.end_ns, end_ns))
-        task.segments = []
-        self.task = None
+        if self.task is not None:
+            self._book(min(self.end_ns, end_ns))
+            self.task = None
 
 
 class Simulation:
@@ -218,7 +212,7 @@ class Simulation:
         self.frames_dropped = 0  # ingest-busy drops and GC-freeze drops
         self.frames_throttled = 0  # sensor-pin back-pressure
         self.update_completions: list[int] = []
-        self.error_samples: list[tuple[int, float]] = []
+        self.position_errors: list[float] = []  # one per update completion
         self.imu_samples_processed = 0
         self.stage_durations_ns: dict[Stage, list[int]] = {s: [] for s in Stage}
         self.alloc_counter_bytes = 0
@@ -535,8 +529,8 @@ class Simulation:
                 obs_noise_std=k.obs_noise_std, min_matches=k.min_matches)
             self._est_pose = pose
         self.update_completions.append(now)
-        err = float(np.linalg.norm(np.subtract(pose.position, truth_pose.position)))
-        self.error_samples.append((now, err))
+        self.position_errors.append(
+            float(np.linalg.norm(np.subtract(pose.position, truth_pose.position))))
 
     def _apply_mapping(self, block) -> None:
         k = self.config.kernel

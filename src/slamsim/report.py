@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .engine import NS_PER_MS, NS_PER_S, ms_to_ns, ns_to_ms, ns_to_s
+from .engine import NS_PER_MS, ms_to_ns, ns_to_ms, ns_to_s
 from .pipeline import Simulation
 from .soc import Stage
 
@@ -75,10 +76,12 @@ def build_report(sim: Simulation) -> MetricsReport:
     window = (sim.warmup_ns, duration_ns)
     steady_s = ns_to_s(window[1] - window[0])
 
-    completions = [t for t in sim.update_completions if window[0] < t <= window[1]]
-    achieved_fps = len(completions) / steady_s if steady_s > 0 else 0.0
+    # The completions in (warmup, duration], found on the ascending list.
+    lo = bisect_right(sim.update_completions, window[0])
+    hi = bisect_right(sim.update_completions, window[1])
+    achieved_fps = (hi - lo) / steady_s if steady_s > 0 else 0.0
 
-    errors = [e for t, e in sim.error_samples if window[0] < t <= window[1]]
+    errors = sim.position_errors[lo:hi]
     rms = math.sqrt(sum(e * e for e in errors) / len(errors)) if errors else 0.0
 
     # ns_to_ms's expression, without a call per duration
@@ -87,12 +90,8 @@ def build_report(sim: Simulation) -> MetricsReport:
     stage_latency = {stage.value: {"mean": sum(ms) / len(ms), "p99": _percentile(ms, 0.99)}
                      for stage, ms in stage_ms.items()}
 
-    # Energy, power and utilizations all come from one busy_ns per unit;
-    # average power is PowerLedger.average_power_w's expression.
-    full = (0, duration_ns)
-    busy = sim.ledger.busy_per_unit(full)
-    total_energy = sim.ledger.total_energy_j(full, sim.calibration, busy)
-    avg_power = total_energy / ((full[1] - full[0]) / NS_PER_S)
+    ledger, full = sim.ledger, (0, duration_ns)
+    total_energy = ledger.total_energy_j(full, sim.calibration)
 
     relay_ms = stage_ms.get(Stage.RELAY)
     relay_busy_per_frame = sum(relay_ms) / len(relay_ms) if relay_ms else 0.0
@@ -114,7 +113,7 @@ def build_report(sim: Simulation) -> MetricsReport:
         throttled_frame_count=sim.frames_throttled,
         imu_samples_processed=sim.imu_samples_processed,
         stage_latency_ms=stage_latency,
-        average_power_w=avg_power,
+        average_power_w=ledger.average_power_w(full, sim.calibration),
         total_energy_j=total_energy,
         energy_per_frame_mj=1000.0 * total_energy / frames_for_energy,
         gc_stall_count=len(sim.gc_stalls),
@@ -125,8 +124,7 @@ def build_report(sim: Simulation) -> MetricsReport:
         relay_alloc_mib=sim.alloc_total_bytes / MIB,
         relay_alloc_rate_mib_s=sim.alloc_total_bytes / MIB / cfg.duration_s,
         relay_busy_ms_per_frame=relay_busy_per_frame,
-        unit_utilization={uid: b / (full[1] - full[0])
-                          for uid, b in zip(sim.ledger.units, busy)},
+        unit_utilization={uid: ledger.utilization(uid, full) for uid in ledger.units},
         map_size=len(sim.world_map),
     )
 

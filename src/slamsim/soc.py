@@ -16,7 +16,6 @@ parameters, not measurements, and live in scenario config.
 from __future__ import annotations
 
 import math
-from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,7 +27,7 @@ class ConfigError(ValueError):
 
 
 class LedgerError(RuntimeError):
-    """Inconsistent busy-interval bookkeeping (indicates a scheduler bug)."""
+    """Inconsistent busy-time bookkeeping (indicates a scheduler bug)."""
 
 
 class UnitKind(Enum):
@@ -220,52 +219,51 @@ def task_energy_mj(table: LatencyTable, stage: Stage, unit: ComputeUnitSpec | Un
 
 
 class PowerLedger:
-    """Busy-interval bookkeeping and energy/average-power evaluation.
+    """Busy-time bookkeeping and energy/average-power evaluation.
 
     Dynamic energy accrues at peak power during recorded busy intervals; idle
     draw and static sources are added at evaluation time so the same ledger
     can be re-evaluated under different calibrations.
+
+    A unit runs one task at a time, so its intervals are booked in time
+    order: an interval that starts before the unit's last one ends (an
+    overlap or an out-of-order record) is a LedgerError. The ledger keeps
+    each unit's running total and the span its intervals cover, so a window
+    must cover every interval of the unit, as the whole run `(0, duration)`
+    does; a window that cuts busy time is a LedgerError.
     """
 
     def __init__(self, units: dict[str, ComputeUnitSpec],
                  static_sources_w: dict[str, float] | None = None):
         self.units = dict(units)
         self.static_sources_w = dict(static_sources_w or {})
-        # Sorted, disjoint busy intervals per unit, and their exact total.
-        self._busy: dict[str, list[tuple[int, int]]] = {u: [] for u in self.units}
+        # Per unit: the exact busy total, and the first start and last end of
+        # its intervals (None before the first).
         self._busy_total: dict[str, int] = {u: 0 for u in self.units}
+        self._first_ns: dict[str, int | None] = {u: None for u in self.units}
+        self._last_ns: dict[str, int | None] = {u: None for u in self.units}
 
     def record_busy(self, unit_id: str, from_ns: int, to_ns: int) -> None:
         if unit_id not in self.units:
             raise LedgerError(f"unknown unit {unit_id!r}")
         if not from_ns < to_ns:
             raise LedgerError(f"busy interval [{from_ns}, {to_ns}) for {unit_id} is empty")
-        intervals = self._busy[unit_id]
-        if intervals and from_ns < intervals[-1][1]:
-            # Out-of-order record: verify against neighbours before inserting.
-            probe = (from_ns, to_ns)
-            for a, b in intervals:
-                if from_ns < b and a < to_ns:
-                    raise LedgerError(
-                        f"overlapping busy interval for {unit_id}: "
-                        f"[{from_ns}, {to_ns}) vs [{a}, {b})")
-            insort(intervals, probe)
-        else:
-            intervals.append((from_ns, to_ns))
+        last = self._last_ns[unit_id]
+        if last is None:
+            self._first_ns[unit_id] = from_ns
+        elif from_ns < last:
+            raise LedgerError(f"busy interval [{from_ns}, {to_ns}) for {unit_id} "
+                              f"starts before the last one ends at {last}")
+        self._last_ns[unit_id] = to_ns
         self._busy_total[unit_id] += to_ns - from_ns
 
     def busy_ns(self, unit_id: str, window: tuple[int, int] | None = None) -> int:
-        intervals = self._busy[unit_id]
-        if not intervals or window is None or \
-                (window[0] <= intervals[0][0] and intervals[-1][1] <= window[1]):
-            return self._busy_total[unit_id]  # the window holds every interval
-        t0, t1 = window
-        total = 0
-        for a, b in intervals:
-            a, b = max(a, t0), min(b, t1)
-            if b > a:
-                total += b - a
-        return total
+        first, last = self._first_ns[unit_id], self._last_ns[unit_id]
+        if window is not None and first is not None and \
+                not (window[0] <= first and last <= window[1]):
+            raise LedgerError(f"window [{window[0]}, {window[1]}) cuts the busy time of "
+                              f"{unit_id} in [{first}, {last})")
+        return self._busy_total[unit_id]
 
     def utilization(self, unit_id: str, window: tuple[int, int]) -> float:
         t0, t1 = window
@@ -303,11 +301,9 @@ class PowerLedger:
         static_w = calibration.baseline_static_w + sum(self.static_sources_w.values())
         return static_w * span_s
 
-    def total_energy_j(self, window: tuple[int, int], calibration: PowerCalibration,
-                       busy: list[int] | None = None) -> float:
-        """`busy` is busy_per_unit(window), if the caller already has it."""
-        if busy is None:
-            busy = self.busy_per_unit(window)
+    def total_energy_j(self, window: tuple[int, int],
+                       calibration: PowerCalibration) -> float:
+        busy = self.busy_per_unit(window)
         return (self._dynamic_j(busy)
                 + self._idle_j(window, calibration, busy)
                 + self.static_energy_j(window, calibration))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from slamsim.engine import NS_PER_S
 from slamsim.kernel import (CameraFrame, CircleTrajectory, ImuModel, ImuSample,
@@ -388,6 +388,11 @@ _trajectories = st.one_of(
     st.builds(CircleTrajectory, st.floats(0.0, 20.0), _period))
 
 
+# The IMU-path properties draw long sample batches; shrinking a failure of
+# theirs takes minutes, so they report the first failing example as drawn.
+NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
+
+
 class TestBitExactness:
     @given(seed=st.integers(0, 2 ** 32 - 1),
            accel_bias=st.tuples(_bias, _bias, _bias),
@@ -396,7 +401,7 @@ class TestBitExactness:
            rate_hz=st.sampled_from([1, 7, 30, 200, 333, 1000]),
            radius=st.floats(0.0, 20.0), period=st.floats(1.0, 600.0),
            chunks=st.lists(st.integers(1, 12), min_size=1, max_size=25))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
     def test_imu_path_matches_numpy_reference(self, seed, accel_bias, gyro_bias,
                                               accel_std, gyro_std, rate_hz, radius,
                                               period, chunks):
@@ -435,7 +440,7 @@ class TestBitExactness:
            rate_hz=st.sampled_from([1, 7, 30, 200, 333, 1000]),
            blocks=st.lists(st.integers(1, 150), min_size=1, max_size=6),
            truth=_trajectories, start_s=st.integers(0, 3600))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     def test_block_sampling_matches_per_sample(self, seed, accel_bias, gyro_bias,
                                                accel_std, gyro_std, rate_hz, blocks,
                                                truth, start_s):
@@ -467,7 +472,7 @@ class TestBitExactness:
                                                      "equal-copy", "set-orientation",
                                                      "skip", "restart"])),
                           min_size=1, max_size=20))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
     def test_propagate_matches_rerotating_reference(self, seed, rate_hz, steps):
         """`propagate` inlines the quaternion helpers; chained batches with
         updates, copies, orientations set in place and skipped samples

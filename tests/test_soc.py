@@ -161,26 +161,34 @@ def test_ledger_conservation(chunks, idle_fraction, static_w):
 
 
 @given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 30)), max_size=25),
-       st.randoms(use_true_random=False),
-       st.lists(st.tuples(st.integers(-50, 1200), st.integers(0, 1300)), max_size=10))
+       st.integers(0, 30), st.integers(0, 30), st.data())
 @settings(max_examples=50)
-def test_busy_ns_total_matches_the_interval_walk(chunks, random, windows):
-    """The running total (any window holding every interval) and the walk
-    (partial windows) agree with a direct sum over the clipped intervals,
-    for intervals recorded out of order."""
+def test_busy_ns_is_the_running_total_over_a_covering_window(chunks, before, after, data):
+    """Intervals recorded in time order: the total is their sum, any window
+    that holds them all returns it, a window that leaves out busy time is
+    refused, and so is an interval that starts before the last one ends."""
     intervals, cursor = [], 0
     for gap, width in chunks:
         intervals.append((cursor + gap, cursor + gap + width))
         cursor += gap + width
-    random.shuffle(intervals)
     ledger = PowerLedger({"u": ComputeUnitSpec("u", UnitKind.CPU_CORE)})
     for a, b in intervals:
         ledger.record_busy("u", a, b)
-    covering = [(0, cursor), (-5, cursor + 5)] + ([(0, 0)] if not intervals else [])
-    for t0, t1 in windows + covering:
-        expected = sum(max(0, min(b, t1) - max(a, t0)) for a, b in intervals)
-        assert ledger.busy_ns("u", (t0, t1)) == expected
-    assert ledger.busy_ns("u") == sum(b - a for a, b in intervals)
+    total = sum(b - a for a, b in intervals)
+    assert ledger.busy_ns("u") == total
+    first = intervals[0][0] if intervals else 0
+    assert ledger.busy_ns("u", (first - before, cursor + after)) == total
+    if not intervals:
+        return
+    a, b = data.draw(st.sampled_from(intervals))
+    cut = data.draw(st.integers(a + 1, b))
+    for window in ((cut, cursor + after), (first - before, cut - 1)):
+        with pytest.raises(LedgerError):
+            ledger.busy_ns("u", window)
+    late = data.draw(st.integers(first - 50, cursor - 1))
+    with pytest.raises(LedgerError):
+        ledger.record_busy("u", late, late + data.draw(st.integers(1, 30)))
+    assert ledger.busy_ns("u") == total
 
 
 def test_scratchpad_bank_holds_a_feature_block():
