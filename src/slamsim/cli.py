@@ -34,6 +34,9 @@ def _load_scenario(spec: str, seed=None, duration=None) -> ScenarioConfig:
     if seed is not None:
         overrides["seed"] = seed
     if duration is not None:
+        if not duration > config.warmup_s:
+            raise CliError(f"--duration {duration:g} must exceed the scenario's "
+                           f"warmup_s = {config.warmup_s:g}")
         overrides["duration_s"] = duration
     if overrides:
         config = dataclasses.replace(config, **overrides)

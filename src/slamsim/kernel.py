@@ -6,7 +6,7 @@ drift correction, and map extension. Everything here is a pure function over
 explicit state so architectural stalls in the pipeline produce measurable
 tracking error without hidden coupling.
 
-Data layout. The IMU path (`sample_imu_block`, `propagate`) and the
+Data layout. The IMU path's sequential loop (`integrate`) and the
 trajectories work on Python floats: vectors are 3-tuples, quaternions are
 4-tuples (w, x, y, z), and a `Pose` holds three such tuples. The feature path
 is struct-of-arrays over the dense landmark ids 0..N-1: landmark truth is one
@@ -36,26 +36,34 @@ and it gets the C-order matrix it is specified on.
 
 Array-drawn IMU blocks. numpy's `rng.normal(0.0, std, 3)` returns
 `0.0 + std * z` for three standard normals `z` taken one after another from
-the generator. `sample_imu_block` draws the noise of n samples at once as
+the generator. `draw_imu` draws the noise of n samples at once as
 `rng.standard_normal((n, cols))` and forms `0.0 + std * z` from it: gyro noise
 from the first 3 columns and accel noise from the last 3, with cols 6, or 3
 when only one of the two stds is > 0 (no draw when both are 0). Row i then
 holds exactly the six numbers, in the same draw order, that sample i taken
 alone would draw, so the samples and the generator state after the block are
-bit-identical to n single-sample calls; `sample_imu` is the 1-sample block.
-The true signals come from the trajectory's `imu_signals` as (n, 3) arrays,
-the same operations as `gyro_body` / `accel_body` done column-wise with
-libm's sin and cos, and every component is summed column-wise as
-`(truth + bias) + noise`: each element meets the same IEEE operations on the
-same operands as in the scalar form. The block becomes Python floats with a
-single `.tolist()`.
+bit-identical to n single-sample calls. The true signals come from the
+trajectory's `imu_signals` as (n, 3) arrays, the same operations as
+`gyro_body` / `accel_body` done column-wise with libm's sin and cos, and
+every component is summed column-wise as `(truth + bias) + noise`: each
+element meets the same IEEE operations on the same operands as in the scalar
+form. `draw_imu` returns the gyro and accel arrays; `sample_imu_block` makes
+them `ImuSample`s with a single `.tolist()`, and `sample_imu` is the
+1-sample block.
 
-Straight-line integration. `propagate` writes `quat_exp`, `quat_multiply`,
-`quat_normalize` and `quat_rotate` out inside its loop with the operands in
-the helpers' order, including the `0.0` terms of the rotation's pure
-quaternion and the negated components of the conjugate, so every sample meets
-the helpers' operations; both norms keep the BLAS dot of `_norm`. The helpers
-stay for their other callers and as the specification of the loop.
+Two-half integration. `propagate` is `imu_rows` then `integrate`. An
+interval's rotation increment, `quat_exp(0.5 * (h + g) * dt)` for gyro
+samples h and g, depends on two consecutive samples and never on the
+estimate, so `imu_rows` computes it for a block of samples at once with the
+scalar operations element-wise: `g * dt` for a first interval without a
+previous sample (the rectangle rule), the `angle < 1e-12` branch as a mask,
+libm's sin and cos through `map`, and the angles from one stacked matmul
+(n, 1, 3) @ (n, 3, 1), which numpy evaluates as the BLAS dot `_norm` calls,
+once per row. `integrate` loops over the rows only, with `quat_multiply`,
+`quat_normalize` and `quat_rotate` written out in the helpers' operand order
+(including the `0.0` terms of the pure quaternion and the negated conjugate)
+and `_norm`'s BLAS dot kept for the normalization. The helpers stay for their
+other callers and as the specification of both halves.
 
 Conventions: accelerometer samples are gravity-compensated specific force
 (gravity handling is out of scope for this model). The drift-correction
@@ -322,12 +330,11 @@ class CircleTrajectory:
 # ---------------------------------------------------------------------------
 # operations
 
-def sample_imu_block(model: ImuModel, truth, times_ns, rng: np.random.Generator
-                     ) -> list[ImuSample]:
-    """One IMU sample per time in `times_ns`: true analytic signal + bias +
-    Gaussian noise, with the whole block drawn as arrays (see the module
-    notes). Equal, value and draw for draw, to `sample_imu` at each time in
-    turn."""
+def draw_imu(model: ImuModel, truth, times_ns, rng: np.random.Generator
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Gyro and accel of one IMU sample per time in `times_ns`, as two (n, 3)
+    arrays: true analytic signal + bias + Gaussian noise, the whole block
+    drawn as arrays (see the module notes)."""
     gyro_std, accel_std = model.gyro_noise_std, model.accel_noise_std
     gyro, accel = truth.imu_signals(times_ns)
     gyro += model.gyro_bias
@@ -339,7 +346,14 @@ def sample_imu_block(model: ImuModel, truth, times_ns, rng: np.random.Generator
             gyro += 0.0 + gyro_std * z[:, :3]
         if accel_std > 0:
             accel += 0.0 + accel_std * z[:, cols - 3:]
-    rows = np.hstack((gyro, accel)).tolist()
+    return gyro, accel
+
+
+def sample_imu_block(model: ImuModel, truth, times_ns, rng: np.random.Generator
+                     ) -> list[ImuSample]:
+    """`draw_imu` as one `ImuSample` per time. Equal, value and draw for
+    draw, to `sample_imu` at each time in turn."""
+    rows = np.hstack(draw_imu(model, truth, times_ns, rng)).tolist()
     return [ImuSample(t_ns, (gx, gy, gz), (ax, ay, az))
             for t_ns, (gx, gy, gz, ax, ay, az) in zip(times_ns, rows)]
 
@@ -349,49 +363,55 @@ def sample_imu(model: ImuModel, truth, t_ns: int, rng: np.random.Generator) -> I
     return sample_imu_block(model, truth, (t_ns,), rng)[0]
 
 
-def propagate(pose: Pose, batch: list[ImuSample], from_t_ns: int,
-              prev_sample: ImuSample | None = None) -> Pose:
-    """Advance pose through an IMU batch by double integration.
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """The norm of each row of a C-order (n, 3) array as `_norm` takes it:
+    the stacked product (n, 1, 3) @ (n, 3, 1) is one BLAS dot per row."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
 
-    Trapezoidal rule for velocity and position, first-order quaternion
-    exponential for orientation. `prev_sample` supplies the signal value at
-    `from_t_ns`, which makes batched and sample-by-sample integration give
-    bit-identical results (each interval is paired with the same endpoints
-    either way); without it the first interval degrades to a rectangle rule.
-    The loop is `quat_exp`, `quat_multiply`, `quat_normalize` and
-    `quat_rotate` written out (see the module notes).
-    """
-    if not batch:
-        return pose.copy()
+
+def imu_rows(times_ns, gyro: np.ndarray, accel: np.ndarray, from_t_ns: int,
+             prev_gyro=None) -> list[list[float]]:
+    """The state-free half of `propagate`: per sample, the row (dt, ew, ex,
+    ey, ez, ax, ay, az) of the interval ending at it in seconds, the
+    interval's rotation increment and the sample's body accel. `prev_gyro` is
+    the gyro at `from_t_ns`; without it the first interval is a rectangle."""
+    ticks = np.diff(np.asarray(times_ns, dtype=np.int64), prepend=from_t_ns)
+    if (ticks <= 0).any():
+        raise ValueError("IMU batch timestamps must be strictly increasing")
+    dt = ticks / NS_PER_S
+    mid = np.empty_like(gyro)
+    mid[0] = gyro[0] if prev_gyro is None else 0.5 * (prev_gyro + gyro[0])
+    mid[1:] = 0.5 * (gyro[:-1] + gyro[1:])
+    omega = mid * dt[:, None]
+    angle = _row_norms(omega)
+    half = (0.5 * angle).tolist()
+    n = len(half)
+    rows = np.empty((n, 8))
+    rows[:, 0] = dt
+    rows[:, 1] = np.fromiter(map(math.cos, half), float, n)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rows[:, 2:5] = np.fromiter(map(math.sin, half), float, n)[:, None] * (
+            omega / angle[:, None])
+    small = angle < 1e-12
+    if small.any():
+        rows[small, 1] = 1.0
+        rows[small, 2:5] = 0.5 * omega[small]
+    rows[:, 5:] = accel
+    return rows.tolist()
+
+
+def integrate(pose: Pose, rows, prev_accel=None) -> Pose:
+    """The sequential half of `propagate`: advance `pose` through `imu_rows`
+    rows. `prev_accel` is the body accel at the start, rotated with the
+    pose's orientation; without it the first interval is a rectangle."""
     qw, qx, qy, qz = pose.orientation
     vx, vy, vz = pose.velocity
     px, py, pz = pose.position
-    prev_t = from_t_ns
-    if prev_sample is not None:
-        a0x, a0y, a0z = quat_rotate(pose.orientation, prev_sample.accel)
-        hx, hy, hz = prev_sample.gyro
+    if prev_accel is not None:
+        a0x, a0y, a0z = quat_rotate(pose.orientation, prev_accel)
     else:
-        a0x = a0y = a0z = hx = hy = hz = None
-    for t_ns, gyro, accel in batch:
-        if t_ns <= prev_t:
-            raise ValueError("IMU batch timestamps must be strictly increasing")
-        dt = (t_ns - prev_t) / NS_PER_S
-        gx, gy, gz = gyro
-        if hx is None:
-            ox, oy, oz = gx * dt, gy * dt, gz * dt
-        else:
-            ox = 0.5 * (hx + gx) * dt
-            oy = 0.5 * (hy + gy) * dt
-            oz = 0.5 * (hz + gz) * dt
-        # quat_exp
-        o = np.array((ox, oy, oz))
-        angle = math.sqrt(o.dot(o))
-        if angle < 1e-12:
-            ew, ex, ey, ez = 1.0, 0.5 * ox, 0.5 * oy, 0.5 * oz
-        else:
-            half = 0.5 * angle
-            s = math.sin(half)
-            ew, ex, ey, ez = math.cos(half), s * (ox / angle), s * (oy / angle), s * (oz / angle)
+        a0x = a0y = a0z = None
+    for dt, ew, ex, ey, ez, bx, by, bz in rows:
         # quat_multiply, then quat_normalize
         mw = qw * ew - qx * ex - qy * ey - qz * ez
         mx = qw * ex + qx * ew + qy * ez - qz * ey
@@ -401,7 +421,6 @@ def propagate(pose: Pose, batch: list[ImuSample], from_t_ns: int,
         n = math.sqrt(m.dot(m))
         qw, qx, qy, qz = mw / n, mx / n, my / n, mz / n
         # quat_rotate: (q * (0, accel)) * conj(q), vector part
-        bx, by, bz = accel
         tw = qw * 0.0 - qx * bx - qy * by - qz * bz
         tx = qw * bx + qx * 0.0 + qy * bz - qz * by
         ty = qw * by - qx * bz + qy * 0.0 + qz * bx
@@ -419,10 +438,26 @@ def propagate(pose: Pose, batch: list[ImuSample], from_t_ns: int,
         py = py + 0.5 * (vy + nvy) * dt
         pz = pz + 0.5 * (vz + nvz) * dt
         vx, vy, vz = nvx, nvy, nvz
-        prev_t = t_ns
         a0x, a0y, a0z = ax, ay, az
-        hx, hy, hz = gx, gy, gz
     return Pose((px, py, pz), (vx, vy, vz), (qw, qx, qy, qz))
+
+
+def propagate(pose: Pose, batch: list[ImuSample], from_t_ns: int,
+              prev_sample: ImuSample | None = None) -> Pose:
+    """Advance pose through an IMU batch by double integration: `imu_rows`,
+    then `integrate`. Trapezoidal rule for velocity and position, first-order
+    quaternion exponential for orientation. `prev_sample` supplies the signal
+    value at `from_t_ns`, which makes batched and sample-by-sample
+    integration give bit-identical results (each interval is paired with the
+    same endpoints either way); without it the first interval degrades to a
+    rectangle rule."""
+    if not batch:
+        return pose.copy()
+    times, gyro, accel = zip(*batch)
+    prev_gyro, prev_accel = (None, None) if prev_sample is None else prev_sample[1:]
+    rows = imu_rows(times, np.array(gyro, float), np.array(accel, float), from_t_ns,
+                    prev_gyro)
+    return integrate(pose, rows, prev_accel)
 
 
 def feature_capacity(max_bytes: int = FEATURE_BLOCK_MAX_BYTES,

@@ -27,7 +27,7 @@ Handoffs from feature extraction to update and mapping:
 
 The IMU is a lazy source (`Engine.start_source`): a sample has no event of
 its own, and a propagation kick or the drain after mapping takes the samples
-(taken, delivered] straight from the sample blocks. Sample k, at
+(taken, delivered] as one batch, the index range itself. Sample k, at
 t_k = k * NS_PER_S // imu_rate_hz, counts as delivered before an event E if
 
 * t_k < E.at, or
@@ -44,29 +44,33 @@ propagation unit is idle, the one case where an arrival acts; it sits at the
 (at, seq) position of the sample it stands for.
 
 The estimate is integrated when it is read, not when a propagation task
-completes. A completion (`_apply_propagation`) counts its samples and appends
-them to `imu_pending`; `propagate` runs once over everything pending at the
-start of each update and whenever `est_pose` is read, so `sim.est_pose` is
-exact at any time, also between `run_until` slices. This gives the bits of
-integrating each batch as it completes: only an update changes the pose
-between two reads, and `propagate` over a concatenation of batches equals
-chained calls that each get the previous batch's last sample, since every
+completes. A completion (`_apply_propagation`) only advances `imu_done`; at
+the start of each update and whenever `est_pose` is read, one `integrate`
+call takes the rows of the samples (imu_integrated, imu_done], so
+`sim.est_pose` is exact at any time, also between `run_until` slices. Rows
+come in blocks of IMU_BLOCK, drawn in order from the private "imu" stream as
+integration reaches them, and pair each sample with the one before it
+(sample 1 takes the rectangle rule). This gives the bits of calling
+`propagate` on each batch as it completes, chained to the previous batch's
+last sample: only an update changes the pose between two reads, and every
 interval meets the same endpoints either way.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import count
 
 import numpy as np
 
 from .bank import (FeatureBankController, MAPPING_CONSUMER, UPDATE_CONSUMER)
 from .engine import Engine, EventKind, NS_PER_S, ms_to_ns, s_to_ns
 from .kernel import (CameraFrame, ImuModel, CircleTrajectory, LandmarkField, WorldMap,
-                     extend_map, extract_features, generate_landmarks, propagate,
-                     sample_imu_block, update_pose)
-# Unused here, but perfbench/tracing.py wraps `pipeline.sample_imu` by name.
-from .kernel import sample_imu  # noqa: F401
+                     draw_imu, extend_map, extract_features, generate_landmarks, imu_rows,
+                     integrate, update_pose)
+# Unused here, but perfbench/tracing.py wraps `pipeline.propagate` and
+# `pipeline.sample_imu` by name.
+from .kernel import propagate, sample_imu  # noqa: F401
 from .scenario import VARIANTS, Handoff, Ingest, ScenarioConfig
 from .soc import (ComputeUnitSpec, LatencyTable, PowerCalibration, PowerLedger, Stage,
                   UnitKind)
@@ -194,15 +198,13 @@ class Simulation:
         self.field = LandmarkField(
             generate_landmarks(k.landmark_count, self.engine.stream("landmarks")))
         self.world_map = WorldMap(k.landmark_count)
-        self._est_pose = self.truth.pose_at(0)  # integrated up to last_propagated_ns
-        self.imu_pending: list = []  # propagated samples not yet integrated
-        self.prev_imu = None
-        self.last_propagated_ns = 0
-        # The sample block last drawn; before the first, an empty block ending
-        # just before sample 1.
-        self.imu_block: list = []
-        self.imu_block_first = 1 - IMU_BLOCK  # sample index of imu_block[0]
+        self._est_pose = self.truth.pose_at(0)  # integrated up to imu_integrated
         self.imu_taken = 0  # last sample taken into a propagation batch
+        self.imu_done = 0  # last sample whose propagation completed
+        self.imu_integrated = 0  # last sample integrated into the estimate
+        self.imu_blocks = self._imu_row_blocks()
+        self.imu_rows: list = []  # rows of the samples drawn after imu_integrated
+        self.imu_accel = None  # body accel of sample imu_integrated, if any
         self.imu_max_batch = 0
         self.imu_wakeup_pending = False
 
@@ -213,7 +215,6 @@ class Simulation:
         self.frames_throttled = 0  # sensor-pin back-pressure
         self.update_completions: list[int] = []
         self.position_errors: list[float] = []  # one per update completion
-        self.imu_samples_processed = 0
         self.stage_durations_ns: dict[Stage, list[int]] = {s: [] for s in Stage}
         self.alloc_counter_bytes = 0
         self.alloc_total_bytes = 0
@@ -278,6 +279,10 @@ class Simulation:
         return self.engine.sample_index
 
     @property
+    def imu_samples_processed(self) -> int:
+        return self.imu_done
+
+    @property
     def imu_high_water(self) -> int:
         """The most samples ever delivered and not yet taken: the largest
         batch, or what is still pending."""
@@ -325,27 +330,14 @@ class Simulation:
         self.imu_wakeup_pending = False
         self._kick_propagation()
 
-    def _take_imu(self) -> list:
-        """The samples delivered and not yet taken, in order. Blocks are drawn
-        in order as the batches reach them; the block the last batch ends in
-        may run past the end of the run, which only advances the "imu"
-        stream."""
-        hi = self.engine.sample_index
-        first = self.imu_block_first
-        batch = self.imu_block[self.imu_taken + 1 - first:hi + 1 - first]
-        while first + IMU_BLOCK <= hi:
-            first += IMU_BLOCK
-            rate = self.config.imu_rate_hz
-            self.imu_block = sample_imu_block(
-                self.imu_model, self.truth,
-                [(j * NS_PER_S) // rate for j in range(first, first + IMU_BLOCK)],
-                self.engine.stream("imu"))
-            batch += self.imu_block[:hi + 1 - first]
-        self.imu_block_first = first
+    def _take_imu(self) -> tuple[int, int]:
+        """The samples delivered and not yet taken, as the index range (lo,
+        hi]; empty if lo == hi."""
+        lo, hi = self.imu_taken, self.engine.sample_index
         self.imu_taken = hi
-        if len(batch) > self.imu_max_batch:
-            self.imu_max_batch = len(batch)
-        return batch
+        if hi - lo > self.imu_max_batch:
+            self.imu_max_batch = hi - lo
+        return lo, hi
 
     # ------------------------------------------------------------------
     # frame ingest
@@ -432,9 +424,9 @@ class Simulation:
 
     def _propagate_delivered(self) -> None:
         """Submit every delivered sample not yet taken as one batch."""
-        batch = self._take_imu()
-        if batch:
-            self._submit(Stage.PROPAGATION, batch, self._on_propagation_done)
+        lo, hi = self._take_imu()
+        if lo < hi:
+            self._submit(Stage.PROPAGATION, (lo, hi), self._on_propagation_done)
 
     def _on_propagation_done(self, task: _Task) -> None:
         self._apply_propagation(task.payload)
@@ -502,20 +494,33 @@ class Simulation:
     # ------------------------------------------------------------------
     # functional kernel application
 
-    def _apply_propagation(self, batch: list) -> None:
-        """A propagation task completed: its batch is integrated on the next
-        read of `est_pose` (see the module notes)."""
-        self.imu_pending += batch
-        self.imu_samples_processed += len(batch)
+    def _apply_propagation(self, batch: tuple[int, int]) -> None:
+        """A propagation task completed: its batch (lo, hi] is integrated on
+        the next read of `est_pose` (see the module notes)."""
+        self.imu_done = batch[1]
+
+    def _imu_row_blocks(self):
+        """The integration rows (`kernel.imu_rows`) of samples 1, 2, ..., one
+        block of IMU_BLOCK at a time, drawn in order from the "imu" stream.
+        Sample 1 takes the rectangle rule."""
+        rate, rng = self.config.imu_rate_hz, self.engine.stream("imu")
+        prev_t, prev_gyro = 0, None
+        for first in count(1, IMU_BLOCK):
+            times = np.arange(first, first + IMU_BLOCK, dtype=np.int64) * NS_PER_S // rate
+            gyro, accel = draw_imu(self.imu_model, self.truth, times, rng)
+            yield imu_rows(times, gyro, accel, prev_t, prev_gyro)
+            prev_t, prev_gyro = times[-1], gyro[-1]
 
     def _integrate_pending(self) -> None:
-        pending = self.imu_pending
-        if pending:
-            self._est_pose = propagate(self._est_pose, pending, self.last_propagated_ns,
-                                       prev_sample=self.prev_imu)
-            self.prev_imu = pending[-1]
-            self.last_propagated_ns = pending[-1].t_ns
-            self.imu_pending = []
+        n = self.imu_done - self.imu_integrated
+        if n:
+            rows = self.imu_rows
+            while len(rows) < n:
+                rows += next(self.imu_blocks)
+            self._est_pose = integrate(self._est_pose, rows[:n], self.imu_accel)
+            self.imu_accel = rows[n - 1][5:]
+            del rows[:n]
+            self.imu_integrated = self.imu_done
 
     def _apply_update(self, block) -> None:
         now = self.engine.now()

@@ -7,12 +7,13 @@ from hypothesis import Phase, given, settings, strategies as st
 from slamsim.engine import NS_PER_S
 from slamsim.kernel import (CameraFrame, CircleTrajectory, ImuModel, ImuSample,
                             LandmarkField, Pose, StationaryTrajectory, WorldMap,
-                            extend_map, extract_features, feature_capacity,
-                            generate_landmarks, propagate, quat_exp, quat_from_yaw,
-                            quat_multiply, quat_normalize, quat_rotate, sample_imu,
-                            sample_imu_block, update_pose,
+                            draw_imu, extend_map, extract_features, feature_capacity,
+                            generate_landmarks, imu_rows, integrate, propagate, quat_exp,
+                            quat_from_yaw, quat_multiply, quat_normalize, quat_rotate,
+                            sample_imu, sample_imu_block, update_pose, _norm, _row_norms,
                             FEATURE_BLOCK_HEADER_BYTES, FEATURE_BLOCK_MAX_BYTES,
                             FEATURE_RECORD_BYTES)
+from slamsim.pipeline import IMU_BLOCK
 
 
 class TestQuaternions:
@@ -511,6 +512,68 @@ class TestBitExactness:
                 prev, from_t, start = samples[start], samples[start].t_ns, start + 1
             elif between == "restart":
                 prev = None
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), rate_hz=st.integers(1, 1000),
+           noise=st.sampled_from(["none", "gyro", "accel", "both"]),
+           std=st.floats(1e-4, 0.2), accel_bias=st.tuples(_bias, _bias, _bias),
+           gyro_bias=st.one_of(st.just((0.0, 0.0, 0.0)), st.tuples(_bias, _bias, _bias)),
+           truth=st.one_of(st.builds(StationaryTrajectory),
+                           st.builds(CircleTrajectory, st.floats(0.0, 20.0), _period)),
+           data=st.data())
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+    def test_block_rows_match_propagate_and_numpy_reference(
+            self, seed, rate_hz, noise, std, accel_bias, gyro_bias, truth, data):
+        """Rows drawn block by block as the pipeline draws them, integrated
+        over chunks that cross block boundaries, give the bits of the public
+        `propagate` over the same chunks and of the numpy reference. Sample 1
+        takes the rectangle rule; a stationary IMU without gyro bias or noise
+        has rotation vectors of norm exactly 0."""
+        model = ImuModel(accel_bias=accel_bias, gyro_bias=gyro_bias,
+                         accel_noise_std=std if noise in ("accel", "both") else 0.0,
+                         gyro_noise_std=std if noise in ("gyro", "both") else 0.0,
+                         rate_hz=rate_hz)
+        total = data.draw(st.integers(IMU_BLOCK + 1, 3 * IMU_BLOCK))
+        cuts = data.draw(st.lists(st.integers(1, total - 1), max_size=12))
+        bounds = [0] + sorted(set(cuts)) + [total]
+        times = [(k * NS_PER_S) // rate_hz for k in range(1, total + 1)]
+
+        rng = np.random.default_rng(seed)
+        rows, prev_t, prev_gyro = [], 0, None
+        for first in range(0, total, IMU_BLOCK):
+            block = times[first:first + IMU_BLOCK]
+            gyro, accel = draw_imu(model, truth, block, rng)
+            rows += imu_rows(block, gyro, accel, prev_t, prev_gyro)
+            prev_t, prev_gyro = block[-1], gyro[-1]
+        samples = sample_imu_block(model, truth, times, np.random.default_rng(seed))
+        ref_rng = np.random.default_rng(seed)
+        ref = [_np_sample_imu(model, truth, t, ref_rng) for t in times]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if isinstance(truth, StationaryTrajectory) and noise in ("none", "accel") \
+                and gyro_bias == (0.0, 0.0, 0.0):
+            assert all(row[1:5] == [1.0, 0.0, 0.0, 0.0] for row in rows)
+
+        pose = public = truth.pose_at(0)
+        p, v, q = (np.array(c) for c in (pose.position, pose.velocity, pose.orientation))
+        prev_accel = None
+        for a, b in zip(bounds, bounds[1:]):
+            from_t = times[a - 1] if a else 0
+            pose = integrate(pose, rows[a:b], prev_accel)
+            public = propagate(public, samples[a:b], from_t,
+                               prev_sample=samples[a - 1] if a else None)
+            p, v, q = _np_propagate(p, v, q, ref[a:b], from_t,
+                                    prev_sample=ref[a - 1] if a else None)
+            assert _pose_bits(pose) == _pose_bits(public)
+            _assert_pose_equal(pose, p, v, q)
+            prev_accel = rows[b - 1][5:]
+
+    def test_stacked_norms_are_the_per_row_blas_dot(self):
+        """`imu_rows` takes a block's rotation-vector norms with one stacked
+        matmul; it must give the bits of `_norm`'s BLAS dot on every row (a
+        left-to-right sum of squares differs on about a fifth of them), or
+        every digest would move."""
+        rng = np.random.default_rng(2017)
+        v = rng.standard_normal((20_000, 3)) * 10.0 ** rng.uniform(-8.0, 2.0, (20_000, 1))
+        assert _row_norms(v).tolist() == [_norm(row) for row in v.tolist()]
 
     @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 1200),
            visible_share=st.floats(0.0, 1.0), known_share=st.floats(0.0, 1.0),

@@ -1,14 +1,15 @@
 import dataclasses
 from collections import deque
 from functools import lru_cache
+from itertools import count
 from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slamsim.engine import NS_PER_MS, NS_PER_S, EventKind, ms_to_ns
+from slamsim.engine import NS_PER_MS, NS_PER_S, Engine, EventKind, ms_to_ns
 from slamsim import pipeline
-from slamsim.kernel import propagate, sample_imu_block
+from slamsim.kernel import integrate, propagate, sample_imu_block
 from slamsim.pipeline import IMU_BLOCK, Simulation
 from slamsim.report import audit_trace, build_report, run_scenario, tracking_loss_count
 from slamsim.scenario import (VARIANTS, ArchVariant, KernelConfig, RelayConfig, ScenarioConfig,
@@ -294,17 +295,28 @@ class TestVariantTable:
 # ---------------------------------------------------------------------------
 # The lazy IMU source against the one-event-per-sample chain it replaced.
 
+def _eager_samples(sim):
+    """The `ImuSample`s 1, 2, ... of `sim`'s run, drawn with `sample_imu_block`
+    in blocks of IMU_BLOCK from a copy of its "imu" stream."""
+    rate, rng = sim.config.imu_rate_hz, Engine(sim.config.seed).stream("imu")
+    for first in count(1, IMU_BLOCK):
+        yield from sample_imu_block(
+            sim.imu_model, sim.truth,
+            [(j * NS_PER_S) // rate for j in range(first, first + IMU_BLOCK)], rng)
+
+
 class EagerImuSimulation(Simulation):
     """Test oracle: every IMU sample is an engine event scheduled by its
-    predecessor's handler. The handler appends the sample to a FIFO buffer and
-    kicks propagation, and kicks and the drain after mapping empty the
-    buffer."""
+    predecessor's handler. The handler appends the sample, drawn as an
+    `ImuSample` due at the event's time, to a FIFO buffer and kicks
+    propagation, and kicks and the drain after mapping empty the buffer into
+    a batch: the index range of its samples."""
 
     def _wire_sources(self):
         self.imu_buffer = deque()
         self.eager_high_water = 0
         self.eager_emitted = 0
-        self.eager_block, self.eager_block_first = [], 0
+        self.eager_samples = _eager_samples(self)
         self.engine.on("frames", self._on_frame_event)
         self.engine.on("imu", self._on_imu_event)
         self.engine.on("gc", self._on_gc_end)
@@ -326,35 +338,30 @@ class EagerImuSimulation(Simulation):
         self.engine.schedule(((k + 1) * NS_PER_S) // self.config.imu_rate_hz,
                              "imu", EventKind.IMU_SAMPLE_READY, k + 1)
         self.eager_emitted += 1
-        self.imu_buffer.append(self._sample(k))
+        sample = next(self.eager_samples)
+        assert (k, sample.t_ns) == (self.eager_emitted, ev.at)
+        self.imu_buffer.append(k)
         self.eager_high_water = max(self.eager_high_water, len(self.imu_buffer))
         if self.imu_kicks_propagation:
             self._kick_propagation()
 
-    def _sample(self, k):
-        i = k - self.eager_block_first
-        if not 0 <= i < len(self.eager_block):
-            self.eager_block_first = first = k - (k - 1) % IMU_BLOCK
-            rate = self.config.imu_rate_hz
-            self.eager_block = sample_imu_block(
-                self.imu_model, self.truth,
-                [(j * NS_PER_S) // rate for j in range(first, first + IMU_BLOCK)],
-                self.engine.stream("imu"))
-            i = k - first
-        return self.eager_block[i]
-
     def _take_imu(self):
         batch = list(self.imu_buffer)
         self.imu_buffer.clear()
-        return batch
+        if not batch:
+            return 0, 0
+        assert batch == list(range(batch[0], batch[-1] + 1))
+        return batch[0] - 1, batch[-1]
 
 
 def _record_batches(sim):
-    """Every propagation batch `sim` applies, with the time it completes."""
+    """Every propagation batch `sim` applies, as (completion time, first
+    sample index, last sample index)."""
     batches, apply = [], sim._apply_propagation
 
     def record(batch):
-        batches.append((sim.engine.now(), batch))
+        lo, hi = batch
+        batches.append((sim.engine.now(), lo + 1, hi))
         apply(batch)
 
     sim._apply_propagation = record
@@ -478,16 +485,25 @@ class TestLazyImuSource:
 # Deferred integration against integrating each batch as its task completes.
 
 class EagerPropagationSimulation(Simulation):
-    """Test oracle: every completed propagation batch is integrated into the
-    estimate at once, each call chained to the previous batch's last
-    sample."""
+    """Test oracle: every completed propagation batch is drawn as
+    `ImuSample`s with `sample_imu_block` and integrated into the estimate at
+    once by the public `propagate`, each call chained to the previous batch's
+    last sample."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.eager_samples = _eager_samples(self)
+        self.eager_prev = None
 
     def _apply_propagation(self, batch):
-        self._est_pose = propagate(self._est_pose, batch, self.last_propagated_ns,
-                                   prev_sample=self.prev_imu)
-        self.prev_imu = batch[-1]
-        self.last_propagated_ns = batch[-1].t_ns
-        self.imu_samples_processed += len(batch)
+        lo, hi = batch
+        assert lo == self.imu_done < hi
+        samples = [next(self.eager_samples) for _ in range(lo, hi)]
+        prev = self.eager_prev
+        self._est_pose = propagate(self._est_pose, samples, prev.t_ns if prev else 0,
+                                   prev_sample=prev)
+        self.eager_prev = samples[-1]
+        self.imu_done = self.imu_integrated = hi
 
 
 def _pose_bits(pose):
@@ -526,14 +542,14 @@ class TestDeferredIntegration:
             _estimates(EagerPropagationSimulation(config), cuts)
 
     @pytest.mark.parametrize("variant", list(ArchVariant))
-    def test_propagate_runs_once_per_read(self, monkeypatch, variant):
+    def test_integration_runs_once_per_read(self, monkeypatch, variant):
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args[1])
-            return propagate(*args, **kwargs)
+            return integrate(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "propagate", counting)
+        monkeypatch.setattr(pipeline, "integrate", counting)
         config = ScenarioConfig(variant=variant, imu_rate_hz=1000, duration_s=3.0,
                                 relay=RelayConfig(heap_budget_mib=30.0))
         sim = Simulation(config)

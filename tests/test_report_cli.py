@@ -176,6 +176,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("duration", ["2", "1.5", "0", "-1"])
+    def test_duration_within_the_warmup_is_one_error_line(self, capsys, duration):
+        # The preset's warm-up is 2 s; the error names the flag, not a key
+        # the user never set.
+        assert cli.main(["run", "--scenario", "preset:slam-arch",
+                         "--duration", duration]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --duration {float(duration):g} ")
+        assert "warmup_s = 2" in err and err.count("\n") == 1
+
     def test_missing_scenario_file(self, capsys):
         assert cli.main(["run", "--scenario", "/no/such/file.json"]) == 2
         assert "not found" in capsys.readouterr().err
