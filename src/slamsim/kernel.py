@@ -379,7 +379,7 @@ def imu_rows(times_ns, gyro: np.ndarray, accel: np.ndarray, from_t_ns: int,
     if (ticks <= 0).any():
         raise ValueError("IMU batch timestamps must be strictly increasing")
     dt = ticks / NS_PER_S
-    mid = np.empty_like(gyro)
+    mid = np.empty(gyro.shape)
     mid[0] = gyro[0] if prev_gyro is None else 0.5 * (prev_gyro + gyro[0])
     mid[1:] = 0.5 * (gyro[:-1] + gyro[1:])
     omega = mid * dt[:, None]

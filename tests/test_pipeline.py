@@ -307,10 +307,10 @@ def _eager_samples(sim):
 
 class EagerImuSimulation(Simulation):
     """Test oracle: every IMU sample is an engine event scheduled by its
-    predecessor's handler. The handler appends the sample, drawn as an
-    `ImuSample` due at the event's time, to a FIFO buffer and kicks
-    propagation, and kicks and the drain after mapping empty the buffer into
-    a batch: the index range of its samples."""
+    predecessor's handler. The handler draws the sample as an `ImuSample`,
+    checks that it is due at the event's time, appends its index to a FIFO
+    buffer and kicks propagation; kicks and the drain after mapping empty the
+    buffer into a batch, the index range of its samples."""
 
     def _wire_sources(self):
         self.imu_buffer = deque()
