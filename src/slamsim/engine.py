@@ -4,21 +4,32 @@ The clock is integer nanoseconds so event ordering is exact; sub-nanosecond
 costs (e.g. scratchpad accesses) are accumulated as energy/latency
 contributions elsewhere, never as individually scheduled events.
 
-A periodic source can run lazily (`start_source`): sample k falls at
-k * NS_PER_S // rate, but has no event of its own. The engine keeps
-`sample_index`, the last sample that counts as delivered, up to date with one
-check per delivered event: before an event at (at, seq) is handled, every
-sample the removed per-sample event chain would have delivered first counts
-as delivered. Sample k's removed event would have taken its seq when sample
-k-1 was delivered, so k counts as delivered before an event E if t_k < E.at,
-or if t_k == E.at and sample k-1 already counted as delivered when E was
-scheduled. The engine reserves that seq each time `sample_index` moves, so
-`schedule_next_sample` can place a real event at the exact (at, seq) position
-of the next sample, for the one case where its arrival acts (the
-synchronization point of a temporally decoupled source, as in SystemC
-TLM-2.0's quantum keeper).
-"""
+Two processes can run lazily, without an event of their own, as temporally
+decoupled processes synchronized by a quantum keeper (SystemC TLM-2.0, IEEE
+1666-2011). Each keeps its next action at the exact (at, seq) position the
+event it replaces would have had, and the engine brings both up to date with
+one comparison per delivered event, against the earlier of their next times.
 
+A periodic source (`start_source`): sample k falls at k * NS_PER_S // rate.
+The engine keeps `sample_index`, the last sample that counts as delivered:
+before an event at (at, seq) is handled, every sample the removed
+per-sample event chain would have delivered first counts as delivered.
+Sample k's removed event would have taken its seq when sample k-1 was
+delivered, so k counts as delivered before an event E if t_k < E.at, or if
+t_k == E.at and sample k-1 already counted as delivered when E was
+scheduled. The engine reserves that seq each time `sample_index` moves, so
+`schedule_next_sample` can place a real event at the exact (at, seq)
+position of the next sample, for a case where its arrival acts.
+
+A server (`start_server`): one callback whose next action is either a time
+set with `serve_at`, which reserves a seq as `schedule` would, or the
+arrival of the next sample (`serve_next_sample`), at that sample's position.
+Before an event E is handled, the engine settles every server action
+ordered before E in (at, seq) order: it delivers the samples ordered before
+the action, sets the clock to the action's time and calls the callback,
+which may set the next action. `run_until(end)` settles the actions at or
+before `end` before it returns. The callback must schedule no event.
+"""
 from __future__ import annotations
 
 import zlib
@@ -32,8 +43,8 @@ NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
 
-# The next sample time while no source runs: later than any clock value.
-_NO_SOURCE_NS = 1 << 63
+# The next sample or server time while there is none: later than any clock value.
+_NEVER_NS = 1 << 63
 
 
 def ms_to_ns(ms: float) -> int:
@@ -94,8 +105,14 @@ class Engine:
         # The lazy periodic source (see the module notes).
         self.sample_index = 0  # last sample that counts as delivered
         self._sample_rate_hz = 0
-        self._next_sample_ns = _NO_SOURCE_NS
+        self._next_sample_ns = _NEVER_NS
         self._next_sample_seq = 0  # seq reserved for the next sample's event
+        # The lazy server: its callback and the (at, seq) of its next action.
+        self._server = None
+        self._server_ns = _NEVER_NS
+        self._server_seq = 0
+        # The earlier of the next sample time and the next server time.
+        self._lazy_ns = _NEVER_NS
 
     def now(self) -> int:
         return self._now
@@ -129,6 +146,7 @@ class Engine:
         self.sample_index = 0
         self._next_sample_ns = NS_PER_S // rate_hz
         self._reserve_sample_seq()
+        self._lazy_ns = min(self._next_sample_ns, self._server_ns)
 
     def schedule_next_sample(self, target: str, kind: EventKind) -> Event:
         """Schedule a real event for sample `sample_index + 1`, at the (at,
@@ -138,6 +156,28 @@ class Engine:
         self.scheduled_count += 1
         heappush(self._queue, ev)
         return ev
+
+    def start_server(self, callback) -> None:
+        """Install the lazy server; it has no next action until one is set."""
+        self._server = callback
+
+    def serve_at(self, at: int) -> None:
+        """The server's next action is at `at`, ordered as an event scheduled
+        now would be."""
+        if at < self._now:
+            raise SchedulingError(f"cannot serve at t={at} ns; clock is at {self._now} ns")
+        self._server_ns = at
+        self._server_seq = self._seq
+        self._seq += 1
+        if at < self._lazy_ns:
+            self._lazy_ns = at
+
+    def serve_next_sample(self) -> None:
+        """The server's next action is the arrival of sample `sample_index +
+        1`, at the (at, seq) position its per-sample event would have had."""
+        self._server_ns = self._next_sample_ns
+        self._server_seq = self._next_sample_seq
+        self._lazy_ns = self._next_sample_ns
 
     def _reserve_sample_seq(self) -> None:
         self._next_sample_seq = self._seq
@@ -156,21 +196,39 @@ class Engine:
         self._next_sample_ns = ((k + 1) * NS_PER_S) // self._sample_rate_hz
         self._reserve_sample_seq()
 
+    def _settle(self, at: int, seq: int) -> None:
+        """Settle every server action and deliver every sample ordered
+        before an event at (at, seq)."""
+        server_ns = self._server_ns
+        while server_ns < at or (server_ns == at and self._server_seq < seq):
+            if self._next_sample_ns <= server_ns:
+                self._deliver_samples(server_ns, self._server_seq)
+            self._now = server_ns
+            self._server_ns = _NEVER_NS
+            self._server()
+            server_ns = self._server_ns
+        next_ns = self._next_sample_ns
+        if next_ns <= at:
+            self._deliver_samples(at, seq)
+            next_ns = self._next_sample_ns
+        self._lazy_ns = server_ns if server_ns < next_ns else next_ns
+
     def run_until(self, end: int) -> None:
-        """Process every event with at <= end; afterwards now() == end, and
-        every source sample at or before end counts as delivered."""
+        """Process every event with at <= end; afterwards now() == end, every
+        source sample at or before end counts as delivered, and every server
+        action at or before end is settled."""
         queue, handlers = self._queue, self._handlers
         while queue and queue[0][0] <= end:
             ev = heappop(queue)
             at = ev[0]
-            self._now = at
             self.delivered_count += 1
-            if at >= self._next_sample_ns:
-                self._deliver_samples(at, ev[1])
+            if at >= self._lazy_ns:
+                self._settle(at, ev[1])
+            self._now = at
             handler = handlers.get(ev.target)
             if handler is not None:
                 handler(ev)
+        if self._lazy_ns <= end:
+            # What falls up to `end` had its events handled in this call.
+            self._settle(end + 1, -1)
         self._now = max(self._now, end)
-        if self._next_sample_ns <= end:
-            # The samples up to `end` had their events handled in this call.
-            self._deliver_samples(end + 1, 0)

@@ -19,16 +19,16 @@ stage runs on, an ingest policy and a handoff. Ingest policies:
 Handoffs from feature extraction to update and mapping:
 
 * shared: through shared memory; an IMU sample that arrives while the
-  propagation unit is idle kicks propagation, which takes every sample
-  delivered so far.
+  propagation unit is idle starts propagation, and each propagation task
+  takes every sample delivered and not yet taken.
 * two-bank: features are written into a two-bank scratchpad and the CPU is
   notified through the bank-swap interrupt protocol; IMU samples buffer
   while mapping runs and are consumed in one batch afterward.
 
 The IMU is a lazy source (`Engine.start_source`): a sample has no event of
-its own, and a propagation kick or the drain after mapping takes the samples
-(taken, delivered] as one batch, the index range itself. Sample k, at
-t_k = k * NS_PER_S // imu_rate_hz, counts as delivered before an event E if
+its own, and propagation takes the samples (taken, delivered] as one batch,
+the index range itself. Sample k, at t_k = k * NS_PER_S // imu_rate_hz,
+counts as delivered before an event E if
 
 * t_k < E.at, or
 * t_k == E.at and sample k-1 already counted as delivered when E was
@@ -39,9 +39,28 @@ frame is scheduled. This is the (at, seq) order a chain of one event per
 sample would have, each event scheduled by its predecessor's handler: at a
 1 kHz rate a 2 ms task that starts on a sample time also ends on one, so
 whether the coincident sample joins the batch taken at that instant is the
-common case. A real "imu" event is scheduled only while the shared-handoff
-propagation unit is idle, the one case where an arrival acts; it sits at the
-(at, seq) position of the sample it stands for.
+common case.
+
+Propagation runs on one of two kinds of unit. A unit whose only stage is
+propagation under the shared handoff (cpu1 of baseline-cpu and hetero-dsp,
+chosen from the variant table) is a `PropagationServer`, the engine's lazy
+server (`Engine.start_server`). Its chain of fixed-length tasks is
+deterministic between synchronization points, so neither a task's
+completion nor the sample that wakes the idle unit has an engine event: the
+engine settles each at the exact (at, seq) position its event would have
+had, before the first event ordered after it and at the end of each
+`run_until`. A settled completion does what the completion event did: it
+appends the stage duration, writes the unit's `TaskDone` record, advances
+`imu_done` and takes the samples delivered since as the next batch, which
+starts at once; with none, the next sample's arrival starts it. A GC
+freeze suspends the running task and pushes its completion out; a batch
+taken while the unit is frozen starts when the freeze ends. Back-to-back
+tasks are booked as one busy interval, which leaves every ledger total as
+it was. On every other unit (`UnitExecutor`), each completion is a
+`TASK_DONE` event; where such a unit runs propagation under the shared
+handoff, a real "imu" event is scheduled while it is idle, at the (at, seq)
+position of the sample it stands for, and with the two-bank handoff the
+drain after mapping takes the batch.
 
 The estimate is integrated when it is read, not when a propagation task
 completes. A completion (`_apply_propagation`) only advances `imu_done`; at
@@ -72,8 +91,7 @@ from .kernel import (CameraFrame, ImuModel, CircleTrajectory, LandmarkField, Wor
 # `pipeline.sample_imu` by name.
 from .kernel import propagate, sample_imu  # noqa: F401
 from .scenario import VARIANTS, Handoff, Ingest, ScenarioConfig
-from .soc import (ComputeUnitSpec, LatencyTable, PowerCalibration, PowerLedger, Stage,
-                  UnitKind)
+from .soc import ComputeUnitSpec, LatencyTable, PowerLedger, Stage, UnitKind
 
 # IMU samples are made in blocks of this many consecutive sample indices, one
 # kernel call per block. Block k covers indices k*IMU_BLOCK+1 .. (k+1)*IMU_BLOCK,
@@ -92,24 +110,58 @@ class _Task:
         self.on_start = on_start
 
 
-class UnitExecutor:
-    """FIFO task execution on one compute unit, with optional freezing by
-    garbage-collection pauses (running task suspends, queued tasks wait).
-    `on_idle`, if set, is called whenever a completion leaves the unit idle.
-
-    The running task's current segment starts at `seg_start_ns`; it is booked
-    in the ledger when it ends, at a freeze, at completion or at the end of
-    the run. The unit runs one task at a time, so what it books reaches the
-    ledger in time order, as the ledger requires, and the whole run
-    `(0, duration)` covers all of it."""
+class _Unit:
+    """What every compute unit keeps of its running task (`task`, None while
+    none runs): the start of its busy time not yet booked, `seg_start_ns`,
+    and its completion time, `end_ns`, pushed out by GC freezes. Busy time is
+    booked in the ledger when it ends: at a freeze, when the unit goes idle
+    and at the end of the run. The unit runs one task at a time, so what it
+    books reaches the ledger in time order, as the ledger requires, and the
+    whole run `(0, duration)` covers all of it."""
 
     def __init__(self, sim: "Simulation", unit_id: str):
         self.sim = sim
         self.unit_id = unit_id
+        self.task = None
+        self.seg_start_ns = 0
+        self.end_ns = 0
+
+    def _due_at(self, end_ns: int) -> None:
+        """Have the running task complete at `end_ns`."""
+        raise NotImplementedError
+
+    def _book(self, end_ns: int) -> None:
+        """Book the busy time not yet booked, if it has any length, up to `end_ns`."""
+        if self.seg_start_ns < end_ns:
+            self.sim.ledger.record_busy(self.unit_id, self.seg_start_ns, end_ns)
+
+    def freeze_running(self, resume_at_ns: int) -> None:
+        """Suspend the running task for a GC pause; completion is pushed out
+        and the frozen span is excluded from busy time."""
+        if self.task is None:
+            return
+        now = self.sim.engine.now()
+        self._book(now)
+        self.seg_start_ns = resume_at_ns
+        self.end_ns += resume_at_ns - now
+        self._due_at(self.end_ns)
+
+    def finalize(self, end_ns: int) -> None:
+        """Book busy time of a task still in flight when the run ends."""
+        if self.task is not None:
+            self._book(min(self.end_ns, end_ns))
+            self.task = None
+
+
+class UnitExecutor(_Unit):
+    """FIFO task execution on one compute unit, with optional freezing by
+    garbage-collection pauses (running task suspends, queued tasks wait).
+    Each completion is an engine event; `on_idle`, if set, is called whenever
+    a completion leaves the unit idle."""
+
+    def __init__(self, sim: "Simulation", unit_id: str):
+        super().__init__(sim, unit_id)
         self.queue: deque[_Task] = deque()
-        self.task: _Task | None = None
-        self.seg_start_ns = 0  # the running task's current segment start
-        self.end_ns = 0  # and its completion time, pushed out by freezes
         self.on_idle = None
         self.target = f"exec:{unit_id}"
         sim.engine.on(self.target, self._on_task_done)
@@ -133,23 +185,10 @@ class UnitExecutor:
         self.task = task
         if task.on_start is not None:
             task.on_start(task)
-        self.sim.engine.schedule(self.end_ns, self.target, EventKind.TASK_DONE)
+        self._due_at(self.end_ns)
 
-    def _book(self, end_ns: int) -> None:
-        """Book the running segment, if it has any length, up to `end_ns`."""
-        if self.seg_start_ns < end_ns:
-            self.sim.ledger.record_busy(self.unit_id, self.seg_start_ns, end_ns)
-
-    def freeze_running(self, resume_at_ns: int) -> None:
-        """Suspend the running task for a GC pause; completion is pushed out
-        and the frozen span is excluded from busy time."""
-        if self.task is None:
-            return
-        now = self.sim.engine.now()
-        self._book(now)
-        self.seg_start_ns = resume_at_ns
-        self.end_ns += resume_at_ns - now
-        self.sim.engine.schedule(self.end_ns, self.target, EventKind.TASK_DONE)
+    def _due_at(self, end_ns: int) -> None:
+        self.sim.engine.schedule(end_ns, self.target, EventKind.TASK_DONE)
 
     def _on_task_done(self, ev) -> None:
         task = self.task
@@ -157,18 +196,71 @@ class UnitExecutor:
         if task is None or now != self.end_ns:
             return  # stale completion: a freeze moved the task's end later
         self._book(now)
-        self.sim.note_task_done(self.unit_id, task)
+        self.sim.note_task_done(self.unit_id, task.stage, task.duration_ns)
         self.task = None
         task.on_done(task)
         self.try_start()
         if self.on_idle is not None and self.task is None and not self.queue:
             self.on_idle()
 
-    def finalize(self, end_ns: int) -> None:
-        """Book busy time of a task still in flight when the run ends."""
-        if self.task is not None:
-            self._book(min(self.end_ns, end_ns))
+
+class PropagationServer(_Unit):
+    """The propagation unit of the shared handoff, as the engine's lazy
+    server (see the module notes): its tasks take no engine event. The
+    running task is its batch of samples, (lo, hi]; `waiting` is a batch
+    taken during a GC freeze, started when the freeze ends. Back-to-back
+    tasks are booked as one busy interval."""
+
+    def __init__(self, sim: "Simulation", unit_id: str):
+        super().__init__(sim, unit_id)
+        self.duration_ns = sim.stage_ns[Stage.PROPAGATION]
+        self.waiting = None
+        sim.engine.start_server(self._on_due)
+
+    def wait_for_sample(self) -> None:
+        """Idle: the next sample's arrival starts a task."""
+        self.sim.engine.serve_next_sample()
+
+    def _due_at(self, end_ns: int) -> None:
+        self.sim.engine.serve_at(end_ns)
+
+    def _run(self, batch, now: int) -> None:
+        self.task = batch
+        self.end_ns = now + self.duration_ns
+        self._due_at(self.end_ns)
+
+    def try_start(self) -> None:
+        """Start the waiting batch, unless a GC pause still freezes the unit."""
+        now = self.sim.engine.now()
+        if self.waiting is None or now < self.sim.frozen_until_ns:
+            return
+        self.seg_start_ns = now
+        self._run(self.waiting, now)
+        self.waiting = None
+
+    def _on_due(self) -> None:
+        """The engine settles the running task's completion, or the arrival of
+        the sample an idle server waits for: either way every sample
+        delivered and not yet taken makes the next batch."""
+        sim = self.sim
+        now = sim.engine.now()
+        done = self.task
+        if done is not None:
+            sim.note_task_done(self.unit_id, Stage.PROPAGATION, self.duration_ns)
+            sim._apply_propagation(done)
             self.task = None
+        lo, hi = sim._take_imu()
+        if lo < hi and now >= sim.frozen_until_ns:
+            if done is None:
+                self.seg_start_ns = now
+            self._run((lo, hi), now)
+            return
+        if done is not None:
+            self._book(now)
+        if lo < hi:
+            self.waiting = (lo, hi)
+        else:
+            self.wait_for_sample()
 
 
 class Simulation:
@@ -179,11 +271,7 @@ class Simulation:
         self.config = config
         self.spec = VARIANTS[config.variant]
         self.engine = Engine(config.seed)
-        soc = config.soc
-        self.calibration = PowerCalibration(
-            baseline_static_w=soc.baseline_static_w,
-            unit_idle_fraction=soc.unit_idle_fraction,
-        )
+        self.calibration = config.soc.calibration
         self.duration_ns = s_to_ns(config.duration_s)
         self.warmup_ns = s_to_ns(config.warmup_s)
         self.frozen_until_ns = 0
@@ -234,10 +322,6 @@ class Simulation:
                       for uid, kind in spec.units}
         self.ledger = PowerLedger(self.units,
                                   {name: getattr(soc, name) for name in spec.static_sources})
-        # GC freezes new starts everywhere; a running DSP task still completes
-        # (maybe_gc suspends running tasks on every other unit).
-        self.execs = {uid: UnitExecutor(self, uid) for uid in self.units}
-        self.stage_exec = {stage: self.execs[uid] for stage, uid in spec.stage_units.items()}
         # Each stage's latency, resolved once; a stage mapped to a unit kind
         # the latency table lacks is a ConfigError here. Relay cost comes from
         # the copy-latency model.
@@ -245,6 +329,10 @@ class Simulation:
         self.stage_ns = {
             stage: ms_to_ns(latency.stage_latency_ms(stage, self.units[uid].kind, path))
             for stage, uid in spec.stage_units.items() if stage is not Stage.RELAY}
+        # GC freezes new starts everywhere; a running DSP task still completes
+        # (maybe_gc suspends running tasks on every other unit).
+        self.execs = {uid: self._executor(uid) for uid in self.units}
+        self.stage_exec = {stage: self.execs[uid] for stage, uid in spec.stage_units.items()}
         # Shared handoff: an IMU sample kicks propagation.
         self.imu_kicks_propagation = spec.handoff is Handoff.SHARED
         self.controller = None
@@ -254,6 +342,15 @@ class Simulation:
             self.controller = FeatureBankController(
                 banks=soc.scratchpad_banks,
                 trace=lambda tr, d: self._emit("bank", tr, **d))
+
+    def _executor(self, unit_id: str) -> _Unit:
+        """A lazy server for a unit whose only stage is propagation under the
+        shared handoff, a `UnitExecutor` for every other unit."""
+        units = self.spec.stage_units
+        if self.spec.handoff is Handoff.SHARED and units.get(Stage.PROPAGATION) == unit_id \
+                and sum(uid == unit_id for uid in units.values()) == 1:
+            return PropagationServer(self, unit_id)
+        return UnitExecutor(self, unit_id)
 
     def _wire_sources(self) -> None:
         self.engine.on("frames", self._on_frame_event)
@@ -265,8 +362,12 @@ class Simulation:
                              EventKind.FRAME_ARRIVED, 1)
         self.engine.start_source(self.config.imu_rate_hz)
         if self.imu_kicks_propagation:
-            self.stage_exec[Stage.PROPAGATION].on_idle = self._schedule_imu_wakeup
-            self._schedule_imu_wakeup()
+            propagation = self.stage_exec[Stage.PROPAGATION]
+            if isinstance(propagation, PropagationServer):
+                propagation.wait_for_sample()
+            else:
+                propagation.on_idle = self._schedule_imu_wakeup
+                self._schedule_imu_wakeup()
 
     @property
     def est_pose(self):
@@ -295,9 +396,9 @@ class Simulation:
         self.trace.append({"t_ns": self.engine.now(), "entity": entity,
                            "transition": transition, **detail})
 
-    def note_task_done(self, unit_id: str, task: _Task) -> None:
-        self.stage_durations_ns[task.stage].append(task.duration_ns)
-        self._emit(unit_id, "TaskDone", stage=task.stage.value)
+    def note_task_done(self, unit_id: str, stage: Stage, duration_ns: int) -> None:
+        self.stage_durations_ns[stage].append(duration_ns)
+        self._emit(unit_id, "TaskDone", stage=stage.value)
 
     def _submit(self, stage: Stage, payload, on_done, on_start=None) -> None:
         self.stage_exec[stage].submit(

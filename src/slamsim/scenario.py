@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from types import MappingProxyType
 
-from .soc import (ConfigError, MemoryPath, SocConfig, Stage, UnitKind, _is_count,
-                  _is_number, _require)
+from .soc import (MAX_DURATION_S, ConfigError, MemoryPath, SocConfig, Stage, UnitKind,
+                  _is_count, _is_number, _require, _require_convertible)
 
 
 class ArchVariant(Enum):
@@ -110,12 +110,16 @@ class RelayConfig:
         lo, hi = self.copy_latency_ms_min, self.copy_latency_ms_max
         _require(_is_number(lo) and lo > 0, "relay.copy_latency_ms_min",
                  "a finite number > 0", lo)
+        _require_convertible(lo, "relay.copy_latency_ms_min", "ms")
         _require(_is_number(hi) and hi >= lo, "relay.copy_latency_ms_max",
                  f"a finite number >= copy_latency_ms_min ({lo!r})", hi)
+        _require_convertible(hi, "relay.copy_latency_ms_max", "ms")
         _require(_is_number(self.heap_budget_mib) and self.heap_budget_mib > 0,
                  "relay.heap_budget_mib", "a finite number > 0", self.heap_budget_mib)
+        _require_convertible(self.heap_budget_mib, "relay.heap_budget_mib", "MiB")
         _require(_is_number(self.gc_pause_ms) and self.gc_pause_ms > 100,
                  "relay.gc_pause_ms", "a finite number > 100", self.gc_pause_ms)
+        _require_convertible(self.gc_pause_ms, "relay.gc_pause_ms", "ms")
 
 
 # Landmark truth is held in memory as one (count, 3) array.
@@ -173,7 +177,6 @@ MIN_FRAME_BYTES = 3 * 1024 * 1024
 # duration_s: at least one engine tick, so the run's window is never empty, and
 # at most one simulated hour.
 MIN_DURATION_S = 1e-9
-MAX_DURATION_S = 3600.0
 
 
 @dataclass(frozen=True)
@@ -208,6 +211,7 @@ class ScenarioConfig:
                  self.frame_size_bytes)
         _require(_is_number(self.loss_threshold_ms) and self.loss_threshold_ms >= 0,
                  "loss_threshold_ms", "a finite number >= 0", self.loss_threshold_ms)
+        _require_convertible(self.loss_threshold_ms, "loss_threshold_ms", "ms")
 
     def effective_memory_path(self) -> MemoryPath:
         if self.memory_path is not None:

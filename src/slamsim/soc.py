@@ -73,6 +73,20 @@ def _require(ok: bool, key: str, expected: str, value) -> None:
         raise ConfigError(f"scenario.{key}: expected {expected}, got {value!r}")
 
 
+# The longest run: one simulated hour.
+MAX_DURATION_S = 3600.0
+# The one bound on every value converted to integer ns or bytes, so that each
+# conversion is finite: a latency, pause or threshold of at most the longest
+# run in ms, and a heap budget of at most as many MiB (about 3.4 TiB).
+MAX_CONVERTED = MAX_DURATION_S * 1000
+
+
+def _require_convertible(value: float, key: str, unit: str) -> None:
+    """`value`, a finite number of `unit` (ms or MiB), is at most MAX_CONVERTED."""
+    if value > MAX_CONVERTED:
+        _require(False, key, f"at most {MAX_CONVERTED:g} {unit}", value)
+
+
 # The bank-swap controller (bank.py) is defined for exactly two banks.
 SCRATCHPAD_BANKS = 2
 
@@ -116,6 +130,8 @@ class SocConfig:
             value = getattr(self, key)
             _require(_is_number(value) and value > 0, f"soc.{key}",
                      "a finite number > 0", value)
+            if key.endswith("_ms"):
+                _require_convertible(value, f"soc.{key}", "ms")
         for key in ("baseline_static_w", "shared_access_ns", "scratchpad_access_ns",
                     "scratchpad_dynamic_w", "scratchpad_leakage_w", "io_pin_power_w"):
             value = getattr(self, key)
@@ -135,6 +151,12 @@ class SocConfig:
 
     def peak_power_w(self, kind: UnitKind) -> float:
         return getattr(self, _PEAK_POWER_FIELD[kind])
+
+    @property
+    def calibration(self) -> "PowerCalibration":
+        """The average-power calibration this config sets."""
+        return PowerCalibration(baseline_static_w=self.baseline_static_w,
+                                unit_idle_fraction=self.unit_idle_fraction)
 
     @property
     def bank_capacity_bytes(self) -> int:

@@ -149,3 +149,75 @@ def test_next_sample_event_sits_at_the_samples_position():
     eng.run_until(NS_PER_MS)
     assert order == [("imu", NS_PER_MS, 1), ("x", NS_PER_MS, 1)]
     assert eng.scheduled_count == 2
+
+
+def _chains_seen(rate_hz, delays, lazy):
+    """A chain of actions, each setting its successor after the next delay
+    in half sample periods (0 included; -1: at the next sample's arrival),
+    beside a chain of events that do the same with the delays reversed.
+    Returns, per action or event, its chain, time and the samples delivered
+    before it. The actions are the engine's lazy server, or events scheduled
+    at the same positions."""
+    eng = Engine(seed=0)
+    half = NS_PER_S // rate_hz // 2
+    seen, own, other = [], iter(delays), iter(delays[::-1])
+
+    def serve(at):
+        if lazy:
+            eng.serve_at(at) if at is not None else eng.serve_next_sample()
+        elif at is not None:
+            eng.schedule(at, "s", EventKind.TASK_DONE)
+        else:
+            eng.schedule_next_sample("s", EventKind.IMU_SAMPLE_READY)
+
+    def action(ev=None):
+        seen.append(("s", eng.now(), eng.sample_index))
+        d = next(own, None)
+        if d is not None:
+            serve(None if d < 0 else eng.now() + d * half)
+
+    def handler(ev):
+        seen.append(("x", ev.at, eng.sample_index))
+        d = next(other, None)
+        if d is not None:
+            eng.schedule(eng.now() + max(d, 0) * half, "x", EventKind.TASK_DONE)
+
+    eng.on("x", handler)
+    if lazy:
+        eng.start_server(action)
+    else:
+        eng.on("s", action)
+    eng.schedule(2 * half, "x", EventKind.TASK_DONE)
+    eng.start_source(rate_hz)
+    serve(2 * half)
+    eng.schedule(2 * half, "x", EventKind.TASK_DONE)
+    end = 10 * NS_PER_S // rate_hz
+    eng.run_until(end // 2)
+    eng.run_until(end)
+    return seen, eng.sample_index
+
+
+@given(rate_hz=st.sampled_from([2, 40, 250, 1000]),
+       delays=st.lists(st.integers(-1, 4), max_size=40))
+def test_server_acts_where_its_events_would_be_delivered(rate_hz, delays):
+    lazy = _chains_seen(rate_hz, delays, lazy=True)
+    assert lazy == _chains_seen(rate_hz, delays, lazy=False)
+
+
+def test_server_action_at_the_end_is_settled_by_run_until():
+    eng = Engine(seed=0)
+    acted = []
+    eng.start_server(lambda: acted.append(eng.now()))
+    eng.serve_at(5)
+    eng.run_until(4)
+    assert acted == []
+    eng.run_until(5)
+    assert (acted, eng.now(), eng.delivered_count) == ([5], 5, 0)
+
+
+def test_server_action_in_the_past_is_a_hard_fault():
+    eng = Engine(seed=0)
+    eng.start_server(lambda: None)
+    eng.run_until(10)
+    with pytest.raises(SchedulingError):
+        eng.serve_at(9)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from slamsim.engine import NS_PER_MS, NS_PER_S, Engine, EventKind, ms_to_ns
 from slamsim import pipeline
 from slamsim.kernel import integrate, propagate, sample_imu_block
-from slamsim.pipeline import IMU_BLOCK, Simulation
+from slamsim.pipeline import IMU_BLOCK, PropagationServer, Simulation
 from slamsim.report import audit_trace, build_report, run_scenario, tracking_loss_count
 from slamsim.scenario import (VARIANTS, ArchVariant, KernelConfig, RelayConfig, ScenarioConfig,
                               preset)
@@ -310,7 +310,12 @@ class EagerImuSimulation(Simulation):
     predecessor's handler. The handler draws the sample as an `ImuSample`,
     checks that it is due at the event's time, appends its index to a FIFO
     buffer and kicks propagation; kicks and the drain after mapping empty the
-    buffer into a batch, the index range of its samples."""
+    buffer into a batch, the index range of its samples. Every unit, the
+    propagation unit included, is a `UnitExecutor`: each task completion is
+    an engine event."""
+
+    def _executor(self, unit_id):
+        return pipeline.UnitExecutor(self, unit_id)
 
     def _wire_sources(self):
         self.imu_buffer = deque()
@@ -370,21 +375,28 @@ def _record_batches(sim):
 
 def _outputs(sim):
     return (build_report(sim).to_json_line(), sim.trace, sim.imu_samples_processed,
-            sim.imu_samples_emitted, sim.imu_high_water)
+            sim.imu_samples_emitted, sim.imu_high_water, sim.ledger.busy_per_unit(None))
 
 
-def _assert_lazy_matches_eager(config, cuts=()):
+def _assert_lazy_matches_eager(config, cuts=(), completion_cuts=()):
+    """The simulation, run in slices ending at `cuts`, against the oracle.
+    `completion_cuts` are (i, d) pairs: a cut d ns after the completion of
+    the oracle's propagation batch i (modulo the batch count)."""
     eager = EagerImuSimulation(config)
     eager_batches = _record_batches(eager)
     eager.run()
     lazy = Simulation(config)
     lazy_batches = _record_batches(lazy)
+    if eager_batches:
+        cuts = list(cuts) + [min(lazy.duration_ns, eager_batches[i % len(eager_batches)][0] + d)
+                             for i, d in completion_cuts]
     for cut in sorted(cuts):
         lazy.engine.run_until(cut)
     lazy.run()
     assert _outputs(lazy) == _outputs(eager)
     assert lazy_batches == eager_batches
     assert lazy.engine.delivered_count <= eager.engine.delivered_count
+    return lazy, eager
 
 
 # IMU rates whose sample period is a whole number of ns.
@@ -433,13 +445,16 @@ class TestLazyImuSource:
     @given(data=st.data())
     @settings(max_examples=4, deadline=None)
     def test_runs_sliced_at_sample_times_match_the_event_chain(self, variant, data):
+        # Cuts fall on, and next to, sample times and propagation completions.
         config = data.draw(tie_heavy_configs(variant))
         rate, end = config.imu_rate_hz, int(config.duration_s * NS_PER_S)
         ks = data.draw(st.lists(st.integers(1, int(config.duration_s * rate)), max_size=8))
         offsets = data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=len(ks),
                                      max_size=len(ks)))
         cuts = [min(end, (k * NS_PER_S) // rate + d) for k, d in zip(ks, offsets)]
-        _assert_lazy_matches_eager(config, cuts)
+        completions = data.draw(st.lists(st.tuples(st.integers(0, 10 ** 4),
+                                                   st.sampled_from([-1, 0, 1])), max_size=8))
+        _assert_lazy_matches_eager(config, cuts, completions)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_slam_arch_with_a_sample_period_longer_than_mapping(self, seed):
@@ -471,6 +486,15 @@ class TestLazyImuSource:
                 variant=variant, imu_rate_hz=rate, duration_s=3.0, warmup_s=0.5,
                 relay=RelayConfig(heap_budget_mib=30.0)))
 
+    @pytest.mark.parametrize("variant", [ArchVariant.BASELINE_CPU, ArchVariant.HETERO_DSP])
+    def test_sub_nanosecond_propagation_is_a_zero_length_task(self, variant):
+        config = ScenarioConfig(variant=variant, imu_rate_hz=1000, duration_s=2.0,
+                                warmup_s=0.5, soc=SocConfig(propagation_ms=1e-7),
+                                relay=RelayConfig(heap_budget_mib=30.0))
+        lazy, _ = _assert_lazy_matches_eager(config)
+        assert set(lazy.stage_durations_ns[Stage.PROPAGATION]) == {0}
+        assert lazy.ledger.busy_ns("cpu1") == 0
+
     def test_events_only_where_a_sample_can_start_propagation(self):
         config = ScenarioConfig(variant=ArchVariant.SLAM_ARCH, duration_s=2.0, warmup_s=0.5)
         sim = Simulation(config)
@@ -479,6 +503,42 @@ class TestLazyImuSource:
         sim.run()
         assert imu_events == []  # two-bank: samples never kick propagation
         assert sim.imu_samples_emitted == 400
+
+
+class TestPropagationServer:
+    """The propagation-only unit of the shared handoff is a lazy server: its
+    tasks and the samples that wake it take no engine event."""
+
+    def test_only_a_propagation_only_shared_unit_is_a_server(self):
+        servers = {variant: [uid for uid, ex in Simulation(ScenarioConfig(variant=variant))
+                             .execs.items() if isinstance(ex, PropagationServer)]
+                   for variant in ArchVariant}
+        assert servers == {ArchVariant.BASELINE_CPU: ["cpu1"],
+                           ArchVariant.HETERO_DSP: ["cpu1"], ArchVariant.SLAM_ARCH: []}
+
+    def test_hetero_dsp_at_1_khz_delivers_no_propagation_or_imu_event(self):
+        config = ScenarioConfig(variant=ArchVariant.HETERO_DSP, imu_rate_hz=1000,
+                                duration_s=3.0, warmup_s=0.5,
+                                relay=RelayConfig(heap_budget_mib=30.0))
+        sim = Simulation(config)
+        delivered = []
+        for target in ("exec:cpu1", "imu"):
+            sim.engine.on(target, delivered.append)
+        sim.run()
+        assert delivered == []
+        assert len(sim.stage_durations_ns[Stage.PROPAGATION]) > 1000
+        assert sim.gc_stalls
+        eager = EagerImuSimulation(config)
+        eager.run()
+        assert sim.engine.delivered_count <= 0.3 * eager.engine.delivered_count
+
+    def test_baseline_cpu_delivers_no_imu_event(self):
+        sim = Simulation(ScenarioConfig(variant=ArchVariant.BASELINE_CPU, duration_s=3.0))
+        delivered = []
+        sim.engine.on("imu", delivered.append)
+        sim.run()
+        assert delivered == []
+        assert sim.imu_samples_processed > 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,14 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import slamsim.cli as cli
 from slamsim.pipeline import Simulation
 from slamsim.report import audit_trace, run_scenario
 from slamsim.scenario import (ArchVariant, Handoff, Ingest, KernelConfig, PRESET_NAMES,
                               RelayConfig, ScenarioConfig, VARIANTS, preset)
-from slamsim.soc import ConfigError, MemoryPath, SocConfig
+from slamsim.soc import MAX_CONVERTED, ConfigError, MemoryPath, SocConfig
 
 
 class TestPresets:
@@ -235,6 +235,50 @@ class TestMemoryPathDefaults:
         assert config.effective_memory_path() is MemoryPath.SHARED
 
 
+# Every value the model converts to integer ns or bytes.
+CONVERTED_KEYS = ["loss_threshold_ms", "soc.feature_extraction_cpu_ms",
+                  "soc.feature_extraction_gpu_ms", "soc.feature_extraction_dsp_ms",
+                  "soc.propagation_ms", "soc.update_shared_ms", "soc.mapping_shared_ms",
+                  "relay.copy_latency_ms_min", "relay.copy_latency_ms_max",
+                  "relay.gc_pause_ms", "relay.heap_budget_mib"]
+
+
+def _scenario_with(variant, values):
+    """A short `variant` scenario dict with the dotted `key: value` pairs set."""
+    data = {"variant": variant, "duration_s": 0.5, "warmup_s": 0.0}
+    for key, value in values.items():
+        section, _, name = key.rpartition(".")
+        if section:
+            data.setdefault(section, {})[name] = value
+        else:
+            data[name] = value
+    return data
+
+
+class TestConvertedValuesAreBounded:
+    @pytest.mark.parametrize("key", CONVERTED_KEYS)
+    def test_from_dict_refuses_a_value_whose_conversion_overflows(self, key):
+        with pytest.raises(ConfigError, match=f"^scenario.{key}: expected at most "):
+            ScenarioConfig.from_dict(_scenario_with("hetero-dsp", {key: 1e308}))
+
+    @pytest.mark.parametrize("key", CONVERTED_KEYS)
+    def test_cli_reports_one_error_line(self, tmp_path, capsys, key):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(_scenario_with("hetero-dsp", {key: 1e308})))
+        assert cli.main(["run", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario.{key}: expected at most ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("variant", PRESET_NAMES)
+    def test_every_value_at_the_bound_runs(self, variant):
+        config = ScenarioConfig.from_dict(_scenario_with(
+            variant, dict.fromkeys(CONVERTED_KEYS, MAX_CONVERTED)))
+        report, sim = run_scenario(config)
+        assert audit_trace(sim.trace).ok
+        assert report.tracking_loss_count == 0
+
+
 # ---------------------------------------------------------------------------
 # Any scenario dict either is refused with a ConfigError or runs to a trace
 # that passes the audit and a ledger that conserves energy.
@@ -319,6 +363,8 @@ def _scenario(draw):
 
 class TestAnyScenario:
     @given(_scenario())
+    @example({"variant": "baseline-cpu", "duration_s": 1.0, "warmup_s": 0.0,
+              "loss_threshold_ms": 1e308})
     @settings(max_examples=60, deadline=None)
     def test_refused_or_runs_audited_and_conserved(self, data):
         try:
