@@ -30,6 +30,7 @@ the action, sets the clock to the action's time and calls the callback,
 which may set the next action. `run_until(end)` settles the actions at or
 before `end` before it returns. The callback must schedule no event.
 """
+
 from __future__ import annotations
 
 import zlib
