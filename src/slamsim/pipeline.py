@@ -114,10 +114,11 @@ class _Unit:
     """What every compute unit keeps of its running task (`task`, None while
     none runs): the start of its busy time not yet booked, `seg_start_ns`,
     and its completion time, `end_ns`, pushed out by GC freezes. Busy time is
-    booked in the ledger when it ends: at a freeze, when the unit goes idle
-    and at the end of the run. The unit runs one task at a time, so what it
-    books reaches the ledger in time order, as the ledger requires, and the
-    whole run `(0, duration)` covers all of it."""
+    booked in the ledger when it ends: at a freeze, at a completion (for the
+    server, only when the unit goes idle) and at the end of the run. The
+    unit runs one task at a time, so what it books reaches the ledger in
+    time order, as the ledger requires, and the whole run `(0, duration)`
+    covers all of it."""
 
     def __init__(self, sim: "Simulation", unit_id: str):
         self.sim = sim
