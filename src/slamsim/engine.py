@@ -21,14 +21,18 @@ scheduled. The engine reserves that seq each time `sample_index` moves, so
 `schedule_next_sample` can place a real event at the exact (at, seq)
 position of the next sample, for a case where its arrival acts.
 
-A server (`start_server`): one callback whose next action is either a time
-set with `serve_at`, which reserves a seq as `schedule` would, or the
-arrival of the next sample (`serve_next_sample`), at that sample's position.
-Before an event E is handled, the engine settles every server action
-ordered before E in (at, seq) order: it delivers the samples ordered before
-the action, sets the clock to the action's time and calls the callback,
-which may set the next action. `run_until(end)` settles the actions at or
-before `end` before it returns. The callback must schedule no event.
+A server (`start_server`): one callback, called for each of its actions
+with the action's time and the last sample delivered before it, which
+returns the server's next action: a time (a completion), ordered as an event
+scheduled then would be; `NEXT_SAMPLE`, the arrival of the next sample, at
+that sample's position; or None. Outside a settle, `serve_at` and
+`serve_next_sample` set the next action the same way. Before an event E is
+handled, the engine settles every action ordered before E in one loop, with
+the clock, the seq counter, the sample clock and the next action in locals:
+per action it delivers the samples ordered before it, sets the clock to its
+time, calls the callback and reserves a seq for the returned time.
+`run_until(end)` settles the actions at or before `end` before it returns.
+The callback must schedule no event and set no action itself.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ NS_PER_S = 1_000_000_000
 
 # The next sample or server time while there is none: later than any clock value.
 _NEVER_NS = 1 << 63
+# A server callback's return value for "the arrival of the next sample".
+NEXT_SAMPLE = -1
 
 
 def ms_to_ns(ms: float) -> int:
@@ -184,34 +190,43 @@ class Engine:
         self._next_sample_seq = self._seq
         self._seq += 1
 
-    def _deliver_samples(self, at: int, seq: int) -> None:
-        """Count as delivered every sample ordered before an event at (at,
-        seq); called only when the next sample falls at or before `at`."""
-        if at > self._next_sample_ns:
-            k = (at * self._sample_rate_hz - 1) // NS_PER_S  # the last with t_k < at
-        elif seq >= self._next_sample_seq:
-            k = self.sample_index + 1  # tie: scheduled after sample k-1 was delivered
-        else:
-            return
-        self.sample_index = k
-        self._next_sample_ns = ((k + 1) * NS_PER_S) // self._sample_rate_hz
-        self._reserve_sample_seq()
-
     def _settle(self, at: int, seq: int) -> None:
         """Settle every server action and deliver every sample ordered
         before an event at (at, seq)."""
-        server_ns = self._server_ns
-        while server_ns < at or (server_ns == at and self._server_seq < seq):
-            if self._next_sample_ns <= server_ns:
-                self._deliver_samples(server_ns, self._server_seq)
-            self._now = server_ns
-            self._server_ns = _NEVER_NS
-            self._server()
-            server_ns = self._server_ns
-        next_ns = self._next_sample_ns
-        if next_ns <= at:
-            self._deliver_samples(at, seq)
-            next_ns = self._next_sample_ns
+        seq_counter, k = self._seq, self.sample_index
+        rate, next_ns, next_seq = self._sample_rate_hz, self._next_sample_ns, self._next_sample_seq
+        server_ns, server_seq, serve = self._server_ns, self._server_seq, self._server
+        while True:
+            if server_ns < at or (server_ns == at and server_seq < seq):
+                t, s, acting = server_ns, server_seq, True
+            else:
+                t, s, acting = at, seq, False
+            # Deliver the samples ordered before (t, s); each delivery
+            # reserves the seq of the next sample's event.
+            if next_ns <= t and (t > next_ns or s >= next_seq):
+                if t > next_ns:
+                    k = (t * rate - 1) // NS_PER_S  # the last with t_k < t
+                else:
+                    k += 1  # tie: scheduled after sample k-1 was delivered
+                next_ns = ((k + 1) * NS_PER_S) // rate
+                next_seq = seq_counter
+                seq_counter += 1
+            if not acting:
+                break
+            self._now = t
+            action = serve(t, k)
+            if action is None:
+                server_ns = _NEVER_NS
+            elif action >= t:
+                server_ns, server_seq = action, seq_counter
+                seq_counter += 1
+            elif action == NEXT_SAMPLE:
+                server_ns, server_seq = next_ns, next_seq
+            else:
+                raise SchedulingError(f"cannot serve at t={action} ns; clock is at {t} ns")
+        self._seq, self.sample_index = seq_counter, k
+        self._next_sample_ns, self._next_sample_seq = next_ns, next_seq
+        self._server_ns, self._server_seq = server_ns, server_seq
         self._lazy_ns = server_ns if server_ns < next_ns else next_ns
 
     def run_until(self, end: int) -> None:

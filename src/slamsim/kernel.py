@@ -61,9 +61,11 @@ libm's sin and cos through `map`, and the angles from one stacked matmul
 (n, 1, 3) @ (n, 3, 1), which numpy evaluates as the BLAS dot `_norm` calls,
 once per row. `integrate` loops over the rows only, with `quat_multiply`,
 `quat_normalize` and `quat_rotate` written out in the helpers' operand order
-(including the `0.0` terms of the pure quaternion and the negated conjugate)
-and `_norm`'s BLAS dot kept for the normalization. The helpers stay for their
-other callers and as the specification of both halves.
+(including the `0.0` terms of the pure quaternion and the negated conjugate).
+The normalization takes `_norm`'s BLAS dot on one scratch 4-vector per call,
+whose components each row writes in place through a memoryview: the same
+dot on the same four doubles, without a fresh array per row. The helpers
+stay for their other callers and as the specification of both halves.
 
 Conventions: accelerometer samples are gravity-compensated specific force
 (gravity handling is out of scope for this model). The drift-correction
@@ -411,14 +413,20 @@ def integrate(pose: Pose, rows, prev_accel=None) -> Pose:
         a0x, a0y, a0z = quat_rotate(pose.orientation, prev_accel)
     else:
         a0x = a0y = a0z = None
+    # `_norm`'s BLAS dot on a scratch vector, written in place per row.
+    buf = np.empty(4)
+    fill, dot, sqrt = memoryview(buf), buf.dot, math.sqrt
     for dt, ew, ex, ey, ez, bx, by, bz in rows:
         # quat_multiply, then quat_normalize
         mw = qw * ew - qx * ex - qy * ey - qz * ez
         mx = qw * ex + qx * ew + qy * ez - qz * ey
         my = qw * ey - qx * ez + qy * ew + qz * ex
         mz = qw * ez + qx * ey - qy * ex + qz * ew
-        m = np.array((mw, mx, my, mz))
-        n = math.sqrt(m.dot(m))
+        fill[0] = mw
+        fill[1] = mx
+        fill[2] = my
+        fill[3] = mz
+        n = sqrt(dot(buf))
         qw, qx, qy, qz = mw / n, mx / n, my / n, mz / n
         # quat_rotate: (q * (0, accel)) * conj(q), vector part
         tw = qw * 0.0 - qx * bx - qy * by - qz * bz

@@ -46,21 +46,25 @@ propagation under the shared handoff (cpu1 of baseline-cpu and hetero-dsp,
 chosen from the variant table) is a `PropagationServer`, the engine's lazy
 server (`Engine.start_server`). Its chain of fixed-length tasks is
 deterministic between synchronization points, so neither a task's
-completion nor the sample that wakes the idle unit has an engine event: the
-engine settles each at the exact (at, seq) position its event would have
-had, before the first event ordered after it and at the end of each
-`run_until`. A settled completion does what the completion event did: it
-appends the stage duration, writes the unit's `TaskDone` record, advances
-`imu_done` and takes the samples delivered since as the next batch, which
-starts at once; with none, the next sample's arrival starts it. A GC
-freeze suspends the running task and pushes its completion out; a batch
-taken while the unit is frozen starts when the freeze ends. Back-to-back
-tasks are booked as one busy interval, which leaves every ledger total as
-it was. On every other unit (`UnitExecutor`), each completion is a
-`TASK_DONE` event; where such a unit runs propagation under the shared
-handoff, a real "imu" event is scheduled while it is idle, at the (at, seq)
-position of the sample it stands for, and with the two-bank handoff the
-drain after mapping takes the batch.
+completion nor the sample that wakes the idle unit has an engine event.
+Before the first event ordered after them, and at the end of each
+`run_until`, the engine settles all of them in one loop, each at the exact
+(at, seq) position its event would have had, and calls `_serve` for each
+with the last sample delivered before it. A settled completion does what
+the completion event did: it appends the stage duration and writes the
+unit's `TaskDone` record (the literal `note_task_done` would build), advances
+`imu_done` through `_apply_propagation` and takes the samples delivered
+since as the next batch, which starts at once. `_serve` returns the next
+action to the engine: the new task's completion time; with no sample to
+take, the next sample's arrival (`NEXT_SAMPLE`); with a batch taken while a
+GC freeze holds the unit, none, and the batch starts when the freeze ends.
+A GC freeze suspends the running task and pushes its completion out.
+Back-to-back tasks are booked as one busy interval, which leaves every
+ledger total as it was. On every other unit (`UnitExecutor`), each
+completion is a `TASK_DONE` event; where such a unit runs propagation under
+the shared handoff, a real "imu" event is scheduled while it is idle, at the
+(at, seq) position of the sample it stands for, and with the two-bank
+handoff the drain after mapping takes the batch.
 
 The estimate is integrated when it is read, not when a propagation task
 completes. A completion (`_apply_propagation`) only advances `imu_done`; at
@@ -83,7 +87,7 @@ from itertools import count
 import numpy as np
 
 from .bank import (FeatureBankController, MAPPING_CONSUMER, UPDATE_CONSUMER)
-from .engine import Engine, EventKind, NS_PER_S, ms_to_ns, s_to_ns
+from .engine import NEXT_SAMPLE, NS_PER_S, Engine, EventKind, ms_to_ns, s_to_ns
 from .kernel import (CameraFrame, ImuModel, CircleTrajectory, LandmarkField, WorldMap,
                      draw_imu, extend_map, extract_features, generate_landmarks, imu_rows,
                      integrate, update_pose)
@@ -96,7 +100,12 @@ from .soc import ComputeUnitSpec, LatencyTable, PowerLedger, Stage, UnitKind
 # IMU samples are made in blocks of this many consecutive sample indices, one
 # kernel call per block. Block k covers indices k*IMU_BLOCK+1 .. (k+1)*IMU_BLOCK,
 # so the blocks, and with them the draws, do not depend on how a run is sliced.
-IMU_BLOCK = 128
+# The rows are bit-identical for every block size; a larger block pays the
+# fixed per-block numpy cost less often, but draws more samples at once, in
+# the one update that reaches them, which makes that update's host time spike.
+IMU_BLOCK = 256
+
+_PROPAGATION = Stage.PROPAGATION.value
 
 
 class _Task:
@@ -215,8 +224,9 @@ class PropagationServer(_Unit):
     def __init__(self, sim: "Simulation", unit_id: str):
         super().__init__(sim, unit_id)
         self.duration_ns = sim.stage_ns[Stage.PROPAGATION]
+        self.durations = sim.stage_durations_ns[Stage.PROPAGATION]
         self.waiting = None
-        sim.engine.start_server(self._on_due)
+        sim.engine.start_server(self._serve)
 
     def wait_for_sample(self) -> None:
         """Idle: the next sample's arrival starts a task."""
@@ -225,43 +235,48 @@ class PropagationServer(_Unit):
     def _due_at(self, end_ns: int) -> None:
         self.sim.engine.serve_at(end_ns)
 
-    def _run(self, batch, now: int) -> None:
-        self.task = batch
-        self.end_ns = now + self.duration_ns
-        self._due_at(self.end_ns)
-
     def try_start(self) -> None:
         """Start the waiting batch, unless a GC pause still freezes the unit."""
         now = self.sim.engine.now()
         if self.waiting is None or now < self.sim.frozen_until_ns:
             return
         self.seg_start_ns = now
-        self._run(self.waiting, now)
-        self.waiting = None
+        self.task, self.waiting = self.waiting, None
+        self.end_ns = now + self.duration_ns
+        self._due_at(self.end_ns)
 
-    def _on_due(self) -> None:
+    def _serve(self, now: int, delivered: int):
         """The engine settles the running task's completion, or the arrival of
-        the sample an idle server waits for: either way every sample
-        delivered and not yet taken makes the next batch."""
+        the sample an idle server waits for: either way the samples (taken,
+        delivered] make the next batch. Returns the next action (see
+        `Engine.start_server`)."""
         sim = self.sim
-        now = sim.engine.now()
         done = self.task
         if done is not None:
-            sim.note_task_done(self.unit_id, Stage.PROPAGATION, self.duration_ns)
+            # What `note_task_done` does, with the record written as a literal.
+            self.durations.append(self.duration_ns)
+            sim.trace.append({"t_ns": now, "entity": self.unit_id,
+                              "transition": "TaskDone", "stage": _PROPAGATION})
             sim._apply_propagation(done)
             self.task = None
-        lo, hi = sim._take_imu()
-        if lo < hi and now >= sim.frozen_until_ns:
-            if done is None:
-                self.seg_start_ns = now
-            self._run((lo, hi), now)
-            return
+        lo = sim.imu_taken
+        if lo < delivered:
+            sim.imu_taken = delivered
+            if delivered - lo > sim.imu_max_batch:
+                sim.imu_max_batch = delivered - lo
+            if now >= sim.frozen_until_ns:
+                if done is None:
+                    self.seg_start_ns = now
+                self.task = (lo, delivered)
+                self.end_ns = now + self.duration_ns
+                return self.end_ns
+            self.waiting = (lo, delivered)
+            action = None
+        else:
+            action = NEXT_SAMPLE
         if done is not None:
             self._book(now)
-        if lo < hi:
-            self.waiting = (lo, hi)
-        else:
-            self.wait_for_sample()
+        return action
 
 
 class Simulation:

@@ -89,13 +89,14 @@ VARIANTS = {
 }
 
 
-def _from_dict(cls, data: dict, context: str):
+def _from_dict(cls, data: dict, key: str):
+    """The `cls` section of a scenario under `key`, e.g. `soc`."""
     if not isinstance(data, dict):
-        raise ConfigError(f"{context}: expected an object, got {type(data).__name__}")
+        raise ConfigError(f"scenario.{key}: expected an object, got {type(data).__name__}")
     known = {f.name for f in fields(cls)}
     unknown = set(data) - known
     if unknown:
-        raise ConfigError(f"{context}: unknown key {sorted(unknown)[0]!r}")
+        raise ConfigError(f"scenario.{key}: unknown key {sorted(unknown)[0]!r}")
     return cls(**data)
 
 
@@ -112,7 +113,7 @@ class RelayConfig:
                  "a finite number > 0", lo)
         _require_convertible(lo, "relay.copy_latency_ms_min", "ms")
         _require(_is_number(hi) and hi >= lo, "relay.copy_latency_ms_max",
-                 f"a finite number >= copy_latency_ms_min ({lo!r})", hi)
+                 "a finite number >= copy_latency_ms_min ({!r})", hi, lo)
         _require_convertible(hi, "relay.copy_latency_ms_max", "ms")
         _require(_is_number(self.heap_budget_mib) and self.heap_budget_mib > 0,
                  "relay.heap_budget_mib", "a finite number > 0", self.heap_budget_mib)
@@ -147,20 +148,20 @@ class KernelConfig:
         for key in ("accel_bias", "gyro_bias"):
             value = getattr(self, key)
             _require(isinstance(value, (list, tuple)) and len(value) == 3
-                     and all(map(_is_number, value)), f"kernel.{key}",
-                     "3 finite numbers", value)
+                     and all(map(_is_number, value)), "kernel.{}",
+                     "3 finite numbers", value, key)
             object.__setattr__(self, key, tuple(value))
         for key in ("accel_noise_std", "gyro_noise_std", "obs_noise_std", "map_noise_std"):
             value = getattr(self, key)
-            _require(_is_number(value) and value >= 0, f"kernel.{key}",
-                     "a finite number >= 0", value)
+            _require(_is_number(value) and value >= 0, "kernel.{}",
+                     "a finite number >= 0", value, key)
         _require(_is_number(self.update_gain) and 0 <= self.update_gain <= 1,
                  "kernel.update_gain", "a number in [0, 1]", self.update_gain)
         _require(_is_count(self.min_matches) and self.min_matches >= 0,
                  "kernel.min_matches", "an integer >= 0", self.min_matches)
         _require(_is_count(self.landmark_count) and 0 <= self.landmark_count <= MAX_LANDMARKS,
-                 "kernel.landmark_count", f"an integer in [0, {MAX_LANDMARKS}]",
-                 self.landmark_count)
+                 "kernel.landmark_count", "an integer in [0, {}]", self.landmark_count,
+                 MAX_LANDMARKS)
         _require(_is_number(self.visibility_range_m) and self.visibility_range_m > 0,
                  "kernel.visibility_range_m", "a finite number > 0", self.visibility_range_m)
         _require(_is_number(self.fov_deg) and 0 < self.fov_deg <= 360,
@@ -201,14 +202,14 @@ class ScenarioConfig:
                  "imu_rate_hz", "an integer in [1, 1000]", self.imu_rate_hz)
         _require(_is_number(self.duration_s)
                  and MIN_DURATION_S <= self.duration_s <= MAX_DURATION_S, "duration_s",
-                 f"a number in [{MIN_DURATION_S:g}, {MAX_DURATION_S:g}]", self.duration_s)
+                 "a number in [{:g}, {:g}]", self.duration_s, MIN_DURATION_S, MAX_DURATION_S)
         _require(_is_count(self.seed) and self.seed >= 0, "seed", "an integer >= 0", self.seed)
         _require(_is_number(self.warmup_s) and 0 <= self.warmup_s < self.duration_s,
-                 "warmup_s", f"a number in [0, duration_s = {self.duration_s!r})",
-                 self.warmup_s)
+                 "warmup_s", "a number in [0, duration_s = {!r})", self.warmup_s,
+                 self.duration_s)
         _require(_is_count(self.frame_size_bytes) and self.frame_size_bytes >= MIN_FRAME_BYTES,
-                 "frame_size_bytes", f"an integer >= {MIN_FRAME_BYTES} (3 MiB)",
-                 self.frame_size_bytes)
+                 "frame_size_bytes", "an integer >= {} (3 MiB)", self.frame_size_bytes,
+                 MIN_FRAME_BYTES)
         _require(_is_number(self.loss_threshold_ms) and self.loss_threshold_ms >= 0,
                  "loss_threshold_ms", "a finite number >= 0", self.loss_threshold_ms)
         _require_convertible(self.loss_threshold_ms, "loss_threshold_ms", "ms")
@@ -262,7 +263,7 @@ class ScenarioConfig:
                 raise ConfigError(f"scenario: unknown memory_path {data['memory_path']!r}")
         for key, sub in (("soc", SocConfig), ("relay", RelayConfig), ("kernel", KernelConfig)):
             if key in data:
-                data[key] = _from_dict(sub, data[key], f"scenario.{key}")
+                data[key] = _from_dict(sub, data[key], key)
         return cls(**data)
 
     @classmethod

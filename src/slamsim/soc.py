@@ -67,9 +67,13 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _require(ok: bool, key: str, expected: str, value) -> None:
-    """`key` is the dotted path below the scenario root, e.g. `soc.propagation_ms`."""
+def _require(ok: bool, key: str, expected: str, value, *parts) -> None:
+    """`key` is the dotted path below the scenario root, e.g. `soc.propagation_ms`.
+    With `parts`, `key` and `expected` are `str.format` templates filled from
+    them, only when the check fails: a valid config formats no message."""
     if not ok:
+        if parts:
+            key, expected = key.format(*parts), expected.format(*parts)
         raise ConfigError(f"scenario.{key}: expected {expected}, got {value!r}")
 
 
@@ -81,10 +85,11 @@ MAX_DURATION_S = 3600.0
 MAX_CONVERTED = MAX_DURATION_S * 1000
 
 
-def _require_convertible(value: float, key: str, unit: str) -> None:
-    """`value`, a finite number of `unit` (ms or MiB), is at most MAX_CONVERTED."""
+def _require_convertible(value: float, key: str, unit: str, *parts) -> None:
+    """`value`, a finite number of `unit` (ms or MiB), is at most MAX_CONVERTED;
+    `key` and `parts` as for `_require`."""
     if value > MAX_CONVERTED:
-        _require(False, key, f"at most {MAX_CONVERTED:g} {unit}", value)
+        _require(False, key.format(*parts), f"at most {MAX_CONVERTED:g} {unit}", value)
 
 
 # The bank-swap controller (bank.py) is defined for exactly two banks.
@@ -128,15 +133,15 @@ class SocConfig:
                     "feature_extraction_dsp_ms", "propagation_ms", "update_shared_ms",
                     "mapping_shared_ms"):
             value = getattr(self, key)
-            _require(_is_number(value) and value > 0, f"soc.{key}",
-                     "a finite number > 0", value)
+            _require(_is_number(value) and value > 0, "soc.{}",
+                     "a finite number > 0", value, key)
             if key.endswith("_ms"):
-                _require_convertible(value, f"soc.{key}", "ms")
+                _require_convertible(value, "soc.{}", "ms", key)
         for key in ("baseline_static_w", "shared_access_ns", "scratchpad_access_ns",
                     "scratchpad_dynamic_w", "scratchpad_leakage_w", "io_pin_power_w"):
             value = getattr(self, key)
-            _require(_is_number(value) and value >= 0, f"soc.{key}",
-                     "a finite number >= 0", value)
+            _require(_is_number(value) and value >= 0, "soc.{}",
+                     "a finite number >= 0", value, key)
         _require(_is_number(self.unit_idle_fraction) and 0 <= self.unit_idle_fraction <= 1,
                  "soc.unit_idle_fraction", "a number in [0, 1]", self.unit_idle_fraction)
         _require(_is_number(self.feature_access_fraction)
@@ -147,7 +152,7 @@ class SocConfig:
                  "soc.scratchpad_capacity_bytes", "an integer > 0",
                  self.scratchpad_capacity_bytes)
         _require(_is_count(self.scratchpad_banks) and self.scratchpad_banks == SCRATCHPAD_BANKS,
-                 "soc.scratchpad_banks", str(SCRATCHPAD_BANKS), self.scratchpad_banks)
+                 "soc.scratchpad_banks", "{}", self.scratchpad_banks, SCRATCHPAD_BANKS)
 
     def peak_power_w(self, kind: UnitKind) -> float:
         return getattr(self, _PEAK_POWER_FIELD[kind])

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from slamsim.engine import NS_PER_MS, NS_PER_S, Engine, EventKind, SchedulingError
+from slamsim.engine import (NEXT_SAMPLE, NS_PER_MS, NS_PER_S, Engine, EventKind,
+                            SchedulingError)
 
 
 def test_empty_run_ends_at_end():
@@ -156,25 +157,25 @@ def _chains_seen(rate_hz, delays, lazy):
     in half sample periods (0 included; -1: at the next sample's arrival),
     beside a chain of events that do the same with the delays reversed.
     Returns, per action or event, its chain, time and the samples delivered
-    before it. The actions are the engine's lazy server, or events scheduled
-    at the same positions."""
+    before it. The actions are the engine's lazy server, whose callback
+    returns its next action, or events scheduled at the same positions."""
     eng = Engine(seed=0)
     half = NS_PER_S // rate_hz // 2
     seen, own, other = [], iter(delays), iter(delays[::-1])
 
-    def serve(at):
-        if lazy:
-            eng.serve_at(at) if at is not None else eng.serve_next_sample()
+    def action(now, delivered):
+        seen.append(("s", now, delivered))
+        d = next(own, None)
+        if d is None:
+            return None
+        return NEXT_SAMPLE if d < 0 else now + d * half
+
+    def on_event(ev):
+        at = action(ev.at, eng.sample_index)
+        if at == NEXT_SAMPLE:
+            eng.schedule_next_sample("s", EventKind.IMU_SAMPLE_READY)
         elif at is not None:
             eng.schedule(at, "s", EventKind.TASK_DONE)
-        else:
-            eng.schedule_next_sample("s", EventKind.IMU_SAMPLE_READY)
-
-    def action(ev=None):
-        seen.append(("s", eng.now(), eng.sample_index))
-        d = next(own, None)
-        if d is not None:
-            serve(None if d < 0 else eng.now() + d * half)
 
     def handler(ev):
         seen.append(("x", ev.at, eng.sample_index))
@@ -186,10 +187,13 @@ def _chains_seen(rate_hz, delays, lazy):
     if lazy:
         eng.start_server(action)
     else:
-        eng.on("s", action)
+        eng.on("s", on_event)
     eng.schedule(2 * half, "x", EventKind.TASK_DONE)
     eng.start_source(rate_hz)
-    serve(2 * half)
+    if lazy:
+        eng.serve_at(2 * half)
+    else:
+        eng.schedule(2 * half, "s", EventKind.TASK_DONE)
     eng.schedule(2 * half, "x", EventKind.TASK_DONE)
     end = 10 * NS_PER_S // rate_hz
     eng.run_until(end // 2)
@@ -207,7 +211,7 @@ def test_server_acts_where_its_events_would_be_delivered(rate_hz, delays):
 def test_server_action_at_the_end_is_settled_by_run_until():
     eng = Engine(seed=0)
     acted = []
-    eng.start_server(lambda: acted.append(eng.now()))
+    eng.start_server(lambda now, delivered: acted.append(now))
     eng.serve_at(5)
     eng.run_until(4)
     assert acted == []
@@ -217,7 +221,10 @@ def test_server_action_at_the_end_is_settled_by_run_until():
 
 def test_server_action_in_the_past_is_a_hard_fault():
     eng = Engine(seed=0)
-    eng.start_server(lambda: None)
+    eng.start_server(lambda now, delivered: now - 1)
     eng.run_until(10)
     with pytest.raises(SchedulingError):
         eng.serve_at(9)
+    eng.serve_at(10)
+    with pytest.raises(SchedulingError):
+        eng.run_until(10)

@@ -616,3 +616,35 @@ class TestDeferredIntegration:
         updates = _estimates(sim)[0]
         assert 0 < len(calls) <= len(updates) + 1
         assert updates == _estimates(EagerPropagationSimulation(config))[0]
+
+
+class TestImuBlockSize:
+    """The rows do not depend on the block size `_imu_row_blocks` draws them
+    in. The oracles above draw with the same IMU_BLOCK, so they cannot see a
+    dependence on it; these runs compare the estimate bits after every
+    update, at the end, and the report line across block sizes."""
+
+    BLOCKS = (1, 7, 128, IMU_BLOCK)
+
+    @staticmethod
+    def _assert_same_across_blocks(config):
+        seen = []
+        for block in TestImuBlockSize.BLOCKS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pipeline, "IMU_BLOCK", block)
+                seen.append(_estimates(Simulation(config)))
+        assert all(result == seen[0] for result in seen[1:])
+        return seen[0]
+
+    def test_hetero_dsp_at_1_khz(self):
+        config = ScenarioConfig(variant=ArchVariant.HETERO_DSP, imu_rate_hz=1000,
+                                duration_s=3.0, warmup_s=0.5,
+                                relay=RelayConfig(heap_budget_mib=30.0))
+        after_updates = self._assert_same_across_blocks(config)[0]
+        assert len(after_updates) > 50
+
+    @pytest.mark.parametrize("variant", list(ArchVariant))
+    @given(data=st.data())
+    @settings(max_examples=4, deadline=None)
+    def test_tie_heavy_runs(self, variant, data):
+        self._assert_same_across_blocks(data.draw(tie_heavy_configs(variant)))
