@@ -28,7 +28,9 @@ class BankState(Enum):
 
 UPDATE_CONSUMER = "update"
 MAPPING_CONSUMER = "mapping"
-CONSUMERS = frozenset({UPDATE_CONSUMER, MAPPING_CONSUMER})
+# A tuple: membership compares by equality, so an unhashable value read from
+# a trace file is simply not a consumer.
+CONSUMERS = (UPDATE_CONSUMER, MAPPING_CONSUMER)
 
 
 @dataclass

@@ -18,21 +18,21 @@ Sample k's removed event would have taken its seq when sample k-1 was
 delivered, so k counts as delivered before an event E if t_k < E.at, or if
 t_k == E.at and sample k-1 already counted as delivered when E was
 scheduled. The engine reserves that seq each time `sample_index` moves, so
-`schedule_next_sample` can place a real event at the exact (at, seq)
-position of the next sample, for a case where its arrival acts.
+the arrival of the next sample has an exact (at, seq) position of its own.
 
-A server (`start_server`): one callback, called for each of its actions
-with the action's time and the last sample delivered before it, which
-returns the server's next action: a time (a completion), ordered as an event
-scheduled then would be; `NEXT_SAMPLE`, the arrival of the next sample, at
-that sample's position; or None. Outside a settle, `serve_at` and
-`serve_next_sample` set the next action the same way. Before an event E is
-handled, the engine settles every action ordered before E in one loop, with
-the clock, the seq counter, the sample clock and the next action in locals:
-per action it delivers the samples ordered before it, sets the clock to its
-time, calls the callback and reserves a seq for the returned time.
-`run_until(end)` settles the actions at or before `end` before it returns.
-The callback must schedule no event and set no action itself.
+A server (`start_server`, after `start_source`): one callback, called for
+each of its actions with the action's time and the last sample delivered
+before it, which returns the server's next action: a time (a completion),
+ordered as an event scheduled then would be; `NEXT_SAMPLE`, the arrival of
+the next sample, at that sample's position; or None. The server starts out
+waiting for the next sample, and outside a settle `serve_at` moves its next
+action to a time. Before an event E is handled, the engine settles every
+action ordered before E in one loop, with the clock, the seq counter, the
+sample clock and the next action in locals: per action it delivers the
+samples ordered before it, sets the clock to its time, calls the callback
+and reserves a seq for the returned time. `run_until(end)` settles the
+actions at or before `end` before it returns. The callback must schedule
+no event and set no action itself.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class Engine:
         self.sample_index = 0  # last sample that counts as delivered
         self._sample_rate_hz = 0
         self._next_sample_ns = _NEVER_NS
-        self._next_sample_seq = 0  # seq reserved for the next sample's event
+        self._next_sample_seq = 0  # the seq the next sample's event would have had
         # The lazy server: its callback and the (at, seq) of its next action.
         self._server = None
         self._server_ns = _NEVER_NS
@@ -152,21 +152,16 @@ class Engine:
         self._sample_rate_hz = rate_hz
         self.sample_index = 0
         self._next_sample_ns = NS_PER_S // rate_hz
-        self._reserve_sample_seq()
+        self._next_sample_seq = self._seq
+        self._seq += 1
         self._lazy_ns = min(self._next_sample_ns, self._server_ns)
 
-    def schedule_next_sample(self, target: str, kind: EventKind) -> Event:
-        """Schedule a real event for sample `sample_index + 1`, at the (at,
-        seq) position its per-sample event would have had; payload is k."""
-        ev = tuple.__new__(Event, (self._next_sample_ns, self._next_sample_seq, target, kind,
-                                   self.sample_index + 1))
-        self.scheduled_count += 1
-        heappush(self._queue, ev)
-        return ev
-
     def start_server(self, callback) -> None:
-        """Install the lazy server; it has no next action until one is set."""
+        """Install the lazy server, waiting for the arrival of the next
+        sample."""
         self._server = callback
+        self._server_ns, self._server_seq = self._next_sample_ns, self._next_sample_seq
+        self._lazy_ns = self._next_sample_ns
 
     def serve_at(self, at: int) -> None:
         """The server's next action is at `at`, ordered as an event scheduled
@@ -178,17 +173,6 @@ class Engine:
         self._seq += 1
         if at < self._lazy_ns:
             self._lazy_ns = at
-
-    def serve_next_sample(self) -> None:
-        """The server's next action is the arrival of sample `sample_index +
-        1`, at the (at, seq) position its per-sample event would have had."""
-        self._server_ns = self._next_sample_ns
-        self._server_seq = self._next_sample_seq
-        self._lazy_ns = self._next_sample_ns
-
-    def _reserve_sample_seq(self) -> None:
-        self._next_sample_seq = self._seq
-        self._seq += 1
 
     def _settle(self, at: int, seq: int) -> None:
         """Settle every server action and deliver every sample ordered

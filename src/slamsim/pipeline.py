@@ -18,8 +18,9 @@ stage runs on, an ingest policy and a handoff. Ingest policies:
 
 Handoffs from feature extraction to update and mapping:
 
-* shared: through shared memory; an IMU sample that arrives while the
-  propagation unit is idle starts propagation, and each propagation task
+* shared: through shared memory; propagation runs on a unit of its own
+  (the variant table refuses any other mapping), an IMU sample that arrives
+  while that unit is idle starts propagation, and each propagation task
   takes every sample delivered and not yet taken.
 * two-bank: features are written into a two-bank scratchpad and the CPU is
   notified through the bank-swap interrupt protocol; IMU samples buffer
@@ -41,12 +42,11 @@ sample would have, each event scheduled by its predecessor's handler: at a
 whether the coincident sample joins the batch taken at that instant is the
 common case.
 
-Propagation runs on one of two kinds of unit. A unit whose only stage is
-propagation under the shared handoff (cpu1 of baseline-cpu and hetero-dsp,
-chosen from the variant table) is a `PropagationServer`, the engine's lazy
-server (`Engine.start_server`). Its chain of fixed-length tasks is
-deterministic between synchronization points, so neither a task's
-completion nor the sample that wakes the idle unit has an engine event.
+Under the shared handoff the propagation unit (cpu1 of baseline-cpu and
+hetero-dsp) is a `PropagationServer`, the engine's lazy server
+(`Engine.start_server`). Its chain of fixed-length tasks is deterministic
+between synchronization points, so neither a task's completion nor the
+sample that wakes the idle unit has an engine event.
 Before the first event ordered after them, and at the end of each
 `run_until`, the engine settles all of them in one loop, each at the exact
 (at, seq) position its event would have had, and calls `_serve` for each
@@ -60,11 +60,10 @@ take, the next sample's arrival (`NEXT_SAMPLE`); with a batch taken while a
 GC freeze holds the unit, none, and the batch starts when the freeze ends.
 A GC freeze suspends the running task and pushes its completion out.
 Back-to-back tasks are booked as one busy interval, which leaves every
-ledger total as it was. On every other unit (`UnitExecutor`), each
-completion is a `TASK_DONE` event; where such a unit runs propagation under
-the shared handoff, a real "imu" event is scheduled while it is idle, at the
-(at, seq) position of the sample it stands for, and with the two-bank
-handoff the drain after mapping takes the batch.
+ledger total as it was. Every other unit is a `UnitExecutor`: each
+completion is a `TASK_DONE` event. Under the two-bank handoff propagation
+runs on one of them (cpu0 of slam-arch, beside mapping), and the drain after
+mapping takes the delivered samples as one batch.
 
 The estimate is integrated when it is read, not when a propagation task
 completes. A completion (`_apply_propagation`) only advances `imu_done`; at
@@ -166,13 +165,11 @@ class _Unit:
 class UnitExecutor(_Unit):
     """FIFO task execution on one compute unit, with optional freezing by
     garbage-collection pauses (running task suspends, queued tasks wait).
-    Each completion is an engine event; `on_idle`, if set, is called whenever
-    a completion leaves the unit idle."""
+    Each completion is an engine event."""
 
     def __init__(self, sim: "Simulation", unit_id: str):
         super().__init__(sim, unit_id)
         self.queue: deque[_Task] = deque()
-        self.on_idle = None
         self.target = f"exec:{unit_id}"
         sim.engine.on(self.target, self._on_task_done)
 
@@ -210,8 +207,6 @@ class UnitExecutor(_Unit):
         self.task = None
         task.on_done(task)
         self.try_start()
-        if self.on_idle is not None and self.task is None and not self.queue:
-            self.on_idle()
 
 
 class PropagationServer(_Unit):
@@ -226,11 +221,6 @@ class PropagationServer(_Unit):
         self.duration_ns = sim.stage_ns[Stage.PROPAGATION]
         self.durations = sim.stage_durations_ns[Stage.PROPAGATION]
         self.waiting = None
-        sim.engine.start_server(self._serve)
-
-    def wait_for_sample(self) -> None:
-        """Idle: the next sample's arrival starts a task."""
-        self.sim.engine.serve_next_sample()
 
     def _due_at(self, end_ns: int) -> None:
         self.sim.engine.serve_at(end_ns)
@@ -310,7 +300,6 @@ class Simulation:
         self.imu_rows: list = []  # rows of the samples drawn after imu_integrated
         self.imu_accel = None  # body accel of sample imu_integrated, if any
         self.imu_max_batch = 0
-        self.imu_wakeup_pending = False
 
         # metrics
         self.frames_offered = 0
@@ -349,8 +338,6 @@ class Simulation:
         # (maybe_gc suspends running tasks on every other unit).
         self.execs = {uid: self._executor(uid) for uid in self.units}
         self.stage_exec = {stage: self.execs[uid] for stage, uid in spec.stage_units.items()}
-        # Shared handoff: an IMU sample kicks propagation.
-        self.imu_kicks_propagation = spec.handoff is Handoff.SHARED
         self.controller = None
         self.pending_frame = None
         self.active_cycle_bank = None
@@ -360,30 +347,24 @@ class Simulation:
                 trace=lambda tr, d: self._emit("bank", tr, **d))
 
     def _executor(self, unit_id: str) -> _Unit:
-        """A lazy server for a unit whose only stage is propagation under the
-        shared handoff, a `UnitExecutor` for every other unit."""
-        units = self.spec.stage_units
-        if self.spec.handoff is Handoff.SHARED and units.get(Stage.PROPAGATION) == unit_id \
-                and sum(uid == unit_id for uid in units.values()) == 1:
+        """The lazy server for the propagation unit of the shared handoff
+        (which runs no other stage; see `VariantSpec`), a `UnitExecutor` for
+        every other unit."""
+        if self.spec.handoff is Handoff.SHARED and \
+                unit_id == self.spec.stage_units[Stage.PROPAGATION]:
             return PropagationServer(self, unit_id)
         return UnitExecutor(self, unit_id)
 
     def _wire_sources(self) -> None:
         self.engine.on("frames", self._on_frame_event)
-        self.engine.on("imu", self._on_imu_event)
         self.engine.on("gc", self._on_gc_end)
         # A source event's payload is its 1-based index k; it fires at
         # k * NS_PER_S // rate.
         self.engine.schedule(NS_PER_S // self.config.camera_fps, "frames",
                              EventKind.FRAME_ARRIVED, 1)
         self.engine.start_source(self.config.imu_rate_hz)
-        if self.imu_kicks_propagation:
-            propagation = self.stage_exec[Stage.PROPAGATION]
-            if isinstance(propagation, PropagationServer):
-                propagation.wait_for_sample()
-            else:
-                propagation.on_idle = self._schedule_imu_wakeup
-                self._schedule_imu_wakeup()
+        if self.spec.handoff is Handoff.SHARED:
+            self.engine.start_server(self.stage_exec[Stage.PROPAGATION]._serve)
 
     @property
     def est_pose(self):
@@ -436,16 +417,6 @@ class Simulation:
         self.engine.schedule(((k + 1) * NS_PER_S) // self.config.camera_fps,
                              "frames", EventKind.FRAME_ARRIVED, k + 1)
         self.on_frame_arrival(k, self.engine.now())
-
-    def _schedule_imu_wakeup(self) -> None:
-        """The propagation unit is idle: the next sample's arrival kicks it."""
-        if not self.imu_wakeup_pending:
-            self.imu_wakeup_pending = True
-            self.engine.schedule_next_sample("imu", EventKind.IMU_SAMPLE_READY)
-
-    def _on_imu_event(self, ev) -> None:
-        self.imu_wakeup_pending = False
-        self._kick_propagation()
 
     def _take_imu(self) -> tuple[int, int]:
         """The samples delivered and not yet taken, as the index range (lo,
@@ -535,21 +506,6 @@ class Simulation:
     def _on_mapping_done(self, task: _Task) -> None:
         self._apply_mapping(task.payload)
 
-    def _kick_propagation(self) -> None:
-        if self.stage_exec[Stage.PROPAGATION].idle():
-            self._propagate_delivered()
-
-    def _propagate_delivered(self) -> None:
-        """Submit every delivered sample not yet taken as one batch."""
-        lo, hi = self._take_imu()
-        if lo < hi:
-            self._submit(Stage.PROPAGATION, (lo, hi), self._on_propagation_done)
-
-    def _on_propagation_done(self, task: _Task) -> None:
-        self._apply_propagation(task.payload)
-        if self.imu_kicks_propagation:
-            self._kick_propagation()
-
     # ------------------------------------------------------------------
     # two-bank scratchpad handoff
 
@@ -607,6 +563,15 @@ class Simulation:
         if self.controller.pending_interrupt:
             self._acknowledge_cycle()
         self._try_start_fill()
+
+    def _propagate_delivered(self) -> None:
+        """Submit every delivered sample not yet taken as one batch."""
+        lo, hi = self._take_imu()
+        if lo < hi:
+            self._submit(Stage.PROPAGATION, (lo, hi), self._on_propagation_done)
+
+    def _on_propagation_done(self, task: _Task) -> None:
+        self._apply_propagation(task.payload)
 
     # ------------------------------------------------------------------
     # functional kernel application

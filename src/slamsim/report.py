@@ -13,6 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+from .bank import CONSUMERS
 from .engine import NS_PER_MS, ms_to_ns, ns_to_ms, ns_to_s
 from .pipeline import Simulation
 from .soc import Stage
@@ -261,7 +262,7 @@ def audit_trace(records: list[dict]) -> AuditResult:
             continue
         tr = rec.get("transition")
         bank = rec.get("bank")
-        if bank not in state:
+        if type(bank) is not int or bank not in state:
             violate(rec, "malformed-record", f"{tr} record names no bank 0 or 1: {bank!r}")
             continue
         if tr == "FillStart":
@@ -290,19 +291,23 @@ def audit_trace(records: list[dict]) -> AuditResult:
                 violate(rec, "lock-registered-only",
                         f"bank {bank} locked but register holds {register}")
             state[bank] = LOCKED
-            consumers_pending[bank] = {"update", "mapping"}
-        elif tr == "ConsumeStart":
-            if state[bank] != LOCKED:
-                violate(rec, "consume-locked-only",
-                        f"consume of bank {bank} in state {state[bank]}")
-            consuming[bank].add(rec.get("consumer"))
-        elif tr == "ConsumeDone":
+            consumers_pending[bank] = set(CONSUMERS)
+        elif tr == "ConsumeStart" or tr == "ConsumeDone":
             consumer = rec.get("consumer")
-            pending = consumers_pending.get(bank, set())
-            if consumer not in pending:
-                violate(rec, "exactly-once", f"{consumer} consumed bank {bank} twice")
-            pending.discard(consumer)
-            consuming[bank].discard(consumer)
+            if consumer not in CONSUMERS:
+                violate(rec, "malformed-record",
+                        f"{tr} record names no consumer {' or '.join(CONSUMERS)}: {consumer!r}")
+            elif tr == "ConsumeStart":
+                if state[bank] != LOCKED:
+                    violate(rec, "consume-locked-only",
+                            f"consume of bank {bank} in state {state[bank]}")
+                consuming[bank].add(consumer)
+            else:
+                pending = consumers_pending.get(bank, set())
+                if consumer not in pending:
+                    violate(rec, "exactly-once", f"{consumer} consumed bank {bank} twice")
+                pending.discard(consumer)
+                consuming[bank].discard(consumer)
         elif tr == "BankReleased":
             if state[bank] != LOCKED:
                 violate(rec, "release-locked-only",

@@ -58,6 +58,13 @@ class VariantSpec:
         # The sensor-pin ingest holds one frame for the next bank fill.
         if (self.ingest is Ingest.SENSOR_PIN) != (self.handoff is Handoff.TWO_BANK):
             raise ConfigError("the sensor-pin ingest and the two-bank handoff go together")
+        # The shared handoff's propagation unit is the engine's lazy server,
+        # which runs propagation tasks only.
+        if self.handoff is Handoff.SHARED:
+            unit = self.stage_units[Stage.PROPAGATION]
+            if sum(uid == unit for uid in self.stage_units.values()) > 1:
+                raise ConfigError(f"the shared handoff runs propagation on a unit of its own; "
+                                  f"{unit} also runs another stage")
 
 
 _CPU, _DSP = UnitKind.CPU_CORE, UnitKind.DSP
@@ -125,6 +132,11 @@ class RelayConfig:
 
 # Landmark truth is held in memory as one (count, 3) array.
 MAX_LANDMARKS = 1_000_000
+# The largest noise std, bias component (SI units) and trajectory radius (m),
+# and the shortest trajectory period (s): within these, no IMU row, pose or
+# report figure overflows.
+MAX_KERNEL_MAGNITUDE = 1e6
+MIN_TRAJECTORY_PERIOD_S = 1e-3
 
 
 @dataclass(frozen=True)
@@ -148,13 +160,14 @@ class KernelConfig:
         for key in ("accel_bias", "gyro_bias"):
             value = getattr(self, key)
             _require(isinstance(value, (list, tuple)) and len(value) == 3
-                     and all(map(_is_number, value)), "kernel.{}",
-                     "3 finite numbers", value, key)
+                     and all(_is_number(v) and abs(v) <= MAX_KERNEL_MAGNITUDE for v in value),
+                     "kernel.{}", "3 numbers in [-{1:g}, {1:g}]", value, key,
+                     MAX_KERNEL_MAGNITUDE)
             object.__setattr__(self, key, tuple(value))
         for key in ("accel_noise_std", "gyro_noise_std", "obs_noise_std", "map_noise_std"):
             value = getattr(self, key)
-            _require(_is_number(value) and value >= 0, "kernel.{}",
-                     "a finite number >= 0", value, key)
+            _require(_is_number(value) and 0 <= value <= MAX_KERNEL_MAGNITUDE, "kernel.{}",
+                     "a number in [0, {1:g}]", value, key, MAX_KERNEL_MAGNITUDE)
         _require(_is_number(self.update_gain) and 0 <= self.update_gain <= 1,
                  "kernel.update_gain", "a number in [0, 1]", self.update_gain)
         _require(_is_count(self.min_matches) and self.min_matches >= 0,
@@ -166,10 +179,14 @@ class KernelConfig:
                  "kernel.visibility_range_m", "a finite number > 0", self.visibility_range_m)
         _require(_is_number(self.fov_deg) and 0 < self.fov_deg <= 360,
                  "kernel.fov_deg", "a number in (0, 360]", self.fov_deg)
-        _require(_is_number(self.trajectory_radius_m) and self.trajectory_radius_m >= 0,
-                 "kernel.trajectory_radius_m", "a finite number >= 0", self.trajectory_radius_m)
-        _require(_is_number(self.trajectory_period_s) and self.trajectory_period_s > 0,
-                 "kernel.trajectory_period_s", "a finite number > 0", self.trajectory_period_s)
+        _require(_is_number(self.trajectory_radius_m)
+                 and 0 <= self.trajectory_radius_m <= MAX_KERNEL_MAGNITUDE,
+                 "kernel.trajectory_radius_m", "a number in [0, {:g}]", self.trajectory_radius_m,
+                 MAX_KERNEL_MAGNITUDE)
+        _require(_is_number(self.trajectory_period_s)
+                 and self.trajectory_period_s >= MIN_TRAJECTORY_PERIOD_S,
+                 "kernel.trajectory_period_s", "a finite number >= {:g}",
+                 self.trajectory_period_s, MIN_TRAJECTORY_PERIOD_S)
         _require(isinstance(self.updates_enabled, bool),
                  "kernel.updates_enabled", "true or false", self.updates_enabled)
 

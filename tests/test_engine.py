@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from slamsim.engine import (NEXT_SAMPLE, NS_PER_MS, NS_PER_S, Engine, EventKind,
-                            SchedulingError)
+from slamsim.engine import NEXT_SAMPLE, NS_PER_S, Engine, EventKind, SchedulingError
 
 
 def test_empty_run_ends_at_end():
@@ -138,67 +137,66 @@ def test_lazy_source_delivers_what_a_sample_event_chain_would(rate_hz, delays):
     assert lazy[1] == 10
 
 
-def test_next_sample_event_sits_at_the_samples_position():
-    eng = Engine(seed=0)
-    order = []
-    eng.on("x", lambda ev: order.append(("x", ev.at, eng.sample_index)))
-    eng.on("imu", lambda ev: order.append(("imu", ev.at, eng.sample_index)))
-    eng.start_source(1000)
-    eng.schedule(NS_PER_MS, "x", EventKind.TASK_DONE)  # sample 0 delivered: after sample 1
-    ev = eng.schedule_next_sample("imu", EventKind.IMU_SAMPLE_READY)
-    assert (ev.at, ev.payload) == (NS_PER_MS, 1)
-    eng.run_until(NS_PER_MS)
-    assert order == [("imu", NS_PER_MS, 1), ("x", NS_PER_MS, 1)]
-    assert eng.scheduled_count == 2
-
-
 def _chains_seen(rate_hz, delays, lazy):
     """A chain of actions, each setting its successor after the next delay
     in half sample periods (0 included; -1: at the next sample's arrival),
     beside a chain of events that do the same with the delays reversed.
     Returns, per action or event, its chain, time and the samples delivered
-    before it. The actions are the engine's lazy server, whose callback
-    returns its next action, or events scheduled at the same positions."""
+    before it, and the samples delivered by the end. The actions are the
+    engine's lazy server over its lazy source, or an explicit chain: events
+    on "s", and one event per sample, each scheduled by its predecessor's
+    handler, which acts for "s" while "s" waits for that sample."""
     eng = Engine(seed=0)
     half = NS_PER_S // rate_hz // 2
     seen, own, other = [], iter(delays), iter(delays[::-1])
+    chain = [0, False]  # samples handled by the explicit chain; "s" waits
 
-    def action(now, delivered):
-        seen.append(("s", now, delivered))
+    def delivered():
+        return eng.sample_index if lazy else chain[0]
+
+    def action(now, k):
+        seen.append(("s", now, k))
         d = next(own, None)
         if d is None:
             return None
         return NEXT_SAMPLE if d < 0 else now + d * half
 
-    def on_event(ev):
-        at = action(ev.at, eng.sample_index)
+    def act(now):
+        at = action(now, chain[0])
         if at == NEXT_SAMPLE:
-            eng.schedule_next_sample("s", EventKind.IMU_SAMPLE_READY)
+            chain[1] = True
         elif at is not None:
             eng.schedule(at, "s", EventKind.TASK_DONE)
 
+    def on_sample(ev):
+        chain[0] = ev.payload
+        eng.schedule(((ev.payload + 1) * NS_PER_S) // rate_hz, "imu", ev.kind, ev.payload + 1)
+        if chain[1]:
+            chain[1] = False
+            act(ev.at)
+
     def handler(ev):
-        seen.append(("x", ev.at, eng.sample_index))
+        seen.append(("x", ev.at, delivered()))
         d = next(other, None)
         if d is not None:
             eng.schedule(eng.now() + max(d, 0) * half, "x", EventKind.TASK_DONE)
 
     eng.on("x", handler)
-    if lazy:
-        eng.start_server(action)
-    else:
-        eng.on("s", on_event)
     eng.schedule(2 * half, "x", EventKind.TASK_DONE)
-    eng.start_source(rate_hz)
     if lazy:
+        eng.start_source(rate_hz)
+        eng.start_server(action)
         eng.serve_at(2 * half)
     else:
+        eng.on("s", lambda ev: act(ev.at))
+        eng.on("imu", on_sample)
+        eng.schedule(NS_PER_S // rate_hz, "imu", EventKind.IMU_SAMPLE_READY, 1)
         eng.schedule(2 * half, "s", EventKind.TASK_DONE)
     eng.schedule(2 * half, "x", EventKind.TASK_DONE)
     end = 10 * NS_PER_S // rate_hz
     eng.run_until(end // 2)
     eng.run_until(end)
-    return seen, eng.sample_index
+    return seen, delivered()
 
 
 @given(rate_hz=st.sampled_from([2, 40, 250, 1000]),

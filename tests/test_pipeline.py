@@ -12,8 +12,8 @@ from slamsim import pipeline
 from slamsim.kernel import integrate, propagate, sample_imu_block
 from slamsim.pipeline import IMU_BLOCK, PropagationServer, Simulation
 from slamsim.report import audit_trace, build_report, run_scenario, tracking_loss_count
-from slamsim.scenario import (VARIANTS, ArchVariant, KernelConfig, RelayConfig, ScenarioConfig,
-                              preset)
+from slamsim.scenario import (VARIANTS, ArchVariant, Handoff, KernelConfig, RelayConfig,
+                              ScenarioConfig, preset)
 from slamsim.soc import ConfigError, SocConfig, Stage, UnitKind
 
 
@@ -309,7 +309,8 @@ class EagerImuSimulation(Simulation):
     """Test oracle: every IMU sample is an engine event scheduled by its
     predecessor's handler. The handler draws the sample as an `ImuSample`,
     checks that it is due at the event's time, appends its index to a FIFO
-    buffer and kicks propagation; kicks and the drain after mapping empty the
+    buffer and, under the shared handoff, kicks propagation, as does each
+    propagation completion; kicks and the drain after mapping empty the
     buffer into a batch, the index range of its samples. Every unit, the
     propagation unit included, is a `UnitExecutor`: each task completion is
     an engine event."""
@@ -347,8 +348,15 @@ class EagerImuSimulation(Simulation):
         assert (k, sample.t_ns) == (self.eager_emitted, ev.at)
         self.imu_buffer.append(k)
         self.eager_high_water = max(self.eager_high_water, len(self.imu_buffer))
-        if self.imu_kicks_propagation:
-            self._kick_propagation()
+        self._kick_propagation()
+
+    def _kick_propagation(self):
+        if self.spec.handoff is Handoff.SHARED and self.stage_exec[Stage.PROPAGATION].idle():
+            self._propagate_delivered()
+
+    def _on_propagation_done(self, task):
+        super()._on_propagation_done(task)
+        self._kick_propagation()
 
     def _take_imu(self):
         batch = list(self.imu_buffer)
@@ -474,17 +482,13 @@ class TestLazyImuSource:
 
     @pytest.mark.parametrize("variant, unit", [(ArchVariant.BASELINE_CPU, "cpu2"),
                                                (ArchVariant.HETERO_DSP, "cpu0")])
-    def test_propagation_on_a_unit_shared_with_another_stage(self, monkeypatch, variant,
-                                                             unit):
-        # The unit also goes idle when another stage's task ends; the next
-        # sample after that must kick propagation as its own event would.
+    def test_propagation_on_a_unit_shared_with_another_stage(self, variant, unit):
+        # The shared handoff's propagation unit is the lazy server, which
+        # runs no other stage: the variant table refuses such an entry.
         spec = VARIANTS[variant]
-        monkeypatch.setitem(VARIANTS, variant, dataclasses.replace(
-            spec, stage_units=MappingProxyType({**spec.stage_units, Stage.PROPAGATION: unit})))
-        for rate in (200, 1000):
-            _assert_lazy_matches_eager(ScenarioConfig(
-                variant=variant, imu_rate_hz=rate, duration_s=3.0, warmup_s=0.5,
-                relay=RelayConfig(heap_budget_mib=30.0)))
+        with pytest.raises(ConfigError, match=f"{unit} also runs another stage"):
+            dataclasses.replace(spec, stage_units=MappingProxyType(
+                {**spec.stage_units, Stage.PROPAGATION: unit}))
 
     @pytest.mark.parametrize("variant", [ArchVariant.BASELINE_CPU, ArchVariant.HETERO_DSP])
     def test_sub_nanosecond_propagation_is_a_zero_length_task(self, variant):

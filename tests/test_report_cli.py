@@ -84,11 +84,21 @@ class TestAudit:
         assert not result.ok
         assert result.first()["rule"] == "lock-registered-only"
 
-    @pytest.mark.parametrize("bank", [None, 2, "0"])
+    @pytest.mark.parametrize("bank", [None, 2, "0", [0], True, {}])
     def test_bank_record_without_a_valid_bank_is_malformed(self, bank):
         rec = {"t_ns": 0, "entity": "bank", "transition": "FillStart"}
         if bank is not None:
             rec["bank"] = bank
+        result = rpt.audit_trace([rec])
+        assert [v["rule"] for v in result.violations] == ["malformed-record"]
+
+    @pytest.mark.parametrize("transition", ["ConsumeStart", "ConsumeDone"])
+    @pytest.mark.parametrize("consumer", [None, [1], "planner"])
+    def test_consume_record_without_a_valid_consumer_is_malformed(self, transition,
+                                                                  consumer):
+        rec = {"t_ns": 0, "entity": "bank", "transition": transition, "bank": 0}
+        if consumer is not None:
+            rec["consumer"] = consumer
         result = rpt.audit_trace([rec])
         assert [v["rule"] for v in result.violations] == ["malformed-record"]
 
@@ -148,6 +158,15 @@ class TestCli:
     def test_audit_of_malformed_bank_record_exits_one(self, tmp_path, capsys):
         trace = tmp_path / "nobank.jsonl"
         trace.write_text('{"t_ns": 0, "entity": "bank", "transition": "FillStart"}\n')
+        assert cli.main(["audit", str(trace)]) == 1
+        assert "malformed-record" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fields", ['"transition": "FillStart", "bank": [0]',
+                                        '"transition": "ConsumeStart", "bank": 0, "consumer": [1]',
+                                        '"transition": "ConsumeDone", "bank": 0, "consumer": [1]'])
+    def test_audit_of_unhashable_bank_fields_is_a_verdict(self, tmp_path, capsys, fields):
+        trace = tmp_path / "unhashable.jsonl"
+        trace.write_text('{"t_ns": 0, "entity": "bank", ' + fields + '}\n')
         assert cli.main(["audit", str(trace)]) == 1
         assert "malformed-record" in capsys.readouterr().out
 

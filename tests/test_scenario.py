@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -279,9 +280,60 @@ class TestConvertedValuesAreBounded:
         assert report.tracking_loss_count == 0
 
 
+def _report_floats(report):
+    """Every float in `report`, nested values included."""
+    stack = [report.to_dict()]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+        elif isinstance(value, float):
+            yield value
+
+
+# Kernel values whose IMU samples, poses or report figures would overflow.
+OVERFLOWING_KERNEL = [("kernel.accel_noise_std", 1e308), ("kernel.gyro_noise_std", 1e308),
+                      ("kernel.gyro_noise_std", 1e200), ("kernel.obs_noise_std", 1e308),
+                      ("kernel.map_noise_std", 1e308), ("kernel.accel_bias", [0.0, 1e308, 0.0]),
+                      ("kernel.gyro_bias", [0.0, 0.0, 1e308]),
+                      ("kernel.trajectory_radius_m", 1e308),
+                      ("kernel.trajectory_period_s", 1e-300)]
+KERNEL_AT_THE_BOUNDS = {**{f"kernel.{k}": 1e6 for k in (
+    "accel_noise_std", "gyro_noise_std", "obs_noise_std", "map_noise_std",
+    "trajectory_radius_m")}, "kernel.accel_bias": [1e6, -1e6, 1e6],
+    "kernel.gyro_bias": [-1e6, 1e6, -1e6], "kernel.trajectory_period_s": 1e-3}
+
+
+class TestKernelValuesAreBounded:
+    @pytest.mark.parametrize("key, value", OVERFLOWING_KERNEL)
+    def test_from_dict_refuses_a_value_that_overflows(self, key, value):
+        with pytest.raises(ConfigError, match=f"^scenario.{key}: expected "):
+            ScenarioConfig.from_dict(_scenario_with("baseline-cpu", {key: value}))
+
+    @pytest.mark.parametrize("key, value", OVERFLOWING_KERNEL)
+    def test_cli_reports_one_error_line(self, tmp_path, capsys, key, value):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(_scenario_with("baseline-cpu", {key: value})))
+        assert cli.main(["run", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario.{key}: expected ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("variant", PRESET_NAMES)
+    @pytest.mark.parametrize("imu_rate_hz", [1, 1000])
+    def test_every_value_at_the_bound_runs_to_finite_figures(self, variant, imu_rate_hz):
+        config = ScenarioConfig.from_dict(_scenario_with(
+            variant, {**KERNEL_AT_THE_BOUNDS, "imu_rate_hz": imu_rate_hz}))
+        report, sim = run_scenario(config)
+        assert audit_trace(sim.trace).ok
+        assert all(map(math.isfinite, _report_floats(report)))
+
+
 # ---------------------------------------------------------------------------
 # Any scenario dict either is refused with a ConfigError or runs to a trace
-# that passes the audit and a ledger that conserves energy.
+# that passes the audit, a ledger that conserves energy and finite figures.
 
 _pos = st.floats(1e-3, 50.0)
 _nonneg = st.floats(0.0, 5.0)
@@ -365,6 +417,8 @@ class TestAnyScenario:
     @given(_scenario())
     @example({"variant": "baseline-cpu", "duration_s": 1.0, "warmup_s": 0.0,
               "loss_threshold_ms": 1e308})
+    @example({"variant": "baseline-cpu", "duration_s": 1.0, "warmup_s": 0.0,
+              "kernel": {"gyro_noise_std": 1e308}})
     @settings(max_examples=60, deadline=None)
     def test_refused_or_runs_audited_and_conserved(self, data):
         try:
@@ -382,3 +436,4 @@ class TestAnyScenario:
         assert ledger.total_energy_j(full, cal) == pytest.approx(parts, rel=1e-12)
         assert report.total_energy_j == pytest.approx(parts, rel=1e-12)
         assert all(0.0 <= u <= 1.0 for u in report.unit_utilization.values())
+        assert all(map(math.isfinite, _report_floats(report)))
