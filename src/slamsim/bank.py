@@ -31,6 +31,7 @@ MAPPING_CONSUMER = "mapping"
 # A tuple: membership compares by equality, so an unhashable value read from
 # a trace file is simply not a consumer.
 CONSUMERS = (UPDATE_CONSUMER, MAPPING_CONSUMER)
+BANKS = 2  # the protocol is defined for exactly two banks
 
 
 @dataclass
@@ -47,10 +48,8 @@ class FeatureBankController:
     state change so runs can be audited offline.
     """
 
-    def __init__(self, banks: int = 2, trace=None):
-        if banks != 2:
-            raise ProtocolError("controller is defined for exactly two banks")
-        self.banks = [Bank(), Bank()]
+    def __init__(self, trace=None):
+        self.banks = [Bank() for _ in range(BANKS)]
         self.fill_register: int | None = None
         self.pending_interrupt = False
         self._full_backlog: deque[int] = deque()

@@ -44,7 +44,6 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
 

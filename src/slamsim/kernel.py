@@ -83,10 +83,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import NS_PER_S
+from .soc import FEATURE_BLOCK_HEADER_BYTES, FEATURE_RECORD_BYTES, SocConfig
 
-FEATURE_RECORD_BYTES = 20
-FEATURE_BLOCK_HEADER_BYTES = 96
-FEATURE_BLOCK_MAX_BYTES = 4096
+MAX_IMU_RATE_HZ = 1000
+# A camera frame's size: 3 MiB by default, and never less in a scenario.
+MIN_FRAME_BYTES = 3 * 1024 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +202,8 @@ class ImuModel:
     def __post_init__(self):
         object.__setattr__(self, "accel_bias", _vec3(self.accel_bias, "accel_bias"))
         object.__setattr__(self, "gyro_bias", _vec3(self.gyro_bias, "gyro_bias"))
-        if not 1 <= self.rate_hz <= 1000:
-            raise ValueError(f"imu rate_hz {self.rate_hz} out of [1, 1000]")
+        if not 1 <= self.rate_hz <= MAX_IMU_RATE_HZ:
+            raise ValueError(f"imu rate_hz {self.rate_hz} out of [1, {MAX_IMU_RATE_HZ}]")
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,7 @@ class CameraFrame:
     frame_id: int
     t_ns: int
     visible_landmarks: np.ndarray  # ascending landmark ids
-    size_bytes: int = 3 * 1024 * 1024
+    size_bytes: int = MIN_FRAME_BYTES
 
 
 class FeatureBlock(NamedTuple):
@@ -468,17 +469,15 @@ def propagate(pose: Pose, batch: list[ImuSample], from_t_ns: int,
     return integrate(pose, rows, prev_accel)
 
 
-def feature_capacity(max_bytes: int = FEATURE_BLOCK_MAX_BYTES,
-                     record_bytes: int = FEATURE_RECORD_BYTES,
-                     header_bytes: int = FEATURE_BLOCK_HEADER_BYTES) -> int:
-    return (max_bytes - header_bytes) // record_bytes
+def feature_capacity(max_bytes: int = SocConfig().bank_capacity_bytes) -> int:
+    return (max_bytes - FEATURE_BLOCK_HEADER_BYTES) // FEATURE_RECORD_BYTES
 
 
 def extract_features(frame: CameraFrame, rng: np.random.Generator | None = None,
-                     max_bytes: int = FEATURE_BLOCK_MAX_BYTES) -> FeatureBlock:
+                     max_bytes: int = SocConfig().bank_capacity_bytes) -> FeatureBlock:
     """Synthetic stand-in for a real detector: one feature per visible
-    landmark, capped so the serialized block fits a scratchpad bank. Over the
-    cap, a sorted random subset is kept (the first `cap` without `rng`)."""
+    landmark, capped so the serialized block fits a `max_bytes` bank. Over
+    the cap, a sorted random subset is kept (the first `cap` without `rng`)."""
     cap = feature_capacity(max_bytes)
     ids = frame.visible_landmarks
     if len(ids) > cap:

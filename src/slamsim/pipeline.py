@@ -342,9 +342,7 @@ class Simulation:
         self.pending_frame = None
         self.active_cycle_bank = None
         if spec.handoff is Handoff.TWO_BANK:
-            self.controller = FeatureBankController(
-                banks=soc.scratchpad_banks,
-                trace=lambda tr, d: self._emit("bank", tr, **d))
+            self.controller = FeatureBankController(trace=lambda tr, d: self._emit("bank", tr, **d))
 
     def _executor(self, unit_id: str) -> _Unit:
         """The lazy server for the propagation unit of the shared handoff
@@ -496,7 +494,8 @@ class Simulation:
     # shared-memory handoff
 
     def _on_feature_extraction_done(self, task: _Task) -> None:
-        block = extract_features(task.payload, self.engine.stream("features"))
+        block = extract_features(task.payload, self.engine.stream("features"),
+                                 self.config.soc.bank_capacity_bytes)
         self._submit(Stage.UPDATE, block, self._on_update_done)
         self._submit(Stage.MAPPING, block, self._on_mapping_done)
 
@@ -524,7 +523,8 @@ class Simulation:
 
     def _on_bank_fill_done(self, task: _Task) -> None:
         frame, bank = task.payload
-        block = extract_features(frame, self.engine.stream("features"))
+        block = extract_features(frame, self.engine.stream("features"),
+                                 self.config.soc.bank_capacity_bytes)
         self.controller.fill_complete(bank, block)
         if self.controller.pending_interrupt and self.active_cycle_bank is None:
             self._acknowledge_cycle()

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from types import MappingProxyType
 
+from .kernel import MAX_IMU_RATE_HZ, MIN_FRAME_BYTES
 from .soc import (MAX_DURATION_S, ConfigError, MemoryPath, SocConfig, Stage, UnitKind,
                   _is_count, _is_number, _require, _require_convertible)
 
@@ -36,7 +37,7 @@ class Ingest(Enum):
 class Handoff(Enum):
     """How feature blocks reach update and mapping."""
 
-    SHARED = "shared"  # through shared memory; IMU propagated per sample
+    SHARED = "shared"  # through shared memory; IMU propagated in batches by the lazy server
     TWO_BANK = "two-bank"  # bank-swap scratchpad; IMU batched after mapping
 
 
@@ -191,7 +192,6 @@ class KernelConfig:
                  "kernel.updates_enabled", "true or false", self.updates_enabled)
 
 
-MIN_FRAME_BYTES = 3 * 1024 * 1024
 # duration_s: at least one engine tick, so the run's window is never empty, and
 # at most one simulated hour.
 MIN_DURATION_S = 1e-9
@@ -215,8 +215,8 @@ class ScenarioConfig:
     def __post_init__(self):
         _require(_is_count(self.camera_fps) and 0 < self.camera_fps <= 60,
                  "camera_fps", "an integer in [1, 60]", self.camera_fps)
-        _require(_is_count(self.imu_rate_hz) and 0 < self.imu_rate_hz <= 1000,
-                 "imu_rate_hz", "an integer in [1, 1000]", self.imu_rate_hz)
+        _require(_is_count(self.imu_rate_hz) and 0 < self.imu_rate_hz <= MAX_IMU_RATE_HZ,
+                 "imu_rate_hz", "an integer in [1, {}]", self.imu_rate_hz, MAX_IMU_RATE_HZ)
         _require(_is_number(self.duration_s)
                  and MIN_DURATION_S <= self.duration_s <= MAX_DURATION_S, "duration_s",
                  "a number in [{:g}, {:g}]", self.duration_s, MIN_DURATION_S, MAX_DURATION_S)

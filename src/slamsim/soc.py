@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .bank import BANKS
 from .engine import NS_PER_S
 
 
@@ -92,8 +93,11 @@ def _require_convertible(value: float, key: str, unit: str, *parts) -> None:
         _require(False, key.format(*parts), f"at most {MAX_CONVERTED:g} {unit}", value)
 
 
-# The bank-swap controller (bank.py) is defined for exactly two banks.
-SCRATCHPAD_BANKS = 2
+# A serialized feature block is a header and one record per feature; each
+# scratchpad bank must hold a header and one record.
+FEATURE_BLOCK_HEADER_BYTES = 96
+FEATURE_RECORD_BYTES = 20
+MIN_SCRATCHPAD_BYTES = BANKS * (FEATURE_BLOCK_HEADER_BYTES + FEATURE_RECORD_BYTES)
 
 _PEAK_POWER_FIELD = {UnitKind.CPU_CORE: "cpu_peak_power_w",
                      UnitKind.DSP: "dsp_peak_power_w",
@@ -107,12 +111,12 @@ class SocConfig:
     gpu_peak_power_w: float = 2.3
     baseline_static_w: float = 0.0
     unit_idle_fraction: float = 0.45
-    # shared_access_ns, scratchpad_capacity_bytes and scratchpad_access_ns
-    # are accepted but not read by the model; removing a key would change
-    # every config digest.
+    # shared_access_ns and scratchpad_access_ns are accepted but not read by
+    # the model; removing a key would change every config digest. A bank,
+    # 1/BANKS of the scratchpad, caps the features a frame hands over.
     shared_access_ns: float = 100.0
     scratchpad_capacity_bytes: int = 8192
-    scratchpad_banks: int = SCRATCHPAD_BANKS
+    scratchpad_banks: int = BANKS
     scratchpad_access_ns: float = 0.4
     scratchpad_dynamic_w: float = 0.15
     scratchpad_leakage_w: float = 0.002
@@ -148,11 +152,12 @@ class SocConfig:
                  and 0 <= self.feature_access_fraction < 1,
                  "soc.feature_access_fraction", "a number in [0, 1)",
                  self.feature_access_fraction)
-        _require(_is_count(self.scratchpad_capacity_bytes) and self.scratchpad_capacity_bytes > 0,
-                 "soc.scratchpad_capacity_bytes", "an integer > 0",
-                 self.scratchpad_capacity_bytes)
-        _require(_is_count(self.scratchpad_banks) and self.scratchpad_banks == SCRATCHPAD_BANKS,
-                 "soc.scratchpad_banks", "{}", self.scratchpad_banks, SCRATCHPAD_BANKS)
+        _require(_is_count(self.scratchpad_capacity_bytes)
+                 and self.scratchpad_capacity_bytes >= MIN_SCRATCHPAD_BYTES,
+                 "soc.scratchpad_capacity_bytes", "an integer >= {}",
+                 self.scratchpad_capacity_bytes, MIN_SCRATCHPAD_BYTES)
+        _require(_is_count(self.scratchpad_banks) and self.scratchpad_banks == BANKS,
+                 "soc.scratchpad_banks", "{}", self.scratchpad_banks, BANKS)
 
     def peak_power_w(self, kind: UnitKind) -> float:
         return getattr(self, _PEAK_POWER_FIELD[kind])

@@ -110,10 +110,6 @@ class TestProtocolFaults:
         with pytest.raises(ProtocolError):
             ctl.release(0)
 
-    def test_exactly_two_banks(self):
-        with pytest.raises(ProtocolError):
-            FeatureBankController(banks=3)
-
 
 def test_trace_of_one_cycle_audits_clean():
     ctl, records = _traced_controller()

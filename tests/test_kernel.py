@@ -11,9 +11,9 @@ from slamsim.kernel import (CameraFrame, CircleTrajectory, ImuModel, ImuSample,
                             generate_landmarks, imu_rows, integrate, propagate, quat_exp,
                             quat_from_yaw, quat_multiply, quat_normalize, quat_rotate,
                             sample_imu, sample_imu_block, update_pose, _norm, _row_norms,
-                            FEATURE_BLOCK_HEADER_BYTES, FEATURE_BLOCK_MAX_BYTES,
-                            FEATURE_RECORD_BYTES)
+                            FEATURE_BLOCK_HEADER_BYTES, FEATURE_RECORD_BYTES)
 from slamsim.pipeline import IMU_BLOCK
+from slamsim.soc import SocConfig
 
 
 class TestQuaternions:
@@ -141,13 +141,17 @@ def _frame(ids, frame_id=0):
 class TestFeatures:
     def test_capacity_is_200(self):
         assert feature_capacity() == 200
-        assert (FEATURE_BLOCK_MAX_BYTES - FEATURE_BLOCK_HEADER_BYTES) \
+        assert (SocConfig().bank_capacity_bytes - FEATURE_BLOCK_HEADER_BYTES) \
             // FEATURE_RECORD_BYTES == 200
 
     def test_block_never_exceeds_bank_capacity(self):
         block = extract_features(_frame(range(500), frame_id=1), np.random.default_rng(0))
         assert len(block.features) == 200
-        assert block.serialized_bytes <= FEATURE_BLOCK_MAX_BYTES
+        assert block.serialized_bytes <= SocConfig().bank_capacity_bytes
+        block = extract_features(_frame(range(500), frame_id=1), np.random.default_rng(0),
+                                 max_bytes=1024)
+        assert len(block.features) == feature_capacity(1024) == 46
+        assert block.serialized_bytes <= 1024
 
     def test_small_frame_keeps_all_features(self):
         block = extract_features(_frame(range(5), frame_id=2))

@@ -442,6 +442,23 @@ def tie_heavy_configs(draw, variant):
                           relay=relay)
 
 
+def _run_recording_targets(config):
+    """Build and run a `Simulation` of `config`; return it and the target of
+    every event its engine scheduled, from construction to the end."""
+    targets = []
+    schedule = Engine.schedule
+
+    def recording(engine, at, target, kind, payload=None):
+        targets.append(target)
+        return schedule(engine, at, target, kind, payload)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Engine, "schedule", recording)
+        sim = Simulation(config)
+        sim.run()
+    return sim, targets
+
+
 class TestLazyImuSource:
     @pytest.mark.parametrize("variant", list(ArchVariant))
     @given(data=st.data())
@@ -501,11 +518,9 @@ class TestLazyImuSource:
 
     def test_events_only_where_a_sample_can_start_propagation(self):
         config = ScenarioConfig(variant=ArchVariant.SLAM_ARCH, duration_s=2.0, warmup_s=0.5)
-        sim = Simulation(config)
-        imu_events = []
-        sim.engine.on("imu", imu_events.append)
-        sim.run()
-        assert imu_events == []  # two-bank: samples never kick propagation
+        sim, targets = _run_recording_targets(config)
+        # Two-bank: samples never kick propagation; cpu0 drains them after mapping.
+        assert set(targets) == {"frames", "exec:dsp", "exec:cpu0", "exec:cpu1"}
         assert sim.imu_samples_emitted == 400
 
 
@@ -524,12 +539,9 @@ class TestPropagationServer:
         config = ScenarioConfig(variant=ArchVariant.HETERO_DSP, imu_rate_hz=1000,
                                 duration_s=3.0, warmup_s=0.5,
                                 relay=RelayConfig(heap_budget_mib=30.0))
-        sim = Simulation(config)
-        delivered = []
-        for target in ("exec:cpu1", "imu"):
-            sim.engine.on(target, delivered.append)
-        sim.run()
-        assert delivered == []
+        sim, targets = _run_recording_targets(config)
+        assert set(targets) == {"frames", "gc", "exec:dsp", "exec:cpu0", "exec:cpu2",
+                                "exec:cpu3"}
         assert len(sim.stage_durations_ns[Stage.PROPAGATION]) > 1000
         assert sim.gc_stalls
         eager = EagerImuSimulation(config)
@@ -537,11 +549,9 @@ class TestPropagationServer:
         assert sim.engine.delivered_count <= 0.3 * eager.engine.delivered_count
 
     def test_baseline_cpu_delivers_no_imu_event(self):
-        sim = Simulation(ScenarioConfig(variant=ArchVariant.BASELINE_CPU, duration_s=3.0))
-        delivered = []
-        sim.engine.on("imu", delivered.append)
-        sim.run()
-        assert delivered == []
+        sim, targets = _run_recording_targets(
+            ScenarioConfig(variant=ArchVariant.BASELINE_CPU, duration_s=3.0))
+        assert set(targets) == {"frames", "exec:cpu0", "exec:cpu2", "exec:cpu3"}
         assert sim.imu_samples_processed > 0
 
 

@@ -105,6 +105,8 @@ class TestKernelValidation:
 class TestSchemaValidation:
     @pytest.mark.parametrize("scenario, key", [
         ({"soc": {"scratchpad_banks": 3}}, "soc.scratchpad_banks"),
+        ({"soc": {"scratchpad_capacity_bytes": 1}}, "soc.scratchpad_capacity_bytes"),
+        ({"soc": {"scratchpad_capacity_bytes": 231}}, "soc.scratchpad_capacity_bytes"),
         ({"soc": {"feature_access_fraction": 1.5}}, "soc.feature_access_fraction"),
         ({"soc": {"update_shared_ms": -5}}, "soc.update_shared_ms"),
         ({"camera_fps": "30"}, "camera_fps"),
@@ -331,6 +333,42 @@ class TestKernelValuesAreBounded:
         assert all(map(math.isfinite, _report_floats(report)))
 
 
+class TestScratchpadCapacity:
+    """A bank is half the scratchpad, and it caps the features of a frame:
+    it must hold the block header (96 bytes) and one record (20 bytes)."""
+
+    @pytest.mark.parametrize("capacity", [1, 231])
+    def test_from_dict_refuses_a_bank_without_room_for_one_record(self, capacity):
+        with pytest.raises(ConfigError, match=(
+                r"^scenario.soc.scratchpad_capacity_bytes: expected an integer >= 232, "
+                f"got {capacity}$")):
+            ScenarioConfig.from_dict(_scenario_with(
+                "slam-arch", {"soc.scratchpad_capacity_bytes": capacity}))
+
+    def test_the_smallest_scratchpad_runs(self, tmp_path, capsys):
+        data = _scenario_with("slam-arch", {"soc.scratchpad_capacity_bytes": 232,
+                                            "kernel.landmark_count": 4000})
+        report, sim = run_scenario(ScenarioConfig.from_dict(data))
+        assert audit_trace(sim.trace).ok
+        assert any(rec["transition"] == "BankFilled" for rec in sim.trace)
+        assert report.map_size > 0
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["run", "--scenario", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_capacity_sets_the_feature_cap(self):
+        # Every frame of a dense scene reaches the cap, so a smaller bank
+        # keeps fewer features and the map grows more slowly.
+        map_size = {}
+        for capacity in (4096, 8192):
+            config = ScenarioConfig.from_dict({
+                "variant": "slam-arch", "duration_s": 5.0, "kernel": {"landmark_count": 4000},
+                "soc": {"scratchpad_capacity_bytes": capacity}})
+            map_size[capacity] = run_scenario(config)[0].map_size
+        assert map_size[4096] < map_size[8192]
+
+
 # ---------------------------------------------------------------------------
 # Any scenario dict either is refused with a ConfigError or runs to a trace
 # that passes the audit, a ledger that conserves energy and finite figures.
@@ -419,6 +457,7 @@ class TestAnyScenario:
               "loss_threshold_ms": 1e308})
     @example({"variant": "baseline-cpu", "duration_s": 1.0, "warmup_s": 0.0,
               "kernel": {"gyro_noise_std": 1e308}})
+    @example({"variant": "slam-arch", "soc": {"scratchpad_capacity_bytes": 1}})
     @settings(max_examples=60, deadline=None)
     def test_refused_or_runs_audited_and_conserved(self, data):
         try:

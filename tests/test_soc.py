@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slamsim.engine import NS_PER_MS, NS_PER_S
-from slamsim.soc import (ComputeUnitSpec, ConfigError, LatencyTable, LedgerError,
-                         MemoryPath, PowerCalibration, PowerLedger, SocConfig,
+from slamsim.kernel import feature_capacity
+from slamsim.soc import (MIN_SCRATCHPAD_BYTES, ComputeUnitSpec, ConfigError, LatencyTable,
+                         LedgerError, MemoryPath, PowerCalibration, PowerLedger, SocConfig,
                          Stage, UnitKind, task_energy_mj)
 
 
@@ -194,8 +195,10 @@ def test_busy_ns_is_the_running_total_over_a_covering_window(chunks, before, aft
 def test_scratchpad_bank_holds_a_feature_block():
     soc = SocConfig()
     assert soc.bank_capacity_bytes == 4096
-    from slamsim.kernel import FEATURE_BLOCK_MAX_BYTES
-    assert soc.bank_capacity_bytes >= FEATURE_BLOCK_MAX_BYTES
+    assert feature_capacity(soc.bank_capacity_bytes) == 200
+    smallest = SocConfig(scratchpad_capacity_bytes=MIN_SCRATCHPAD_BYTES)
+    assert MIN_SCRATCHPAD_BYTES == 232
+    assert feature_capacity(smallest.bank_capacity_bytes) == 1
 
 
 def test_soc_config_peak_power_per_kind():
