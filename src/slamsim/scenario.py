@@ -2,13 +2,17 @@
 plus free-form configs loaded from flat JSON files.
 
 Every model constant is overridable from the scenario file; unknown keys are
-rejected with the offending key named, and every value is type- and
-range-checked. The schema is documented in the README.
+rejected with the offending key named. Each key is declared once, as
+`spec(default, check)` beside its default (soc.py holds the helpers), and each
+section's `__post_init__` runs those checks with one `check_fields` call;
+only `warmup_s` and `relay.copy_latency_ms_max`, bounded by another key, are
+checked by hand after it. The schema is documented in the README.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
@@ -16,8 +20,9 @@ from enum import Enum
 from types import MappingProxyType
 
 from .kernel import MAX_IMU_RATE_HZ, MIN_FRAME_BYTES
-from .soc import (MAX_DURATION_S, ConfigError, MemoryPath, SocConfig, Stage, UnitKind,
-                  _is_count, _is_number, _require, _require_convertible)
+from .soc import (MAX_DURATION_S, _POSITIVE_MS, Check, ConfigError, MemoryPath, SocConfig,
+                  Stage, UnitKind, _is_number, check_fields, check_value, integer, number,
+                  spec)
 
 
 class ArchVariant(Enum):
@@ -97,38 +102,41 @@ VARIANTS = {
 }
 
 
+@functools.cache
+def _keys(cls) -> frozenset:
+    return frozenset(f.name for f in fields(cls))
+
+
+def _reject_unknown_keys(cls, data: dict, where: str) -> None:
+    """`where` is `scenario` or the section's path, e.g. `scenario.soc`."""
+    unknown = data.keys() - _keys(cls)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {sorted(unknown)[0]!r}")
+
+
 def _from_dict(cls, data: dict, key: str):
     """The `cls` section of a scenario under `key`, e.g. `soc`."""
     if not isinstance(data, dict):
         raise ConfigError(f"scenario.{key}: expected an object, got {type(data).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"scenario.{key}: unknown key {sorted(unknown)[0]!r}")
+    _reject_unknown_keys(cls, data, f"scenario.{key}")
     return cls(**data)
 
 
 @dataclass(frozen=True)
 class RelayConfig:
-    copy_latency_ms_min: float = 1.0
-    copy_latency_ms_max: float = 3.0
-    heap_budget_mib: float = 250.0
-    gc_pause_ms: float = 120.0
+    copy_latency_ms_min: float = spec(1.0, _POSITIVE_MS)
+    copy_latency_ms_max: float = 3.0  # at least copy_latency_ms_min
+    heap_budget_mib: float = spec(250.0, number(0, lo_open=True, unit="MiB"))
+    gc_pause_ms: float = spec(120.0, number(100, lo_open=True, unit="ms"))
 
     def __post_init__(self):
+        check_fields(self, "scenario.relay.")
         lo, hi = self.copy_latency_ms_min, self.copy_latency_ms_max
-        _require(_is_number(lo) and lo > 0, "relay.copy_latency_ms_min",
-                 "a finite number > 0", lo)
-        _require_convertible(lo, "relay.copy_latency_ms_min", "ms")
-        _require(_is_number(hi) and hi >= lo, "relay.copy_latency_ms_max",
-                 "a finite number >= copy_latency_ms_min ({!r})", hi, lo)
-        _require_convertible(hi, "relay.copy_latency_ms_max", "ms")
-        _require(_is_number(self.heap_budget_mib) and self.heap_budget_mib > 0,
-                 "relay.heap_budget_mib", "a finite number > 0", self.heap_budget_mib)
-        _require_convertible(self.heap_budget_mib, "relay.heap_budget_mib", "MiB")
-        _require(_is_number(self.gc_pause_ms) and self.gc_pause_ms > 100,
-                 "relay.gc_pause_ms", "a finite number > 100", self.gc_pause_ms)
-        _require_convertible(self.gc_pause_ms, "relay.gc_pause_ms", "ms")
+        if not (_is_number(hi) and hi >= lo):
+            raise ConfigError(f"scenario.relay.copy_latency_ms_max: expected a finite number "
+                              f">= copy_latency_ms_min ({lo!r}), got {hi!r}")
+        # hi >= lo > 0, so only the ms bound can refuse it here
+        check_value(hi, "scenario.relay.copy_latency_ms_max", _POSITIVE_MS)
 
 
 # Landmark truth is held in memory as one (count, 3) array.
@@ -139,57 +147,33 @@ MAX_LANDMARKS = 1_000_000
 MAX_KERNEL_MAGNITUDE = 1e6
 MIN_TRAJECTORY_PERIOD_S = 1e-3
 
+_BIAS = Check(lambda v: isinstance(v, (list, tuple)) and len(v) == 3
+              and all(_is_number(c) and abs(c) <= MAX_KERNEL_MAGNITUDE for c in v),
+              f"3 numbers in [-{MAX_KERNEL_MAGNITUDE:g}, {MAX_KERNEL_MAGNITUDE:g}]")
+_NOISE_STD = number(0, MAX_KERNEL_MAGNITUDE)
+
 
 @dataclass(frozen=True)
 class KernelConfig:
-    accel_bias: tuple = (0.05, 0.02, 0.0)
-    gyro_bias: tuple = (0.0005, 0.0, 0.0002)
-    accel_noise_std: float = 0.02
-    gyro_noise_std: float = 0.002
-    update_gain: float = 0.8
-    obs_noise_std: float = 0.02
-    min_matches: int = 10
-    map_noise_std: float = 0.01
-    landmark_count: int = 400
-    visibility_range_m: float = 12.0
-    fov_deg: float = 100.0
-    trajectory_radius_m: float = 5.0
-    trajectory_period_s: float = 60.0
-    updates_enabled: bool = True
+    accel_bias: tuple = spec((0.05, 0.02, 0.0), _BIAS)
+    gyro_bias: tuple = spec((0.0005, 0.0, 0.0002), _BIAS)
+    accel_noise_std: float = spec(0.02, _NOISE_STD)
+    gyro_noise_std: float = spec(0.002, _NOISE_STD)
+    update_gain: float = spec(0.8, number(0, 1))
+    obs_noise_std: float = spec(0.02, _NOISE_STD)
+    min_matches: int = spec(10, integer(0))
+    map_noise_std: float = spec(0.01, _NOISE_STD)
+    landmark_count: int = spec(400, integer(0, MAX_LANDMARKS))
+    visibility_range_m: float = spec(12.0, number(0, lo_open=True))
+    fov_deg: float = spec(100.0, number(0, 360, lo_open=True))
+    trajectory_radius_m: float = spec(5.0, number(0, MAX_KERNEL_MAGNITUDE))
+    trajectory_period_s: float = spec(60.0, number(MIN_TRAJECTORY_PERIOD_S))
+    updates_enabled: bool = spec(True, Check(lambda v: isinstance(v, bool), "true or false"))
 
     def __post_init__(self):
+        check_fields(self, "scenario.kernel.")
         for key in ("accel_bias", "gyro_bias"):
-            value = getattr(self, key)
-            _require(isinstance(value, (list, tuple)) and len(value) == 3
-                     and all(_is_number(v) and abs(v) <= MAX_KERNEL_MAGNITUDE for v in value),
-                     "kernel.{}", "3 numbers in [-{1:g}, {1:g}]", value, key,
-                     MAX_KERNEL_MAGNITUDE)
-            object.__setattr__(self, key, tuple(value))
-        for key in ("accel_noise_std", "gyro_noise_std", "obs_noise_std", "map_noise_std"):
-            value = getattr(self, key)
-            _require(_is_number(value) and 0 <= value <= MAX_KERNEL_MAGNITUDE, "kernel.{}",
-                     "a number in [0, {1:g}]", value, key, MAX_KERNEL_MAGNITUDE)
-        _require(_is_number(self.update_gain) and 0 <= self.update_gain <= 1,
-                 "kernel.update_gain", "a number in [0, 1]", self.update_gain)
-        _require(_is_count(self.min_matches) and self.min_matches >= 0,
-                 "kernel.min_matches", "an integer >= 0", self.min_matches)
-        _require(_is_count(self.landmark_count) and 0 <= self.landmark_count <= MAX_LANDMARKS,
-                 "kernel.landmark_count", "an integer in [0, {}]", self.landmark_count,
-                 MAX_LANDMARKS)
-        _require(_is_number(self.visibility_range_m) and self.visibility_range_m > 0,
-                 "kernel.visibility_range_m", "a finite number > 0", self.visibility_range_m)
-        _require(_is_number(self.fov_deg) and 0 < self.fov_deg <= 360,
-                 "kernel.fov_deg", "a number in (0, 360]", self.fov_deg)
-        _require(_is_number(self.trajectory_radius_m)
-                 and 0 <= self.trajectory_radius_m <= MAX_KERNEL_MAGNITUDE,
-                 "kernel.trajectory_radius_m", "a number in [0, {:g}]", self.trajectory_radius_m,
-                 MAX_KERNEL_MAGNITUDE)
-        _require(_is_number(self.trajectory_period_s)
-                 and self.trajectory_period_s >= MIN_TRAJECTORY_PERIOD_S,
-                 "kernel.trajectory_period_s", "a finite number >= {:g}",
-                 self.trajectory_period_s, MIN_TRAJECTORY_PERIOD_S)
-        _require(isinstance(self.updates_enabled, bool),
-                 "kernel.updates_enabled", "true or false", self.updates_enabled)
+            object.__setattr__(self, key, tuple(getattr(self, key)))
 
 
 # duration_s: at least one engine tick, so the run's window is never empty, and
@@ -200,36 +184,23 @@ MIN_DURATION_S = 1e-9
 @dataclass(frozen=True)
 class ScenarioConfig:
     variant: ArchVariant
-    camera_fps: int = 30
-    imu_rate_hz: int = 200
-    duration_s: float = 30.0
-    seed: int = 1
-    warmup_s: float = 2.0
+    camera_fps: int = spec(30, integer(1, 60))
+    imu_rate_hz: int = spec(200, integer(1, MAX_IMU_RATE_HZ))
+    duration_s: float = spec(30.0, number(MIN_DURATION_S, MAX_DURATION_S))
+    seed: int = spec(1, integer(0))
+    warmup_s: float = 2.0  # in [0, duration_s)
     memory_path: MemoryPath | None = None  # default chosen per variant
-    frame_size_bytes: int = MIN_FRAME_BYTES
-    loss_threshold_ms: float = 100.0
+    frame_size_bytes: int = spec(MIN_FRAME_BYTES, integer(MIN_FRAME_BYTES, note=" (3 MiB)"))
+    loss_threshold_ms: float = spec(100.0, number(0, unit="ms"))
     soc: SocConfig = field(default_factory=SocConfig)
     relay: RelayConfig = field(default_factory=RelayConfig)
     kernel: KernelConfig = field(default_factory=KernelConfig)
 
     def __post_init__(self):
-        _require(_is_count(self.camera_fps) and 0 < self.camera_fps <= 60,
-                 "camera_fps", "an integer in [1, 60]", self.camera_fps)
-        _require(_is_count(self.imu_rate_hz) and 0 < self.imu_rate_hz <= MAX_IMU_RATE_HZ,
-                 "imu_rate_hz", "an integer in [1, {}]", self.imu_rate_hz, MAX_IMU_RATE_HZ)
-        _require(_is_number(self.duration_s)
-                 and MIN_DURATION_S <= self.duration_s <= MAX_DURATION_S, "duration_s",
-                 "a number in [{:g}, {:g}]", self.duration_s, MIN_DURATION_S, MAX_DURATION_S)
-        _require(_is_count(self.seed) and self.seed >= 0, "seed", "an integer >= 0", self.seed)
-        _require(_is_number(self.warmup_s) and 0 <= self.warmup_s < self.duration_s,
-                 "warmup_s", "a number in [0, duration_s = {!r})", self.warmup_s,
-                 self.duration_s)
-        _require(_is_count(self.frame_size_bytes) and self.frame_size_bytes >= MIN_FRAME_BYTES,
-                 "frame_size_bytes", "an integer >= {} (3 MiB)", self.frame_size_bytes,
-                 MIN_FRAME_BYTES)
-        _require(_is_number(self.loss_threshold_ms) and self.loss_threshold_ms >= 0,
-                 "loss_threshold_ms", "a finite number >= 0", self.loss_threshold_ms)
-        _require_convertible(self.loss_threshold_ms, "loss_threshold_ms", "ms")
+        check_fields(self, "scenario.")
+        if not (_is_number(self.warmup_s) and 0 <= self.warmup_s < self.duration_s):
+            raise ConfigError(f"scenario.warmup_s: expected a number in "
+                              f"[0, duration_s = {self.duration_s!r}), got {self.warmup_s!r}")
 
     def effective_memory_path(self) -> MemoryPath:
         if self.memory_path is not None:
@@ -261,10 +232,7 @@ class ScenarioConfig:
         if not isinstance(data, dict):
             raise ConfigError("scenario: expected a JSON object at top level")
         data = dict(data)
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"scenario: unknown key {sorted(unknown)[0]!r}")
+        _reject_unknown_keys(cls, data, "scenario")
         if "variant" not in data:
             raise ConfigError("scenario: missing required key 'variant'")
         try:
@@ -287,7 +255,7 @@ class ScenarioConfig:
     def from_json(cls, text: str) -> "ScenarioConfig":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise ConfigError(f"scenario: invalid JSON: {exc}") from exc
         return cls.from_dict(data)
 

@@ -15,9 +15,12 @@ parameters, not measurements, and live in scenario config.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from typing import Callable, NamedTuple
 
 from .bank import BANKS
 from .engine import NS_PER_S
@@ -56,6 +59,8 @@ class MemoryPath(Enum):
 
 
 def _is_number(value) -> bool:
+    if type(value) is float:  # the common case, tested first: most checks run on floats
+        return math.isfinite(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     try:
@@ -68,16 +73,6 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _require(ok: bool, key: str, expected: str, value, *parts) -> None:
-    """`key` is the dotted path below the scenario root, e.g. `soc.propagation_ms`.
-    With `parts`, `key` and `expected` are `str.format` templates filled from
-    them, only when the check fails: a valid config formats no message."""
-    if not ok:
-        if parts:
-            key, expected = key.format(*parts), expected.format(*parts)
-        raise ConfigError(f"scenario.{key}: expected {expected}, got {value!r}")
-
-
 # The longest run: one simulated hour.
 MAX_DURATION_S = 3600.0
 # The one bound on every value converted to integer ns or bytes, so that each
@@ -86,11 +81,71 @@ MAX_DURATION_S = 3600.0
 MAX_CONVERTED = MAX_DURATION_S * 1000
 
 
-def _require_convertible(value: float, key: str, unit: str, *parts) -> None:
-    """`value`, a finite number of `unit` (ms or MiB), is at most MAX_CONVERTED;
-    `key` and `parts` as for `_require`."""
-    if value > MAX_CONVERTED:
-        _require(False, key.format(*parts), f"at most {MAX_CONVERTED:g} {unit}", value)
+class Check(NamedTuple):
+    """The range of one config value: `ok(value)` says whether it is in range,
+    `expected` describes the range in an error message, and a `unit` (ms or MiB)
+    marks a value converted to integer ns or bytes, which is also at most
+    MAX_CONVERTED."""
+
+    ok: Callable[[object], bool]
+    expected: str
+    unit: str | None = None
+
+
+def spec(default, check: Check):
+    """A dataclass field with its default and its Check, which `check_fields` runs."""
+    return field(default=default, metadata={"check": check})
+
+
+def number(lo: float, hi: float | None = None, lo_open: bool = False,
+           hi_open: bool = False, unit: str | None = None) -> Check:
+    """A finite number above `lo` and, with `hi`, below `hi`; each bound is
+    closed unless marked open."""
+    above = operator.lt if lo_open else operator.le
+    if hi is None:
+        return Check(lambda v: _is_number(v) and above(lo, v),
+                     f"a finite number {'>' if lo_open else '>='} {lo:g}", unit)
+    below = operator.lt if hi_open else operator.le
+    return Check(lambda v: _is_number(v) and above(lo, v) and below(v, hi),
+                 f"a number in {'(' if lo_open else '['}{lo:g}, {hi:g}"
+                 f"{')' if hi_open else ']'}", unit)
+
+
+def integer(lo: int, hi: int | None = None, note: str = "") -> Check:
+    """An integer of at least `lo` and, with `hi`, at most `hi`; `note`
+    follows the expected range in a message."""
+    if hi is None:
+        return Check(lambda v: _is_count(v) and v >= lo, f"an integer >= {lo}{note}")
+    return Check(lambda v: _is_count(v) and lo <= v <= hi, f"an integer in [{lo}, {hi}]")
+
+
+def check_value(value, key: str, check: Check) -> None:
+    """Raise a ConfigError naming `key` unless `value` passes `check`."""
+    if not check.ok(value):
+        raise ConfigError(f"{key}: expected {check.expected}, got {value!r}")
+    if check.unit and value > MAX_CONVERTED:
+        raise ConfigError(f"{key}: expected at most {MAX_CONVERTED:g} {check.unit}, "
+                          f"got {value!r}")
+
+
+@functools.cache
+def _checked_fields(cls) -> tuple:
+    return tuple((f.name, f.metadata["check"]) for f in fields(cls) if "check" in f.metadata)
+
+
+def check_fields(obj, prefix: str) -> None:
+    """Run the Check of every `spec` field of `obj` in field order; a message
+    names the field as `prefix` + its name, e.g. `scenario.soc.propagation_ms`."""
+    for name, (ok, expected, unit) in _checked_fields(type(obj)):
+        value = getattr(obj, name)
+        if not ok(value) or unit and value > MAX_CONVERTED:
+            check_value(value, prefix + name, Check(ok, expected, unit))
+
+
+def _spec_of(cls, name: str):
+    """A new field with the default and Check of `cls`'s field `name`."""
+    f = cls.__dataclass_fields__[name]
+    return spec(f.default, f.metadata["check"])
 
 
 # A serialized feature block is a header and one record per feature; each
@@ -103,61 +158,40 @@ _PEAK_POWER_FIELD = {UnitKind.CPU_CORE: "cpu_peak_power_w",
                      UnitKind.DSP: "dsp_peak_power_w",
                      UnitKind.GPU: "gpu_peak_power_w"}
 
+_POSITIVE, _NON_NEGATIVE = number(0, lo_open=True), number(0)
+_POSITIVE_MS = number(0, lo_open=True, unit="ms")
+
 
 @dataclass(frozen=True)
 class SocConfig:
-    cpu_peak_power_w: float = 2.5
-    dsp_peak_power_w: float = 1.5
-    gpu_peak_power_w: float = 2.3
-    baseline_static_w: float = 0.0
-    unit_idle_fraction: float = 0.45
+    cpu_peak_power_w: float = spec(2.5, _POSITIVE)
+    dsp_peak_power_w: float = spec(1.5, _POSITIVE)
+    gpu_peak_power_w: float = spec(2.3, _POSITIVE)
+    baseline_static_w: float = spec(0.0, _NON_NEGATIVE)
+    unit_idle_fraction: float = spec(0.45, number(0, 1))
     # shared_access_ns and scratchpad_access_ns are accepted but not read by
     # the model; removing a key would change every config digest. A bank,
     # 1/BANKS of the scratchpad, caps the features a frame hands over.
-    shared_access_ns: float = 100.0
-    scratchpad_capacity_bytes: int = 8192
-    scratchpad_banks: int = BANKS
-    scratchpad_access_ns: float = 0.4
-    scratchpad_dynamic_w: float = 0.15
-    scratchpad_leakage_w: float = 0.002
-    io_pin_power_w: float = 0.1
+    shared_access_ns: float = spec(100.0, _NON_NEGATIVE)
+    scratchpad_capacity_bytes: int = spec(8192, integer(MIN_SCRATCHPAD_BYTES))
+    scratchpad_banks: int = spec(BANKS, Check(lambda v: _is_count(v) and v == BANKS,
+                                              str(BANKS)))
+    scratchpad_access_ns: float = spec(0.4, _NON_NEGATIVE)
+    scratchpad_dynamic_w: float = spec(0.15, _NON_NEGATIVE)
+    scratchpad_leakage_w: float = spec(0.002, _NON_NEGATIVE)
+    io_pin_power_w: float = spec(0.1, _NON_NEGATIVE)
     # Fraction of update/mapping execution time spent on feature memory
     # accesses over the shared path; eliminated by the scratchpad path.
-    feature_access_fraction: float = 0.2
-    feature_extraction_cpu_ms: float = 45.0
-    feature_extraction_gpu_ms: float = 50.0
-    feature_extraction_dsp_ms: float = 20.0
-    propagation_ms: float = 2.0
-    update_shared_ms: float = 30.0
-    mapping_shared_ms: float = 15.0
+    feature_access_fraction: float = spec(0.2, number(0, 1, hi_open=True))
+    feature_extraction_cpu_ms: float = spec(45.0, _POSITIVE_MS)
+    feature_extraction_gpu_ms: float = spec(50.0, _POSITIVE_MS)
+    feature_extraction_dsp_ms: float = spec(20.0, _POSITIVE_MS)
+    propagation_ms: float = spec(2.0, _POSITIVE_MS)
+    update_shared_ms: float = spec(30.0, _POSITIVE_MS)
+    mapping_shared_ms: float = spec(15.0, _POSITIVE_MS)
 
     def __post_init__(self):
-        for key in ("cpu_peak_power_w", "dsp_peak_power_w", "gpu_peak_power_w",
-                    "feature_extraction_cpu_ms", "feature_extraction_gpu_ms",
-                    "feature_extraction_dsp_ms", "propagation_ms", "update_shared_ms",
-                    "mapping_shared_ms"):
-            value = getattr(self, key)
-            _require(_is_number(value) and value > 0, "soc.{}",
-                     "a finite number > 0", value, key)
-            if key.endswith("_ms"):
-                _require_convertible(value, "soc.{}", "ms", key)
-        for key in ("baseline_static_w", "shared_access_ns", "scratchpad_access_ns",
-                    "scratchpad_dynamic_w", "scratchpad_leakage_w", "io_pin_power_w"):
-            value = getattr(self, key)
-            _require(_is_number(value) and value >= 0, "soc.{}",
-                     "a finite number >= 0", value, key)
-        _require(_is_number(self.unit_idle_fraction) and 0 <= self.unit_idle_fraction <= 1,
-                 "soc.unit_idle_fraction", "a number in [0, 1]", self.unit_idle_fraction)
-        _require(_is_number(self.feature_access_fraction)
-                 and 0 <= self.feature_access_fraction < 1,
-                 "soc.feature_access_fraction", "a number in [0, 1)",
-                 self.feature_access_fraction)
-        _require(_is_count(self.scratchpad_capacity_bytes)
-                 and self.scratchpad_capacity_bytes >= MIN_SCRATCHPAD_BYTES,
-                 "soc.scratchpad_capacity_bytes", "an integer >= {}",
-                 self.scratchpad_capacity_bytes, MIN_SCRATCHPAD_BYTES)
-        _require(_is_count(self.scratchpad_banks) and self.scratchpad_banks == BANKS,
-                 "soc.scratchpad_banks", "{}", self.scratchpad_banks, BANKS)
+        check_fields(self, "scenario.soc.")
 
     def peak_power_w(self, kind: UnitKind) -> float:
         return getattr(self, _PEAK_POWER_FIELD[kind])
@@ -182,29 +216,24 @@ class ComputeUnitSpec:
     def __post_init__(self):
         if self.peak_power_w == 0.0:
             object.__setattr__(self, "peak_power_w", SocConfig().peak_power_w(self.kind))
-        if self.peak_power_w <= 0:
-            raise ConfigError(f"unit {self.id}: peak_power_w must be > 0")
+        check_value(self.peak_power_w, f"unit {self.id}: peak_power_w", _POSITIVE)
 
 
 @dataclass(frozen=True)
 class PowerCalibration:
-    """Calibration knobs for the average-power model.
+    """Calibration knobs for the average-power model, with SocConfig's
+    defaults and checks.
 
     unit_idle_fraction: fraction of a unit's peak power drawn while powered
     but idle. baseline_static_w: uncore/system static draw independent of the
     powered unit set.
     """
 
-    baseline_static_w: float = 0.0
-    unit_idle_fraction: float = 0.45
+    baseline_static_w: float = _spec_of(SocConfig, "baseline_static_w")
+    unit_idle_fraction: float = _spec_of(SocConfig, "unit_idle_fraction")
 
     def __post_init__(self):
-        if not (_is_number(self.baseline_static_w) and self.baseline_static_w >= 0):
-            raise ConfigError("baseline_static_w: expected a finite number >= 0, "
-                              f"got {self.baseline_static_w!r}")
-        if not (_is_number(self.unit_idle_fraction) and 0 <= self.unit_idle_fraction <= 1):
-            raise ConfigError("unit_idle_fraction: expected a number in [0, 1], "
-                              f"got {self.unit_idle_fraction!r}")
+        check_fields(self, "")
 
 
 class LatencyTable:

@@ -179,6 +179,21 @@ class TestCli:
         assert err.startswith("error: ") and "line 2" in err
         assert err.count("\n") == 1
 
+    def test_audit_of_a_deeply_nested_line_is_one_error_line(self, tmp_path, capsys):
+        trace = tmp_path / "deep.jsonl"
+        trace.write_text('{"t_ns": 0, "entity": "x", "transition": "y"}\n' + "[" * 10_000 + "\n")
+        assert cli.main(["audit", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trace}: line 2: invalid trace record: ")
+        assert err.count("\n") == 1
+
+    def test_deeply_nested_scenario_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 10_000)
+        assert cli.main(["run", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario: invalid JSON: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [
         ["run", "--scenario", "preset:slam-arch", "--duration", "2.5", "--trace", "{bad}"],
         ["run", "--scenario", "preset:slam-arch", "--output", "{bad}"],

@@ -10,7 +10,7 @@ from slamsim.pipeline import Simulation
 from slamsim.report import audit_trace, run_scenario
 from slamsim.scenario import (ArchVariant, Handoff, Ingest, KernelConfig, PRESET_NAMES,
                               RelayConfig, ScenarioConfig, VARIANTS, preset)
-from slamsim.soc import MAX_CONVERTED, ConfigError, MemoryPath, SocConfig
+from slamsim.soc import MAX_CONVERTED, ConfigError, MemoryPath, PowerCalibration, SocConfig
 
 
 class TestPresets:
@@ -139,6 +139,76 @@ class TestSchemaValidation:
     def test_every_relay_key_is_checked(self, key):
         with pytest.raises(ConfigError, match=f"^scenario.relay.{key}: expected "):
             ScenarioConfig.from_dict({"variant": "hetero-dsp", "relay": {key: "1"}})
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(KernelConfig)])
+    def test_every_kernel_key_is_checked(self, key):
+        for bad in ("1", None):
+            with pytest.raises(ConfigError, match=f"^scenario.kernel.{key}: expected "):
+                ScenarioConfig.from_dict({"variant": "slam-arch", "kernel": {key: bad}})
+
+    # One case per form of check: the exact message from_dict raises.
+    @pytest.mark.parametrize("scenario, message", [
+        ({"soc": {"propagation_ms": 0}},
+         "soc.propagation_ms: expected a finite number > 0, got 0"),
+        ({"relay": {"gc_pause_ms": 100}},
+         "relay.gc_pause_ms: expected a finite number > 100, got 100"),
+        ({"soc": {"io_pin_power_w": -1}},
+         "soc.io_pin_power_w: expected a finite number >= 0, got -1"),
+        ({"kernel": {"trajectory_period_s": 1e-4}},
+         "kernel.trajectory_period_s: expected a finite number >= 0.001, got 0.0001"),
+        ({"soc": {"unit_idle_fraction": 1.5}},
+         "soc.unit_idle_fraction: expected a number in [0, 1], got 1.5"),
+        ({"duration_s": 1e9}, "duration_s: expected a number in [1e-09, 3600], got 1000000000.0"),
+        ({"kernel": {"gyro_noise_std": 1e7}},
+         "kernel.gyro_noise_std: expected a number in [0, 1e+06], got 10000000.0"),
+        ({"kernel": {"fov_deg": 0}}, "kernel.fov_deg: expected a number in (0, 360], got 0"),
+        ({"soc": {"feature_access_fraction": 1}},
+         "soc.feature_access_fraction: expected a number in [0, 1), got 1"),
+        ({"seed": -1}, "seed: expected an integer >= 0, got -1"),
+        ({"soc": {"scratchpad_capacity_bytes": 2.5}},
+         "soc.scratchpad_capacity_bytes: expected an integer >= 232, got 2.5"),
+        ({"camera_fps": 61}, "camera_fps: expected an integer in [1, 60], got 61"),
+        ({"kernel": {"landmark_count": -1}},
+         "kernel.landmark_count: expected an integer in [0, 1000000], got -1"),
+        ({"frame_size_bytes": 1024},
+         "frame_size_bytes: expected an integer >= 3145728 (3 MiB), got 1024"),
+        ({"soc": {"scratchpad_banks": 3}}, "soc.scratchpad_banks: expected 2, got 3"),
+        ({"kernel": {"updates_enabled": 1}},
+         "kernel.updates_enabled: expected true or false, got 1"),
+        ({"kernel": {"accel_bias": [1, 2]}},
+         "kernel.accel_bias: expected 3 numbers in [-1e+06, 1e+06], got [1, 2]"),
+        ({"soc": {"propagation_ms": 1e308}},
+         "soc.propagation_ms: expected at most 3.6e+06 ms, got 1e+308"),
+        ({"relay": {"heap_budget_mib": 4e6}},
+         "relay.heap_budget_mib: expected at most 3.6e+06 MiB, got 4000000.0"),
+        ({"relay": {"copy_latency_ms_min": 3.0, "copy_latency_ms_max": 1.0}},
+         "relay.copy_latency_ms_max: expected a finite number >= copy_latency_ms_min (3.0), "
+         "got 1.0"),
+        ({"relay": {"copy_latency_ms_max": 1e308}},
+         "relay.copy_latency_ms_max: expected at most 3.6e+06 ms, got 1e+308"),
+        ({"duration_s": 2.0, "warmup_s": 2.0},
+         "warmup_s: expected a number in [0, duration_s = 2.0), got 2.0"),
+    ])
+    def test_exact_message(self, scenario, message):
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig.from_dict({"variant": "hetero-dsp", **scenario})
+        assert str(info.value) == f"scenario.{message}"
+
+    def test_power_calibration_names_the_bare_field(self):
+        with pytest.raises(ConfigError) as info:
+            PowerCalibration(unit_idle_fraction=1.5)
+        assert str(info.value) == "unit_idle_fraction: expected a number in [0, 1], got 1.5"
+
+    def test_every_field_has_a_check(self):
+        # Keys without a spec field, and where each is checked: variant and
+        # memory_path in from_dict, the sections by their own classes, and
+        # warmup_s and copy_latency_ms_max against another key.
+        elsewhere = {ScenarioConfig: {"variant", "memory_path", "soc", "relay", "kernel",
+                                      "warmup_s"},
+                     RelayConfig: {"copy_latency_ms_max"}}
+        for cls in (ScenarioConfig, SocConfig, RelayConfig, KernelConfig, PowerCalibration):
+            unchecked = {f.name for f in dataclasses.fields(cls) if "check" not in f.metadata}
+            assert unchecked == elsewhere.get(cls, set()), cls.__name__
 
     def test_integer_fields_reject_floats(self):
         defaults = ScenarioConfig(variant=ArchVariant.SLAM_ARCH)

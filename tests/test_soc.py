@@ -211,5 +211,6 @@ def test_unit_peak_power_defaults():
     assert ComputeUnitSpec("c", UnitKind.CPU_CORE).peak_power_w == 2.5
     assert ComputeUnitSpec("d", UnitKind.DSP).peak_power_w == 1.5
     assert ComputeUnitSpec("g", UnitKind.GPU).peak_power_w == 2.3
-    with pytest.raises(ConfigError):
-        ComputeUnitSpec("bad", UnitKind.DSP, peak_power_w=-1.0)
+    for bad in (-1.0, float("nan"), float("inf"), "2"):
+        with pytest.raises(ConfigError):
+            ComputeUnitSpec("bad", UnitKind.DSP, peak_power_w=bad)
