@@ -14,7 +14,7 @@ import sys
 
 from . import report as rpt
 from .scenario import PRESET_NAMES, ScenarioConfig, preset
-from .soc import ConfigError
+from .soc import MAX_DURATION_S, ConfigError
 
 
 class CliError(RuntimeError):
@@ -37,6 +37,9 @@ def _load_scenario(spec: str, seed=None, duration=None) -> ScenarioConfig:
         if not duration > config.warmup_s:
             raise CliError(f"--duration {duration:g} must exceed the scenario's "
                            f"warmup_s = {config.warmup_s:g}")
+        if not duration <= MAX_DURATION_S:
+            raise CliError(f"--duration {duration:g} exceeds the longest run, "
+                           f"{MAX_DURATION_S:g} s")
         overrides["duration_s"] = duration
     if overrides:
         config = dataclasses.replace(config, **overrides)

@@ -34,6 +34,40 @@ subtraction from the contiguous coordinate rows of the landmark array
 subtraction is exact per element, so only the gemv depends on the layout,
 and it gets the C-order matrix it is specified on.
 
+Block visibility. `visible_block` answers `visible` for a block of poses
+(the pipeline's consecutive camera frames) with `visible(pose)` as its
+one-pose block. Once per block it sorts the landmarks into three classes,
+measured from the block's first pose: delta is the largest distance of a
+pose from it and phi the largest angle of a heading from its heading. For a
+landmark at distance r and angle theta from the first pose, every pose sees
+it at a distance in [r - delta, r + delta] and at an angle within theta +-
+(asin(delta / r) + phi), by the triangle inequality for distances and for
+angles between directions; the asin bounds how far the direction to the
+landmark turns, and needs r > 2 delta. Sure-out landmarks fail the range
+test or the cone test for every pose, sure-in landmarks pass all three
+tests for every pose, and the rest, including every landmark within about
+2 delta of the first pose, are edge landmarks. The classification is
+conservative: distances are widened by the relative margin 1e-9, angles by
+1e-9 rad, and the cone's cosine by 2e-9, far above the ~1e-15 rounding
+error of the exact formula and the 1e-9 by which a heading's norm may
+differ from 1 (the depths scale with it). Angles are taken as atan2(|v x h|,
+v . h), accurate near 0 and pi too. numpy's arctan2 and arcsin, and libm's
+acos, may round differently on another host; within the margins that moves
+no landmark across a class it does not belong to, so no output bit. A block
+with a non-finite position, a non-finite cone or a heading norm outside 1 +-
+1e-9 makes every landmark an edge landmark: slower, still exact.
+
+The exact test runs today's formula on the edge landmarks only, for all
+poses at once, with the same element-wise operations in the same order, and
+takes the depth numerators from one stacked matmul (poses, rows, 3) @
+(poses, 3, 1). numpy evaluates it as one BLAS gemv per pose, which on the
+OpenBLAS kernels measured (SkylakeX, Haswell, Prescott) gives each row the
+bits of the gemv `rel @ heading` on the whole array, whichever rows the
+subset keeps. A one-row product is the exception: numpy takes it as a BLAS
+dot, which may differ in the last bit, so a lone edge landmark is tested
+with a second row. Each pose's ids are then the sure-in landmarks plus the
+edge landmarks the exact test passes, in ascending order.
+
 Array-drawn IMU blocks. numpy's `rng.normal(0.0, std, 3)` returns
 `0.0 + std * z` for three standard normals `z` taken one after another from
 the generator. `draw_imu` draws the noise of n samples at once as
@@ -540,6 +574,23 @@ def generate_landmarks(count: int, rng: np.random.Generator,
     return np.stack((radii * cos, radii * sin, heights)).T
 
 
+# The block classification's margin (see the module notes): distances are
+# widened by this fraction, angles by this many radians and cosines by twice
+# it; a heading whose norm is further than this from 1 sends every landmark
+# to the exact test.
+_MARGIN = 1e-9
+# The exact test takes at most about this many (pose, landmark) rows at once.
+_EXACT_ROWS = 1 << 13
+
+
+def _angles_to(x, y, z, h) -> np.ndarray:
+    """The angle between each vector (x, y, z) and the unit vector h, as
+    atan2(|v x h|, v . h), which is accurate near 0 and pi as well."""
+    hx, hy, hz = h
+    cx, cy, cz = y * hz - z * hy, z * hx - x * hz, x * hy - y * hx
+    return np.arctan2(np.sqrt(cx * cx + cy * cy + cz * cz), x * hx + y * hy + z * hz)
+
+
 class LandmarkField:
     """Landmark truth positions with a vectorized visibility query."""
 
@@ -551,19 +602,77 @@ class LandmarkField:
                 fov_deg: float = 100.0) -> np.ndarray:
         """Ascending ids of the landmarks inside a forward field-of-view cone
         and range of the true pose."""
-        heading = np.array(quat_rotate(true_pose.orientation, (1.0, 0.0, 0.0)))
+        return self.visible_block((true_pose,), max_range_m, fov_deg)[0]
+
+    def visible_block(self, poses, max_range_m: float = 12.0,
+                      fov_deg: float = 100.0) -> list[np.ndarray]:
+        """`visible` of each pose, bit for bit: the landmarks are classified
+        once for the whole block, and only the edge landmarks are tested
+        exactly, for all poses at once (see the module notes)."""
+        if not poses:
+            return []
+        positions = np.array([p.position for p in poses], dtype=float)
+        heads = np.array([quat_rotate(p.orientation, (1.0, 0.0, 0.0)) for p in poses])
         cos_half = math.cos(math.radians(fov_deg) / 2.0)
-        # rel = points - position in C order, the layout of the gemv below,
-        # written from the contiguous coordinate rows; the distance sums the
-        # squared columns left to right.
-        rel = np.empty(self.points.shape)
-        np.subtract(self._columns, np.array(true_pose.position)[:, None], out=rel.T)
-        x, y, z = rel.T
+        sure_in, edge = self._classify(positions, heads, max_range_m, cos_half)
+        if np.count_nonzero(edge) == 1:
+            # numpy takes a one-row product as a BLAS dot, not as the gemv
+            # of the whole array; a second row keeps the gemv.
+            edge[:2] = True
+        # Only the candidates, sure-in or edge, can be seen by any pose.
+        candidates = np.flatnonzero(sure_in | edge)
+        at = np.flatnonzero(edge[candidates])
+        seen = np.repeat(sure_in[candidates][None], len(poses), axis=0)
+        step = max(1, _EXACT_ROWS // max(1, len(at)))
+        for first in range(0, len(poses) if len(at) else 0, step):
+            chunk = slice(first, first + step)
+            seen[chunk, at] = self._exact(candidates[at], positions[chunk], heads[chunk],
+                                          max_range_m, cos_half)
+        return [candidates[row] for row in seen]
+
+    def _classify(self, positions, heads, max_range_m, cos_half):
+        """Two bool masks over the landmarks for a block of poses: those that
+        every pose sees (sure-in), and the edge landmarks, which the exact
+        test decides. No pose sees the rest (sure-out)."""
+        n = len(self.points)
+        norms = np.sqrt((heads * heads).sum(axis=1))
+        if not (np.isfinite(positions).all() and math.isfinite(cos_half)
+                and (np.abs(norms - 1.0) <= _MARGIN).all()):
+            return np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+        # The block's spread around its first pose: delta (m) and phi (rad).
+        off = positions - positions[0]
+        delta = float(np.sqrt((off * off).sum(axis=1)).max()) * (1.0 + _MARGIN)
+        units = heads / norms[:, None]
+        phi = float(_angles_to(*units.T, units[0]).max())
+        # Each landmark's distance and angle from the first pose.
+        x, y, z = self._columns - positions[0][:, None]
+        r0 = np.sqrt(x * x + y * y + z * z)
+        theta = _angles_to(x, y, z, units[0])
+        r_lo, r_hi = r0 * (1.0 - _MARGIN), r0 * (1.0 + _MARGIN)
+        # Farther than 2 delta, no pose comes within 1e-6 m, and the
+        # direction to a landmark turns by at most asin(delta / r) between
+        # two poses.
+        far = r_lo > 2.0 * delta + 2e-6
+        with np.errstate(invalid="ignore", divide="ignore"):
+            spread = np.arcsin(np.minimum(1.0, delta / r_lo)) + (phi + _MARGIN)
+        half_in = math.acos(min(1.0, cos_half + 2.0 * _MARGIN)) - _MARGIN
+        half_out = math.acos(max(-1.0, cos_half - 2.0 * _MARGIN)) + _MARGIN
+        sure_in = far & (r_hi + delta <= max_range_m) & (theta + spread <= half_in)
+        sure_out = (r_lo - delta > max_range_m) | (far & (theta - spread >= half_out))
+        return sure_in, ~(sure_in | sure_out)
+
+    def _exact(self, ids, positions, heads, max_range_m, cos_half) -> np.ndarray:
+        """The visibility formula on the landmarks `ids`, one row per pose.
+        rel = points - position is written per pose in C order, the layout
+        of the gemv below, from the contiguous coordinate rows; the distance
+        sums the squared columns left to right."""
+        rel = np.empty((len(positions), len(ids), 3))
+        x, y, z = (np.subtract(self._columns[c, ids], positions[:, c, None], out=rel[:, :, c])
+                   for c in range(3))
         dist = x * x
         dist += y * y
         dist += z * z
         np.sqrt(dist, out=dist)
         with np.errstate(invalid="ignore", divide="ignore"):
-            depth = (rel @ heading) / dist
-        mask = (dist > 1e-6) & (dist <= max_range_m) & (depth >= cos_half)
-        return np.flatnonzero(mask)
+            depth = np.matmul(rel, heads[:, :, None])[:, :, 0] / dist
+        return (dist > 1e-6) & (dist <= max_range_m) & (depth >= cos_half)

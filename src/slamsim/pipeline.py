@@ -76,6 +76,14 @@ integration reaches them, and pair each sample with the one before it
 `propagate` on each batch as it completes, chained to the previous batch's
 last sample: only an update changes the pose between two reads, and every
 interval meets the same endpoints either way.
+
+Camera frames take their visible landmarks from blocks in the same way.
+Frame k arrives at k * NS_PER_S // camera_fps, and the first frame of a block
+of FRAME_BLOCK frame indices that is accepted computes the whole block with
+one `LandmarkField.visible_block` call on the true poses at those times;
+dropped and throttled frames leave their entries unread. Visibility draws no
+random number and reads only the trajectory, so the ids are those of a
+per-frame `visible` call, whatever the block size and wherever a run is cut.
 """
 
 from __future__ import annotations
@@ -103,6 +111,13 @@ from .soc import ComputeUnitSpec, LatencyTable, PowerLedger, Stage, UnitKind
 # fixed per-block numpy cost less often, but draws more samples at once, in
 # the one update that reaches them, which makes that update's host time spike.
 IMU_BLOCK = 256
+# Camera frames' visible landmarks are computed the same way, one
+# `visible_block` call per block of FRAME_BLOCK consecutive frame indices:
+# block j covers frames j*FRAME_BLOCK+1 .. (j+1)*FRAME_BLOCK. The ids are
+# bit-identical for every block size; a larger block spreads the call's
+# fixed cost over more frames, but computes them all in the slice that
+# reaches the block's first accepted frame.
+FRAME_BLOCK = 24
 
 _PROPAGATION = Stage.PROPAGATION.value
 
@@ -300,6 +315,8 @@ class Simulation:
         self.imu_rows: list = []  # rows of the samples drawn after imu_integrated
         self.imu_accel = None  # body accel of sample imu_integrated, if any
         self.imu_max_batch = 0
+        self.frame_block = -1  # the block of frames whose ids frame_ids holds
+        self.frame_ids: list = []
 
         # metrics
         self.frames_offered = 0
@@ -400,11 +417,26 @@ class Simulation:
             _Task(stage, self.stage_ns[stage], payload, on_done, on_start))
 
     def _make_frame(self, frame_id: int, t_ns: int) -> CameraFrame:
-        k = self.config.kernel
-        visible = self.field.visible(self.truth.pose_at(t_ns),
-                                     k.visibility_range_m, k.fov_deg)
+        block, i = divmod(frame_id - 1, FRAME_BLOCK)
+        if block != self.frame_block or i >= len(self.frame_ids):
+            self.frame_block, self.frame_ids = block, self._visible_ids(block, frame_id)
+        # Each frame is made once: its entry is released as it is taken.
+        visible, self.frame_ids[i] = self.frame_ids[i], None
         return CameraFrame(frame_id=frame_id, t_ns=t_ns, visible_landmarks=visible,
                            size_bytes=self.config.frame_size_bytes)
+
+    def _visible_ids(self, block: int, frame_id: int) -> list:
+        """The visible landmark ids of the frames of a frame block, from its
+        first frame to its last, or to the run's last frame if that comes
+        first, but at least to `frame_id`."""
+        k, fps = self.config.kernel, self.config.camera_fps
+        first = block * FRAME_BLOCK + 1
+        # Frame j arrives at j * NS_PER_S // fps, at or before duration_ns
+        # for every j up to this one.
+        last = max(frame_id, ((self.duration_ns + 1) * fps - 1) // NS_PER_S)
+        poses = [self.truth.pose_at(j * NS_PER_S // fps)
+                 for j in range(first, min(first + FRAME_BLOCK, last + 1))]
+        return self.field.visible_block(poses, k.visibility_range_m, k.fov_deg)
 
     # ------------------------------------------------------------------
     # sources

@@ -22,7 +22,7 @@ from types import MappingProxyType
 from .kernel import MAX_IMU_RATE_HZ, MIN_FRAME_BYTES
 from .soc import (MAX_DURATION_S, _POSITIVE_MS, Check, ConfigError, MemoryPath, SocConfig,
                   Stage, UnitKind, _is_number, check_fields, check_value, integer, number,
-                  spec)
+                  quoted, spec)
 
 
 class ArchVariant(Enum):
@@ -111,7 +111,7 @@ def _reject_unknown_keys(cls, data: dict, where: str) -> None:
     """`where` is `scenario` or the section's path, e.g. `scenario.soc`."""
     unknown = data.keys() - _keys(cls)
     if unknown:
-        raise ConfigError(f"{where}: unknown key {sorted(unknown)[0]!r}")
+        raise ConfigError(f"{where}: unknown key {quoted(sorted(unknown)[0])}")
 
 
 def _from_dict(cls, data: dict, key: str):
@@ -134,7 +134,7 @@ class RelayConfig:
         lo, hi = self.copy_latency_ms_min, self.copy_latency_ms_max
         if not (_is_number(hi) and hi >= lo):
             raise ConfigError(f"scenario.relay.copy_latency_ms_max: expected a finite number "
-                              f">= copy_latency_ms_min ({lo!r}), got {hi!r}")
+                              f">= copy_latency_ms_min ({lo!r}), got {quoted(hi)}")
         # hi >= lo > 0, so only the ms bound can refuse it here
         check_value(hi, "scenario.relay.copy_latency_ms_max", _POSITIVE_MS)
 
@@ -199,8 +199,8 @@ class ScenarioConfig:
     def __post_init__(self):
         check_fields(self, "scenario.")
         if not (_is_number(self.warmup_s) and 0 <= self.warmup_s < self.duration_s):
-            raise ConfigError(f"scenario.warmup_s: expected a number in "
-                              f"[0, duration_s = {self.duration_s!r}), got {self.warmup_s!r}")
+            raise ConfigError(f"scenario.warmup_s: expected a number in [0, duration_s = "
+                              f"{self.duration_s!r}), got {quoted(self.warmup_s)}")
 
     def effective_memory_path(self) -> MemoryPath:
         if self.memory_path is not None:
@@ -240,12 +240,12 @@ class ScenarioConfig:
         except ValueError:
             names = ", ".join(v.value for v in ArchVariant)
             raise ConfigError(
-                f"scenario: unknown variant {data['variant']!r}; expected one of: {names}")
+                f"scenario: unknown variant {quoted(data['variant'])}; expected one of: {names}")
         if data.get("memory_path") is not None:
             try:
                 data["memory_path"] = MemoryPath(data["memory_path"])
             except ValueError:
-                raise ConfigError(f"scenario: unknown memory_path {data['memory_path']!r}")
+                raise ConfigError(f"scenario: unknown memory_path {quoted(data['memory_path'])}")
         for key, sub in (("soc", SocConfig), ("relay", RelayConfig), ("kernel", KernelConfig)):
             if key in data:
                 data[key] = _from_dict(sub, data[key], key)
@@ -273,7 +273,8 @@ def preset(name: str) -> ScenarioConfig:
     load slightly exceeds the expected achieved FPS so the bottleneck, not
     the source, limits throughput."""
     if name not in PRESET_NAMES:
-        raise ConfigError(f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}")
+        raise ConfigError(f"unknown preset {quoted(name)}; "
+                          f"valid presets: {', '.join(PRESET_NAMES)}")
     variant = ArchVariant(name)
     spec = VARIANTS[variant]
     return ScenarioConfig(variant=variant, camera_fps=spec.camera_fps,

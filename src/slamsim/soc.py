@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import reprlib
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -119,10 +120,23 @@ def integer(lo: int, hi: int | None = None, note: str = "") -> Check:
     return Check(lambda v: _is_count(v) and lo <= v <= hi, f"an integer in [{lo}, {hi}]")
 
 
+# A rejected value is quoted whole up to this many characters, and shortened
+# beyond them, so that a huge value still makes a one-line message.
+MAX_QUOTED_CHARS = 200
+_QUOTE = reprlib.Repr()
+_QUOTE.maxstring = _QUOTE.maxlong = _QUOTE.maxother = MAX_QUOTED_CHARS
+
+
+def quoted(value) -> str:
+    """`repr(value)`, shortened by reprlib when it is over MAX_QUOTED_CHARS."""
+    text = repr(value)
+    return text if len(text) <= MAX_QUOTED_CHARS else _QUOTE.repr(value)
+
+
 def check_value(value, key: str, check: Check) -> None:
     """Raise a ConfigError naming `key` unless `value` passes `check`."""
     if not check.ok(value):
-        raise ConfigError(f"{key}: expected {check.expected}, got {value!r}")
+        raise ConfigError(f"{key}: expected {check.expected}, got {quoted(value)}")
     if check.unit and value > MAX_CONVERTED:
         raise ConfigError(f"{key}: expected at most {MAX_CONVERTED:g} {check.unit}, "
                           f"got {value!r}")
@@ -211,10 +225,10 @@ class SocConfig:
 class ComputeUnitSpec:
     id: str
     kind: UnitKind
-    peak_power_w: float = 0.0  # 0: the kind's default from SocConfig()
+    peak_power_w: float | None = None  # None: the kind's default from SocConfig()
 
     def __post_init__(self):
-        if self.peak_power_w == 0.0:
+        if self.peak_power_w is None:
             object.__setattr__(self, "peak_power_w", SocConfig().peak_power_w(self.kind))
         check_value(self.peak_power_w, f"unit {self.id}: peak_power_w", _POSITIVE)
 

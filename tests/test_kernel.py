@@ -371,6 +371,53 @@ def _assert_signals_match_scalar(truth, times):
         [_imu_bits((t, truth.gyro_body(t), truth.accel_body(t))) for t in times]
 
 
+def _unit_quats(rng, n):
+    return [quat_normalize(tuple(q)) for q in rng.normal(size=(n, 4))]
+
+
+def _trajectory_poses(rng, n):
+    """n consecutive camera frames of a circle trajectory."""
+    fps, first = int(rng.choice([1, 30, 50, 60, 1000])), int(rng.integers(0, 10_000))
+    truth = CircleTrajectory(rng.uniform(0.0, 10.0), rng.uniform(1.0, 120.0))
+    return [truth.pose_at(k * NS_PER_S // fps) for k in range(first, first + n)]
+
+
+def _arbitrary_poses(rng, n):
+    return [Pose(tuple(p), (0.0, 0.0, 0.0), q)
+            for p, q in zip(rng.uniform(-15.0, 15.0, (n, 3)), _unit_quats(rng, n))]
+
+
+def _spread_poses(rng, n):
+    """A tight cluster, or one of the block's poses far from the rest."""
+    centre, scale = rng.uniform(-10.0, 10.0, 3), 10.0 ** rng.uniform(-9.0, 2.0)
+    poses = [Pose(tuple(centre + rng.normal(0.0, scale, 3)), (0.0, 0.0, 0.0), q)
+             for q in _unit_quats(rng, n)]
+    if n > 1 and rng.uniform() < 0.5:
+        poses[rng.integers(n)] = _arbitrary_poses(rng, 1)[0]
+    return poses
+
+
+_BLOCK_POSES = {"trajectory": _trajectory_poses, "arbitrary": _arbitrary_poses,
+                "spread": _spread_poses}
+
+
+def _boundary_points(rng, pose, max_range_m, fov_deg):
+    """Landmarks just inside and just outside the range and the cone of
+    `pose`, and exactly on them up to the rounding of their coordinates."""
+    heading = np.array(quat_rotate(pose.orientation, (1.0, 0.0, 0.0)))
+    heading /= np.linalg.norm(heading)
+    side = np.cross(heading, rng.normal(size=3))
+    side /= np.linalg.norm(side)
+    half = math.radians(fov_deg) / 2.0
+    out = []
+    for eps in (0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6):
+        a = rng.uniform(0.0, half)  # inside the cone, on the range boundary
+        out.append(max_range_m * (1.0 + eps) * (math.cos(a) * heading + math.sin(a) * side))
+        a = half * (1.0 + eps)  # inside the range, on the cone boundary
+        out.append(rng.uniform(1e-3, max_range_m) * (math.cos(a) * heading + math.sin(a) * side))
+    return np.array(pose.position) + np.array(out)
+
+
 def _eager_visible(points, pose, max_range_m=12.0, fov_deg=100.0):
     """The visibility pass as first specified: a C-order landmark array and
     the norm by np.linalg.norm. Returns the visible ids."""
@@ -579,6 +626,25 @@ class TestBitExactness:
         v = rng.standard_normal((20_000, 3)) * 10.0 ** rng.uniform(-8.0, 2.0, (20_000, 1))
         assert _row_norms(v).tolist() == [_norm(row) for row in v.tolist()]
 
+    def test_stacked_gemv_is_the_per_pose_gemv_of_the_whole_array(self):
+        """`visible_block` takes the depth numerators of a block's edge
+        landmarks with one stacked matmul (poses, rows, 3) @ (poses, 3, 1);
+        each pose's rows must have the bits of the gemv `rel @ heading` on
+        the whole array, whatever rows the subset keeps, as long as it keeps
+        at least two (one row is a BLAS dot)."""
+        rng = np.random.default_rng(2017)
+        for _ in range(40):
+            n, poses = int(rng.integers(2, 5000)), int(rng.integers(1, 33))
+            points = rng.normal(0.0, 8.0, (n, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+            positions = rng.normal(0.0, 5.0, (poses, 3))
+            heads = rng.normal(size=(poses, 3))
+            heads /= np.linalg.norm(heads, axis=1)[:, None]
+            keep = np.sort(rng.choice(n, int(rng.integers(2, n + 1)), replace=False))
+            stacked = np.matmul(points[keep] - positions[:, None, :], heads[:, :, None])
+            for b in range(poses):
+                whole = np.ascontiguousarray(points - positions[b]) @ heads[b]
+                assert stacked[b, :, 0].tobytes() == whole[keep].tobytes()
+
     @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 1200),
            visible_share=st.floats(0.0, 1.0), known_share=st.floats(0.0, 1.0),
            use_rng=st.booleans(), gain=st.floats(0.0, 1.0),
@@ -676,6 +742,82 @@ class TestBitExactness:
         pose = Pose(position, (0.0, 0.0, 0.0), q)
         ids = LandmarkField(points).visible(pose, max_range_m, fov_deg)
         assert ids.tobytes() == _eager_visible(points, pose, max_range_m, fov_deg).tobytes()
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(0, 600),
+           n_poses=st.integers(1, 40), kind=st.sampled_from(sorted(_BLOCK_POSES)),
+           fov_deg=st.one_of(st.floats(1e-3, 360.0), st.sampled_from([180.0, 360.0])),
+           max_range_m=st.floats(0.5, 30.0), on_landmark=st.booleans(),
+           boundary=st.integers(0, 12),
+           stretch=st.sampled_from([0.0, 1e-12, 4e-10, 5e-10, 6e-10, 1e-6, 0.3, -0.2]))
+    @settings(max_examples=200, deadline=None)
+    def test_block_visibility_matches_eager_reference(self, seed, count, n_poses, kind,
+                                                      fov_deg, max_range_m, on_landmark,
+                                                      boundary, stretch):
+        rng = np.random.default_rng(seed)
+        points = generate_landmarks(count, rng)
+        poses = _BLOCK_POSES[kind](rng, n_poses)
+        # A quaternion of norm 1 + stretch gives a heading of about 1 +
+        # 2 stretch, on both sides of the 1e-9 beyond which the exact test
+        # takes every landmark.
+        share = rng.choice([0.5, 1.0])
+        poses = [Pose(p.position, p.velocity, tuple(c * (1.0 + stretch) for c in p.orientation))
+                 if rng.uniform() < share else p for p in poses]
+        if on_landmark and count:
+            b = int(rng.integers(n_poses))
+            poses[b] = Pose(tuple(points[rng.integers(count)]), (0.0, 0.0, 0.0),
+                            poses[b].orientation)
+        if boundary:
+            points = np.vstack([points] + [
+                _boundary_points(rng, poses[rng.integers(n_poses)], max_range_m, fov_deg)
+                for _ in range(boundary)])
+        blocks = LandmarkField(points).visible_block(poses, max_range_m, fov_deg)
+        assert len(blocks) == len(poses)
+        for pose, ids in zip(poses, blocks):
+            assert ids.tobytes() == _eager_visible(points, pose, max_range_m, fov_deg).tobytes()
+
+    @pytest.mark.parametrize("stretch", [4e-10, 6e-10, 0.3, -0.2])
+    def test_non_unit_headings_match_eager_reference(self, stretch):
+        """A heading's norm scales its depths; the classification takes unit
+        headings, so it runs only on headings of norm 1 within 1e-9."""
+        points = generate_landmarks(500, np.random.default_rng(3))
+        truth = CircleTrajectory()
+        poses = [truth.pose_at(k * NS_PER_S // 30) for k in range(100, 132)]
+        poses = [Pose(p.position, p.velocity, tuple(c * (1.0 + stretch) for c in p.orientation))
+                 for p in poses]
+        for pose, ids in zip(poses, LandmarkField(points).visible_block(poses)):
+            assert ids.tobytes() == _eager_visible(points, pose).tobytes()
+
+    def test_single_edge_landmark_keeps_the_gemv(self):
+        """A block with one edge landmark tests it with a second row: numpy
+        takes a one-row product as a BLAS dot, whose last bit may differ
+        from the gemv of the whole array. The landmarks are nudged by ulps
+        across the cone boundary of a pose; on each where the dot and the
+        gemv fall on two sides of it, the one-pose query must give the
+        gemv's answer."""
+        rng = np.random.default_rng(5)
+        cos_half = math.cos(math.radians(100.0) / 2.0)
+        straddled = 0
+        for _ in range(200):
+            q = quat_from_yaw(rng.uniform(0.0, 2.0 * math.pi))
+            pose = Pose(tuple(rng.uniform(-5.0, 5.0, 3)), (0.0, 0.0, 0.0), q)
+            h = np.array(quat_rotate(q, (1.0, 0.0, 0.0)))
+            side, a = np.array([-h[1], h[0], 0.0]), math.radians(50.0)
+            ahead = np.array(pose.position) + h  # seen by the pose: the other row
+            edge = np.array(pose.position) + rng.uniform(2.0, 10.0) * (
+                math.cos(a) * h + math.sin(a) * side)
+            for k in range(-20, 21):
+                points = np.array([edge, ahead])
+                points[0, 0] += k * math.ulp(edge[0])
+                rel = points - pose.position
+                dist = np.linalg.norm(rel[0])
+                gemv, dot = (rel @ h)[0] / dist, (rel[:1] @ h)[0] / dist
+                if straddled and (gemv >= cos_half) == (dot >= cos_half):
+                    continue
+                straddled += (gemv >= cos_half) != (dot >= cos_half)
+                ids = LandmarkField(points).visible(pose)
+                assert ids.tobytes() == _eager_visible(points, pose).tobytes()
+            if straddled >= 3:
+                break
 
     @given(seed=st.integers(0, 2 ** 32 - 1), use_rng=st.booleans())
     @settings(max_examples=15, deadline=None)

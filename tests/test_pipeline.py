@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from slamsim.engine import NS_PER_MS, NS_PER_S, Engine, EventKind, ms_to_ns
 from slamsim import pipeline
 from slamsim.kernel import integrate, propagate, sample_imu_block
-from slamsim.pipeline import IMU_BLOCK, PropagationServer, Simulation
+from slamsim.pipeline import FRAME_BLOCK, IMU_BLOCK, PropagationServer, Simulation
 from slamsim.report import audit_trace, build_report, run_scenario, tracking_loss_count
-from slamsim.scenario import (VARIANTS, ArchVariant, Handoff, KernelConfig, RelayConfig,
-                              ScenarioConfig, preset)
+from slamsim.scenario import (PRESET_NAMES, VARIANTS, ArchVariant, Handoff, KernelConfig,
+                              RelayConfig, ScenarioConfig, preset)
 from slamsim.soc import ConfigError, SocConfig, Stage, UnitKind
 
 
@@ -175,14 +175,16 @@ def _plain_run(variant):
 
 
 def _structured_cuts(variant):
-    """Cuts on and next to every IMU block boundary, and at the start, inside
-    and at the end of every GC pause of the plain run."""
+    """Cuts on and next to every IMU block and frame block boundary, and at
+    the start, inside and at the end of every GC pause of the plain run."""
     _, _, gc_stalls, duration_ns = _plain_run(variant)
-    rate = SLICED_CONFIG["imu_rate_hz"]
+    seconds = int(SLICED_CONFIG["duration_s"])
+    fps = ScenarioConfig(variant=variant, **SLICED_CONFIG).camera_fps
     cuts = []
-    for first in range(1, rate * int(SLICED_CONFIG["duration_s"]), IMU_BLOCK):
-        t = (first * NS_PER_S) // rate
-        cuts += [t - 1, t]
+    for rate, block in ((SLICED_CONFIG["imu_rate_hz"], IMU_BLOCK), (fps, FRAME_BLOCK)):
+        for first in range(1, rate * seconds, block):
+            t = (first * NS_PER_S) // rate
+            cuts += [t - 1, t]
     for a, b in gc_stalls:
         cuts += [a, (a + b) // 2, b - 1, b]
     return [t for t in cuts if t <= duration_ns]
@@ -662,3 +664,28 @@ class TestImuBlockSize:
     @settings(max_examples=4, deadline=None)
     def test_tie_heavy_runs(self, variant, data):
         self._assert_same_across_blocks(data.draw(tie_heavy_configs(variant)))
+
+
+class TestFrameBlockSize:
+    """Frames take their visible landmarks from blocks of FRAME_BLOCK; the
+    reports and traces must not depend on the block size, on any preset and
+    on a dense map, where every frame hits the feature cap."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets(self, name):
+        self._assert_same_across_blocks(dataclasses.replace(preset(name), duration_s=10.0))
+
+    def test_dense_map(self):
+        config = ScenarioConfig(variant=ArchVariant.SLAM_ARCH, camera_fps=50, duration_s=5.0,
+                                kernel=KernelConfig(landmark_count=4000))
+        self._assert_same_across_blocks(config)
+
+    @staticmethod
+    def _assert_same_across_blocks(config):
+        seen = []
+        for block in (1, 7, 32):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pipeline, "FRAME_BLOCK", block)
+                report, sim = run_scenario(config)
+            seen.append((report.to_json_line(), sim.trace))
+        assert all(result == seen[0] for result in seen[1:])

@@ -220,6 +220,15 @@ class TestCli:
         assert err.startswith(f"error: --duration {float(duration):g} ")
         assert "warmup_s = 2" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [["run", "--scenario", "preset:slam-arch"],
+                                         ["compare", "preset:slam-arch", "preset:hetero-dsp"]])
+    @pytest.mark.parametrize("duration", ["4000", "3600.5", "inf"])
+    def test_duration_over_an_hour_is_one_error_line(self, capsys, command, duration):
+        # Refused before anything runs, naming the flag, not scenario.duration_s.
+        assert cli.main(command + ["--duration", duration]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --duration {float(duration):g} exceeds the longest run, 3600 s\n"
+
     def test_missing_scenario_file(self, capsys):
         assert cli.main(["run", "--scenario", "/no/such/file.json"]) == 2
         assert "not found" in capsys.readouterr().err

@@ -194,6 +194,19 @@ class TestSchemaValidation:
             ScenarioConfig.from_dict({"variant": "hetero-dsp", **scenario})
         assert str(info.value) == f"scenario.{message}"
 
+    @pytest.mark.parametrize("scenario, start", [
+        ({"seed": [0] * 100_000}, "scenario.seed: expected an integer >= 0, got [0, 0, 0, "),
+        ({"variant": "x" * 100_000}, "scenario: unknown variant 'xxx"),
+        ({"kernel": {"k" * 100_000: 1}}, "scenario.kernel: unknown key 'kkk"),
+        ({"warmup_s": "w" * 100_000}, "scenario.warmup_s: expected a number in [0, "),
+    ])
+    def test_huge_values_are_shortened(self, scenario, start):
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig.from_dict({"variant": "hetero-dsp", **scenario})
+        message = str(info.value)
+        assert message.startswith(start) and "..." in message
+        assert len(message) < 400 and "\n" not in message
+
     def test_power_calibration_names_the_bare_field(self):
         with pytest.raises(ConfigError) as info:
             PowerCalibration(unit_idle_fraction=1.5)

@@ -211,6 +211,8 @@ def test_unit_peak_power_defaults():
     assert ComputeUnitSpec("c", UnitKind.CPU_CORE).peak_power_w == 2.5
     assert ComputeUnitSpec("d", UnitKind.DSP).peak_power_w == 1.5
     assert ComputeUnitSpec("g", UnitKind.GPU).peak_power_w == 2.3
-    for bad in (-1.0, float("nan"), float("inf"), "2"):
+    assert ComputeUnitSpec("d", UnitKind.DSP, None).peak_power_w == 1.5
+    # Only None means "the kind's default"; a zero power is refused.
+    for bad in (-1.0, float("nan"), float("inf"), "2", 0.0, 0, False, True):
         with pytest.raises(ConfigError):
             ComputeUnitSpec("bad", UnitKind.DSP, peak_power_w=bad)
