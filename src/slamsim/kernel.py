@@ -57,7 +57,7 @@ no landmark across a class it does not belong to, so no output bit. A block
 with a non-finite position, a non-finite cone or a heading norm outside 1 +-
 1e-9 makes every landmark an edge landmark: slower, still exact.
 
-The exact test runs today's formula on the edge landmarks only, for all
+The exact test runs the per-pose formula on the edge landmarks only, for all
 poses at once, with the same element-wise operations in the same order, and
 takes the depth numerators from one stacked matmul (poses, rows, 3) @
 (poses, 3, 1). numpy evaluates it as one BLAS gemv per pose, which on the
@@ -623,11 +623,12 @@ class LandmarkField:
         candidates = np.flatnonzero(sure_in | edge)
         at = np.flatnonzero(edge[candidates])
         seen = np.repeat(sure_in[candidates][None], len(poses), axis=0)
-        step = max(1, _EXACT_ROWS // max(1, len(at)))
-        for first in range(0, len(poses) if len(at) else 0, step):
-            chunk = slice(first, first + step)
-            seen[chunk, at] = self._exact(candidates[at], positions[chunk], heads[chunk],
-                                          max_range_m, cos_half)
+        if len(at):
+            step = max(1, _EXACT_ROWS // len(at))
+            for first in range(0, len(poses), step):
+                chunk = slice(first, first + step)
+                seen[chunk, at] = self._exact(candidates[at], positions[chunk], heads[chunk],
+                                              max_range_m, cos_half)
         return [candidates[row] for row in seen]
 
     def _classify(self, positions, heads, max_range_m, cos_half):

@@ -214,7 +214,7 @@ def load_trace(path) -> list[dict]:
                 continue
             try:
                 rec = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+            except (ValueError, RecursionError) as exc:  # bad, too deep, or an int too long
                 raise ValueError(f"{path}: line {i}: invalid trace record: {exc}") from exc
             if not isinstance(rec, dict):
                 raise ValueError(f"{path}: line {i}: trace record is not a JSON object")

@@ -255,7 +255,7 @@ class ScenarioConfig:
     def from_json(cls, text: str) -> "ScenarioConfig":
         try:
             data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+        except (ValueError, RecursionError) as exc:  # bad, too deep, or an int too long
             raise ConfigError(f"scenario: invalid JSON: {exc}") from exc
         return cls.from_dict(data)
 

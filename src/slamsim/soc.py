@@ -128,8 +128,12 @@ _QUOTE.maxstring = _QUOTE.maxlong = _QUOTE.maxother = MAX_QUOTED_CHARS
 
 
 def quoted(value) -> str:
-    """`repr(value)`, shortened by reprlib when it is over MAX_QUOTED_CHARS."""
-    text = repr(value)
+    """`repr(value)`, shortened by reprlib when it is over MAX_QUOTED_CHARS;
+    an int too long to print is given by its size."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int past the interpreter's digit limit
+        return f"<int of {value.bit_length()} bits>"
     return text if len(text) <= MAX_QUOTED_CHARS else _QUOTE.repr(value)
 
 

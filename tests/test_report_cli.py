@@ -194,6 +194,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: scenario: invalid JSON: ") and err.count("\n") == 1
 
+    def test_int_past_the_digit_limit_is_one_error_line(self, tmp_path, capsys):
+        # Python refuses to read an int of more than 4300 digits.
+        digits = "1" + "0" * 5000
+        trace, scenario = tmp_path / "long.jsonl", tmp_path / "long.json"
+        trace.write_text(f'{{"t_ns": {digits}}}\n')
+        scenario.write_text(f'{{"variant": "slam-arch", "seed": {digits}}}')
+        assert cli.main(["audit", str(trace)]) == 2
+        assert cli.main(["run", "--scenario", str(scenario)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"error: {trace}: line 1: invalid trace record: ")
+        assert err[1].startswith("error: scenario: invalid JSON: ") and len(err) == 2
+
     @pytest.mark.parametrize("argv", [
         ["run", "--scenario", "preset:slam-arch", "--duration", "2.5", "--trace", "{bad}"],
         ["run", "--scenario", "preset:slam-arch", "--output", "{bad}"],

@@ -199,12 +199,13 @@ class TestSchemaValidation:
         ({"variant": "x" * 100_000}, "scenario: unknown variant 'xxx"),
         ({"kernel": {"k" * 100_000: 1}}, "scenario.kernel: unknown key 'kkk"),
         ({"warmup_s": "w" * 100_000}, "scenario.warmup_s: expected a number in [0, "),
+        ({"seed": -10 ** 5000}, "scenario.seed: expected an integer >= 0, got <int of 16610 bits>"),
     ])
     def test_huge_values_are_shortened(self, scenario, start):
         with pytest.raises(ConfigError) as info:
             ScenarioConfig.from_dict({"variant": "hetero-dsp", **scenario})
         message = str(info.value)
-        assert message.startswith(start) and "..." in message
+        assert message.startswith(start) and ("..." in message or message == start)
         assert len(message) < 400 and "\n" not in message
 
     def test_power_calibration_names_the_bare_field(self):
