@@ -34,39 +34,54 @@ subtraction from the contiguous coordinate rows of the landmark array
 subtraction is exact per element, so only the gemv depends on the layout,
 and it gets the C-order matrix it is specified on.
 
-Block visibility. `visible_block` answers `visible` for a block of poses
-(the pipeline's consecutive camera frames) with `visible(pose)` as its
-one-pose block. Once per block it sorts the landmarks into three classes,
-measured from the block's first pose: delta is the largest distance of a
-pose from it and phi the largest angle of a heading from its heading. For a
-landmark at distance r and angle theta from the first pose, every pose sees
-it at a distance in [r - delta, r + delta] and at an angle within theta +-
+Block visibility. `LandmarkField.block(poses)` returns a `VisibilityBlock`
+whose `visible(i)` is `visible(poses[i])` bit for bit; `visible_block` asks
+it for every pose, and `visible(pose)` is the one-pose block. The pipeline
+makes one block per run of consecutive camera frames and asks it only for
+the frames it accepts. A block of two or more poses is classified once,
+from its first pose: delta is the largest distance of a pose from it and
+phi the largest angle of a heading from its heading. For a landmark at
+distance r and angle theta from the first pose, every pose sees it at a
+distance in [r - delta, r + delta] and at an angle within theta +-
 (asin(delta / r) + phi), by the triangle inequality for distances and for
 angles between directions; the asin bounds how far the direction to the
-landmark turns, and needs r > 2 delta. Sure-out landmarks fail the range
-test or the cone test for every pose, sure-in landmarks pass all three
-tests for every pose, and the rest, including every landmark within about
-2 delta of the first pose, are edge landmarks. The classification is
-conservative: distances are widened by the relative margin 1e-9, angles by
-1e-9 rad, and the cone's cosine by 2e-9, far above the ~1e-15 rounding
-error of the exact formula and the 1e-9 by which a heading's norm may
-differ from 1 (the depths scale with it). Angles are taken as atan2(|v x h|,
-v . h), accurate near 0 and pi too. numpy's arctan2 and arcsin, and libm's
-acos, may round differently on another host; within the margins that moves
-no landmark across a class it does not belong to, so no output bit. A block
-with a non-finite position, a non-finite cone or a heading norm outside 1 +-
-1e-9 makes every landmark an edge landmark: slower, still exact.
+landmark turns, and needs r > 2 delta, so only those landmarks are sorted
+by angle. Sure-out landmarks fail the range test or the cone test for every
+pose, sure-in landmarks pass all three tests for every pose, and the rest,
+including every landmark within about 2 delta of the first pose, are edge
+landmarks. The classification is conservative: distances are widened by the
+relative margin 1e-9, angles by 1e-9 rad, and the cone's cosine by 2e-9,
+far above the ~1e-15 rounding error of the exact formula and the 1e-9 by
+which a heading's norm may differ from 1 (the depths scale with it). Angles
+are taken as atan2(|v x h|, v . h), accurate near 0 and pi too. numpy's
+arctan2 and arcsin, and libm's acos, may round differently on another host;
+within the margins that moves no landmark across a class it does not
+belong to, so no output bit. A block with a non-finite position, a
+non-finite cone or a heading norm outside 1 +- 1e-9 makes every landmark an
+edge landmark: slower, still exact. So does a block that is not compact:
+its middle or last pose is more than a quarter of the range from its first
+pose, or its heading turned by more than a quarter of the cone's half angle
+(`_SPREAD`). Such a block would leave most landmarks on the edge, and
+classifying it would cost more than it saves; its poses are tested like
+single frames, on the landmark array itself.
 
-The exact test runs the per-pose formula on the edge landmarks only, for all
-poses at once, with the same element-wise operations in the same order, and
-takes the depth numerators from one stacked matmul (poses, rows, 3) @
-(poses, 3, 1). numpy evaluates it as one BLAS gemv per pose, which on the
-OpenBLAS kernels measured (SkylakeX, Haswell, Prescott) gives each row the
-bits of the gemv `rel @ heading` on the whole array, whichever rows the
-subset keeps. A one-row product is the exception: numpy takes it as a BLAS
-dot, which may differ in the last bit, so a lone edge landmark is tested
-with a second row. Each pose's ids are then the sure-in landmarks plus the
-edge landmarks the exact test passes, in ascending order.
+The exact test runs the per-pose formula on the edge landmarks only, with
+the same element-wise operations in the same order, and takes the depth
+numerators from a stacked matmul (poses, rows, 3) @ (poses, 3, 1). numpy
+evaluates it as one BLAS gemv per pose, which on the OpenBLAS kernels
+measured (SkylakeX, Haswell, Prescott) gives each row the bits of the gemv
+`rel @ heading` on the whole array, whichever rows the subset keeps. A
+one-row product is the exception: numpy takes it as a BLAS dot, which may
+differ in the last bit, so a lone edge landmark is tested with a second
+row. A block with at most `_STACKED_ROWS` (pose, edge landmark) pairs tests
+all its poses at once on its first query; a larger block tests each queried
+pose alone, so a frame that is never queried costs nothing and no array
+grows past the one-pose formula's. Each pose's ids are then the sure-in
+landmarks plus the edge landmarks the exact test passes, in ascending
+order. A block keeps the ids that any pose may see, which of them are
+sure-in, the coordinates of the edge landmarks, and, once it has tested all
+its poses at once, one bool per pose and id; no id array outlives its
+query.
 
 Array-drawn IMU blocks. numpy's `rng.normal(0.0, std, 3)` returns
 `0.0 + std * z` for three standard normals `z` taken one after another from
@@ -579,8 +594,21 @@ def generate_landmarks(count: int, rng: np.random.Generator,
 # it; a heading whose norm is further than this from 1 sends every landmark
 # to the exact test.
 _MARGIN = 1e-9
-# The exact test takes at most about this many (pose, landmark) rows at once.
-_EXACT_ROWS = 1 << 13
+# A block of poses tests its edge landmarks for all poses at once when it has
+# at most this many (pose, edge landmark) pairs, else one queried pose at a
+# time (see the module notes). Measured on blocks of 32 poses: up to about
+# this size testing all poses at once costs less per queried pose, even
+# with only half the poses queried; past it the arrays outgrow the cache.
+_STACKED_ROWS = 1 << 14
+# The classification sorts the landmarks in chunks of this many, which keeps
+# its temporary arrays below those of one pose's exact test on the whole
+# array.
+_CLASSIFY_ROWS = 1 << 16
+# A block is classified only if its middle and last poses lie within this
+# share of the range of its first pose, and their headings within this share
+# of the cone's half angle of its first heading; with a larger spread most
+# landmarks would be edge landmarks.
+_SPREAD = 0.25
 
 
 def _angles_to(x, y, z, h) -> np.ndarray:
@@ -606,74 +634,148 @@ class LandmarkField:
 
     def visible_block(self, poses, max_range_m: float = 12.0,
                       fov_deg: float = 100.0) -> list[np.ndarray]:
-        """`visible` of each pose, bit for bit: the landmarks are classified
-        once for the whole block, and only the edge landmarks are tested
-        exactly, for all poses at once (see the module notes)."""
-        if not poses:
-            return []
-        positions = np.array([p.position for p in poses], dtype=float)
-        heads = np.array([quat_rotate(p.orientation, (1.0, 0.0, 0.0)) for p in poses])
-        cos_half = math.cos(math.radians(fov_deg) / 2.0)
-        sure_in, edge = self._classify(positions, heads, max_range_m, cos_half)
-        if np.count_nonzero(edge) == 1:
-            # numpy takes a one-row product as a BLAS dot, not as the gemv
-            # of the whole array; a second row keeps the gemv.
-            edge[:2] = True
-        # Only the candidates, sure-in or edge, can be seen by any pose.
-        candidates = np.flatnonzero(sure_in | edge)
-        at = np.flatnonzero(edge[candidates])
-        seen = np.repeat(sure_in[candidates][None], len(poses), axis=0)
-        if len(at):
-            step = max(1, _EXACT_ROWS // len(at))
-            for first in range(0, len(poses), step):
-                chunk = slice(first, first + step)
-                seen[chunk, at] = self._exact(candidates[at], positions[chunk], heads[chunk],
-                                              max_range_m, cos_half)
-        return [candidates[row] for row in seen]
+        """`visible` of each pose, bit for bit."""
+        block = self.block(poses, max_range_m, fov_deg)
+        return [block.visible(i) for i in range(len(poses))]
+
+    def block(self, poses, max_range_m: float = 12.0,
+              fov_deg: float = 100.0) -> VisibilityBlock:
+        """The landmarks classified once for a block of poses (see the module
+        notes); its `visible(i)` is `visible(poses[i])`, bit for bit."""
+        return VisibilityBlock(self, poses, max_range_m, fov_deg)
 
     def _classify(self, positions, heads, max_range_m, cos_half):
         """Two bool masks over the landmarks for a block of poses: those that
         every pose sees (sure-in), and the edge landmarks, which the exact
-        test decides. No pose sees the rest (sure-out)."""
-        n = len(self.points)
+        test decides; no pose sees the rest (sure-out). None if every
+        landmark is an edge landmark."""
         norms = np.sqrt((heads * heads).sum(axis=1))
         if not (np.isfinite(positions).all() and math.isfinite(cos_half)
                 and (np.abs(norms - 1.0) <= _MARGIN).all()):
-            return np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+            return None
         # The block's spread around its first pose: delta (m) and phi (rad).
         off = positions - positions[0]
         delta = float(np.sqrt((off * off).sum(axis=1)).max()) * (1.0 + _MARGIN)
         units = heads / norms[:, None]
-        phi = float(_angles_to(*units.T, units[0]).max())
-        # Each landmark's distance and angle from the first pose.
-        x, y, z = self._columns - positions[0][:, None]
-        r0 = np.sqrt(x * x + y * y + z * z)
-        theta = _angles_to(x, y, z, units[0])
-        r_lo, r_hi = r0 * (1.0 - _MARGIN), r0 * (1.0 + _MARGIN)
-        # Farther than 2 delta, no pose comes within 1e-6 m, and the
-        # direction to a landmark turns by at most asin(delta / r) between
-        # two poses.
-        far = r_lo > 2.0 * delta + 2e-6
-        with np.errstate(invalid="ignore", divide="ignore"):
-            spread = np.arcsin(np.minimum(1.0, delta / r_lo)) + (phi + _MARGIN)
+        phi = float(_angles_to(*units.T, units[0]).max()) + _MARGIN
         half_in = math.acos(min(1.0, cos_half + 2.0 * _MARGIN)) - _MARGIN
         half_out = math.acos(max(-1.0, cos_half - 2.0 * _MARGIN)) + _MARGIN
-        sure_in = far & (r_hi + delta <= max_range_m) & (theta + spread <= half_in)
-        sure_out = (r_lo - delta > max_range_m) | (far & (theta - spread >= half_out))
+        n = len(self.points)
+        sure_in, sure_out = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+        for first in range(0, n, _CLASSIFY_ROWS):
+            part = slice(first, first + _CLASSIFY_ROWS)
+            sure_in[part], sure_out[part] = _sort(
+                self._columns[:, part] - positions[0][:, None], units[0], delta, phi,
+                max_range_m, half_in, half_out)
         return sure_in, ~(sure_in | sure_out)
 
-    def _exact(self, ids, positions, heads, max_range_m, cos_half) -> np.ndarray:
-        """The visibility formula on the landmarks `ids`, one row per pose.
-        rel = points - position is written per pose in C order, the layout
-        of the gemv below, from the contiguous coordinate rows; the distance
-        sums the squared columns left to right."""
-        rel = np.empty((len(positions), len(ids), 3))
-        x, y, z = (np.subtract(self._columns[c, ids], positions[:, c, None], out=rel[:, :, c])
-                   for c in range(3))
+
+def _sort(rel, head, delta, phi, max_range_m, half_in, half_out):
+    """The sure-in and the sure-out masks of the landmarks at `rel` (x, y, z
+    rows) from a block's first pose, with unit heading `head`."""
+    x, y, z = rel
+    r0 = np.sqrt(x * x + y * y + z * z)
+    r_lo = r0 * (1.0 - _MARGIN)
+    sure_out = r_lo - delta > max_range_m
+    sure_in = np.zeros(len(r0), dtype=bool)
+    # Only a landmark farther than 2 delta, which no pose comes within 1e-6 m
+    # of, can be sorted by its angle: the direction to it turns by at most
+    # asin(delta / r) between two poses.
+    at = np.flatnonzero((r_lo > 2.0 * delta + 2e-6) & ~sure_out)
+    r_lo = r_lo[at]
+    theta = _angles_to(x[at], y[at], z[at], head)
+    spread = np.arcsin(np.minimum(1.0, delta / r_lo)) + phi
+    sure_in[at] = (r0[at] * (1.0 + _MARGIN) + delta <= max_range_m) \
+        & (theta + spread <= half_in)
+    sure_out[at] = theta - spread >= half_out
+    return sure_in, sure_out
+
+
+def _compact(poses, heads, max_range_m, cos_half) -> bool:
+    """Whether a block of poses looks compact enough to classify, judged
+    cheaply from its first, middle and last poses (see _SPREAD)."""
+    if len(poses) < 2:
+        return False
+    p0, h0 = poses[0].position, heads[0]
+    near = _SPREAD * max_range_m
+    cos_turn = math.cos(_SPREAD * math.acos(max(-1.0, min(1.0, cos_half))))
+    for k in (len(poses) // 2, -1):
+        h = heads[k]
+        dot = h[0] * h0[0] + h[1] * h0[1] + h[2] * h0[2]
+        if math.dist(poses[k].position, p0) > near or \
+                dot < cos_turn * math.hypot(*h) * math.hypot(*h0):
+            return False
+    return True
+
+
+class VisibilityBlock:
+    """A block of poses with its landmarks classified once: `visible(i)` is
+    the ascending ids `LandmarkField.visible(poses[i])` returns. A block with
+    at most _STACKED_ROWS (pose, edge landmark) pairs runs the exact test for
+    all its poses at once, on the first query; a larger block runs it for
+    the queried pose alone."""
+
+    __slots__ = ("positions", "heads", "max_range_m", "cos_half", "ids", "columns",
+                 "seen", "at", "passed")
+
+    def __init__(self, field: LandmarkField, poses, max_range_m: float, fov_deg: float):
+        self.positions = np.array([p.position for p in poses], dtype=float)
+        heads = [quat_rotate(p.orientation, (1.0, 0.0, 0.0)) for p in poses]
+        self.heads = np.array(heads, dtype=float).reshape(-1, 3)
+        self.max_range_m = max_range_m
+        self.cos_half = cos_half = math.cos(math.radians(fov_deg) / 2.0)
+        # ids: the ascending ids the exact test's columns stand for, None for
+        # all; seen and at: with sure-in landmarks, which of the ids are
+        # sure-in and where the edge landmarks sit among them.
+        self.ids, self.columns, self.seen, self.at = None, field._columns, None, None
+        self.passed = None  # the exact test of every pose, once computed
+        if not _compact(poses, heads, max_range_m, cos_half):
+            return
+        masks = field._classify(self.positions, self.heads, max_range_m, cos_half)
+        if masks is None:
+            return
+        sure_in, edge = masks
+        if np.count_nonzero(edge) == 1:
+            # numpy takes a one-row product as a BLAS dot, not as the gemv
+            # of the whole array; a second row keeps the gemv.
+            edge[:2] = True
+        if not sure_in.any():
+            if not edge.all():
+                self.ids = np.flatnonzero(edge)
+                self.columns = field._columns[:, self.ids]
+            return
+        # Only the candidates, sure-in or edge, can be seen by any pose.
+        self.ids = np.flatnonzero(sure_in | edge)
+        self.seen = sure_in[self.ids]
+        self.at = np.flatnonzero(edge[self.ids])
+        self.columns = field._columns[:, self.ids[self.at]]
+
+    def visible(self, i: int) -> np.ndarray:
+        if self.passed is None and \
+                len(self.positions) * self.columns.shape[1] <= _STACKED_ROWS:
+            self.passed = self._exact(slice(None))
+        passed = self._exact(slice(i, i + 1))[0] if self.passed is None else self.passed[i]
+        if self.ids is None:
+            return np.flatnonzero(passed)
+        if self.seen is None:
+            return self.ids[passed]
+        seen = self.seen.copy()
+        seen[self.at] = passed
+        return self.ids[seen]
+
+    def _exact(self, poses: slice) -> np.ndarray:
+        """The visibility formula on the edge landmarks, one row per pose of
+        `poses`. rel = points - position is written per pose in C order, the
+        layout of the gemv below, from the contiguous coordinate rows; the
+        distance sums the squared columns left to right."""
+        positions, heads = self.positions[poses], self.heads[poses]
+        rel = np.empty((len(positions), self.columns.shape[1], 3))
+        np.subtract(self.columns, positions[:, :, None], out=rel.transpose(0, 2, 1))
+        x, y, z = rel[:, :, 0], rel[:, :, 1], rel[:, :, 2]
         dist = x * x
         dist += y * y
         dist += z * z
         np.sqrt(dist, out=dist)
         with np.errstate(invalid="ignore", divide="ignore"):
             depth = np.matmul(rel, heads[:, :, None])[:, :, 0] / dist
-        return (dist > 1e-6) & (dist <= max_range_m) & (depth >= cos_half)
+        return (dist > 1e-6) & (dist <= self.max_range_m) & (depth >= self.cos_half)

@@ -78,12 +78,16 @@ last sample: only an update changes the pose between two reads, and every
 interval meets the same endpoints either way.
 
 Camera frames take their visible landmarks from blocks in the same way.
-Frame k arrives at k * NS_PER_S // camera_fps, and the first frame of a block
-of FRAME_BLOCK frame indices that is accepted computes the whole block with
-one `LandmarkField.visible_block` call on the true poses at those times;
-dropped and throttled frames leave their entries unread. Visibility draws no
-random number and reads only the trajectory, so the ids are those of a
-per-frame `visible` call, whatever the block size and wherever a run is cut.
+Frame k arrives at k * NS_PER_S // camera_fps. The first accepted frame of a
+block of FRAME_BLOCK frame indices classifies the landmarks once for the
+true poses of all the block's frames (`LandmarkField.block`), and each
+accepted frame then takes its ids from the block with the exact test on the
+block's edge landmarks (`VisibilityBlock.visible`); a dropped or throttled
+frame asks for nothing, and no frame's ids are kept past its own frame.
+Visibility draws no random number and reads only the trajectory, so the ids
+are those of a per-frame `visible` call, whatever the block size and
+wherever a run is cut. A frame made at another time than its arrival takes
+them from the true pose at that time.
 """
 
 from __future__ import annotations
@@ -95,9 +99,9 @@ import numpy as np
 
 from .bank import (FeatureBankController, MAPPING_CONSUMER, UPDATE_CONSUMER)
 from .engine import NEXT_SAMPLE, NS_PER_S, Engine, EventKind, ms_to_ns, s_to_ns
-from .kernel import (CameraFrame, ImuModel, CircleTrajectory, LandmarkField, WorldMap,
-                     draw_imu, extend_map, extract_features, generate_landmarks, imu_rows,
-                     integrate, update_pose)
+from .kernel import (CameraFrame, ImuModel, CircleTrajectory, LandmarkField, VisibilityBlock,
+                     WorldMap, draw_imu, extend_map, extract_features, generate_landmarks,
+                     imu_rows, integrate, update_pose)
 # Unused here, but perfbench/tracing.py wraps `pipeline.propagate` and
 # `pipeline.sample_imu` by name.
 from .kernel import propagate, sample_imu  # noqa: F401
@@ -111,13 +115,13 @@ from .soc import ComputeUnitSpec, LatencyTable, PowerLedger, Stage, UnitKind
 # fixed per-block numpy cost less often, but draws more samples at once, in
 # the one update that reaches them, which makes that update's host time spike.
 IMU_BLOCK = 256
-# Camera frames' visible landmarks are computed the same way, one
-# `visible_block` call per block of FRAME_BLOCK consecutive frame indices:
-# block j covers frames j*FRAME_BLOCK+1 .. (j+1)*FRAME_BLOCK. The ids are
-# bit-identical for every block size; a larger block spreads the call's
-# fixed cost over more frames, but computes them all in the slice that
-# reaches the block's first accepted frame.
-FRAME_BLOCK = 24
+# Camera frames' visible landmarks are computed the same way, one landmark
+# classification per block of FRAME_BLOCK consecutive frame indices: block j
+# covers frames j*FRAME_BLOCK+1 .. (j+1)*FRAME_BLOCK. The ids are
+# bit-identical for every block size; a larger block spreads the
+# classification over more frames, but its poses spread further, which
+# leaves more landmarks to the exact test of each frame.
+FRAME_BLOCK = 32
 
 _PROPAGATION = Stage.PROPAGATION.value
 
@@ -315,8 +319,8 @@ class Simulation:
         self.imu_rows: list = []  # rows of the samples drawn after imu_integrated
         self.imu_accel = None  # body accel of sample imu_integrated, if any
         self.imu_max_batch = 0
-        self.frame_block = -1  # the block of frames whose ids frame_ids holds
-        self.frame_ids: list = []
+        self.frame_block_index = -1  # the frame block frame_block classifies
+        self.frame_block = None
 
         # metrics
         self.frames_offered = 0
@@ -417,18 +421,26 @@ class Simulation:
             _Task(stage, self.stage_ns[stage], payload, on_done, on_start))
 
     def _make_frame(self, frame_id: int, t_ns: int) -> CameraFrame:
-        block, i = divmod(frame_id - 1, FRAME_BLOCK)
-        if block != self.frame_block or i >= len(self.frame_ids):
-            self.frame_block, self.frame_ids = block, self._visible_ids(block, frame_id)
-        # Each frame is made once: its entry is released as it is taken.
-        visible, self.frame_ids[i] = self.frame_ids[i], None
+        """Frame `frame_id` with the landmarks visible from the true pose at
+        `t_ns`. A frame arriving on schedule, at frame_id * NS_PER_S //
+        camera_fps, takes them from its frame block."""
+        k = self.config.kernel
+        if t_ns != frame_id * NS_PER_S // self.config.camera_fps:
+            visible = self.field.visible(self.truth.pose_at(t_ns), k.visibility_range_m,
+                                         k.fov_deg)
+        else:
+            block, i = divmod(frame_id - 1, FRAME_BLOCK)
+            if block != self.frame_block_index or i >= len(self.frame_block.positions):
+                self.frame_block_index = block
+                self.frame_block = self._frame_block(block, frame_id)
+            visible = self.frame_block.visible(i)
         return CameraFrame(frame_id=frame_id, t_ns=t_ns, visible_landmarks=visible,
                            size_bytes=self.config.frame_size_bytes)
 
-    def _visible_ids(self, block: int, frame_id: int) -> list:
-        """The visible landmark ids of the frames of a frame block, from its
-        first frame to its last, or to the run's last frame if that comes
-        first, but at least to `frame_id`."""
+    def _frame_block(self, block: int, frame_id: int) -> VisibilityBlock:
+        """The landmarks classified for the true poses of a frame block's
+        frames, from its first frame to its last, or to the run's last frame
+        if that comes first, but at least to `frame_id`."""
         k, fps = self.config.kernel, self.config.camera_fps
         first = block * FRAME_BLOCK + 1
         # Frame j arrives at j * NS_PER_S // fps, at or before duration_ns
@@ -436,7 +448,7 @@ class Simulation:
         last = max(frame_id, ((self.duration_ns + 1) * fps - 1) // NS_PER_S)
         poses = [self.truth.pose_at(j * NS_PER_S // fps)
                  for j in range(first, min(first + FRAME_BLOCK, last + 1))]
-        return self.field.visible_block(poses, k.visibility_range_m, k.fov_deg)
+        return self.field.block(poses, k.visibility_range_m, k.fov_deg)
 
     # ------------------------------------------------------------------
     # sources

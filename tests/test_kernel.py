@@ -1,9 +1,12 @@
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from slamsim import kernel
 from slamsim.engine import NS_PER_S
 from slamsim.kernel import (CameraFrame, CircleTrajectory, ImuModel, ImuSample,
                             LandmarkField, Pose, StationaryTrajectory, WorldMap,
@@ -388,10 +391,12 @@ def _arbitrary_poses(rng, n):
 
 
 def _spread_poses(rng, n):
-    """A tight cluster, or one of the block's poses far from the rest."""
+    """A tight cluster of positions and headings, or one of the block's poses
+    far from the rest."""
     centre, scale = rng.uniform(-10.0, 10.0, 3), 10.0 ** rng.uniform(-9.0, 2.0)
-    poses = [Pose(tuple(centre + rng.normal(0.0, scale, 3)), (0.0, 0.0, 0.0), q)
-             for q in _unit_quats(rng, n)]
+    q0, turn = rng.normal(size=4), 10.0 ** rng.uniform(-9.0, 0.5)
+    poses = [Pose(tuple(centre + rng.normal(0.0, scale, 3)), (0.0, 0.0, 0.0),
+                  quat_normalize(tuple(q0 + rng.normal(0.0, turn, 4)))) for _ in range(n)]
     if n > 1 and rng.uniform() < 0.5:
         poses[rng.integers(n)] = _arbitrary_poses(rng, 1)[0]
     return poses
@@ -748,11 +753,17 @@ class TestBitExactness:
            fov_deg=st.one_of(st.floats(1e-3, 360.0), st.sampled_from([180.0, 360.0])),
            max_range_m=st.floats(0.5, 30.0), on_landmark=st.booleans(),
            boundary=st.integers(0, 12),
-           stretch=st.sampled_from([0.0, 1e-12, 4e-10, 5e-10, 6e-10, 1e-6, 0.3, -0.2]))
-    @settings(max_examples=200, deadline=None)
+           stretch=st.sampled_from([0.0, 1e-12, 4e-10, 5e-10, 6e-10, 1e-6, 0.3, -0.2]),
+           stacked_rows=st.sampled_from([0, 1 << 40]), gated=st.booleans())
+    @settings(max_examples=300, deadline=None)
     def test_block_visibility_matches_eager_reference(self, seed, count, n_poses, kind,
                                                       fov_deg, max_range_m, on_landmark,
-                                                      boundary, stretch):
+                                                      boundary, stretch, stacked_rows,
+                                                      gated):
+        """Every pose's ids are the eager formula's, whether the block tests
+        its edge landmarks for all poses at once or one pose at a time, and
+        also where every block of two or more poses is classified, however
+        far its poses spread."""
         rng = np.random.default_rng(seed)
         points = generate_landmarks(count, rng)
         poses = _BLOCK_POSES[kind](rng, n_poses)
@@ -770,8 +781,35 @@ class TestBitExactness:
             points = np.vstack([points] + [
                 _boundary_points(rng, poses[rng.integers(n_poses)], max_range_m, fov_deg)
                 for _ in range(boundary)])
-        blocks = LandmarkField(points).visible_block(poses, max_range_m, fov_deg)
+        compact = kernel._compact if gated else (lambda poses, *_: len(poses) > 1)
+        with mock.patch.object(kernel, "_STACKED_ROWS", stacked_rows), \
+                mock.patch.object(kernel, "_compact", compact):
+            blocks = LandmarkField(points).visible_block(poses, max_range_m, fov_deg)
         assert len(blocks) == len(poses)
+        for pose, ids in zip(poses, blocks):
+            assert ids.tobytes() == _eager_visible(points, pose, max_range_m, fov_deg).tobytes()
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(2, 2000),
+           n_poses=st.integers(2, 48), fps=st.sampled_from([30, 50, 60]),
+           period_s=st.floats(1.0, 120.0), radius_m=st.floats(0.0, 10.0),
+           fov_deg=st.floats(1.0, 360.0), max_range_m=st.floats(0.5, 30.0),
+           boundary=st.integers(0, 6), stacked_rows=st.sampled_from([0, 1 << 40]))
+    @settings(max_examples=150, deadline=None)
+    def test_trajectory_block_visibility_matches_eager_reference(
+            self, seed, count, n_poses, fps, period_s, radius_m, fov_deg, max_range_m,
+            boundary, stacked_rows):
+        """Consecutive camera frames, the blocks the pipeline classifies:
+        each frame's ids are the eager formula's."""
+        rng = np.random.default_rng(seed)
+        points = generate_landmarks(count, rng)
+        truth, first = CircleTrajectory(radius_m, period_s), int(rng.integers(0, 10_000))
+        poses = [truth.pose_at(k * NS_PER_S // fps) for k in range(first, first + n_poses)]
+        if boundary:
+            points = np.vstack([points] + [
+                _boundary_points(rng, poses[rng.integers(n_poses)], max_range_m, fov_deg)
+                for _ in range(boundary)])
+        with mock.patch.object(kernel, "_STACKED_ROWS", stacked_rows):
+            blocks = LandmarkField(points).visible_block(poses, max_range_m, fov_deg)
         for pose, ids in zip(poses, blocks):
             assert ids.tobytes() == _eager_visible(points, pose, max_range_m, fov_deg).tobytes()
 
@@ -787,13 +825,28 @@ class TestBitExactness:
         for pose, ids in zip(poses, LandmarkField(points).visible_block(poses)):
             assert ids.tobytes() == _eager_visible(points, pose).tobytes()
 
-    def test_single_edge_landmark_keeps_the_gemv(self):
+    def test_only_compact_blocks_are_classified(self):
+        """Classifying pays only for a block whose poses stay close: one
+        that turns or moves far, by its first, middle and last poses, tests
+        every landmark for each queried pose, and so does a one-pose block."""
+        field = LandmarkField(generate_landmarks(400, np.random.default_rng(4)))
+        for period_s, classified in ((60.0, True), (5.0, False), (1.0, False)):
+            truth = CircleTrajectory(5.0, period_s)
+            poses = [truth.pose_at(k * NS_PER_S // 50) for k in range(1, 33)]
+            block = field.block(poses)
+            assert (block.ids is not None) == classified
+            for i, ids in enumerate(field.visible_block(poses)):
+                assert ids.tobytes() == _eager_visible(field.points, poses[i]).tobytes()
+        assert field.block(poses[:1]).ids is None
+
+    @pytest.mark.parametrize("stacked_rows", [0, 1 << 40])
+    def test_single_edge_landmark_keeps_the_gemv(self, stacked_rows):
         """A block with one edge landmark tests it with a second row: numpy
         takes a one-row product as a BLAS dot, whose last bit may differ
         from the gemv of the whole array. The landmarks are nudged by ulps
         across the cone boundary of a pose; on each where the dot and the
-        gemv fall on two sides of it, the one-pose query must give the
-        gemv's answer."""
+        gemv fall on two sides of it, a block of that pose twice, where the
+        other landmark is sure-in, must give the gemv's answer."""
         rng = np.random.default_rng(5)
         cos_half = math.cos(math.radians(100.0) / 2.0)
         straddled = 0
@@ -814,7 +867,10 @@ class TestBitExactness:
                 if straddled and (gemv >= cos_half) == (dot >= cos_half):
                     continue
                 straddled += (gemv >= cos_half) != (dot >= cos_half)
-                ids = LandmarkField(points).visible(pose)
+                block = LandmarkField(points).block((pose, pose))
+                assert block.seen.tolist() == [False, True]
+                with mock.patch.object(kernel, "_STACKED_ROWS", stacked_rows):
+                    ids = block.visible(1)
                 assert ids.tobytes() == _eager_visible(points, pose).tobytes()
             if straddled >= 3:
                 break

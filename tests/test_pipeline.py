@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slamsim.engine import NS_PER_MS, NS_PER_S, Engine, EventKind, ms_to_ns
-from slamsim import pipeline
+from slamsim import kernel, pipeline
 from slamsim.kernel import integrate, propagate, sample_imu_block
 from slamsim.pipeline import FRAME_BLOCK, IMU_BLOCK, PropagationServer, Simulation
 from slamsim.report import audit_trace, build_report, run_scenario, tracking_loss_count
@@ -680,12 +680,28 @@ class TestFrameBlockSize:
                                 kernel=KernelConfig(landmark_count=4000))
         self._assert_same_across_blocks(config)
 
+    def test_frame_off_its_arrival_time(self):
+        """A frame made at another time than its arrival sees from the true
+        pose at that time."""
+        sim = Simulation(ScenarioConfig(variant=ArchVariant.SLAM_ARCH, duration_s=5.0))
+        k, fps = sim.config.kernel, sim.config.camera_fps
+        for frame_id, t_ns in ((5, 5 * NS_PER_S // fps), (6, 6 * NS_PER_S // fps + 10**7),
+                               (7, 7 * NS_PER_S // fps), (40, 123_456_789)):
+            frame = sim._make_frame(frame_id, t_ns)
+            want = sim.field.visible(sim.truth.pose_at(t_ns), k.visibility_range_m, k.fov_deg)
+            assert frame.t_ns == t_ns
+            assert frame.visible_landmarks.tobytes() == want.tobytes()
+
     @staticmethod
     def _assert_same_across_blocks(config):
+        """The same for blocks of 1, 7 and 32 frames, and for blocks of 32
+        that test their edge landmarks one frame at a time."""
         seen = []
-        for block in (1, 7, 32):
+        for block, rows in ((1, kernel._STACKED_ROWS), (7, kernel._STACKED_ROWS),
+                            (32, kernel._STACKED_ROWS), (32, 0)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(pipeline, "FRAME_BLOCK", block)
+                mp.setattr(kernel, "_STACKED_ROWS", rows)
                 report, sim = run_scenario(config)
             seen.append((report.to_json_line(), sim.trace))
         assert all(result == seen[0] for result in seen[1:])
