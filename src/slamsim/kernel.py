@@ -35,53 +35,55 @@ subtraction is exact per element, so only the gemv depends on the layout,
 and it gets the C-order matrix it is specified on.
 
 Block visibility. `LandmarkField.block(poses)` returns a `VisibilityBlock`
-whose `visible(i)` is `visible(poses[i])` bit for bit; `visible_block` asks
-it for every pose, and `visible(pose)` is the one-pose block. The pipeline
-makes one block per run of consecutive camera frames and asks it only for
-the frames it accepts. A block of two or more poses is classified once,
-from its first pose: delta is the largest distance of a pose from it and
-phi the largest angle of a heading from its heading. For a landmark at
-distance r and angle theta from the first pose, every pose sees it at a
-distance in [r - delta, r + delta] and at an angle within theta +-
+whose `visible(i)` is `visible(poses[i])` bit for bit, and `visible_block`
+asks it for every pose. The pipeline makes one block per run of consecutive
+camera frames and asks it only for the frames it accepts. `visible(pose)`
+runs the exact test below on the whole landmark array; a one-pose block
+would only add the block's cost to it. A block of two or more poses is
+classified once, from its first pose: delta is the largest distance of a
+pose from it and phi the largest angle of a heading from its heading. For a
+landmark at distance r and angle theta from the first pose, every pose sees
+it at a distance in [r - delta, r + delta] and at an angle within theta +-
 (asin(delta / r) + phi), by the triangle inequality for distances and for
 angles between directions; the asin bounds how far the direction to the
-landmark turns, and needs r > 2 delta, so only those landmarks are sorted
-by angle. Sure-out landmarks fail the range test or the cone test for every
+landmark turns, and needs r > 2 delta, so only those landmarks are sorted by
+angle. Sure-out landmarks fail the range test or the cone test for every
 pose, sure-in landmarks pass all three tests for every pose, and the rest,
 including every landmark within about 2 delta of the first pose, are edge
 landmarks. The classification is conservative: distances are widened by the
-relative margin 1e-9, angles by 1e-9 rad, and the cone's cosine by 2e-9,
-far above the ~1e-15 rounding error of the exact formula and the 1e-9 by
-which a heading's norm may differ from 1 (the depths scale with it). Angles
-are taken as atan2(|v x h|, v . h), accurate near 0 and pi too. numpy's
-arctan2 and arcsin, and libm's acos, may round differently on another host;
-within the margins that moves no landmark across a class it does not
-belong to, so no output bit. A block with a non-finite position, a
-non-finite cone or a heading norm outside 1 +- 1e-9 makes every landmark an
-edge landmark: slower, still exact. So does a block that is not compact:
-its middle or last pose is more than a quarter of the range from its first
-pose, or its heading turned by more than a quarter of the cone's half angle
-(`_SPREAD`). Such a block would leave most landmarks on the edge, and
+relative margin 1e-9, angles by 1e-9 rad, and the cone's cosine by 2e-9, far
+above the ~1e-15 rounding error of the exact formula and the 1e-9 by which a
+heading's norm may differ from 1 (the depths scale with it). Angles are
+taken as atan2(|v x h|, v . h), accurate near 0 and pi too. numpy's arctan2
+and arcsin, and libm's acos, may round differently on another host; within
+the margins that moves no landmark across a class it does not belong to, so
+no output bit. A block with a non-finite position, a non-finite cone or a
+heading norm outside 1 +- 1e-9 makes every landmark an edge landmark:
+slower, still exact. So does a block that is not compact: its middle or last
+pose is more than a quarter of the range from its first pose, or its heading
+turned by more than a quarter of the cone's half angle (`_SPREAD`, checked
+by `is_compact`). Such a block would leave most landmarks on the edge, and
 classifying it would cost more than it saves; its poses are tested like
-single frames, on the landmark array itself.
+single frames, on the landmark array itself, and the pipeline, which checks
+first, does not make the block at all.
 
-The exact test runs the per-pose formula on the edge landmarks only, with
-the same element-wise operations in the same order, and takes the depth
-numerators from a stacked matmul (poses, rows, 3) @ (poses, 3, 1). numpy
-evaluates it as one BLAS gemv per pose, which on the OpenBLAS kernels
-measured (SkylakeX, Haswell, Prescott) gives each row the bits of the gemv
-`rel @ heading` on the whole array, whichever rows the subset keeps. A
-one-row product is the exception: numpy takes it as a BLAS dot, which may
-differ in the last bit, so a lone edge landmark is tested with a second
-row. A block with at most `_STACKED_ROWS` (pose, edge landmark) pairs tests
-all its poses at once on its first query; a larger block tests each queried
-pose alone, so a frame that is never queried costs nothing and no array
-grows past the one-pose formula's. Each pose's ids are then the sure-in
-landmarks plus the edge landmarks the exact test passes, in ascending
-order. A block keeps the ids that any pose may see, which of them are
-sure-in, the coordinates of the edge landmarks, and, once it has tested all
-its poses at once, one bool per pose and id; no id array outlives its
-query.
+The exact test (`_exact`) runs the one-pose formula on the edge landmarks
+only; a gemv on a subset of rows gives each row the bits of the gemv `rel @
+heading` on the whole array, whichever rows the subset keeps, on the
+OpenBLAS kernels measured (SkylakeX, Haswell, Prescott). A one-row product
+is the exception: numpy takes it as a BLAS dot, which may differ in the last
+bit, so a lone edge landmark is tested with a second row. A block with at
+most `_STACKED_ROWS` (pose, edge landmark) pairs tests all its poses at once
+on its first query (`_exact_stacked`): the same element-wise operations on a
+stack of rel arrays, and a stacked matmul (poses, rows, 3) @ (poses, 3, 1),
+which numpy evaluates as one gemv per pose, with the same bits. A larger
+block tests each queried pose alone, so a frame that is never queried costs
+nothing and no array grows past the one-pose formula's. Each pose's ids are
+then the sure-in landmarks plus the edge landmarks the exact test passes, in
+ascending order. A block keeps the ids that any pose may see, which of them
+are sure-in, the coordinates of the edge landmarks, and, once it has tested
+all its poses at once, one bool per pose and edge landmark; no id array
+outlives its query.
 
 Array-drawn IMU blocks. numpy's `rng.normal(0.0, std, 3)` returns
 `0.0 + std * z` for three standard normals `z` taken one after another from
@@ -630,7 +632,9 @@ class LandmarkField:
                 fov_deg: float = 100.0) -> np.ndarray:
         """Ascending ids of the landmarks inside a forward field-of-view cone
         and range of the true pose."""
-        return self.visible_block((true_pose,), max_range_m, fov_deg)[0]
+        heading = np.array(quat_rotate(true_pose.orientation, (1.0, 0.0, 0.0)))
+        return np.flatnonzero(_exact(self._columns, np.array(true_pose.position), heading,
+                                     max_range_m, math.cos(math.radians(fov_deg) / 2.0)))
 
     def visible_block(self, poses, max_range_m: float = 12.0,
                       fov_deg: float = 100.0) -> list[np.ndarray]:
@@ -691,18 +695,19 @@ def _sort(rel, head, delta, phi, max_range_m, half_in, half_out):
     return sure_in, sure_out
 
 
-def _compact(poses, heads, max_range_m, cos_half) -> bool:
-    """Whether a block of poses looks compact enough to classify, judged
-    cheaply from its first, middle and last poses (see _SPREAD)."""
+def is_compact(poses, max_range_m: float, fov_deg: float) -> bool:
+    """Whether a block of two or more poses looks compact enough to classify,
+    judged cheaply from its first, middle and last poses (see _SPREAD)."""
     if len(poses) < 2:
         return False
-    p0, h0 = poses[0].position, heads[0]
-    near = _SPREAD * max_range_m
+    ends = (poses[0], poses[len(poses) // 2], poses[-1])
+    (p0, h0), *rest = [(p.position, quat_rotate(p.orientation, (1.0, 0.0, 0.0)))
+                       for p in ends]
+    cos_half = math.cos(math.radians(fov_deg) / 2.0)
     cos_turn = math.cos(_SPREAD * math.acos(max(-1.0, min(1.0, cos_half))))
-    for k in (len(poses) // 2, -1):
-        h = heads[k]
+    for p, h in rest:
         dot = h[0] * h0[0] + h[1] * h0[1] + h[2] * h0[2]
-        if math.dist(poses[k].position, p0) > near or \
+        if math.dist(p, p0) > _SPREAD * max_range_m or \
                 dot < cos_turn * math.hypot(*h) * math.hypot(*h0):
             return False
     return True
@@ -720,8 +725,8 @@ class VisibilityBlock:
 
     def __init__(self, field: LandmarkField, poses, max_range_m: float, fov_deg: float):
         self.positions = np.array([p.position for p in poses], dtype=float)
-        heads = [quat_rotate(p.orientation, (1.0, 0.0, 0.0)) for p in poses]
-        self.heads = np.array(heads, dtype=float).reshape(-1, 3)
+        self.heads = np.array([quat_rotate(p.orientation, (1.0, 0.0, 0.0)) for p in poses],
+                              dtype=float).reshape(-1, 3)
         self.max_range_m = max_range_m
         self.cos_half = cos_half = math.cos(math.radians(fov_deg) / 2.0)
         # ids: the ascending ids the exact test's columns stand for, None for
@@ -729,7 +734,7 @@ class VisibilityBlock:
         # sure-in and where the edge landmarks sit among them.
         self.ids, self.columns, self.seen, self.at = None, field._columns, None, None
         self.passed = None  # the exact test of every pose, once computed
-        if not _compact(poses, heads, max_range_m, cos_half):
+        if not is_compact(poses, max_range_m, fov_deg):
             return
         masks = field._classify(self.positions, self.heads, max_range_m, cos_half)
         if masks is None:
@@ -753,8 +758,10 @@ class VisibilityBlock:
     def visible(self, i: int) -> np.ndarray:
         if self.passed is None and \
                 len(self.positions) * self.columns.shape[1] <= _STACKED_ROWS:
-            self.passed = self._exact(slice(None))
-        passed = self._exact(slice(i, i + 1))[0] if self.passed is None else self.passed[i]
+            self.passed = _exact_stacked(self.columns, self.positions, self.heads,
+                                         self.max_range_m, self.cos_half)
+        passed = self.passed[i] if self.passed is not None else _exact(
+            self.columns, self.positions[i], self.heads[i], self.max_range_m, self.cos_half)
         if self.ids is None:
             return np.flatnonzero(passed)
         if self.seen is None:
@@ -763,19 +770,35 @@ class VisibilityBlock:
         seen[self.at] = passed
         return self.ids[seen]
 
-    def _exact(self, poses: slice) -> np.ndarray:
-        """The visibility formula on the edge landmarks, one row per pose of
-        `poses`. rel = points - position is written per pose in C order, the
-        layout of the gemv below, from the contiguous coordinate rows; the
-        distance sums the squared columns left to right."""
-        positions, heads = self.positions[poses], self.heads[poses]
-        rel = np.empty((len(positions), self.columns.shape[1], 3))
-        np.subtract(self.columns, positions[:, :, None], out=rel.transpose(0, 2, 1))
-        x, y, z = rel[:, :, 0], rel[:, :, 1], rel[:, :, 2]
-        dist = x * x
-        dist += y * y
-        dist += z * z
-        np.sqrt(dist, out=dist)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            depth = np.matmul(rel, heads[:, :, None])[:, :, 0] / dist
-        return (dist > 1e-6) & (dist <= self.max_range_m) & (depth >= self.cos_half)
+
+def _exact(columns, position, heading, max_range_m, cos_half) -> np.ndarray:
+    """The visibility formula for one pose on the landmarks at `columns`
+    (x, y, z rows). rel = points - position is written in C order, the
+    layout of the gemv below, from the coordinate rows; the distance sums
+    the squared columns left to right."""
+    rel = np.empty(columns.shape[::-1])
+    np.subtract(columns, position[:, None], out=rel.T)
+    x, y, z = rel.T
+    dist = x * x
+    dist += y * y
+    dist += z * z
+    np.sqrt(dist, out=dist)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        depth = (rel @ heading) / dist
+    return (dist > 1e-6) & (dist <= max_range_m) & (depth >= cos_half)
+
+
+def _exact_stacked(columns, positions, heads, max_range_m, cos_half) -> np.ndarray:
+    """`_exact` for every pose at once, one row per pose: the same operations
+    on a stack of C-order rel arrays, and one stacked matmul, which numpy
+    evaluates as the gemv of each pose."""
+    rel = np.empty((len(positions), columns.shape[1], 3))
+    np.subtract(columns, positions[:, :, None], out=rel.transpose(0, 2, 1))
+    x, y, z = rel[:, :, 0], rel[:, :, 1], rel[:, :, 2]
+    dist = x * x
+    dist += y * y
+    dist += z * z
+    np.sqrt(dist, out=dist)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        depth = np.matmul(rel, heads[:, :, None])[:, :, 0] / dist
+    return (dist > 1e-6) & (dist <= max_range_m) & (depth >= cos_half)

@@ -101,7 +101,7 @@ from .bank import (FeatureBankController, MAPPING_CONSUMER, UPDATE_CONSUMER)
 from .engine import NEXT_SAMPLE, NS_PER_S, Engine, EventKind, ms_to_ns, s_to_ns
 from .kernel import (CameraFrame, ImuModel, CircleTrajectory, LandmarkField, VisibilityBlock,
                      WorldMap, draw_imu, extend_map, extract_features, generate_landmarks,
-                     imu_rows, integrate, update_pose)
+                     imu_rows, integrate, is_compact, update_pose)
 # Unused here, but perfbench/tracing.py wraps `pipeline.propagate` and
 # `pipeline.sample_imu` by name.
 from .kernel import propagate, sample_imu  # noqa: F401
@@ -319,7 +319,7 @@ class Simulation:
         self.imu_rows: list = []  # rows of the samples drawn after imu_integrated
         self.imu_accel = None  # body accel of sample imu_integrated, if any
         self.imu_max_batch = 0
-        self.frame_block_index = -1  # the frame block frame_block classifies
+        self.frame_range = range(0)  # the frames of the last frame block made
         self.frame_block = None
 
         # metrics
@@ -423,32 +423,36 @@ class Simulation:
     def _make_frame(self, frame_id: int, t_ns: int) -> CameraFrame:
         """Frame `frame_id` with the landmarks visible from the true pose at
         `t_ns`. A frame arriving on schedule, at frame_id * NS_PER_S //
-        camera_fps, takes them from its frame block."""
-        k = self.config.kernel
-        if t_ns != frame_id * NS_PER_S // self.config.camera_fps:
+        camera_fps, takes them from its frame block if that is classified."""
+        k, visible = self.config.kernel, None
+        if t_ns == frame_id * NS_PER_S // self.config.camera_fps:
+            if frame_id not in self.frame_range:
+                self.frame_range, self.frame_block = self._frame_block(frame_id)
+            if self.frame_block is not None:
+                visible = self.frame_block.visible(frame_id - self.frame_range.start)
+        if visible is None:
             visible = self.field.visible(self.truth.pose_at(t_ns), k.visibility_range_m,
                                          k.fov_deg)
-        else:
-            block, i = divmod(frame_id - 1, FRAME_BLOCK)
-            if block != self.frame_block_index or i >= len(self.frame_block.positions):
-                self.frame_block_index = block
-                self.frame_block = self._frame_block(block, frame_id)
-            visible = self.frame_block.visible(i)
         return CameraFrame(frame_id=frame_id, t_ns=t_ns, visible_landmarks=visible,
                            size_bytes=self.config.frame_size_bytes)
 
-    def _frame_block(self, block: int, frame_id: int) -> VisibilityBlock:
-        """The landmarks classified for the true poses of a frame block's
-        frames, from its first frame to its last, or to the run's last frame
-        if that comes first, but at least to `frame_id`."""
+    def _frame_block(self, frame_id: int) -> tuple[range, VisibilityBlock | None]:
+        """The frames of `frame_id`'s frame block, from its first to its last,
+        or to the run's last frame if that comes first, but at least to
+        `frame_id`; and the landmarks classified for their true poses, or
+        None if the block is not compact (`is_compact`)."""
         k, fps = self.config.kernel, self.config.camera_fps
-        first = block * FRAME_BLOCK + 1
+        first = (frame_id - 1) // FRAME_BLOCK * FRAME_BLOCK + 1
         # Frame j arrives at j * NS_PER_S // fps, at or before duration_ns
         # for every j up to this one.
         last = max(frame_id, ((self.duration_ns + 1) * fps - 1) // NS_PER_S)
-        poses = [self.truth.pose_at(j * NS_PER_S // fps)
-                 for j in range(first, min(first + FRAME_BLOCK, last + 1))]
-        return self.field.block(poses, k.visibility_range_m, k.fov_deg)
+        frames = range(first, min(first + FRAME_BLOCK, last + 1))
+        times = [j * NS_PER_S // fps for j in frames]
+        ends = [self.truth.pose_at(times[i]) for i in (0, len(times) // 2, -1)]
+        if not is_compact(ends, k.visibility_range_m, k.fov_deg):
+            return frames, None
+        poses = [self.truth.pose_at(t) for t in times]
+        return frames, self.field.block(poses, k.visibility_range_m, k.fov_deg)
 
     # ------------------------------------------------------------------
     # sources

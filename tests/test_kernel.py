@@ -632,11 +632,12 @@ class TestBitExactness:
         assert _row_norms(v).tolist() == [_norm(row) for row in v.tolist()]
 
     def test_stacked_gemv_is_the_per_pose_gemv_of_the_whole_array(self):
-        """`visible_block` takes the depth numerators of a block's edge
-        landmarks with one stacked matmul (poses, rows, 3) @ (poses, 3, 1);
-        each pose's rows must have the bits of the gemv `rel @ heading` on
-        the whole array, whatever rows the subset keeps, as long as it keeps
-        at least two (one row is a BLAS dot)."""
+        """A block takes the depth numerators of its edge landmarks with a
+        gemv on those rows for one pose, or with one stacked matmul (poses,
+        rows, 3) @ (poses, 3, 1) for all; each pose's rows must have the bits
+        of the gemv `rel @ heading` on the whole array, whatever rows the
+        subset keeps, as long as it keeps at least two (one row is a BLAS
+        dot)."""
         rng = np.random.default_rng(2017)
         for _ in range(40):
             n, poses = int(rng.integers(2, 5000)), int(rng.integers(1, 33))
@@ -649,6 +650,8 @@ class TestBitExactness:
             for b in range(poses):
                 whole = np.ascontiguousarray(points - positions[b]) @ heads[b]
                 assert stacked[b, :, 0].tobytes() == whole[keep].tobytes()
+                subset = np.ascontiguousarray(points[keep] - positions[b]) @ heads[b]
+                assert subset.tobytes() == whole[keep].tobytes()
 
     @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 1200),
            visible_share=st.floats(0.0, 1.0), known_share=st.floats(0.0, 1.0),
@@ -781,9 +784,9 @@ class TestBitExactness:
             points = np.vstack([points] + [
                 _boundary_points(rng, poses[rng.integers(n_poses)], max_range_m, fov_deg)
                 for _ in range(boundary)])
-        compact = kernel._compact if gated else (lambda poses, *_: len(poses) > 1)
+        compact = kernel.is_compact if gated else (lambda poses, *_: len(poses) > 1)
         with mock.patch.object(kernel, "_STACKED_ROWS", stacked_rows), \
-                mock.patch.object(kernel, "_compact", compact):
+                mock.patch.object(kernel, "is_compact", compact):
             blocks = LandmarkField(points).visible_block(poses, max_range_m, fov_deg)
         assert len(blocks) == len(poses)
         for pose, ids in zip(poses, blocks):
