@@ -651,8 +651,9 @@ class LandmarkField:
     def _classify(self, positions, heads, max_range_m, cos_half):
         """Two bool masks over the landmarks for a block of poses: those that
         every pose sees (sure-in), and the edge landmarks, which the exact
-        test decides; no pose sees the rest (sure-out). None if every
-        landmark is an edge landmark."""
+        test decides; no pose sees the rest (sure-out). None if a pose or
+        the cone fails the preconditions: every landmark is then an edge
+        landmark."""
         norms = np.sqrt((heads * heads).sum(axis=1))
         if not (np.isfinite(positions).all() and math.isfinite(cos_half)
                 and (np.abs(norms - 1.0) <= _MARGIN).all()):

@@ -83,11 +83,13 @@ block of FRAME_BLOCK frame indices classifies the landmarks once for the
 true poses of all the block's frames (`LandmarkField.block`), and each
 accepted frame then takes its ids from the block with the exact test on the
 block's edge landmarks (`VisibilityBlock.visible`); a dropped or throttled
-frame asks for nothing, and no frame's ids are kept past its own frame.
-Visibility draws no random number and reads only the trajectory, so the ids
-are those of a per-frame `visible` call, whatever the block size and
-wherever a run is cut. A frame made at another time than its arrival takes
-them from the true pose at that time.
+frame asks for nothing, and no frame's ids are kept past its own frame. A
+block whose first, middle and last poses are not compact (`is_compact`; a
+fast trajectory) is not made, and its accepted frames call `visible` one by
+one. Visibility draws no random number and reads only the trajectory, so
+the ids are those of a per-frame `visible` call, whatever the block size
+and wherever a run is cut. A frame made at another time than its arrival
+takes them from the true pose at that time.
 """
 
 from __future__ import annotations
