@@ -30,60 +30,60 @@ terms one after another, from the left, so the norm is
 the same IEEE result while reading the coordinates as whole columns instead
 of a strided reduce over a length-3 axis. `rel` itself is written by one
 subtraction from the contiguous coordinate rows of the landmark array
-(`generate_landmarks` stores them that way) into a C-order (N, 3) array:
-subtraction is exact per element, so only the gemv depends on the layout,
-and it gets the C-order matrix it is specified on.
+(`generate_landmarks` stores them that way) into a C-order (N, 3) array per
+pose: subtraction is exact per element, so only the gemv depends on the
+layout, and it gets the C-order matrix it is specified on.
 
 Block visibility. `LandmarkField.block(poses)` returns a `VisibilityBlock`
-whose `visible(i)` is `visible(poses[i])` bit for bit, and `visible_block`
-asks it for every pose. The pipeline makes one block per run of consecutive
-camera frames and asks it only for the frames it accepts. `visible(pose)`
-runs the exact test below on the whole landmark array; a one-pose block
-would only add the block's cost to it. A block of two or more poses is
-classified once, from its first pose: delta is the largest distance of a
-pose from it and phi the largest angle of a heading from its heading. For a
-landmark at distance r and angle theta from the first pose, every pose sees
-it at a distance in [r - delta, r + delta] and at an angle within theta +-
-(asin(delta / r) + phi), by the triangle inequality for distances and for
-angles between directions; the asin bounds how far the direction to the
-landmark turns, and needs r > 2 delta, so only those landmarks are sorted by
-angle. Sure-out landmarks fail the range test or the cone test for every
-pose, sure-in landmarks pass all three tests for every pose, and the rest,
-including every landmark within about 2 delta of the first pose, are edge
-landmarks. The classification is conservative: distances are widened by the
-relative margin 1e-9, angles by 1e-9 rad, and the cone's cosine by 2e-9, far
-above the ~1e-15 rounding error of the exact formula and the 1e-9 by which a
-heading's norm may differ from 1 (the depths scale with it). Angles are
-taken as atan2(|v x h|, v . h), accurate near 0 and pi too. numpy's arctan2
-and arcsin, and libm's acos, may round differently on another host; within
-the margins that moves no landmark across a class it does not belong to, so
-no output bit. A block with a non-finite position, a non-finite cone or a
-heading norm outside 1 +- 1e-9 makes every landmark an edge landmark:
-slower, still exact. So does a block that is not compact: its middle or last
-pose is more than a quarter of the range from its first pose, or its heading
-turned by more than a quarter of the cone's half angle (`_SPREAD`, checked
-by `is_compact`). Such a block would leave most landmarks on the edge, and
-classifying it would cost more than it saves; its poses are tested like
-single frames, on the landmark array itself, and the pipeline, which checks
-first, does not make the block at all.
+whose `visible(i)` is `visible(poses[i])` bit for bit. The pipeline makes one
+block per run of consecutive camera frames and asks it only for the frames
+it accepts. A block is classified once, from its first pose: delta is the
+largest distance of a pose from it and phi the largest angle of a heading
+from its heading. For a landmark at distance r and angle theta from the
+first pose, every pose sees it at a distance in [r - delta, r + delta] and
+at an angle within theta +- (asin(delta / r) + phi), by the triangle
+inequality for distances and for angles between directions; the asin bounds
+how far the direction to the landmark turns, and needs r > 2 delta, so only
+those landmarks are sorted by angle. Sure-out landmarks fail the range test
+or the cone test for every pose, sure-in landmarks pass all three tests for
+every pose, and the rest, including every landmark within about 2 delta of
+the first pose, are edge landmarks. The classification is conservative:
+distances are widened by the relative margin 1e-9, angles by 1e-9 rad, and
+the cone's cosine by 2e-9, far above the ~1e-15 rounding error of the exact
+formula and the 1e-9 by which a heading's norm may differ from 1 (the depths
+scale with it). Angles are taken as atan2(|v x h|, v . h), accurate near 0
+and pi too. numpy's arctan2 and arcsin, and libm's acos, may round
+differently on another host; within the margins that moves no landmark
+across a class it does not belong to, so no output bit. A block with a
+non-finite position, a non-finite cone or a heading norm outside 1 +- 1e-9
+makes every landmark an edge landmark: slower, still exact. Classifying
+pays only for a compact block, whose middle and last poses lie within a
+quarter of the range of its first pose and whose headings turn by at most a
+quarter of the cone's half angle (`_SPREAD`, `is_compact`); a wider block
+leaves most landmarks on the edge. The pipeline alone checks that, before it
+makes a block, and the frames of a block that is not compact call `visible`
+one by one.
 
-The exact test (`_exact`) runs the one-pose formula on the edge landmarks
-only; a gemv on a subset of rows gives each row the bits of the gemv `rel @
-heading` on the whole array, whichever rows the subset keeps, on the
-OpenBLAS kernels measured (SkylakeX, Haswell, Prescott). A one-row product
-is the exception: numpy takes it as a BLAS dot, which may differ in the last
-bit, so a lone edge landmark is tested with a second row. A block with at
-most `_STACKED_ROWS` (pose, edge landmark) pairs tests all its poses at once
-on its first query (`_exact_stacked`): the same element-wise operations on a
-stack of rel arrays, and a stacked matmul (poses, rows, 3) @ (poses, 3, 1),
-which numpy evaluates as one gemv per pose, with the same bits. A larger
-block tests each queried pose alone, so a frame that is never queried costs
-nothing and no array grows past the one-pose formula's. Each pose's ids are
-then the sure-in landmarks plus the edge landmarks the exact test passes, in
-ascending order. A block keeps the ids that any pose may see, which of them
-are sure-in, the coordinates of the edge landmarks, and, once it has tested
-all its poses at once, one bool per pose and edge landmark; no id array
-outlives its query.
+The exact test (`_exact`) is the one visibility formula. It takes a stack of
+poses and returns a (poses, landmarks) mask: `visible(pose)` runs it for one
+pose on the whole landmark array, and a block runs it on its edge landmarks
+only. The element-wise steps run on the flattened rel stack, and the depth
+numerators come from one stacked matmul (poses, rows, 3) @ (poses, 3, 1),
+which numpy evaluates as one gemv per pose: for one pose, the reference
+formula's gemv of rel by the heading. A gemv on a subset of rows gives each
+row the bits of the gemv on the whole array, whichever rows the subset
+keeps, on the OpenBLAS kernels measured (SkylakeX, Haswell, Prescott). A
+one-row product is the exception: numpy takes it as a BLAS dot, which may
+differ in the last bit, so a lone edge landmark is tested with a second row.
+A block with at most `_STACKED_ROWS` (pose, edge landmark) pairs tests all
+its poses at once on its first query; a larger block tests each queried pose
+alone, so a frame that is never queried costs nothing and no array grows
+past one pose's test of the whole map. Each pose's ids are then the sure-in
+landmarks plus the edge landmarks the exact test passes, in ascending order.
+A block keeps the ids that any pose may see, which of them are sure-in,
+where the edge landmarks sit among them and their coordinates, and, once it
+has tested all its poses at once, one bool per pose and edge landmark; no id
+array outlives its query.
 
 Array-drawn IMU blocks. numpy's `rng.normal(0.0, std, 3)` returns
 `0.0 + std * z` for three standard normals `z` taken one after another from
@@ -606,10 +606,10 @@ _STACKED_ROWS = 1 << 14
 # its temporary arrays below those of one pose's exact test on the whole
 # array.
 _CLASSIFY_ROWS = 1 << 16
-# A block is classified only if its middle and last poses lie within this
-# share of the range of its first pose, and their headings within this share
-# of the cone's half angle of its first heading; with a larger spread most
-# landmarks would be edge landmarks.
+# The pipeline makes a block only if its middle and last poses lie within
+# this share of the range of its first pose, and their headings within this
+# share of the cone's half angle of its first heading (`is_compact`); with a
+# larger spread most landmarks would be edge landmarks.
 _SPREAD = 0.25
 
 
@@ -632,15 +632,9 @@ class LandmarkField:
                 fov_deg: float = 100.0) -> np.ndarray:
         """Ascending ids of the landmarks inside a forward field-of-view cone
         and range of the true pose."""
-        heading = np.array(quat_rotate(true_pose.orientation, (1.0, 0.0, 0.0)))
-        return np.flatnonzero(_exact(self._columns, np.array(true_pose.position), heading,
-                                     max_range_m, math.cos(math.radians(fov_deg) / 2.0)))
-
-    def visible_block(self, poses, max_range_m: float = 12.0,
-                      fov_deg: float = 100.0) -> list[np.ndarray]:
-        """`visible` of each pose, bit for bit."""
-        block = self.block(poses, max_range_m, fov_deg)
-        return [block.visible(i) for i in range(len(poses))]
+        heading = np.array([quat_rotate(true_pose.orientation, (1.0, 0.0, 0.0))])
+        return np.flatnonzero(_exact(self._columns, np.array([true_pose.position]), heading,
+                                     max_range_m, math.cos(math.radians(fov_deg) / 2.0))[0])
 
     def block(self, poses, max_range_m: float = 12.0,
               fov_deg: float = 100.0) -> VisibilityBlock:
@@ -651,13 +645,13 @@ class LandmarkField:
     def _classify(self, positions, heads, max_range_m, cos_half):
         """Two bool masks over the landmarks for a block of poses: those that
         every pose sees (sure-in), and the edge landmarks, which the exact
-        test decides; no pose sees the rest (sure-out). None if a pose or
-        the cone fails the preconditions: every landmark is then an edge
-        landmark."""
+        test decides; no pose sees the rest (sure-out). If a pose or the cone
+        fails the preconditions, every landmark is an edge landmark."""
+        n = len(self.points)
         norms = np.sqrt((heads * heads).sum(axis=1))
         if not (np.isfinite(positions).all() and math.isfinite(cos_half)
                 and (np.abs(norms - 1.0) <= _MARGIN).all()):
-            return None
+            return np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
         # The block's spread around its first pose: delta (m) and phi (rad).
         off = positions - positions[0]
         delta = float(np.sqrt((off * off).sum(axis=1)).max()) * (1.0 + _MARGIN)
@@ -665,7 +659,6 @@ class LandmarkField:
         phi = float(_angles_to(*units.T, units[0]).max()) + _MARGIN
         half_in = math.acos(min(1.0, cos_half + 2.0 * _MARGIN)) - _MARGIN
         half_out = math.acos(max(-1.0, cos_half - 2.0 * _MARGIN)) + _MARGIN
-        n = len(self.points)
         sure_in, sure_out = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
         for first in range(0, n, _CLASSIFY_ROWS):
             part = slice(first, first + _CLASSIFY_ROWS)
@@ -698,7 +691,8 @@ def _sort(rel, head, delta, phi, max_range_m, half_in, half_out):
 
 def is_compact(poses, max_range_m: float, fov_deg: float) -> bool:
     """Whether a block of two or more poses looks compact enough to classify,
-    judged cheaply from its first, middle and last poses (see _SPREAD)."""
+    judged cheaply from its first, middle and last poses (see _SPREAD). The
+    pipeline asks before it makes a block; `VisibilityBlock` does not."""
     if len(poses) < 2:
         return False
     ends = (poses[0], poses[len(poses) // 2], poses[-1])
@@ -730,76 +724,47 @@ class VisibilityBlock:
                               dtype=float).reshape(-1, 3)
         self.max_range_m = max_range_m
         self.cos_half = cos_half = math.cos(math.radians(fov_deg) / 2.0)
-        # ids: the ascending ids the exact test's columns stand for, None for
-        # all; seen and at: with sure-in landmarks, which of the ids are
-        # sure-in and where the edge landmarks sit among them.
-        self.ids, self.columns, self.seen, self.at = None, field._columns, None, None
-        self.passed = None  # the exact test of every pose, once computed
-        if not is_compact(poses, max_range_m, fov_deg):
-            return
-        masks = field._classify(self.positions, self.heads, max_range_m, cos_half)
-        if masks is None:
-            return
-        sure_in, edge = masks
+        sure_in, edge = field._classify(self.positions, self.heads, max_range_m, cos_half)
         if np.count_nonzero(edge) == 1:
             # numpy takes a one-row product as a BLAS dot, not as the gemv
             # of the whole array; a second row keeps the gemv.
             edge[:2] = True
-        if not sure_in.any():
-            if not edge.all():
-                self.ids = np.flatnonzero(edge)
-                self.columns = field._columns[:, self.ids]
-            return
-        # Only the candidates, sure-in or edge, can be seen by any pose.
+        # The ascending ids any pose may see (sure-in or edge), which of them
+        # are sure-in, where the edge landmarks sit among them, and their
+        # coordinates, the exact test's columns.
         self.ids = np.flatnonzero(sure_in | edge)
         self.seen = sure_in[self.ids]
         self.at = np.flatnonzero(edge[self.ids])
         self.columns = field._columns[:, self.ids[self.at]]
+        self.passed = None  # the exact test of every pose, once computed
 
     def visible(self, i: int) -> np.ndarray:
         if self.passed is None and \
                 len(self.positions) * self.columns.shape[1] <= _STACKED_ROWS:
-            self.passed = _exact_stacked(self.columns, self.positions, self.heads,
-                                         self.max_range_m, self.cos_half)
+            self.passed = _exact(self.columns, self.positions, self.heads,
+                                 self.max_range_m, self.cos_half)
         passed = self.passed[i] if self.passed is not None else _exact(
-            self.columns, self.positions[i], self.heads[i], self.max_range_m, self.cos_half)
-        if self.ids is None:
-            return np.flatnonzero(passed)
-        if self.seen is None:
-            return self.ids[passed]
+            self.columns, self.positions[i:i + 1], self.heads[i:i + 1], self.max_range_m,
+            self.cos_half)[0]
         seen = self.seen.copy()
         seen[self.at] = passed
         return self.ids[seen]
 
 
-def _exact(columns, position, heading, max_range_m, cos_half) -> np.ndarray:
-    """The visibility formula for one pose on the landmarks at `columns`
-    (x, y, z rows). rel = points - position is written in C order, the
-    layout of the gemv below, from the coordinate rows; the distance sums
-    the squared columns left to right."""
-    rel = np.empty(columns.shape[::-1])
-    np.subtract(columns, position[:, None], out=rel.T)
-    x, y, z = rel.T
-    dist = x * x
-    dist += y * y
-    dist += z * z
-    np.sqrt(dist, out=dist)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        depth = (rel @ heading) / dist
-    return (dist > 1e-6) & (dist <= max_range_m) & (depth >= cos_half)
-
-
-def _exact_stacked(columns, positions, heads, max_range_m, cos_half) -> np.ndarray:
-    """`_exact` for every pose at once, one row per pose: the same operations
-    on a stack of C-order rel arrays, and one stacked matmul, which numpy
-    evaluates as the gemv of each pose."""
-    rel = np.empty((len(positions), columns.shape[1], 3))
+def _exact(columns, positions, heads, max_range_m, cos_half) -> np.ndarray:
+    """The visibility formula (see the module notes): which of the landmarks
+    at `columns` (x, y, z rows) each pose sees, as a (poses, landmarks) mask.
+    rel = points - position is written in C order per pose, the layout of
+    the gemv, from the coordinate rows; the distance sums the squared columns
+    left to right, and the stacked matmul is one gemv per pose."""
+    shape = (len(positions), columns.shape[1])
+    rel = np.empty(shape + (3,))
     np.subtract(columns, positions[:, :, None], out=rel.transpose(0, 2, 1))
-    x, y, z = rel[:, :, 0], rel[:, :, 1], rel[:, :, 2]
+    x, y, z = rel.reshape(-1, 3).T
     dist = x * x
     dist += y * y
     dist += z * z
     np.sqrt(dist, out=dist)
     with np.errstate(invalid="ignore", divide="ignore"):
-        depth = np.matmul(rel, heads[:, :, None])[:, :, 0] / dist
-    return (dist > 1e-6) & (dist <= max_range_m) & (depth >= cos_half)
+        depth = np.matmul(rel, heads[:, :, None]).reshape(-1) / dist
+    return ((dist > 1e-6) & (dist <= max_range_m) & (depth >= cos_half)).reshape(shape)

@@ -270,11 +270,8 @@ class PropagationServer(_Unit):
                               "transition": "TaskDone", "stage": _PROPAGATION})
             sim._apply_propagation(done)
             self.task = None
-        lo = sim.imu_taken
+        lo = sim._take_imu(delivered)
         if lo < delivered:
-            sim.imu_taken = delivered
-            if delivered - lo > sim.imu_max_batch:
-                sim.imu_max_batch = delivered - lo
             if now >= sim.frozen_until_ns:
                 if done is None:
                     self.seg_start_ns = now
@@ -466,14 +463,13 @@ class Simulation:
                              "frames", EventKind.FRAME_ARRIVED, k + 1)
         self.on_frame_arrival(k, self.engine.now())
 
-    def _take_imu(self) -> tuple[int, int]:
-        """The samples delivered and not yet taken, as the index range (lo,
-        hi]; empty if lo == hi."""
-        lo, hi = self.imu_taken, self.engine.sample_index
-        self.imu_taken = hi
+    def _take_imu(self, hi: int) -> int:
+        """Take the samples delivered up to `hi` and not yet taken, the index
+        range (lo, hi], and return lo; the range is empty if lo == hi."""
+        lo, self.imu_taken = self.imu_taken, hi
         if hi - lo > self.imu_max_batch:
             self.imu_max_batch = hi - lo
-        return lo, hi
+        return lo
 
     # ------------------------------------------------------------------
     # frame ingest
@@ -616,7 +612,8 @@ class Simulation:
 
     def _propagate_delivered(self) -> None:
         """Submit every delivered sample not yet taken as one batch."""
-        lo, hi = self._take_imu()
+        hi = self.engine.sample_index
+        lo = self._take_imu(hi)
         if lo < hi:
             self._submit(Stage.PROPAGATION, (lo, hi), self._on_propagation_done)
 

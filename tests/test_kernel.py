@@ -13,7 +13,7 @@ from slamsim.kernel import (CameraFrame, CircleTrajectory, ImuModel, ImuSample,
                             draw_imu, extend_map, extract_features, feature_capacity,
                             generate_landmarks, imu_rows, integrate, propagate, quat_exp,
                             quat_from_yaw, quat_multiply, quat_normalize, quat_rotate,
-                            sample_imu, sample_imu_block, update_pose, _norm, _row_norms,
+                            sample_imu, sample_imu_block, update_pose, _exact, _norm, _row_norms,
                             FEATURE_BLOCK_HEADER_BYTES, FEATURE_RECORD_BYTES)
 from slamsim.pipeline import IMU_BLOCK
 from slamsim.soc import SocConfig
@@ -205,6 +205,7 @@ class TestUpdateAndMap:
         assert len(wm) == 0
 
 
+@pytest.mark.blas_bits
 class TestVisibility:
     def test_generate_landmarks_shape(self):
         lm = generate_landmarks(400, np.random.default_rng(3))
@@ -436,6 +437,12 @@ def _eager_visible(points, pose, max_range_m=12.0, fov_deg=100.0):
     return np.nonzero(mask)[0]
 
 
+def _visible_block(field, poses, max_range_m=12.0, fov_deg=100.0):
+    """`visible(i)` of one `field.block(poses)` for every pose i."""
+    block = field.block(poses, max_range_m, fov_deg)
+    return [block.visible(i) for i in range(len(poses))]
+
+
 _bias = st.floats(-0.5, 0.5, allow_nan=False)
 _std = st.one_of(st.just(0.0), st.floats(0.0, 0.2, allow_nan=False))
 _period = st.floats(1.0, 600.0)
@@ -631,6 +638,7 @@ class TestBitExactness:
         v = rng.standard_normal((20_000, 3)) * 10.0 ** rng.uniform(-8.0, 2.0, (20_000, 1))
         assert _row_norms(v).tolist() == [_norm(row) for row in v.tolist()]
 
+    @pytest.mark.blas_bits
     def test_stacked_gemv_is_the_per_pose_gemv_of_the_whole_array(self):
         """A block takes the depth numerators of its edge landmarks with a
         gemv on those rows for one pose, or with one stacked matmul (poses,
@@ -652,6 +660,27 @@ class TestBitExactness:
                 assert stacked[b, :, 0].tobytes() == whole[keep].tobytes()
                 subset = np.ascontiguousarray(points[keep] - positions[b]) @ heads[b]
                 assert subset.tobytes() == whole[keep].tobytes()
+
+    @pytest.mark.blas_bits
+    def test_one_pose_exact_is_the_2d_gemv(self):
+        """`_exact` takes one pose's depth numerators with a stacked matmul
+        (1, rows, 3) @ (1, 3, 1); its mask must be that of the 2-D formula
+        `(rel @ heading) / dist`, the gemv `visible` was specified on (a
+        BLAS dot for one row). Cones through the depths of sampled rows, and
+        one ulp above them, pin those rows' depths to the last bit."""
+        rng = np.random.default_rng(2017)
+        for n in [1, 2, 3] + rng.integers(4, 5000, 40).tolist():
+            points = rng.normal(0.0, 8.0, (n, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+            position, heading = rng.normal(0.0, 5.0, 3), rng.normal(size=3)
+            heading /= np.linalg.norm(heading)
+            rel = np.ascontiguousarray(points - position)
+            dist = np.linalg.norm(rel, axis=1)
+            depth = (rel @ heading) / dist
+            for row in rng.choice(n, min(n, 6), replace=False):
+                for cos_half in (depth[row], np.nextafter(depth[row], 2.0)):
+                    mask = _exact(np.ascontiguousarray(points.T), position[None],
+                                  heading[None], math.inf, cos_half)
+                    assert mask.tolist() == [((dist > 1e-6) & (depth >= cos_half)).tolist()]
 
     @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 1200),
            visible_share=st.floats(0.0, 1.0), known_share=st.floats(0.0, 1.0),
@@ -728,6 +757,7 @@ class TestBitExactness:
         for lid, point in ref_map.items():
             assert np.array_equal(wm.point(lid), point)
 
+    @pytest.mark.blas_bits
     @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(0, 5000),
            where=st.sampled_from(["trajectory", "off", "inside", "on-landmark"]),
            fov_deg=st.one_of(st.floats(1e-3, 360.0), st.just(360.0)),
@@ -751,22 +781,22 @@ class TestBitExactness:
         ids = LandmarkField(points).visible(pose, max_range_m, fov_deg)
         assert ids.tobytes() == _eager_visible(points, pose, max_range_m, fov_deg).tobytes()
 
+    @pytest.mark.blas_bits
     @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(0, 600),
            n_poses=st.integers(1, 40), kind=st.sampled_from(sorted(_BLOCK_POSES)),
            fov_deg=st.one_of(st.floats(1e-3, 360.0), st.sampled_from([180.0, 360.0])),
            max_range_m=st.floats(0.5, 30.0), on_landmark=st.booleans(),
            boundary=st.integers(0, 12),
            stretch=st.sampled_from([0.0, 1e-12, 4e-10, 5e-10, 6e-10, 1e-6, 0.3, -0.2]),
-           stacked_rows=st.sampled_from([0, 1 << 40]), gated=st.booleans())
+           stacked_rows=st.sampled_from([0, 1 << 40]))
     @settings(max_examples=300, deadline=None)
     def test_block_visibility_matches_eager_reference(self, seed, count, n_poses, kind,
                                                       fov_deg, max_range_m, on_landmark,
-                                                      boundary, stretch, stacked_rows,
-                                                      gated):
+                                                      boundary, stretch, stacked_rows):
         """Every pose's ids are the eager formula's, whether the block tests
         its edge landmarks for all poses at once or one pose at a time, and
-        also where every block of two or more poses is classified, however
-        far its poses spread."""
+        however far its poses spread: a block is classified whatever its
+        poses, since only the pipeline asks `is_compact`."""
         rng = np.random.default_rng(seed)
         points = generate_landmarks(count, rng)
         poses = _BLOCK_POSES[kind](rng, n_poses)
@@ -784,14 +814,13 @@ class TestBitExactness:
             points = np.vstack([points] + [
                 _boundary_points(rng, poses[rng.integers(n_poses)], max_range_m, fov_deg)
                 for _ in range(boundary)])
-        compact = kernel.is_compact if gated else (lambda poses, *_: len(poses) > 1)
-        with mock.patch.object(kernel, "_STACKED_ROWS", stacked_rows), \
-                mock.patch.object(kernel, "is_compact", compact):
-            blocks = LandmarkField(points).visible_block(poses, max_range_m, fov_deg)
+        with mock.patch.object(kernel, "_STACKED_ROWS", stacked_rows):
+            blocks = _visible_block(LandmarkField(points), poses, max_range_m, fov_deg)
         assert len(blocks) == len(poses)
         for pose, ids in zip(poses, blocks):
             assert ids.tobytes() == _eager_visible(points, pose, max_range_m, fov_deg).tobytes()
 
+    @pytest.mark.blas_bits
     @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(2, 2000),
            n_poses=st.integers(2, 48), fps=st.sampled_from([30, 50, 60]),
            period_s=st.floats(1.0, 120.0), radius_m=st.floats(0.0, 10.0),
@@ -812,10 +841,11 @@ class TestBitExactness:
                 _boundary_points(rng, poses[rng.integers(n_poses)], max_range_m, fov_deg)
                 for _ in range(boundary)])
         with mock.patch.object(kernel, "_STACKED_ROWS", stacked_rows):
-            blocks = LandmarkField(points).visible_block(poses, max_range_m, fov_deg)
+            blocks = _visible_block(LandmarkField(points), poses, max_range_m, fov_deg)
         for pose, ids in zip(poses, blocks):
             assert ids.tobytes() == _eager_visible(points, pose, max_range_m, fov_deg).tobytes()
 
+    @pytest.mark.blas_bits
     @pytest.mark.parametrize("stretch", [4e-10, 6e-10, 0.3, -0.2])
     def test_non_unit_headings_match_eager_reference(self, stretch):
         """A heading's norm scales its depths; the classification takes unit
@@ -825,23 +855,10 @@ class TestBitExactness:
         poses = [truth.pose_at(k * NS_PER_S // 30) for k in range(100, 132)]
         poses = [Pose(p.position, p.velocity, tuple(c * (1.0 + stretch) for c in p.orientation))
                  for p in poses]
-        for pose, ids in zip(poses, LandmarkField(points).visible_block(poses)):
+        for pose, ids in zip(poses, _visible_block(LandmarkField(points), poses)):
             assert ids.tobytes() == _eager_visible(points, pose).tobytes()
 
-    def test_only_compact_blocks_are_classified(self):
-        """Classifying pays only for a block whose poses stay close: one
-        that turns or moves far, by its first, middle and last poses, tests
-        every landmark for each queried pose, and so does a one-pose block."""
-        field = LandmarkField(generate_landmarks(400, np.random.default_rng(4)))
-        for period_s, classified in ((60.0, True), (5.0, False), (1.0, False)):
-            truth = CircleTrajectory(5.0, period_s)
-            poses = [truth.pose_at(k * NS_PER_S // 50) for k in range(1, 33)]
-            block = field.block(poses)
-            assert (block.ids is not None) == classified
-            for i, ids in enumerate(field.visible_block(poses)):
-                assert ids.tobytes() == _eager_visible(field.points, poses[i]).tobytes()
-        assert field.block(poses[:1]).ids is None
-
+    @pytest.mark.blas_bits
     @pytest.mark.parametrize("stacked_rows", [0, 1 << 40])
     def test_single_edge_landmark_keeps_the_gemv(self, stacked_rows):
         """A block with one edge landmark tests it with a second row: numpy

@@ -360,13 +360,13 @@ class EagerImuSimulation(Simulation):
         super()._on_propagation_done(task)
         self._kick_propagation()
 
-    def _take_imu(self):
+    def _propagate_delivered(self):
         batch = list(self.imu_buffer)
         self.imu_buffer.clear()
-        if not batch:
-            return 0, 0
-        assert batch == list(range(batch[0], batch[-1] + 1))
-        return batch[0] - 1, batch[-1]
+        if batch:
+            assert batch == list(range(batch[0], batch[-1] + 1))
+            self._submit(Stage.PROPAGATION, (batch[0] - 1, batch[-1]),
+                         self._on_propagation_done)
 
 
 def _record_batches(sim):
@@ -666,6 +666,7 @@ class TestImuBlockSize:
         self._assert_same_across_blocks(data.draw(tie_heavy_configs(variant)))
 
 
+@pytest.mark.blas_bits
 class TestFrameBlockSize:
     """Frames take their visible landmarks from blocks of FRAME_BLOCK; the
     reports and traces must not depend on the block size, on any preset and
@@ -679,6 +680,23 @@ class TestFrameBlockSize:
         config = ScenarioConfig(variant=ArchVariant.SLAM_ARCH, camera_fps=50, duration_s=5.0,
                                 kernel=KernelConfig(landmark_count=4000))
         self._assert_same_across_blocks(config)
+
+    @pytest.mark.parametrize("period_s, compact", [(60.0, True), (5.0, False), (1.0, False)])
+    def test_only_compact_blocks_are_made(self, period_s, compact):
+        """Classifying pays only for a block whose frames stay close: for
+        one that turns or moves far, by its first, middle and last poses,
+        the pipeline makes no block, and its frames call `visible` one by
+        one."""
+        kernel_config = KernelConfig(landmark_count=400, trajectory_period_s=period_s)
+        sim = Simulation(ScenarioConfig(variant=ArchVariant.SLAM_ARCH, duration_s=5.0,
+                                        camera_fps=50, kernel=kernel_config))
+        frames, block = sim._frame_block(1)
+        assert (block is not None) == compact
+        for j in frames:
+            t_ns = j * NS_PER_S // 50
+            want = sim.field.visible(sim.truth.pose_at(t_ns), kernel_config.visibility_range_m,
+                                     kernel_config.fov_deg)
+            assert sim._make_frame(j, t_ns).visible_landmarks.tobytes() == want.tobytes()
 
     def test_frame_off_its_arrival_time(self):
         """A frame made at another time than its arrival sees from the true
