@@ -69,6 +69,16 @@ def ns_to_s(ns: int) -> float:
     return ns / NS_PER_S
 
 
+def sum_left(values) -> float:
+    """The values added one after another from the left, as the built-in
+    `sum` adds floats before CPython 3.12 (from 3.12 on it compensates, which
+    would make a report depend on the Python version); the int 0 for none."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 class SchedulingError(RuntimeError):
     """Raised when an event is scheduled in the past (a programming error)."""
 

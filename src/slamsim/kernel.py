@@ -20,8 +20,12 @@ Numerics. Every sum, product and quotient is written term by term in the
 order of the reference numpy formulation, so results are bit-identical to
 it. Vector norms and quaternion dot products are the exception: numpy takes
 them with its BLAS dot product, which may accumulate with fused multiply-adds
-and so differs in the last bit from a Python sum of squares. `_dot` and
-`_norm` keep that BLAS call.
+and so differs in the last bit from a Python sum of squares. These small
+BLAS dots are left: `_dot` in `quat_slerp`; `_norm` in `quat_normalize`,
+`quat_exp` and the position error of `Simulation._apply_update` (the
+`np.linalg.norm` of a 1-D array is the square root of the same dot);
+`_row_norms`'s stacked matmul in `imu_rows`, one dot per row; and the
+normalization dot in `integrate`.
 
 Visibility distance. `np.linalg.norm(rel, axis=1)` is the square root of
 numpy's add-reduce of the squares over each row of 3. numpy adds fewer than 8
@@ -153,10 +157,6 @@ def _norm(v) -> float:
     """Euclidean norm as np.linalg.norm computes it: sqrt of a BLAS dot."""
     a = np.array(v)
     return math.sqrt(a.dot(a))
-
-
-def _add(a, b):
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 def quat_normalize(q):
@@ -295,13 +295,16 @@ class WorldMap:
         the map; known ids keep their points."""
         ids = np.asarray(ids, dtype=np.intp)
         points = np.asarray(points, dtype=float).reshape(len(ids), 3)
-        bad = ~np.isfinite(points).all(axis=1)
-        if bad.any():
+        if not np.isfinite(points).all():
+            bad = ~np.isfinite(points).all(axis=1)
             raise ValueError(f"non-finite map point for landmark {int(ids[bad][0])}")
         new = ~self.known[ids]
         if self.points is None:
             self.points = np.empty((len(self.known), 3))
-        self.points[ids[new]] = points[new]
+        if new.all():
+            self.points[ids] = points
+        else:
+            self.points[ids[new]] = points[new]
         self.known[ids] = True
 
 
@@ -547,13 +550,17 @@ def update_pose(pose: Pose, block: FeatureBlock, world_map: WorldMap, truth_pose
     matched = int(np.count_nonzero(world_map.known[block.features]))
     if matched < min_matches:
         return pose.copy(), matched
-    est_p, est_v = truth_pose.position, truth_pose.velocity
+    (epx, epy, epz), (evx, evy, evz) = truth_pose.position, truth_pose.velocity
     if obs_noise_std > 0 and rng is not None:
-        est_p = _add(est_p, rng.normal(0.0, obs_noise_std, 3).tolist())
-        est_v = _add(est_v, rng.normal(0.0, obs_noise_std, 3).tolist())
+        # One draw of 6 gives the values, in order, of two draws of 3.
+        npx, npy, npz, nvx, nvy, nvz = rng.normal(0.0, obs_noise_std, 6).tolist()
+        epx, epy, epz = epx + npx, epy + npy, epz + npz
+        evx, evy, evz = evx + nvx, evy + nvy, evz + nvz
+    px, py, pz = pose.position
+    vx, vy, vz = pose.velocity
     corrected = Pose(
-        position=tuple(c + gain * (e - c) for c, e in zip(pose.position, est_p)),
-        velocity=tuple(c + gain * (e - c) for c, e in zip(pose.velocity, est_v)),
+        position=(px + gain * (epx - px), py + gain * (epy - py), pz + gain * (epz - pz)),
+        velocity=(vx + gain * (evx - vx), vy + gain * (evy - vy), vz + gain * (evz - vz)),
         orientation=quat_normalize(quat_slerp(pose.orientation, truth_pose.orientation, gain)),
     )
     return corrected, matched
@@ -569,7 +576,7 @@ def extend_map(world_map: WorldMap, block: FeatureBlock, landmark_points: np.nda
         return 0
     points = landmark_points[ids]
     if noise_std > 0 and rng is not None:
-        points = points + rng.normal(0.0, noise_std, (len(ids), 3))
+        points += rng.normal(0.0, noise_std, (len(ids), 3))
     world_map.insert(ids, points)
     return len(ids)
 

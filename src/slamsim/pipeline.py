@@ -103,7 +103,7 @@ from .bank import (FeatureBankController, MAPPING_CONSUMER, UPDATE_CONSUMER)
 from .engine import NEXT_SAMPLE, NS_PER_S, Engine, EventKind, ms_to_ns, s_to_ns
 from .kernel import (CameraFrame, ImuModel, CircleTrajectory, LandmarkField, VisibilityBlock,
                      WorldMap, draw_imu, extend_map, extract_features, generate_landmarks,
-                     imu_rows, integrate, is_compact, update_pose)
+                     imu_rows, integrate, is_compact, update_pose, _norm)
 # Unused here, but perfbench/tracing.py wraps `pipeline.propagate` and
 # `pipeline.sample_imu` by name.
 from .kernel import propagate, sample_imu  # noqa: F401
@@ -663,8 +663,8 @@ class Simulation:
                 obs_noise_std=k.obs_noise_std, min_matches=k.min_matches)
             self._est_pose = pose
         self.update_completions.append(now)
-        self.position_errors.append(
-            float(np.linalg.norm(np.subtract(pose.position, truth_pose.position))))
+        (px, py, pz), (tx, ty, tz) = pose.position, truth_pose.position
+        self.position_errors.append(_norm((px - tx, py - ty, pz - tz)))
 
     def _apply_mapping(self, block) -> None:
         k = self.config.kernel

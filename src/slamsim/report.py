@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .bank import CONSUMERS
-from .engine import NS_PER_MS, ms_to_ns, ns_to_ms, ns_to_s
+from .engine import NS_PER_MS, ms_to_ns, ns_to_ms, ns_to_s, sum_left
 from .pipeline import Simulation
 from .soc import Stage
 
@@ -83,21 +83,27 @@ def build_report(sim: Simulation) -> MetricsReport:
     achieved_fps = (hi - lo) / steady_s if steady_s > 0 else 0.0
 
     errors = sim.position_errors[lo:hi]
-    rms = math.sqrt(sum(e * e for e in errors) / len(errors)) if errors else 0.0
+    rms = math.sqrt(sum_left(e * e for e in errors) / len(errors)) if errors else 0.0
 
-    # ns_to_ms's expression, without a call per duration
-    stage_ms = {stage: [d / NS_PER_MS for d in durs]
-                for stage, durs in sim.stage_durations_ns.items() if durs}
-    stage_latency = {stage.value: {"mean": sum(ms) / len(ms), "p99": _percentile(ms, 0.99)}
-                     for stage, ms in stage_ms.items()}
+    # Each stage's mean in ms, summed left to right as in `sum_left`, and its
+    # p99 from the sorted integer durations: dividing by NS_PER_MS (ns_to_ms's
+    # expression, without a call per duration) keeps their order.
+    stage_latency = {}
+    for stage, durs in sim.stage_durations_ns.items():
+        if durs:
+            total = 0.0
+            for d in durs:
+                total += d / NS_PER_MS
+            stage_latency[stage.value] = {"mean": total / len(durs),
+                                          "p99": _percentile(durs, 0.99) / NS_PER_MS}
 
     ledger, full = sim.ledger, (0, duration_ns)
     total_energy = ledger.total_energy_j(full, sim.calibration)
 
-    relay_ms = stage_ms.get(Stage.RELAY)
-    relay_busy_per_frame = sum(relay_ms) / len(relay_ms) if relay_ms else 0.0
+    relay = stage_latency.get(Stage.RELAY.value)
+    relay_busy_per_frame = relay["mean"] if relay else 0.0
 
-    gc_total_ms = sum(ns_to_ms(b - a) for a, b in sim.gc_stalls)
+    gc_total_ms = sum_left(ns_to_ms(b - a) for a, b in sim.gc_stalls)
     frames_for_energy = max(len(sim.update_completions), 1)
 
     return MetricsReport(

@@ -24,7 +24,7 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 from .bank import BANKS
-from .engine import NS_PER_S
+from .engine import NS_PER_S, sum_left
 
 
 class ConfigError(ValueError):
@@ -362,8 +362,8 @@ class PowerLedger:
         return [self.busy_ns(u, window) for u in self.units]
 
     def _dynamic_j(self, busy: list[int]) -> float:
-        return sum(spec.peak_power_w * b / NS_PER_S
-                   for spec, b in zip(self.units.values(), busy))
+        return sum_left(spec.peak_power_w * b / NS_PER_S
+                        for spec, b in zip(self.units.values(), busy))
 
     def _idle_j(self, window: tuple[int, int], calibration: PowerCalibration,
                 busy: list[int]) -> float:
@@ -377,7 +377,7 @@ class PowerLedger:
     def static_energy_j(self, window: tuple[int, int],
                         calibration: PowerCalibration) -> float:
         span_s = (window[1] - window[0]) / NS_PER_S
-        static_w = calibration.baseline_static_w + sum(self.static_sources_w.values())
+        static_w = calibration.baseline_static_w + sum_left(self.static_sources_w.values())
         return static_w * span_s
 
     def total_energy_j(self, window: tuple[int, int],

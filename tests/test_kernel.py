@@ -12,7 +12,7 @@ from slamsim.kernel import (CameraFrame, CircleTrajectory, ImuModel, ImuSample,
                             LandmarkField, Pose, StationaryTrajectory, WorldMap,
                             draw_imu, extend_map, extract_features, feature_capacity,
                             generate_landmarks, imu_rows, integrate, propagate, quat_exp,
-                            quat_from_yaw, quat_multiply, quat_normalize, quat_rotate,
+                            quat_from_yaw, quat_multiply, quat_normalize, quat_rotate, quat_slerp,
                             sample_imu, sample_imu_block, update_pose, _exact, _norm, _row_norms,
                             FEATURE_BLOCK_HEADER_BYTES, FEATURE_RECORD_BYTES)
 from slamsim.pipeline import IMU_BLOCK
@@ -452,6 +452,67 @@ _trajectories = st.one_of(
     st.builds(CircleTrajectory, st.floats(0.0, 20.0), _period))
 
 
+_coord = st.floats(-1e4, 1e4, allow_nan=False)
+_vec = st.tuples(_coord, _coord, _coord)
+
+
+def _first_update_pose(pose, block, world_map, truth_pose, rng=None, gain=0.8,
+                       obs_noise_std=0.0, min_matches=10):
+    """`update_pose` in its first form, the reference of its bits and draws:
+    two noise draws of 3, and blends over `zip`."""
+    matched = int(np.count_nonzero(world_map.known[block.features]))
+    if matched < min_matches:
+        return pose.copy(), matched
+    est_p, est_v = truth_pose.position, truth_pose.velocity
+    if obs_noise_std > 0 and rng is not None:
+        noise = rng.normal(0.0, obs_noise_std, 3).tolist()
+        est_p = tuple(e + n for e, n in zip(est_p, noise))
+        noise = rng.normal(0.0, obs_noise_std, 3).tolist()
+        est_v = tuple(e + n for e, n in zip(est_v, noise))
+    corrected = Pose(
+        position=tuple(c + gain * (e - c) for c, e in zip(pose.position, est_p)),
+        velocity=tuple(c + gain * (e - c) for c, e in zip(pose.velocity, est_v)),
+        orientation=quat_normalize(quat_slerp(pose.orientation, truth_pose.orientation, gain)),
+    )
+    return corrected, matched
+
+
+class _FirstWorldMap(WorldMap):
+    """`WorldMap` with `insert` in its first form: a finiteness test per row,
+    and gathers of the new ids and points."""
+
+    def insert(self, ids, points) -> None:
+        ids = np.asarray(ids, dtype=np.intp)
+        points = np.asarray(points, dtype=float).reshape(len(ids), 3)
+        bad = ~np.isfinite(points).all(axis=1)
+        if bad.any():
+            raise ValueError(f"non-finite map point for landmark {int(ids[bad][0])}")
+        new = ~self.known[ids]
+        if self.points is None:
+            self.points = np.empty((len(self.known), 3))
+        self.points[ids[new]] = points[new]
+        self.known[ids] = True
+
+
+def _first_extend_map(world_map, block, landmark_points, rng=None, noise_std=0.0):
+    """`extend_map` in its first form: the noise added to a new array."""
+    ids = block.features[~world_map.known[block.features]]
+    if not len(ids):
+        return 0
+    points = landmark_points[ids]
+    if noise_std > 0 and rng is not None:
+        points = points + rng.normal(0.0, noise_std, (len(ids), 3))
+    world_map.insert(ids, points)
+    return len(ids)
+
+
+def _map_bits(world_map):
+    """Which ids a map knows and their points, as exact bytes."""
+    known = world_map.known
+    points = b"" if world_map.points is None else world_map.points[known].tobytes()
+    return known.tobytes(), points
+
+
 # The IMU-path properties draw long sample batches; shrinking a failure of
 # theirs takes minutes, so they report the first failing example as drawn.
 NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
@@ -756,6 +817,86 @@ class TestBitExactness:
         assert len(wm) == len(ref_map)
         for lid, point in ref_map.items():
             assert np.array_equal(wm.point(lid), point)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 400),
+           position=_vec, velocity=_vec, truth_position=_vec, truth_velocity=_vec,
+           gain=st.floats(0.0, 1.0), obs_std=_std, map_std=_std,
+           min_matches=st.integers(0, 30), seen_share=st.floats(0.0, 1.0),
+           rounds=st.integers(1, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_update_and_mapping_match_their_first_forms(
+            self, seed, size, position, velocity, truth_position, truth_velocity, gain,
+            obs_std, map_std, min_matches, seen_share, rounds):
+        """`update_pose`, the pipeline's position error and `extend_map`
+        give the bits, the draws and the map of their first forms, round
+        after round on a growing map; a miss of `min_matches` and a std of 0
+        draw nothing."""
+        world = np.random.default_rng(seed)
+        landmarks = generate_landmarks(size, world)
+        pose = Pose(position, velocity, quat_normalize(tuple(world.normal(size=4))))
+        truth = Pose(truth_position, truth_velocity,
+                     quat_normalize(tuple(world.normal(size=4))))
+        wm, ref_map = WorldMap(size), _FirstWorldMap(size)
+        rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        for _ in range(rounds):
+            block = extract_features(_frame(np.flatnonzero(world.uniform(size=size)
+                                                           < seen_share)))
+            state = rng.bit_generator.state
+            out, matched = update_pose(pose, block, wm, truth, rng=rng, gain=gain,
+                                       obs_noise_std=obs_std, min_matches=min_matches)
+            ref, ref_matched = _first_update_pose(pose, block, ref_map, truth, ref_rng,
+                                                  gain, obs_std, min_matches)
+            assert matched == ref_matched
+            assert _pose_bits(out) == _pose_bits(ref)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if matched < min_matches or obs_std == 0:
+                assert rng.bit_generator.state == state
+            # Simulation._apply_update's error, against its first form
+            (px, py, pz), (tx, ty, tz) = out.position, truth.position
+            error = _norm((px - tx, py - ty, pz - tz))
+            assert error.hex() == \
+                float(np.linalg.norm(np.subtract(ref.position, truth.position))).hex()
+
+            state = rng.bit_generator.state
+            inserted = extend_map(wm, block, landmarks, rng=rng, noise_std=map_std)
+            assert inserted == _first_extend_map(ref_map, block, landmarks, ref_rng, map_std)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if not inserted or map_std == 0:
+                assert rng.bit_generator.state == state
+            assert _map_bits(wm) == _map_bits(ref_map)
+            pose = out
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 60),
+           batches=st.lists(st.tuples(st.integers(0, 40),
+                                      st.sampled_from([None, math.nan, math.inf, -math.inf])),
+                            min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_map_insert_matches_its_first_form(self, seed, size, batches):
+        """Inserts of new, known and repeated ids store what the first form
+        stores; a batch with a non-finite coordinate raises its error, naming
+        the first bad landmark, and leaves the map as it was."""
+        rng = np.random.default_rng(seed)
+        wm, ref_map = WorldMap(size), _FirstWorldMap(size)
+        for count, bad_value in batches:
+            ids = rng.integers(0, size, count)
+            points = rng.normal(0.0, 5.0, (count, 3))
+            if bad_value is None or not count:
+                wm.insert(ids, points)
+                ref_map.insert(ids, points)
+            else:
+                rows = rng.uniform(size=count) < 0.3
+                rows[rng.integers(count)] = True
+                points[rows, rng.integers(0, 3, np.count_nonzero(rows))] = bad_value
+                before = _map_bits(wm)
+                with pytest.raises(ValueError) as ref_error:
+                    ref_map.insert(ids, points)
+                with pytest.raises(ValueError) as error:
+                    wm.insert(ids, points)
+                first = int(ids[np.flatnonzero(rows)[0]])
+                assert str(error.value) == str(ref_error.value) \
+                    == f"non-finite map point for landmark {first}"
+                assert _map_bits(wm) == before
+            assert _map_bits(wm) == _map_bits(ref_map)
 
     @pytest.mark.blas_bits
     @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(0, 5000),
