@@ -138,11 +138,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import NS_PER_S
-from .soc import FEATURE_BLOCK_HEADER_BYTES, FEATURE_RECORD_BYTES, SocConfig
+from .soc import FEATURE_BLOCK_HEADER_BYTES, FEATURE_RECORD_BYTES, MAX_CONVERTED, MIB, SocConfig
 
 MAX_IMU_RATE_HZ = 1000
 # A camera frame's size: 3 MiB by default, and never less in a scenario.
 MIN_FRAME_BYTES = 3 * 1024 * 1024
+# ... and never more than the largest heap budget, MAX_CONVERTED MiB, so that
+# the relay's allocation total in MiB stays finite.
+MAX_FRAME_BYTES = int(MAX_CONVERTED) * MIB
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 from .bank import CONSUMERS
 from .engine import NS_PER_MS, ms_to_ns, ns_to_ms, ns_to_s, sum_left
 from .pipeline import Simulation
-from .soc import Stage
-
-MIB = 1024 * 1024
+from .soc import MIB, Stage
 
 
 def _percentile(values, q):

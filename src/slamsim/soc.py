@@ -80,6 +80,7 @@ MAX_DURATION_S = 3600.0
 # conversion is finite: a latency, pause or threshold of at most the longest
 # run in ms, and a heap budget of at most as many MiB (about 3.4 TiB).
 MAX_CONVERTED = MAX_DURATION_S * 1000
+MIB = 1024 * 1024
 
 
 class Check(NamedTuple):
@@ -117,7 +118,7 @@ def integer(lo: int, hi: int | None = None, note: str = "") -> Check:
     follows the expected range in a message."""
     if hi is None:
         return Check(lambda v: _is_count(v) and v >= lo, f"an integer >= {lo}{note}")
-    return Check(lambda v: _is_count(v) and lo <= v <= hi, f"an integer in [{lo}, {hi}]")
+    return Check(lambda v: _is_count(v) and lo <= v <= hi, f"an integer in [{lo}, {hi}]{note}")
 
 
 # A rejected value is quoted whole up to this many characters, and shortened

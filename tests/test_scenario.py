@@ -171,7 +171,8 @@ class TestSchemaValidation:
         ({"kernel": {"landmark_count": -1}},
          "kernel.landmark_count: expected an integer in [0, 1000000], got -1"),
         ({"frame_size_bytes": 1024},
-         "frame_size_bytes: expected an integer >= 3145728 (3 MiB), got 1024"),
+         "frame_size_bytes: expected an integer in [3145728, 3774873600000] "
+         "(3 MiB to 3.6e+06 MiB), got 1024"),
         ({"soc": {"scratchpad_banks": 3}}, "soc.scratchpad_banks: expected 2, got 3"),
         ({"kernel": {"updates_enabled": 1}},
          "kernel.updates_enabled: expected true or false, got 1"),
@@ -188,6 +189,9 @@ class TestSchemaValidation:
          "relay.copy_latency_ms_max: expected at most 3.6e+06 ms, got 1e+308"),
         ({"duration_s": 2.0, "warmup_s": 2.0},
          "warmup_s: expected a number in [0, duration_s = 2.0), got 2.0"),
+        ({"frame_size_bytes": 3774873600001},
+         "frame_size_bytes: expected an integer in [3145728, 3774873600000] "
+         "(3 MiB to 3.6e+06 MiB), got 3774873600001"),
     ])
     def test_exact_message(self, scenario, message):
         with pytest.raises(ConfigError) as info:
@@ -542,6 +546,10 @@ class TestAnyScenario:
     @example({"variant": "baseline-cpu", "duration_s": 1.0, "warmup_s": 0.0,
               "kernel": {"gyro_noise_std": 1e308}})
     @example({"variant": "slam-arch", "soc": {"scratchpad_capacity_bytes": 1}})
+    @example({"variant": "hetero-dsp", "duration_s": 1.0, "warmup_s": 0.0,
+              "frame_size_bytes": 10 ** 400})
+    @example({"variant": "hetero-dsp", "duration_s": 1.0, "warmup_s": 0.0,
+              "frame_size_bytes": 3774873600000})
     @settings(max_examples=60, deadline=None)
     def test_refused_or_runs_audited_and_conserved(self, data):
         try:
