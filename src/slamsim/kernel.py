@@ -38,11 +38,12 @@ subtraction from the contiguous coordinate rows of the landmark array
 pose: subtraction is exact per element, so only the gemv depends on the
 layout, and it gets the C-order matrix it is specified on.
 
-Block visibility. `LandmarkField.block(poses)` returns a `VisibilityBlock`
-whose `visible(i)` is `visible(poses[i])` bit for bit. The pipeline makes one
-block per run of consecutive camera frames and asks it only for the frames
-it accepts. A block is classified once, from its first pose: delta is the
-largest distance of a pose from it and phi the largest angle of a heading
+Block visibility. `VisibilityBlock(field, poses, max_range_m, fov_deg)`
+classifies the landmarks once for all the poses; its `visible(i)` is
+`field.visible(poses[i], max_range_m, fov_deg)`, bit for bit. The pipeline
+makes one block per run of consecutive camera frames and asks it only for the
+frames it accepts. A block is classified once, from its first pose: delta is
+the largest distance of a pose from it and phi the largest angle of a heading
 from its heading. For a landmark at distance r and angle theta from the
 first pose, every pose sees it at a distance in [r - delta, r + delta] and
 at an angle within theta +- (asin(delta / r) + phi), by the triangle
@@ -63,10 +64,10 @@ non-finite position, a non-finite cone or a heading norm outside 1 +- 1e-9
 makes every landmark an edge landmark: slower, still exact. Classifying
 pays only for a compact block, whose middle and last poses lie within a
 quarter of the range of its first pose and whose headings turn by at most a
-quarter of the cone's half angle (`_SPREAD`, `is_compact`); a wider block
-leaves most landmarks on the edge. The pipeline alone checks that, before it
-makes a block, and the frames of a block that is not compact call `visible`
-one by one.
+quarter of the cone's half angle (`_SPREAD`); a wider block leaves most
+landmarks on the edge. The pipeline alone checks that, before it makes a
+block, by passing those three poses to `is_compact`, and the frames of a
+block that is not compact call `visible` one by one.
 
 The exact test (`_exact`) is the one visibility formula. It takes a stack of
 poses and returns a (poses, landmarks) mask: `visible(pose)` runs it for one
@@ -142,7 +143,7 @@ from .soc import FEATURE_BLOCK_HEADER_BYTES, FEATURE_RECORD_BYTES, MAX_CONVERTED
 
 MAX_IMU_RATE_HZ = 1000
 # A camera frame's size: 3 MiB by default, and never less in a scenario.
-MIN_FRAME_BYTES = 3 * 1024 * 1024
+MIN_FRAME_BYTES = 3 * MIB
 # ... and never more than the largest heap budget, MAX_CONVERTED MiB, so that
 # the relay's allocation total in MiB stays finite.
 MAX_FRAME_BYTES = int(MAX_CONVERTED) * MIB
@@ -340,7 +341,7 @@ class CircleTrajectory:
     the tangent. Twice continuously differentiable with analytic body-frame
     acceleration and angular velocity."""
 
-    def __init__(self, radius_m: float = 5.0, period_s: float = 60.0):
+    def __init__(self, radius_m: float, period_s: float):
         self.radius = float(radius_m)
         self.omega = 2.0 * math.pi / float(period_s)
 
@@ -530,23 +531,22 @@ def feature_capacity(max_bytes: int = SocConfig().bank_capacity_bytes) -> int:
     return (max_bytes - FEATURE_BLOCK_HEADER_BYTES) // FEATURE_RECORD_BYTES
 
 
-def extract_features(frame: CameraFrame, rng: np.random.Generator | None = None,
+def extract_features(frame: CameraFrame, rng: np.random.Generator,
                      max_bytes: int = SocConfig().bank_capacity_bytes) -> FeatureBlock:
     """Synthetic stand-in for a real detector: one feature per visible
     landmark, capped so the serialized block fits a `max_bytes` bank. Over
-    the cap, a sorted random subset is kept (the first `cap` without `rng`)."""
+    the cap, a sorted random subset is kept."""
     cap = feature_capacity(max_bytes)
     ids = frame.visible_landmarks
     if len(ids) > cap:
-        ids = (ids[np.sort(rng.choice(len(ids), size=cap, replace=False))]
-               if rng is not None else ids[:cap])
+        ids = ids[np.sort(rng.choice(len(ids), size=cap, replace=False))]
     size = FEATURE_BLOCK_HEADER_BYTES + FEATURE_RECORD_BYTES * len(ids)
     return FeatureBlock(frame.frame_id, ids, size)
 
 
 def update_pose(pose: Pose, block: FeatureBlock, world_map: WorldMap, truth_pose: Pose,
-                rng: np.random.Generator | None = None, gain: float = 0.8,
-                obs_noise_std: float = 0.0, min_matches: int = 10) -> tuple[Pose, int]:
+                rng: np.random.Generator, gain: float, obs_noise_std: float,
+                min_matches: int) -> tuple[Pose, int]:
     """Correct drift against the map: if enough features match known
     landmarks, blend the pose toward a (noisy) observation of the truth pose
     with the configured gain. Returns (pose, matched feature count)."""
@@ -554,7 +554,7 @@ def update_pose(pose: Pose, block: FeatureBlock, world_map: WorldMap, truth_pose
     if matched < min_matches:
         return pose.copy(), matched
     (epx, epy, epz), (evx, evy, evz) = truth_pose.position, truth_pose.velocity
-    if obs_noise_std > 0 and rng is not None:
+    if obs_noise_std > 0:
         # One draw of 6 gives the values, in order, of two draws of 3.
         npx, npy, npz, nvx, nvy, nvz = rng.normal(0.0, obs_noise_std, 6).tolist()
         epx, epy, epz = epx + npx, epy + npy, epz + npz
@@ -570,7 +570,7 @@ def update_pose(pose: Pose, block: FeatureBlock, world_map: WorldMap, truth_pose
 
 
 def extend_map(world_map: WorldMap, block: FeatureBlock, landmark_points: np.ndarray,
-               rng: np.random.Generator | None = None, noise_std: float = 0.0) -> int:
+               rng: np.random.Generator, noise_std: float) -> int:
     """Insert unmatched landmarks at their true position (a row of
     `landmark_points`) perturbed by mapping noise; matched ids are left
     intact. Returns the number inserted."""
@@ -578,7 +578,7 @@ def extend_map(world_map: WorldMap, block: FeatureBlock, landmark_points: np.nda
     if not len(ids):
         return 0
     points = landmark_points[ids]
-    if noise_std > 0 and rng is not None:
+    if noise_std > 0:
         points += rng.normal(0.0, noise_std, (len(ids), 3))
     world_map.insert(ids, points)
     return len(ids)
@@ -587,14 +587,19 @@ def extend_map(world_map: WorldMap, block: FeatureBlock, landmark_points: np.nda
 # ---------------------------------------------------------------------------
 # synthetic world
 
-def generate_landmarks(count: int, rng: np.random.Generator,
-                       ring_radius_m: float = 8.0, height_spread_m: float = 2.0) -> np.ndarray:
+# Landmarks lie within 1 m of a ring of this radius (m) around the trajectory
+# loop's centre, and at most this far (m) above or below its plane.
+_RING_RADIUS_M = 8.0
+_HEIGHT_SPREAD_M = 2.0
+
+
+def generate_landmarks(count: int, rng: np.random.Generator) -> np.ndarray:
     """Scatter landmarks on a cylinder around the trajectory loop; row i of
     the (count, 3) result is the position of landmark id i. The result is
     the transpose of a (3, count) array, so each coordinate is contiguous."""
     angles = rng.uniform(0.0, 2.0 * math.pi, count).tolist()
-    radii = ring_radius_m + rng.uniform(-1.0, 1.0, count)
-    heights = rng.uniform(-height_spread_m, height_spread_m, count)
+    radii = _RING_RADIUS_M + rng.uniform(-1.0, 1.0, count)
+    heights = rng.uniform(-_HEIGHT_SPREAD_M, _HEIGHT_SPREAD_M, count)
     # libm's cos/sin, not numpy's vector kernels, which may round differently
     cos = np.fromiter(map(math.cos, angles), float, count)
     sin = np.fromiter(map(math.sin, angles), float, count)
@@ -638,19 +643,12 @@ class LandmarkField:
         self.points = points
         self._columns = np.ascontiguousarray(points.T)  # x, y, z rows
 
-    def visible(self, true_pose: Pose, max_range_m: float = 12.0,
-                fov_deg: float = 100.0) -> np.ndarray:
+    def visible(self, true_pose: Pose, max_range_m: float, fov_deg: float) -> np.ndarray:
         """Ascending ids of the landmarks inside a forward field-of-view cone
         and range of the true pose."""
         heading = np.array([quat_rotate(true_pose.orientation, (1.0, 0.0, 0.0))])
         return np.flatnonzero(_exact(self._columns, np.array([true_pose.position]), heading,
                                      max_range_m, math.cos(math.radians(fov_deg) / 2.0))[0])
-
-    def block(self, poses, max_range_m: float = 12.0,
-              fov_deg: float = 100.0) -> VisibilityBlock:
-        """The landmarks classified once for a block of poses (see the module
-        notes); its `visible(i)` is `visible(poses[i])`, bit for bit."""
-        return VisibilityBlock(self, poses, max_range_m, fov_deg)
 
     def _classify(self, positions, heads, max_range_m, cos_half):
         """Two bool masks over the landmarks for a block of poses: those that
@@ -699,15 +697,13 @@ def _sort(rel, head, delta, phi, max_range_m, half_in, half_out):
     return sure_in, sure_out
 
 
-def is_compact(poses, max_range_m: float, fov_deg: float) -> bool:
-    """Whether a block of two or more poses looks compact enough to classify,
-    judged cheaply from its first, middle and last poses (see _SPREAD). The
+def is_compact(first: Pose, middle: Pose, last: Pose, max_range_m: float,
+               fov_deg: float) -> bool:
+    """Whether a block of poses looks compact enough to classify, judged
+    cheaply from its first, middle and last poses (see _SPREAD). The
     pipeline asks before it makes a block; `VisibilityBlock` does not."""
-    if len(poses) < 2:
-        return False
-    ends = (poses[0], poses[len(poses) // 2], poses[-1])
     (p0, h0), *rest = [(p.position, quat_rotate(p.orientation, (1.0, 0.0, 0.0)))
-                       for p in ends]
+                       for p in (first, middle, last)]
     cos_half = math.cos(math.radians(fov_deg) / 2.0)
     cos_turn = math.cos(_SPREAD * math.acos(max(-1.0, min(1.0, cos_half))))
     for p, h in rest:
@@ -720,10 +716,10 @@ def is_compact(poses, max_range_m: float, fov_deg: float) -> bool:
 
 class VisibilityBlock:
     """A block of poses with its landmarks classified once: `visible(i)` is
-    the ascending ids `LandmarkField.visible(poses[i])` returns. A block with
-    at most _STACKED_ROWS (pose, edge landmark) pairs runs the exact test for
-    all its poses at once, on the first query; a larger block runs it for
-    the queried pose alone."""
+    the ascending ids `field.visible(poses[i], max_range_m, fov_deg)`
+    returns. A block with at most _STACKED_ROWS (pose, edge landmark) pairs
+    runs the exact test for all its poses at once, on the first query; a
+    larger block runs it for the queried pose alone."""
 
     __slots__ = ("positions", "heads", "max_range_m", "cos_half", "ids", "columns",
                  "seen", "at", "passed")

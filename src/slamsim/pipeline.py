@@ -80,7 +80,7 @@ interval meets the same endpoints either way.
 Camera frames take their visible landmarks from blocks in the same way.
 Frame k arrives at k * NS_PER_S // camera_fps. The first accepted frame of a
 block of FRAME_BLOCK frame indices classifies the landmarks once for the
-true poses of all the block's frames (`LandmarkField.block`), and each
+true poses of all the block's frames (`VisibilityBlock`), and each
 accepted frame then takes its ids from the block with the exact test on the
 block's edge landmarks (`VisibilityBlock.visible`); a dropped or throttled
 frame asks for nothing, and no frame's ids are kept past its own frame. A
@@ -88,8 +88,7 @@ block whose first, middle and last poses are not compact (`is_compact`; a
 fast trajectory) is not made, and its accepted frames call `visible` one by
 one. Visibility draws no random number and reads only the trajectory, so
 the ids are those of a per-frame `visible` call, whatever the block size
-and wherever a run is cut. A frame made at another time than its arrival
-takes them from the true pose at that time.
+and wherever a run is cut.
 """
 
 from __future__ import annotations
@@ -108,7 +107,7 @@ from .kernel import (CameraFrame, ImuModel, CircleTrajectory, LandmarkField, Vis
 # `pipeline.sample_imu` by name.
 from .kernel import propagate, sample_imu  # noqa: F401
 from .scenario import VARIANTS, Handoff, Ingest, ScenarioConfig
-from .soc import ComputeUnitSpec, LatencyTable, PowerLedger, Stage, UnitKind
+from .soc import MIB, ComputeUnitSpec, LatencyTable, PowerLedger, Stage, UnitKind
 
 # IMU samples are made in blocks of this many consecutive sample indices, one
 # kernel call per block. Block k covers indices k*IMU_BLOCK+1 .. (k+1)*IMU_BLOCK,
@@ -419,17 +418,17 @@ class Simulation:
         self.stage_exec[stage].submit(
             _Task(stage, self.stage_ns[stage], payload, on_done, on_start))
 
-    def _make_frame(self, frame_id: int, t_ns: int) -> CameraFrame:
-        """Frame `frame_id` with the landmarks visible from the true pose at
-        `t_ns`. A frame arriving on schedule, at frame_id * NS_PER_S //
-        camera_fps, takes them from its frame block if that is classified."""
-        k, visible = self.config.kernel, None
-        if t_ns == frame_id * NS_PER_S // self.config.camera_fps:
-            if frame_id not in self.frame_range:
-                self.frame_range, self.frame_block = self._frame_block(frame_id)
-            if self.frame_block is not None:
-                visible = self.frame_block.visible(frame_id - self.frame_range.start)
-        if visible is None:
+    def _make_frame(self, frame_id: int) -> CameraFrame:
+        """Frame `frame_id`, arriving at frame_id * NS_PER_S // camera_fps,
+        with the landmarks visible from the true pose then: from its frame
+        block if that is classified."""
+        t_ns = frame_id * NS_PER_S // self.config.camera_fps
+        if frame_id not in self.frame_range:
+            self.frame_range, self.frame_block = self._frame_block(frame_id)
+        if self.frame_block is not None:
+            visible = self.frame_block.visible(frame_id - self.frame_range.start)
+        else:
+            k = self.config.kernel
             visible = self.field.visible(self.truth.pose_at(t_ns), k.visibility_range_m,
                                          k.fov_deg)
         return CameraFrame(frame_id=frame_id, t_ns=t_ns, visible_landmarks=visible,
@@ -448,10 +447,10 @@ class Simulation:
         frames = range(first, min(first + FRAME_BLOCK, last + 1))
         times = [j * NS_PER_S // fps for j in frames]
         ends = [self.truth.pose_at(times[i]) for i in (0, len(times) // 2, -1)]
-        if not is_compact(ends, k.visibility_range_m, k.fov_deg):
+        if not is_compact(*ends, k.visibility_range_m, k.fov_deg):
             return frames, None
         poses = [self.truth.pose_at(t) for t in times]
-        return frames, self.field.block(poses, k.visibility_range_m, k.fov_deg)
+        return frames, VisibilityBlock(self.field, poses, k.visibility_range_m, k.fov_deg)
 
     # ------------------------------------------------------------------
     # sources
@@ -461,7 +460,7 @@ class Simulation:
         self.frames_offered += 1
         self.engine.schedule(((k + 1) * NS_PER_S) // self.config.camera_fps,
                              "frames", EventKind.FRAME_ARRIVED, k + 1)
-        self.on_frame_arrival(k, self.engine.now())
+        self.on_frame_arrival(k)
 
     def _take_imu(self, hi: int) -> int:
         """Take the samples delivered up to `hi` and not yet taken, the index
@@ -474,7 +473,7 @@ class Simulation:
     # ------------------------------------------------------------------
     # frame ingest
 
-    def on_frame_arrival(self, frame_id: int, now: int) -> None:
+    def on_frame_arrival(self, frame_id: int) -> None:
         ingest = self.spec.ingest
         if ingest is Ingest.SENSOR_PIN and self.pending_frame is not None:
             self.frames_throttled += 1
@@ -483,9 +482,9 @@ class Simulation:
         if ingest is Ingest.DROP_IF_BUSY and \
                 not self.stage_exec[Stage.FEATURE_EXTRACTION].idle():
             return self._drop(frame_id, "ingest_busy")
-        if ingest is Ingest.CPU_RELAY and now < self.frozen_until_ns:
+        if ingest is Ingest.CPU_RELAY and self.engine.now() < self.frozen_until_ns:
             return self._drop(frame_id, "gc_frozen")
-        frame = self._make_frame(frame_id, now)
+        frame = self._make_frame(frame_id)
         self.frames_accepted += 1
         self._emit("pipeline", "FrameAccepted", frame=frame_id)
         if ingest is Ingest.CPU_RELAY:
@@ -517,7 +516,7 @@ class Simulation:
         self._extract(frame)
 
     def maybe_gc(self) -> None:
-        budget = int(self.config.relay.heap_budget_mib * 1024 * 1024)
+        budget = int(self.config.relay.heap_budget_mib * MIB)
         if self.alloc_counter_bytes < budget:
             return
         self.alloc_counter_bytes = 0

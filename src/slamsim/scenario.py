@@ -20,7 +20,7 @@ from enum import Enum
 from types import MappingProxyType
 
 from .kernel import MAX_FRAME_BYTES, MAX_IMU_RATE_HZ, MIN_FRAME_BYTES
-from .soc import (MAX_DURATION_S, _POSITIVE_MS, Check, ConfigError, MemoryPath, SocConfig,
+from .soc import (MAX_DURATION_S, MIB, _POSITIVE_MS, Check, ConfigError, MemoryPath, SocConfig,
                   Stage, UnitKind, _is_number, check_fields, check_value, integer, number,
                   quoted, spec)
 
@@ -190,8 +190,9 @@ class ScenarioConfig:
     seed: int = spec(1, integer(0))
     warmup_s: float = 2.0  # in [0, duration_s)
     memory_path: MemoryPath | None = None  # default chosen per variant
-    frame_size_bytes: int = spec(MIN_FRAME_BYTES, integer(MIN_FRAME_BYTES, MAX_FRAME_BYTES,
-                                                         note=" (3 MiB to 3.6e+06 MiB)"))
+    frame_size_bytes: int = spec(MIN_FRAME_BYTES, integer(
+        MIN_FRAME_BYTES, MAX_FRAME_BYTES,
+        note=f" ({MIN_FRAME_BYTES // MIB} MiB to {MAX_FRAME_BYTES // MIB:g} MiB)"))
     loss_threshold_ms: float = spec(100.0, number(0, unit="ms"))
     soc: SocConfig = field(default_factory=SocConfig)
     relay: RelayConfig = field(default_factory=RelayConfig)

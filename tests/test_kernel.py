@@ -9,14 +9,22 @@ from hypothesis import Phase, given, settings, strategies as st
 from slamsim import kernel
 from slamsim.engine import NS_PER_S
 from slamsim.kernel import (CameraFrame, CircleTrajectory, ImuModel, ImuSample,
-                            LandmarkField, Pose, StationaryTrajectory, WorldMap,
+                            LandmarkField, Pose, StationaryTrajectory, VisibilityBlock, WorldMap,
                             draw_imu, extend_map, extract_features, feature_capacity,
                             generate_landmarks, imu_rows, integrate, propagate, quat_exp,
                             quat_from_yaw, quat_multiply, quat_normalize, quat_rotate, quat_slerp,
                             sample_imu, sample_imu_block, update_pose, _exact, _norm, _row_norms,
                             FEATURE_BLOCK_HEADER_BYTES, FEATURE_RECORD_BYTES)
 from slamsim.pipeline import IMU_BLOCK
+from slamsim.scenario import KernelConfig
 from slamsim.soc import SocConfig
+
+# The model values a simulation passes the kernel by default.
+K = KernelConfig()
+
+
+def _default_circle():
+    return CircleTrajectory(K.trajectory_radius_m, K.trajectory_period_s)
 
 
 class TestQuaternions:
@@ -64,7 +72,7 @@ class TestTrajectories:
         assert np.allclose(tr.gyro_body(0), [0.0, 0.0, w])
 
     def test_circle_velocity_is_position_derivative(self):
-        tr = CircleTrajectory()
+        tr = _default_circle()
         t = 11 * NS_PER_S
         h = 1000  # 1 us
         numeric = np.subtract(tr.pose_at(t + h).position, tr.pose_at(t - h).position) \
@@ -105,7 +113,7 @@ class TestPropagation:
 
     def test_batched_equals_sample_by_sample(self):
         rng = np.random.default_rng(7)
-        truth = CircleTrajectory()
+        truth = _default_circle()
         model = ImuModel(accel_bias=(0.05, 0.02, 0.0),
                          accel_noise_std=0.02, gyro_noise_std=0.002)
         step = NS_PER_S // 200
@@ -157,7 +165,10 @@ class TestFeatures:
         assert block.serialized_bytes <= 1024
 
     def test_small_frame_keeps_all_features(self):
-        block = extract_features(_frame(range(5), frame_id=2))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        block = extract_features(_frame(range(5), frame_id=2), rng)
+        assert rng.bit_generator.state == state
         assert block.features.tolist() == list(range(5))
         assert block.serialized_bytes == FEATURE_BLOCK_HEADER_BYTES \
             + 5 * FEATURE_RECORD_BYTES
@@ -171,28 +182,31 @@ def _map(size, ids, point=(0.0, 0.0, 0.0)):
 
 class TestUpdateAndMap:
     def _block(self, ids):
-        return extract_features(_frame(ids))
+        return extract_features(_frame(ids), np.random.default_rng(0))
 
     def test_too_few_matches_leaves_pose_unchanged(self):
         wm = _map(10, range(5))
         pose = Pose((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
-        out, matched = update_pose(pose, self._block(range(5)), wm, Pose.identity())
-        assert matched == 5
+        out, matched = update_pose(pose, self._block(range(5)), wm, Pose.identity(),
+                                   np.random.default_rng(0), K.update_gain, K.obs_noise_std,
+                                   K.min_matches)
+        assert matched == 5 < K.min_matches
         assert np.array_equal(out.position, pose.position)
 
     def test_update_blends_toward_truth_with_gain(self):
         wm = _map(20, range(20))
         pose = Pose((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
-        out, matched = update_pose(pose, self._block(range(20)), wm,
-                                   Pose.identity(), gain=0.8)
+        out, matched = update_pose(pose, self._block(range(20)), wm, Pose.identity(),
+                                   np.random.default_rng(0), K.update_gain, 0.0, K.min_matches)
         assert matched == 20
         # error shrinks by exactly (1 - gain) without observation noise
-        assert out.position[0] == pytest.approx(0.2)
+        assert out.position[0] == pytest.approx(1.0 - K.update_gain)
 
     def test_extend_map_inserts_only_new(self):
         wm = _map(4, [0], point=(9.0, 9.0, 9.0))
         truth = np.array([[float(i), 0.0, 0.0] for i in range(4)])
-        inserted = extend_map(wm, self._block(range(4)), truth)
+        # without mapping noise
+        inserted = extend_map(wm, self._block(range(4)), truth, np.random.default_rng(0), 0.0)
         assert inserted == 3
         assert len(wm) == 4
         assert np.array_equal(wm.point(0), [9.0, 9.0, 9.0])  # insert-only
@@ -220,17 +234,17 @@ class TestVisibility:
         lm = generate_landmarks(60, rng)
         pose = Pose(tuple(rng.uniform(-6, 6, 3)), (0.0, 0.0, 0.0),
                     quat_normalize(tuple(rng.normal(size=4))))
-        ids = LandmarkField(lm).visible(pose)
+        ids = LandmarkField(lm).visible(pose, K.visibility_range_m, K.fov_deg)
         fast = set(ids.tolist())
         assert len(ids) == len(fast)
 
         heading = np.array(quat_rotate(pose.orientation, (1.0, 0.0, 0.0)))
-        cos_half = math.cos(math.radians(100.0) / 2)
+        cos_half = math.cos(math.radians(K.fov_deg) / 2)
         slow = set()
         for i, p in enumerate(lm):
             rel = p - pose.position
             d = np.linalg.norm(rel)
-            if 1e-6 < d <= 12.0 and float(rel @ heading) / d >= cos_half:
+            if 1e-6 < d <= K.visibility_range_m and float(rel @ heading) / d >= cos_half:
                 slow.add(i)
         assert fast == slow
 
@@ -424,7 +438,7 @@ def _boundary_points(rng, pose, max_range_m, fov_deg):
     return np.array(pose.position) + np.array(out)
 
 
-def _eager_visible(points, pose, max_range_m=12.0, fov_deg=100.0):
+def _eager_visible(points, pose, max_range_m, fov_deg):
     """The visibility pass as first specified: a C-order landmark array and
     the norm by np.linalg.norm. Returns the visible ids."""
     heading = np.array(quat_rotate(pose.orientation, (1.0, 0.0, 0.0)))
@@ -437,9 +451,9 @@ def _eager_visible(points, pose, max_range_m=12.0, fov_deg=100.0):
     return np.nonzero(mask)[0]
 
 
-def _visible_block(field, poses, max_range_m=12.0, fov_deg=100.0):
-    """`visible(i)` of one `field.block(poses)` for every pose i."""
-    block = field.block(poses, max_range_m, fov_deg)
+def _visible_block(field, poses, max_range_m, fov_deg):
+    """`visible(i)` of one `VisibilityBlock` of `poses` for every pose i."""
+    block = VisibilityBlock(field, poses, max_range_m, fov_deg)
     return [block.visible(i) for i in range(len(poses))]
 
 
@@ -456,15 +470,15 @@ _coord = st.floats(-1e4, 1e4, allow_nan=False)
 _vec = st.tuples(_coord, _coord, _coord)
 
 
-def _first_update_pose(pose, block, world_map, truth_pose, rng=None, gain=0.8,
-                       obs_noise_std=0.0, min_matches=10):
+def _first_update_pose(pose, block, world_map, truth_pose, rng, gain, obs_noise_std,
+                       min_matches):
     """`update_pose` in its first form, the reference of its bits and draws:
     two noise draws of 3, and blends over `zip`."""
     matched = int(np.count_nonzero(world_map.known[block.features]))
     if matched < min_matches:
         return pose.copy(), matched
     est_p, est_v = truth_pose.position, truth_pose.velocity
-    if obs_noise_std > 0 and rng is not None:
+    if obs_noise_std > 0:
         noise = rng.normal(0.0, obs_noise_std, 3).tolist()
         est_p = tuple(e + n for e, n in zip(est_p, noise))
         noise = rng.normal(0.0, obs_noise_std, 3).tolist()
@@ -494,13 +508,13 @@ class _FirstWorldMap(WorldMap):
         self.known[ids] = True
 
 
-def _first_extend_map(world_map, block, landmark_points, rng=None, noise_std=0.0):
+def _first_extend_map(world_map, block, landmark_points, rng, noise_std):
     """`extend_map` in its first form: the noise added to a new array."""
     ids = block.features[~world_map.known[block.features]]
     if not len(ids):
         return 0
     points = landmark_points[ids]
-    if noise_std > 0 and rng is not None:
+    if noise_std > 0:
         points = points + rng.normal(0.0, noise_std, (len(ids), 3))
     world_map.insert(ids, points)
     return len(ids)
@@ -610,7 +624,7 @@ class TestBitExactness:
         times = [(k * NS_PER_S) // rate_hz for k in range(1, count + 1)]
         samples = sample_imu_block(model, truth, times, rng)
         world_map = _map(20, range(20))
-        block = extract_features(_frame(range(20)))
+        block = extract_features(_frame(range(20)), rng)
 
         pose = ref = truth.pose_at(0)
         prev, from_t, start = None, 0, 0
@@ -621,12 +635,16 @@ class TestBitExactness:
             assert _pose_bits(pose) == _pose_bits(ref)
             prev, from_t, start = batch[-1], batch[-1].t_ns, start + n
             truth_pose = truth.pose_at(from_t)
-            if between == "update":
-                pose, _ = update_pose(pose, block, world_map, truth_pose, gain=0.5)
-                ref, _ = update_pose(ref, block, world_map, truth_pose, gain=0.5)
+            if between == "update":  # without observation noise
+                pose, _ = update_pose(pose, block, world_map, truth_pose, rng, 0.5, 0.0,
+                                      K.min_matches)
+                ref, _ = update_pose(ref, block, world_map, truth_pose, rng, 0.5, 0.0,
+                                     K.min_matches)
             elif between == "no-match":  # too few matches: an unchanged copy
-                pose, _ = update_pose(pose, block, world_map, truth_pose, min_matches=21)
-                ref, _ = update_pose(ref, block, world_map, truth_pose, min_matches=21)
+                pose, _ = update_pose(pose, block, world_map, truth_pose, rng, K.update_gain,
+                                      K.obs_noise_std, 21)
+                ref, _ = update_pose(ref, block, world_map, truth_pose, rng, K.update_gain,
+                                     K.obs_noise_std, 21)
             elif between == "equal-copy":  # equal values in new tuples
                 pose = Pose(*(tuple(list(c)) for c in (pose.position, pose.velocity,
                                                         pose.orientation)))
@@ -745,13 +763,13 @@ class TestBitExactness:
 
     @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 1200),
            visible_share=st.floats(0.0, 1.0), known_share=st.floats(0.0, 1.0),
-           use_rng=st.booleans(), gain=st.floats(0.0, 1.0),
-           obs_std=_std, map_std=_std, min_matches=st.integers(0, 30),
+           gain=st.floats(0.0, 1.0), obs_std=_std, map_std=_std,
+           min_matches=st.integers(0, 30),
            orientation=st.sampled_from(["near", "far", "opposite"]))
     @settings(max_examples=60, deadline=None)
     def test_feature_path_matches_loop_reference(self, seed, size, visible_share,
-                                                 known_share, use_rng, gain, obs_std,
-                                                 map_std, min_matches, orientation):
+                                                 known_share, gain, obs_std, map_std,
+                                                 min_matches, orientation):
         world = np.random.default_rng(seed)
         landmarks = generate_landmarks(size, world)
         ids = np.flatnonzero(world.uniform(size=size) < visible_share)
@@ -768,7 +786,7 @@ class TestBitExactness:
         pose = Pose(tuple(world.normal(size=3)), tuple(world.normal(size=3)), q)
         state = world.bit_generator.state
 
-        rng = np.random.default_rng(seed + 1) if use_rng else None
+        rng = np.random.default_rng(seed + 1)
         wm = WorldMap(size)
         wm.insert(known, known_points)
         block = extract_features(_frame(ids), rng)
@@ -776,22 +794,19 @@ class TestBitExactness:
                                          obs_noise_std=obs_std, min_matches=min_matches)
         inserted = extend_map(wm, block, landmarks, rng=rng, noise_std=map_std)
 
-        ref_rng = np.random.default_rng(seed + 1) if use_rng else None
+        ref_rng = np.random.default_rng(seed + 1)
         ref_map = {int(i): pt for i, pt in zip(known, known_points)}
         # extract_features: one feature per visible landmark, a sorted subset over the cap
         visible = ids.tolist()
         if len(visible) > 200:
-            if ref_rng is not None:
-                idx = sorted(ref_rng.choice(len(visible), size=200, replace=False))
-                visible = [visible[i] for i in idx]
-            else:
-                visible = visible[:200]
+            idx = sorted(ref_rng.choice(len(visible), size=200, replace=False))
+            visible = [visible[i] for i in idx]
         # update_pose
         ref_matched = sum(1 for lid in visible if lid in ref_map)
         p, v, oq = (np.array(c) for c in (pose.position, pose.velocity, pose.orientation))
         if ref_matched >= min_matches:
             est_p, est_v = np.array(truth.position), np.array(truth.velocity)
-            if obs_std > 0 and ref_rng is not None:
+            if obs_std > 0:
                 est_p = est_p + ref_rng.normal(0.0, obs_std, 3)
                 est_v = est_v + ref_rng.normal(0.0, obs_std, 3)
             p, v = p + gain * (est_p - p), v + gain * (est_v - v)
@@ -802,14 +817,13 @@ class TestBitExactness:
             if lid in ref_map:
                 continue
             point = landmarks[lid]
-            if map_std > 0 and ref_rng is not None:
+            if map_std > 0:
                 point = point + ref_rng.normal(0.0, map_std, 3)
             ref_map[lid] = point
             ref_inserted += 1
 
         assert world.bit_generator.state == state
-        if use_rng:
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert block.features.tolist() == visible
         assert matched == ref_matched
         _assert_pose_equal(corrected, p, v, oq)
@@ -840,7 +854,7 @@ class TestBitExactness:
         rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         for _ in range(rounds):
             block = extract_features(_frame(np.flatnonzero(world.uniform(size=size)
-                                                           < seen_share)))
+                                                           < seen_share)), world)
             state = rng.bit_generator.state
             out, matched = update_pose(pose, block, wm, truth, rng=rng, gain=gain,
                                        obs_noise_std=obs_std, min_matches=min_matches)
@@ -910,7 +924,7 @@ class TestBitExactness:
         points = generate_landmarks(count, rng)
         q = quat_normalize(tuple(rng.normal(size=4)))
         if where == "trajectory":
-            position = CircleTrajectory().pose_at(int(rng.integers(0, 60 * NS_PER_S))).position
+            position = _default_circle().pose_at(int(rng.integers(0, 60 * NS_PER_S))).position
         elif where == "off":
             position = tuple(rng.uniform(-15.0, 15.0, 3))
         elif where == "inside":  # inside the landmark ring, off the loop
@@ -992,12 +1006,14 @@ class TestBitExactness:
         """A heading's norm scales its depths; the classification takes unit
         headings, so it runs only on headings of norm 1 within 1e-9."""
         points = generate_landmarks(500, np.random.default_rng(3))
-        truth = CircleTrajectory()
+        truth = _default_circle()
         poses = [truth.pose_at(k * NS_PER_S // 30) for k in range(100, 132)]
         poses = [Pose(p.position, p.velocity, tuple(c * (1.0 + stretch) for c in p.orientation))
                  for p in poses]
-        for pose, ids in zip(poses, _visible_block(LandmarkField(points), poses)):
-            assert ids.tobytes() == _eager_visible(points, pose).tobytes()
+        blocks = _visible_block(LandmarkField(points), poses, K.visibility_range_m, K.fov_deg)
+        for pose, ids in zip(poses, blocks):
+            assert ids.tobytes() == _eager_visible(points, pose, K.visibility_range_m,
+                                                   K.fov_deg).tobytes()
 
     @pytest.mark.blas_bits
     @pytest.mark.parametrize("stacked_rows", [0, 1 << 40])
@@ -1009,13 +1025,13 @@ class TestBitExactness:
         gemv fall on two sides of it, a block of that pose twice, where the
         other landmark is sure-in, must give the gemv's answer."""
         rng = np.random.default_rng(5)
-        cos_half = math.cos(math.radians(100.0) / 2.0)
+        cos_half = math.cos(math.radians(K.fov_deg) / 2.0)
         straddled = 0
         for _ in range(200):
             q = quat_from_yaw(rng.uniform(0.0, 2.0 * math.pi))
             pose = Pose(tuple(rng.uniform(-5.0, 5.0, 3)), (0.0, 0.0, 0.0), q)
             h = np.array(quat_rotate(q, (1.0, 0.0, 0.0)))
-            side, a = np.array([-h[1], h[0], 0.0]), math.radians(50.0)
+            side, a = np.array([-h[1], h[0], 0.0]), math.radians(K.fov_deg / 2.0)
             ahead = np.array(pose.position) + h  # seen by the pose: the other row
             edge = np.array(pose.position) + rng.uniform(2.0, 10.0) * (
                 math.cos(a) * h + math.sin(a) * side)
@@ -1028,32 +1044,30 @@ class TestBitExactness:
                 if straddled and (gemv >= cos_half) == (dot >= cos_half):
                     continue
                 straddled += (gemv >= cos_half) != (dot >= cos_half)
-                block = LandmarkField(points).block((pose, pose))
+                block = VisibilityBlock(LandmarkField(points), (pose, pose),
+                                        K.visibility_range_m, K.fov_deg)
                 assert block.seen.tolist() == [False, True]
                 with mock.patch.object(kernel, "_STACKED_ROWS", stacked_rows):
                     ids = block.visible(1)
-                assert ids.tobytes() == _eager_visible(points, pose).tobytes()
+                assert ids.tobytes() == _eager_visible(points, pose, K.visibility_range_m,
+                                                       K.fov_deg).tobytes()
             if straddled >= 3:
                 break
 
-    @given(seed=st.integers(0, 2 ** 32 - 1), use_rng=st.booleans())
+    @given(seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=15, deadline=None)
-    def test_capped_block_ids_match_eager_subset(self, seed, use_rng):
+    def test_capped_block_ids_match_eager_subset(self, seed):
         world = np.random.default_rng(seed)
         points = generate_landmarks(4000, world)
-        pose = CircleTrajectory().pose_at(int(world.integers(0, 60 * NS_PER_S)))
-        ids = _eager_visible(points, pose)
+        pose = _default_circle().pose_at(int(world.integers(0, 60 * NS_PER_S)))
+        ids = _eager_visible(points, pose, K.visibility_range_m, K.fov_deg)
         assert len(ids) > feature_capacity()
-        frame = CameraFrame(frame_id=0, t_ns=0,
-                            visible_landmarks=LandmarkField(points).visible(pose))
-        rng = np.random.default_rng(seed + 1) if use_rng else None
+        frame = CameraFrame(frame_id=0, t_ns=0, visible_landmarks=LandmarkField(points).visible(
+            pose, K.visibility_range_m, K.fov_deg))
+        rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         block = extract_features(frame, rng)
-        if use_rng:
-            ref_rng = np.random.default_rng(seed + 1)
-            keep = np.sort(ref_rng.choice(len(ids), size=feature_capacity(), replace=False))
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-        else:
-            keep = slice(feature_capacity())
+        keep = np.sort(ref_rng.choice(len(ids), size=feature_capacity(), replace=False))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert block.features.tobytes() == ids[keep].tobytes()
 
     @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(0, 500))

@@ -696,18 +696,31 @@ class TestFrameBlockSize:
             t_ns = j * NS_PER_S // 50
             want = sim.field.visible(sim.truth.pose_at(t_ns), kernel_config.visibility_range_m,
                                      kernel_config.fov_deg)
-            assert sim._make_frame(j, t_ns).visible_landmarks.tobytes() == want.tobytes()
-
-    def test_frame_off_its_arrival_time(self):
-        """A frame made at another time than its arrival sees from the true
-        pose at that time."""
-        sim = Simulation(ScenarioConfig(variant=ArchVariant.SLAM_ARCH, duration_s=5.0))
-        k, fps = sim.config.kernel, sim.config.camera_fps
-        for frame_id, t_ns in ((5, 5 * NS_PER_S // fps), (6, 6 * NS_PER_S // fps + 10**7),
-                               (7, 7 * NS_PER_S // fps), (40, 123_456_789)):
-            frame = sim._make_frame(frame_id, t_ns)
-            want = sim.field.visible(sim.truth.pose_at(t_ns), k.visibility_range_m, k.fov_deg)
+            frame = sim._make_frame(j)
             assert frame.t_ns == t_ns
+            assert frame.visible_landmarks.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_frames_past_the_end(self, name):
+        """`run_until` past the run's end still makes frames: each frame
+        after the run's last one gets a frame block that reaches it, and the
+        ids of a per-frame `visible` call."""
+        sim = Simulation(dataclasses.replace(preset(name), duration_s=2.0, warmup_s=0.5))
+        sim.engine.run_until(sim.duration_ns)
+        made, make = [], sim._make_frame
+
+        def record(frame_id):
+            made.append(make(frame_id))
+            return made[-1]
+
+        sim._make_frame = record
+        sim.engine.run_until(sim.duration_ns + 2 * NS_PER_S)
+        k, fps = sim.config.kernel, sim.config.camera_fps
+        assert made
+        for frame in made:
+            assert sim.duration_ns < frame.t_ns == frame.frame_id * NS_PER_S // fps
+            want = sim.field.visible(sim.truth.pose_at(frame.t_ns), k.visibility_range_m,
+                                     k.fov_deg)
             assert frame.visible_landmarks.tobytes() == want.tobytes()
 
     @staticmethod
