@@ -17,15 +17,15 @@ are single masked gathers. Drift correction and mapping read only which
 landmarks were seen, so no pixel is projected.
 
 Numerics. Every sum, product and quotient is written term by term in the
-order of the reference numpy formulation, so results are bit-identical to
-it. Vector norms and quaternion dot products are the exception: numpy takes
-them with its BLAS dot product, which may accumulate with fused multiply-adds
-and so differs in the last bit from a Python sum of squares. These small
-BLAS dots are left: `_dot` in `quat_slerp`; `_norm` in `quat_normalize`,
-`quat_exp` and the position error of `Simulation._apply_update` (the
-`np.linalg.norm` of a 1-D array is the square root of the same dot);
-`_row_norms`'s stacked matmul in `imu_rows`, one dot per row; and the
-normalization dot in `integrate`.
+order of the reference formulation, `tests/reference.py`, so results are
+bit-identical to it. Vector norms and quaternion dot products are the
+exception: numpy takes them with its BLAS dot product, which may accumulate
+with fused multiply-adds and so differs in the last bit from a Python sum of
+squares. These small BLAS dots are left: `_dot` in `quat_slerp`; `_norm` in
+`quat_normalize`, `quat_exp` and the position error of
+`Simulation._apply_update` (the `np.linalg.norm` of a 1-D array is the square
+root of the same dot); `_row_norms`'s stacked matmul in `imu_rows`, one dot
+per row; and the normalization dot in `integrate`.
 
 Visibility distance. `np.linalg.norm(rel, axis=1)` is the square root of
 numpy's add-reduce of the squares over each row of 3. numpy adds fewer than 8
@@ -74,21 +74,21 @@ poses and returns a (poses, landmarks) mask: `visible(pose)` runs it for one
 pose on the whole landmark array, and a block runs it on its edge landmarks
 only. The element-wise steps run on the flattened rel stack, and the depth
 numerators come from one stacked matmul (poses, rows, 3) @ (poses, 3, 1),
-which numpy evaluates as one gemv per pose: for one pose, the reference
-formula's gemv of rel by the heading. A gemv on a subset of rows gives each
-row the bits of the gemv on the whole array, whichever rows the subset
-keeps, on the OpenBLAS kernels measured (SkylakeX, Haswell, Prescott). A
-one-row product is the exception: numpy takes it as a BLAS dot, which may
-differ in the last bit, so a lone edge landmark is tested with a second row.
-A block with at most `_STACKED_ROWS` (pose, edge landmark) pairs tests all
-its poses at once on its first query; a larger block tests each queried pose
-alone, so a frame that is never queried costs nothing and no array grows
-past one pose's test of the whole map. Each pose's ids are then the sure-in
-landmarks plus the edge landmarks the exact test passes, in ascending order.
-A block keeps the ids that any pose may see, which of them are sure-in,
-where the edge landmarks sit among them and their coordinates, and, once it
-has tested all its poses at once, one bool per pose and edge landmark; no id
-array outlives its query.
+which numpy evaluates as one gemv per pose: for one pose, the reference's
+gemv of rel by the heading (`depths` in `tests/reference.py`). A gemv on a
+subset of rows gives each row the bits of the gemv on the whole array,
+whichever rows the subset keeps, on the OpenBLAS kernels measured (SkylakeX,
+Haswell, Prescott). A one-row product is the exception: numpy takes it as a
+BLAS dot, which may differ in the last bit, so a lone edge landmark is tested
+with a second row. A block with at most `_STACKED_ROWS` (pose, edge landmark)
+pairs tests all its poses at once on its first query; a larger block tests
+each queried pose alone, so a frame that is never queried costs nothing and
+no array grows past one pose's test of the whole map. Each pose's ids are
+then the sure-in landmarks plus the edge landmarks the exact test passes, in
+ascending order. A block keeps the ids that any pose may see, which of them
+are sure-in, where the edge landmarks sit among them and their coordinates,
+and, once it has tested all its poses at once, one bool per pose and edge
+landmark; no id array outlives its query.
 
 Array-drawn IMU blocks. numpy's `rng.normal(0.0, std, 3)` returns
 `0.0 + std * z` for three standard normals `z` taken one after another from
@@ -121,7 +121,8 @@ once per row. `integrate` loops over the rows only, with `quat_multiply`,
 The normalization takes `_norm`'s BLAS dot on one scratch 4-vector per call,
 whose components each row writes in place through a memoryview: the same
 dot on the same four doubles, without a fresh array per row. The helpers
-stay for their other callers and as the specification of both halves.
+stay for their other callers; `propagate` in `tests/reference.py`, one
+sample at a time, is the specification of both halves.
 
 Conventions: accelerometer samples are gravity-compensated specific force
 (gravity handling is out of scope for this model). The drift-correction

@@ -146,7 +146,10 @@ class _Unit:
     server, only when the unit goes idle) and at the end of the run. The
     unit runs one task at a time, so what it books reaches the ledger in
     time order, as the ledger requires, and the whole run `(0, duration)`
-    covers all of it."""
+    covers all of it. The end of the run books a task still in flight only
+    up to the end and keeps it, so `engine.run_until` past the end completes
+    it as if the run had not stopped. A report taken after that raises
+    `LedgerError`: its window `(0, duration)` cuts the task's busy time."""
 
     def __init__(self, sim: "Simulation", unit_id: str):
         self.sim = sim
@@ -176,10 +179,12 @@ class _Unit:
         self._due_at(self.end_ns)
 
     def finalize(self, end_ns: int) -> None:
-        """Book busy time of a task still in flight when the run ends."""
+        """Book the busy time of a task still in flight when the run ends, up
+        to the end; the task runs on if the engine does."""
         if self.task is not None:
-            self._book(min(self.end_ns, end_ns))
-            self.task = None
+            stop = min(self.end_ns, end_ns)
+            self._book(stop)
+            self.seg_start_ns = max(self.seg_start_ns, stop)
 
 
 class UnitExecutor(_Unit):

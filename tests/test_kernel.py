@@ -1,5 +1,9 @@
+import ast
+import dataclasses
+import importlib
 import math
 
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,12 +16,14 @@ from slamsim.kernel import (CameraFrame, CircleTrajectory, ImuModel, ImuSample,
                             LandmarkField, Pose, StationaryTrajectory, VisibilityBlock, WorldMap,
                             draw_imu, extend_map, extract_features, feature_capacity,
                             generate_landmarks, imu_rows, integrate, propagate, quat_exp,
-                            quat_from_yaw, quat_multiply, quat_normalize, quat_rotate, quat_slerp,
+                            quat_from_yaw, quat_multiply, quat_normalize, quat_rotate,
                             sample_imu, sample_imu_block, update_pose, _exact, _norm, _row_norms,
                             FEATURE_BLOCK_HEADER_BYTES, FEATURE_RECORD_BYTES)
 from slamsim.pipeline import IMU_BLOCK
 from slamsim.scenario import KernelConfig
 from slamsim.soc import SocConfig
+
+import reference
 
 # The model values a simulation passes the kernel by default.
 K = KernelConfig()
@@ -227,158 +233,37 @@ class TestVisibility:
         radii = np.hypot(lm[:, 0], lm[:, 1])
         assert np.all((7.0 <= radii) & (radii <= 9.0))
 
-    @given(st.integers(0, 2 ** 31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_vectorized_visibility_matches_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        lm = generate_landmarks(60, rng)
-        pose = Pose(tuple(rng.uniform(-6, 6, 3)), (0.0, 0.0, 0.0),
-                    quat_normalize(tuple(rng.normal(size=4))))
-        ids = LandmarkField(lm).visible(pose, K.visibility_range_m, K.fov_deg)
-        fast = set(ids.tolist())
-        assert len(ids) == len(fast)
-
-        heading = np.array(quat_rotate(pose.orientation, (1.0, 0.0, 0.0)))
-        cos_half = math.cos(math.radians(K.fov_deg) / 2)
-        slow = set()
-        for i, p in enumerate(lm):
-            rel = p - pose.position
-            d = np.linalg.norm(rel)
-            if 1e-6 < d <= K.visibility_range_m and float(rel @ heading) / d >= cos_half:
-                slow.add(i)
-        assert fast == slow
-
 
 # ---------------------------------------------------------------------------
-# Bit-exactness against the numpy reference formulation. The oracles below
-# are the array-per-vector and loop-per-feature implementations the kernel
-# is specified by; the kernel must reproduce them to the last bit and draw
-# the same random numbers in the same order, because every simulated report
-# depends on it.
+# Bit-exactness against `reference` (tests/reference.py), the kernel's
+# numerics written once, per sample, per landmark and per feature. The kernel
+# must reproduce it to the last bit and draw the same random numbers in the
+# same order, because every simulated report depends on it.
 
-def _np_normalize(q):
-    return q / np.linalg.norm(q)
-
-
-def _np_multiply(a, b):
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ])
-
-
-def _np_rotate(q, v):
-    qv = np.array([0.0, v[0], v[1], v[2]])
-    conj = np.array([q[0], -q[1], -q[2], -q[3]])
-    return _np_multiply(_np_multiply(q, qv), conj)[1:]
-
-
-def _np_exp(omega_dt):
-    angle = np.linalg.norm(omega_dt)
-    if angle < 1e-12:
-        return np.array([1.0, 0.5 * omega_dt[0], 0.5 * omega_dt[1], 0.5 * omega_dt[2]])
-    axis = omega_dt / angle
-    half = 0.5 * angle
-    return np.concatenate(([math.cos(half)], math.sin(half) * axis))
-
-
-def _np_slerp(a, b, t):
-    dot = float(np.dot(a, b))
-    if dot < 0.0:
-        b, dot = -b, -dot
-    if dot > 0.9995:
-        return _np_normalize(a + t * (b - a))
-    theta = math.acos(min(1.0, dot))
-    s = math.sin(theta)
-    return (math.sin((1 - t) * theta) / s) * a + (math.sin(t * theta) / s) * b
-
-
-def _np_sample_imu(model, truth, t_ns, rng):
-    gyro = np.array(truth.gyro_body(t_ns)) + np.array(model.gyro_bias)
-    accel = np.array(truth.accel_body(t_ns)) + np.array(model.accel_bias)
-    if model.gyro_noise_std > 0:
-        gyro = gyro + rng.normal(0.0, model.gyro_noise_std, 3)
-    if model.accel_noise_std > 0:
-        accel = accel + rng.normal(0.0, model.accel_noise_std, 3)
-    return t_ns, gyro, accel
-
-
-def _np_propagate(p, v, q, batch, from_t_ns, prev_sample=None):
-    prev_t = from_t_ns
-    prev_accel_world = _np_rotate(q, prev_sample[2]) if prev_sample is not None else None
-    prev_gyro = prev_sample[1] if prev_sample is not None else None
-    for t_ns, gyro_s, accel_s in batch:
-        dt = (t_ns - prev_t) / NS_PER_S
-        gyro = gyro_s if prev_gyro is None else 0.5 * (prev_gyro + gyro_s)
-        q = _np_normalize(_np_multiply(q, _np_exp(gyro * dt)))
-        accel_world = _np_rotate(q, accel_s)
-        a0 = accel_world if prev_accel_world is None else prev_accel_world
-        v_new = v + 0.5 * (a0 + accel_world) * dt
-        p = p + 0.5 * (v + v_new) * dt
-        v = v_new
-        prev_t = t_ns
-        prev_accel_world = accel_world
-        prev_gyro = gyro_s
-    return p, v, q
-
-
-def _rerotating_propagate(pose, batch, from_t_ns, prev_sample=None):
-    """`propagate` written with the quaternion helpers, one call each per
-    sample; every call rotates `prev_sample.accel` afresh with the pose's
-    orientation."""
-    if not batch:
-        return pose.copy()
-    q = pose.orientation
-    vx, vy, vz = pose.velocity
-    px, py, pz = pose.position
-    prev_t = from_t_ns
-    if prev_sample is not None:
-        prev_accel_world = quat_rotate(q, prev_sample.accel)
-        prev_gyro = prev_sample.gyro
-    else:
-        prev_accel_world = prev_gyro = None
-    for t_ns, gyro, accel in batch:
-        dt = (t_ns - prev_t) / NS_PER_S
-        gx, gy, gz = gyro
-        if prev_gyro is not None:
-            hx, hy, hz = prev_gyro
-            gx, gy, gz = 0.5 * (hx + gx), 0.5 * (hy + gy), 0.5 * (hz + gz)
-        q = quat_normalize(quat_multiply(q, quat_exp((gx * dt, gy * dt, gz * dt))))
-        accel_world = quat_rotate(q, accel)
-        ax, ay, az = accel_world
-        a0x, a0y, a0z = accel_world if prev_accel_world is None else prev_accel_world
-        nvx = vx + 0.5 * (a0x + ax) * dt
-        nvy = vy + 0.5 * (a0y + ay) * dt
-        nvz = vz + 0.5 * (a0z + az) * dt
-        px = px + 0.5 * (vx + nvx) * dt
-        py = py + 0.5 * (vy + nvy) * dt
-        pz = pz + 0.5 * (vz + nvz) * dt
-        vx, vy, vz = nvx, nvy, nvz
-        prev_t = t_ns
-        prev_accel_world = accel_world
-        prev_gyro = gyro
-    return Pose((px, py, pz), (vx, vy, vz), q)
+def _bits(values):
+    """Floats as exact bytes: equal only if every float is bit-identical."""
+    return np.asarray(values, float).tobytes()
 
 
 def _pose_bits(pose):
-    return tuple(np.asarray(c, float).tobytes()
-                 for c in (pose.position, pose.velocity, pose.orientation))
-
-
-def _assert_pose_equal(pose, p, v, q):
-    assert np.array_equal(pose.position, p)
-    assert np.array_equal(pose.velocity, v)
-    assert np.array_equal(pose.orientation, q)
+    return tuple(_bits(c) for c in (pose.position, pose.velocity, pose.orientation))
 
 
 def _imu_bits(sample):
-    """A sample as exact bytes: equal only if every float is bit-identical."""
     t_ns, gyro, accel = sample
-    return t_ns, np.asarray(gyro, float).tobytes(), np.asarray(accel, float).tobytes()
+    return t_ns, _bits(gyro), _bits(accel)
+
+
+def _map_bits(world_map):
+    """A `WorldMap`'s or a reference map's points by id, as exact bytes."""
+    if isinstance(world_map, WorldMap):
+        world_map = {int(i): world_map.points[i] for i in np.flatnonzero(world_map.known)}
+    return {i: _bits(point) for i, point in world_map.items()}
+
+
+def _assert_ids(ids, expected):
+    """The kernel's ids are an intp array of the reference's ids."""
+    assert ids.dtype == np.intp and ids.tolist() == expected
 
 
 def _assert_signals_match_scalar(truth, times):
@@ -438,19 +323,6 @@ def _boundary_points(rng, pose, max_range_m, fov_deg):
     return np.array(pose.position) + np.array(out)
 
 
-def _eager_visible(points, pose, max_range_m, fov_deg):
-    """The visibility pass as first specified: a C-order landmark array and
-    the norm by np.linalg.norm. Returns the visible ids."""
-    heading = np.array(quat_rotate(pose.orientation, (1.0, 0.0, 0.0)))
-    cos_half = math.cos(math.radians(fov_deg) / 2.0)
-    rel = np.ascontiguousarray(points) - pose.position
-    dist = np.linalg.norm(rel, axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        depth = (rel @ heading) / dist
-    mask = (dist > 1e-6) & (dist <= max_range_m) & (depth >= cos_half)
-    return np.nonzero(mask)[0]
-
-
 def _visible_block(field, poses, max_range_m, fov_deg):
     """`visible(i)` of one `VisibilityBlock` of `poses` for every pose i."""
     block = VisibilityBlock(field, poses, max_range_m, fov_deg)
@@ -464,72 +336,54 @@ _trajectories = st.one_of(
     st.builds(StationaryTrajectory, st.tuples(_bias, _bias, _bias)),
     st.builds(CircleTrajectory, st.just(0.0), _period),
     st.builds(CircleTrajectory, st.floats(0.0, 20.0), _period))
-
-
 _coord = st.floats(-1e4, 1e4, allow_nan=False)
 _vec = st.tuples(_coord, _coord, _coord)
 
 
-def _first_update_pose(pose, block, world_map, truth_pose, rng, gain, obs_noise_std,
-                       min_matches):
-    """`update_pose` in its first form, the reference of its bits and draws:
-    two noise draws of 3, and blends over `zip`."""
-    matched = int(np.count_nonzero(world_map.known[block.features]))
-    if matched < min_matches:
-        return pose.copy(), matched
-    est_p, est_v = truth_pose.position, truth_pose.velocity
-    if obs_noise_std > 0:
-        noise = rng.normal(0.0, obs_noise_std, 3).tolist()
-        est_p = tuple(e + n for e, n in zip(est_p, noise))
-        noise = rng.normal(0.0, obs_noise_std, 3).tolist()
-        est_v = tuple(e + n for e, n in zip(est_v, noise))
-    corrected = Pose(
-        position=tuple(c + gain * (e - c) for c, e in zip(pose.position, est_p)),
-        velocity=tuple(c + gain * (e - c) for c, e in zip(pose.velocity, est_v)),
-        orientation=quat_normalize(quat_slerp(pose.orientation, truth_pose.orientation, gain)),
-    )
-    return corrected, matched
-
-
-class _FirstWorldMap(WorldMap):
-    """`WorldMap` with `insert` in its first form: a finiteness test per row,
-    and gathers of the new ids and points."""
-
-    def insert(self, ids, points) -> None:
-        ids = np.asarray(ids, dtype=np.intp)
-        points = np.asarray(points, dtype=float).reshape(len(ids), 3)
-        bad = ~np.isfinite(points).all(axis=1)
-        if bad.any():
-            raise ValueError(f"non-finite map point for landmark {int(ids[bad][0])}")
-        new = ~self.known[ids]
-        if self.points is None:
-            self.points = np.empty((len(self.known), 3))
-        self.points[ids[new]] = points[new]
-        self.known[ids] = True
-
-
-def _first_extend_map(world_map, block, landmark_points, rng, noise_std):
-    """`extend_map` in its first form: the noise added to a new array."""
-    ids = block.features[~world_map.known[block.features]]
-    if not len(ids):
-        return 0
-    points = landmark_points[ids]
-    if noise_std > 0:
-        points = points + rng.normal(0.0, noise_std, (len(ids), 3))
-    world_map.insert(ids, points)
-    return len(ids)
-
-
-def _map_bits(world_map):
-    """Which ids a map knows and their points, as exact bytes."""
-    known = world_map.known
-    points = b"" if world_map.points is None else world_map.points[known].tobytes()
-    return known.tobytes(), points
-
-
-# The IMU-path properties draw long sample batches; shrinking a failure of
-# theirs takes minutes, so they report the first failing example as drawn.
+# The IMU-path properties draw long sample batches, and the feature path runs
+# rounds on maps of up to 1200 landmarks; shrinking a failure of theirs takes
+# minutes, so they report the first failing example as drawn.
 NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
+BANK_BYTES = SocConfig().bank_capacity_bytes
+
+
+_REFERENCE = ast.parse(Path(reference.__file__).read_text())
+_BLAS = {"@", "dot", "vdot", "matmul", "inner", "tensordot", "einsum", "linalg"}
+
+
+class TestReference:
+    """The reference reaches BLAS only through `norm` and `depths`, so that
+    writing those reductions term by term changes it in one place, and it
+    computes nothing with the kernel it checks."""
+
+    def test_blas_only_in_norm_and_depths(self):
+        helpers = [f for f in _REFERENCE.body
+                   if isinstance(f, ast.FunctionDef) and f.name in ("norm", "depths")]
+        assert len(helpers) == 2
+        found = []
+        for node in ast.walk(ast.Module([s for s in _REFERENCE.body if s not in helpers], [])):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, (ast.alias, ast.ImportFrom)):
+                names = set((getattr(node, "name", None) or node.module or "").split("."))
+            else:
+                names = {"@"} if isinstance(getattr(node, "op", None), ast.MatMult) else set()
+            if names & _BLAS:
+                found.append(ast.unparse(node))
+        assert found == []
+
+    def test_imports_no_kernel_function(self):
+        """What it takes from `slamsim` is a constant or a record type: no
+        function, no class that computes and no module."""
+        for node in ast.walk(_REFERENCE):
+            if isinstance(node, ast.Import):
+                assert not [a.name for a in node.names if a.name.split(".")[0] == "slamsim"]
+            elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "slamsim":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    obj = getattr(module, alias.name)
+                    assert isinstance(obj, (int, float)) or isinstance(obj, type) and (
+                        dataclasses.is_dataclass(obj) or issubclass(obj, tuple)), alias.name
 
 
 class TestBitExactness:
@@ -541,9 +395,8 @@ class TestBitExactness:
            radius=st.floats(0.0, 20.0), period=st.floats(1.0, 600.0),
            chunks=st.lists(st.integers(1, 12), min_size=1, max_size=25))
     @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
-    def test_imu_path_matches_numpy_reference(self, seed, accel_bias, gyro_bias,
-                                              accel_std, gyro_std, rate_hz, radius,
-                                              period, chunks):
+    def test_imu_path_matches_reference(self, seed, accel_bias, gyro_bias, accel_std,
+                                        gyro_std, rate_hz, radius, period, chunks):
         truth = CircleTrajectory(radius, period)
         model = ImuModel(accel_bias=accel_bias, gyro_bias=gyro_bias,
                          accel_noise_std=accel_std, gyro_noise_std=gyro_std,
@@ -552,24 +405,19 @@ class TestBitExactness:
         step = NS_PER_S // rate_hz
         ticks = range(1, sum(chunks) + 1)
         batch = [sample_imu(model, truth, k * step, rng) for k in ticks]
-        ref_batch = [_np_sample_imu(model, truth, k * step, ref_rng) for k in ticks]
+        ref_batch = [reference.sample_imu(model, truth, k * step, ref_rng) for k in ticks]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        for s, (t_ns, gyro, accel) in zip(batch, ref_batch):
-            assert s.t_ns == t_ns
-            assert np.array_equal(s.gyro, gyro) and np.array_equal(s.accel, accel)
+        assert [_imu_bits(s) for s in batch] == [_imu_bits(s) for s in ref_batch]
 
         # chunked as the pipeline drains its IMU buffer: no prev sample at first
-        pose = truth.pose_at(0)
-        p, v, q = (np.array(c) for c in (pose.position, pose.velocity, pose.orientation))
-        prev = ref_prev = None
-        start = 0
+        pose = ref = truth.pose_at(0)
+        prev, start = None, 0
         for n in chunks:
-            chunk, ref_chunk = batch[start:start + n], ref_batch[start:start + n]
-            from_t = start * step
-            pose = propagate(pose, chunk, from_t, prev_sample=prev)
-            p, v, q = _np_propagate(p, v, q, ref_chunk, from_t, prev_sample=ref_prev)
-            _assert_pose_equal(pose, p, v, q)
-            prev, ref_prev = chunk[-1], ref_chunk[-1]
+            chunk = batch[start:start + n]
+            pose = propagate(pose, chunk, start * step, prev_sample=prev)
+            ref = reference.propagate(ref, chunk, start * step, prev_sample=prev)
+            assert _pose_bits(pose) == _pose_bits(ref)
+            prev = chunk[-1]
             start += n
 
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -583,6 +431,8 @@ class TestBitExactness:
     def test_block_sampling_matches_per_sample(self, seed, accel_bias, gyro_bias,
                                                accel_std, gyro_std, rate_hz, blocks,
                                                truth, start_s):
+        """Blocks of samples give the bits and the draws of the reference's
+        samples taken one by one."""
         times = [(k * NS_PER_S) // rate_hz + start_s * NS_PER_S
                  for k in range(1, sum(blocks) + 1)]
         _assert_signals_match_scalar(truth, times)
@@ -594,7 +444,7 @@ class TestBitExactness:
         for n in blocks:
             samples += sample_imu_block(model, truth, times[start:start + n], rng)
             start += n
-        ref = [sample_imu(model, truth, t, ref_rng) for t in times]
+        ref = [reference.sample_imu(model, truth, t, ref_rng) for t in times]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert [_imu_bits(s) for s in samples] == [_imu_bits(s) for s in ref]
 
@@ -612,10 +462,9 @@ class TestBitExactness:
                                                      "skip", "restart"])),
                           min_size=1, max_size=20))
     @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
-    def test_propagate_matches_rerotating_reference(self, seed, rate_hz, steps):
-        """`propagate` inlines the quaternion helpers; chained batches with
-        updates, copies, orientations set in place and skipped samples
-        between them must give the bits of the helper-call reference."""
+    def test_chained_propagate_matches_reference(self, seed, rate_hz, steps):
+        """Chained batches with updates, copies, orientations set in place
+        and skipped samples between them give the reference's bits."""
         truth = CircleTrajectory(4.0, 30.0)
         model = ImuModel(accel_bias=(0.05, 0.02, 0.0), gyro_bias=(0.0005, 0.0, 0.0002),
                          accel_noise_std=0.02, gyro_noise_std=0.002, rate_hz=rate_hz)
@@ -623,28 +472,27 @@ class TestBitExactness:
         count = sum(n + 1 for n, _ in steps)
         times = [(k * NS_PER_S) // rate_hz for k in range(1, count + 1)]
         samples = sample_imu_block(model, truth, times, rng)
-        world_map = _map(20, range(20))
+        world_map, ref_map = _map(20, range(20)), dict.fromkeys(range(20), (0.0, 0.0, 0.0))
         block = extract_features(_frame(range(20)), rng)
+        features = block.features.tolist()
 
         pose = ref = truth.pose_at(0)
         prev, from_t, start = None, 0, 0
         for n, between in steps:
             batch = samples[start:start + n]
             pose = propagate(pose, batch, from_t, prev_sample=prev)
-            ref = _rerotating_propagate(ref, batch, from_t, prev_sample=prev)
+            ref = reference.propagate(ref, batch, from_t, prev_sample=prev)
             assert _pose_bits(pose) == _pose_bits(ref)
             prev, from_t, start = batch[-1], batch[-1].t_ns, start + n
             truth_pose = truth.pose_at(from_t)
-            if between == "update":  # without observation noise
-                pose, _ = update_pose(pose, block, world_map, truth_pose, rng, 0.5, 0.0,
-                                      K.min_matches)
-                ref, _ = update_pose(ref, block, world_map, truth_pose, rng, 0.5, 0.0,
-                                     K.min_matches)
-            elif between == "no-match":  # too few matches: an unchanged copy
-                pose, _ = update_pose(pose, block, world_map, truth_pose, rng, K.update_gain,
-                                      K.obs_noise_std, 21)
-                ref, _ = update_pose(ref, block, world_map, truth_pose, rng, K.update_gain,
-                                     K.obs_noise_std, 21)
+            if between in ("update", "no-match"):
+                # without observation noise, or too few matches: no draw
+                args = (0.5, 0.0, K.min_matches) if between == "update" else \
+                    (K.update_gain, K.obs_noise_std, 21)
+                state = rng.bit_generator.state
+                pose, _ = update_pose(pose, block, world_map, truth_pose, rng, *args)
+                ref, _ = reference.update_pose(ref, features, ref_map, truth_pose, rng, *args)
+                assert rng.bit_generator.state == state
             elif between == "equal-copy":  # equal values in new tuples
                 pose = Pose(*(tuple(list(c)) for c in (pose.position, pose.velocity,
                                                         pose.orientation)))
@@ -663,11 +511,11 @@ class TestBitExactness:
                            st.builds(CircleTrajectory, st.floats(0.0, 20.0), _period)),
            data=st.data())
     @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
-    def test_block_rows_match_propagate_and_numpy_reference(
+    def test_block_rows_match_propagate_and_reference(
             self, seed, rate_hz, noise, std, accel_bias, gyro_bias, truth, data):
         """Rows drawn block by block as the pipeline draws them, integrated
         over chunks that cross block boundaries, give the bits of the public
-        `propagate` over the same chunks and of the numpy reference. Sample 1
+        `propagate` over the same chunks and of the reference. Sample 1
         takes the rectangle rule; a stationary IMU without gyro bias or noise
         has rotation vectors of norm exactly 0."""
         model = ImuModel(accel_bias=accel_bias, gyro_bias=gyro_bias,
@@ -688,24 +536,22 @@ class TestBitExactness:
             prev_t, prev_gyro = block[-1], gyro[-1]
         samples = sample_imu_block(model, truth, times, np.random.default_rng(seed))
         ref_rng = np.random.default_rng(seed)
-        ref = [_np_sample_imu(model, truth, t, ref_rng) for t in times]
+        ref = [reference.sample_imu(model, truth, t, ref_rng) for t in times]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         if isinstance(truth, StationaryTrajectory) and noise in ("none", "accel") \
                 and gyro_bias == (0.0, 0.0, 0.0):
             assert all(row[1:5] == [1.0, 0.0, 0.0, 0.0] for row in rows)
 
-        pose = public = truth.pose_at(0)
-        p, v, q = (np.array(c) for c in (pose.position, pose.velocity, pose.orientation))
+        pose = public = expected = truth.pose_at(0)
         prev_accel = None
         for a, b in zip(bounds, bounds[1:]):
             from_t = times[a - 1] if a else 0
             pose = integrate(pose, rows[a:b], prev_accel)
             public = propagate(public, samples[a:b], from_t,
                                prev_sample=samples[a - 1] if a else None)
-            p, v, q = _np_propagate(p, v, q, ref[a:b], from_t,
-                                    prev_sample=ref[a - 1] if a else None)
-            assert _pose_bits(pose) == _pose_bits(public)
-            _assert_pose_equal(pose, p, v, q)
+            expected = reference.propagate(expected, ref[a:b], from_t,
+                                           prev_sample=ref[a - 1] if a else None)
+            assert _pose_bits(pose) == _pose_bits(public) == _pose_bits(expected)
             prev_accel = rows[b - 1][5:]
 
     def test_stacked_norms_are_the_per_row_blas_dot(self):
@@ -763,16 +609,21 @@ class TestBitExactness:
 
     @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 1200),
            visible_share=st.floats(0.0, 1.0), known_share=st.floats(0.0, 1.0),
+           position=_vec, velocity=_vec, truth_position=_vec, truth_velocity=_vec,
            gain=st.floats(0.0, 1.0), obs_std=_std, map_std=_std,
-           min_matches=st.integers(0, 30),
+           min_matches=st.integers(0, 30), rounds=st.integers(1, 4),
            orientation=st.sampled_from(["near", "far", "opposite"]))
-    @settings(max_examples=60, deadline=None)
-    def test_feature_path_matches_loop_reference(self, seed, size, visible_share,
-                                                 known_share, gain, obs_std, map_std,
-                                                 min_matches, orientation):
+    @settings(max_examples=80, deadline=None, phases=NO_SHRINK)
+    def test_feature_path_matches_reference(self, seed, size, visible_share, known_share,
+                                            position, velocity, truth_position,
+                                            truth_velocity, gain, obs_std, map_std,
+                                            min_matches, rounds, orientation):
+        """`extract_features`, `update_pose`, the pipeline's position error
+        and `extend_map` give the reference's features, bits, draws and map,
+        round after round on a growing map; a miss of `min_matches` and a std
+        of 0 draw nothing."""
         world = np.random.default_rng(seed)
         landmarks = generate_landmarks(size, world)
-        ids = np.flatnonzero(world.uniform(size=size) < visible_share)
         known = np.flatnonzero(world.uniform(size=size) < known_share)
         known_points = world.normal(0.0, 5.0, (len(known), 3))
         truth_q = quat_normalize(tuple(world.normal(size=4)))
@@ -782,98 +633,39 @@ class TestBitExactness:
                            if orientation == "near" else world.normal(size=4))
         if orientation == "opposite":
             q = tuple(-c for c in q) if np.dot(q, truth_q) > 0 else q
-        truth = Pose(tuple(world.normal(size=3)), tuple(world.normal(size=3)), truth_q)
-        pose = Pose(tuple(world.normal(size=3)), tuple(world.normal(size=3)), q)
-        state = world.bit_generator.state
-
-        rng = np.random.default_rng(seed + 1)
-        wm = WorldMap(size)
+        truth, pose = Pose(truth_position, truth_velocity, truth_q), Pose(position, velocity, q)
+        wm, ref_map = WorldMap(size), {}
         wm.insert(known, known_points)
-        block = extract_features(_frame(ids), rng)
-        corrected, matched = update_pose(pose, block, wm, truth, rng=rng, gain=gain,
-                                         obs_noise_std=obs_std, min_matches=min_matches)
-        inserted = extend_map(wm, block, landmarks, rng=rng, noise_std=map_std)
-
-        ref_rng = np.random.default_rng(seed + 1)
-        ref_map = {int(i): pt for i, pt in zip(known, known_points)}
-        # extract_features: one feature per visible landmark, a sorted subset over the cap
-        visible = ids.tolist()
-        if len(visible) > 200:
-            idx = sorted(ref_rng.choice(len(visible), size=200, replace=False))
-            visible = [visible[i] for i in idx]
-        # update_pose
-        ref_matched = sum(1 for lid in visible if lid in ref_map)
-        p, v, oq = (np.array(c) for c in (pose.position, pose.velocity, pose.orientation))
-        if ref_matched >= min_matches:
-            est_p, est_v = np.array(truth.position), np.array(truth.velocity)
-            if obs_std > 0:
-                est_p = est_p + ref_rng.normal(0.0, obs_std, 3)
-                est_v = est_v + ref_rng.normal(0.0, obs_std, 3)
-            p, v = p + gain * (est_p - p), v + gain * (est_v - v)
-            oq = _np_normalize(_np_slerp(oq, np.array(truth.orientation), gain))
-        # extend_map
-        ref_inserted = 0
-        for lid in visible:
-            if lid in ref_map:
-                continue
-            point = landmarks[lid]
-            if map_std > 0:
-                point = point + ref_rng.normal(0.0, map_std, 3)
-            ref_map[lid] = point
-            ref_inserted += 1
-
-        assert world.bit_generator.state == state
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert block.features.tolist() == visible
-        assert matched == ref_matched
-        _assert_pose_equal(corrected, p, v, oq)
-        assert inserted == ref_inserted
-        assert len(wm) == len(ref_map)
-        for lid, point in ref_map.items():
-            assert np.array_equal(wm.point(lid), point)
-
-    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 400),
-           position=_vec, velocity=_vec, truth_position=_vec, truth_velocity=_vec,
-           gain=st.floats(0.0, 1.0), obs_std=_std, map_std=_std,
-           min_matches=st.integers(0, 30), seen_share=st.floats(0.0, 1.0),
-           rounds=st.integers(1, 4))
-    @settings(max_examples=80, deadline=None)
-    def test_update_and_mapping_match_their_first_forms(
-            self, seed, size, position, velocity, truth_position, truth_velocity, gain,
-            obs_std, map_std, min_matches, seen_share, rounds):
-        """`update_pose`, the pipeline's position error and `extend_map`
-        give the bits, the draws and the map of their first forms, round
-        after round on a growing map; a miss of `min_matches` and a std of 0
-        draw nothing."""
-        world = np.random.default_rng(seed)
-        landmarks = generate_landmarks(size, world)
-        pose = Pose(position, velocity, quat_normalize(tuple(world.normal(size=4))))
-        truth = Pose(truth_position, truth_velocity,
-                     quat_normalize(tuple(world.normal(size=4))))
-        wm, ref_map = WorldMap(size), _FirstWorldMap(size)
+        reference.insert(ref_map, known, known_points)
         rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         for _ in range(rounds):
-            block = extract_features(_frame(np.flatnonzero(world.uniform(size=size)
-                                                           < seen_share)), world)
+            ids = np.flatnonzero(world.uniform(size=size) < visible_share)
+            block = extract_features(_frame(ids), rng)
+            features, size_bytes = reference.extract_features(ids.tolist(), ref_rng,
+                                                              BANK_BYTES)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            _assert_ids(block.features, features)
+            assert block.serialized_bytes == size_bytes
+
             state = rng.bit_generator.state
             out, matched = update_pose(pose, block, wm, truth, rng=rng, gain=gain,
                                        obs_noise_std=obs_std, min_matches=min_matches)
-            ref, ref_matched = _first_update_pose(pose, block, ref_map, truth, ref_rng,
-                                                  gain, obs_std, min_matches)
+            ref, ref_matched = reference.update_pose(pose, features, ref_map, truth, ref_rng,
+                                                     gain, obs_std, min_matches)
             assert matched == ref_matched
             assert _pose_bits(out) == _pose_bits(ref)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             if matched < min_matches or obs_std == 0:
                 assert rng.bit_generator.state == state
-            # Simulation._apply_update's error, against its first form
+            # Simulation._apply_update's error
             (px, py, pz), (tx, ty, tz) = out.position, truth.position
-            error = _norm((px - tx, py - ty, pz - tz))
-            assert error.hex() == \
-                float(np.linalg.norm(np.subtract(ref.position, truth.position))).hex()
+            assert _norm((px - tx, py - ty, pz - tz)).hex() == reference.norm(
+                [r - t for r, t in zip(ref.position, truth.position)]).hex()
 
             state = rng.bit_generator.state
             inserted = extend_map(wm, block, landmarks, rng=rng, noise_std=map_std)
-            assert inserted == _first_extend_map(ref_map, block, landmarks, ref_rng, map_std)
+            assert inserted == reference.extend_map(ref_map, features, landmarks, ref_rng,
+                                                    map_std)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             if not inserted or map_std == 0:
                 assert rng.bit_generator.state == state
@@ -885,25 +677,25 @@ class TestBitExactness:
                                       st.sampled_from([None, math.nan, math.inf, -math.inf])),
                             min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
-    def test_map_insert_matches_its_first_form(self, seed, size, batches):
-        """Inserts of new, known and repeated ids store what the first form
+    def test_map_insert_matches_reference(self, seed, size, batches):
+        """Inserts of new, known and repeated ids store what the reference
         stores; a batch with a non-finite coordinate raises its error, naming
         the first bad landmark, and leaves the map as it was."""
         rng = np.random.default_rng(seed)
-        wm, ref_map = WorldMap(size), _FirstWorldMap(size)
+        wm, ref_map = WorldMap(size), {}
         for count, bad_value in batches:
             ids = rng.integers(0, size, count)
             points = rng.normal(0.0, 5.0, (count, 3))
             if bad_value is None or not count:
                 wm.insert(ids, points)
-                ref_map.insert(ids, points)
+                reference.insert(ref_map, ids, points)
             else:
                 rows = rng.uniform(size=count) < 0.3
                 rows[rng.integers(count)] = True
                 points[rows, rng.integers(0, 3, np.count_nonzero(rows))] = bad_value
                 before = _map_bits(wm)
                 with pytest.raises(ValueError) as ref_error:
-                    ref_map.insert(ids, points)
+                    reference.insert(ref_map, ids, points)
                 with pytest.raises(ValueError) as error:
                     wm.insert(ids, points)
                 first = int(ids[np.flatnonzero(rows)[0]])
@@ -918,8 +710,7 @@ class TestBitExactness:
            fov_deg=st.one_of(st.floats(1e-3, 360.0), st.just(360.0)),
            max_range_m=st.floats(0.5, 30.0))
     @settings(max_examples=60, deadline=None)
-    def test_visibility_matches_eager_reference(self, seed, count, where, fov_deg,
-                                                max_range_m):
+    def test_visibility_matches_reference(self, seed, count, where, fov_deg, max_range_m):
         rng = np.random.default_rng(seed)
         points = generate_landmarks(count, rng)
         q = quat_normalize(tuple(rng.normal(size=4)))
@@ -933,8 +724,8 @@ class TestBitExactness:
         else:  # exactly at a landmark: a zero distance, excluded by the 1e-6 floor
             position = tuple(points[rng.integers(count)]) if count else (0.0, 0.0, 0.0)
         pose = Pose(position, (0.0, 0.0, 0.0), q)
-        ids = LandmarkField(points).visible(pose, max_range_m, fov_deg)
-        assert ids.tobytes() == _eager_visible(points, pose, max_range_m, fov_deg).tobytes()
+        _assert_ids(LandmarkField(points).visible(pose, max_range_m, fov_deg),
+                    reference.visible(points, pose, max_range_m, fov_deg))
 
     @pytest.mark.blas_bits
     @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(0, 600),
@@ -945,11 +736,11 @@ class TestBitExactness:
            stretch=st.sampled_from([0.0, 1e-12, 4e-10, 5e-10, 6e-10, 1e-6, 0.3, -0.2]),
            stacked_rows=st.sampled_from([0, 1 << 40]))
     @settings(max_examples=300, deadline=None)
-    def test_block_visibility_matches_eager_reference(self, seed, count, n_poses, kind,
-                                                      fov_deg, max_range_m, on_landmark,
-                                                      boundary, stretch, stacked_rows):
-        """Every pose's ids are the eager formula's, whether the block tests
-        its edge landmarks for all poses at once or one pose at a time, and
+    def test_block_visibility_matches_reference(self, seed, count, n_poses, kind, fov_deg,
+                                                max_range_m, on_landmark, boundary, stretch,
+                                                stacked_rows):
+        """Every pose's ids are the reference's, whether the block tests its
+        edge landmarks for all poses at once or one pose at a time, and
         however far its poses spread: a block is classified whatever its
         poses, since only the pipeline asks `is_compact`."""
         rng = np.random.default_rng(seed)
@@ -973,7 +764,7 @@ class TestBitExactness:
             blocks = _visible_block(LandmarkField(points), poses, max_range_m, fov_deg)
         assert len(blocks) == len(poses)
         for pose, ids in zip(poses, blocks):
-            assert ids.tobytes() == _eager_visible(points, pose, max_range_m, fov_deg).tobytes()
+            _assert_ids(ids, reference.visible(points, pose, max_range_m, fov_deg))
 
     @pytest.mark.blas_bits
     @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(2, 2000),
@@ -982,11 +773,11 @@ class TestBitExactness:
            fov_deg=st.floats(1.0, 360.0), max_range_m=st.floats(0.5, 30.0),
            boundary=st.integers(0, 6), stacked_rows=st.sampled_from([0, 1 << 40]))
     @settings(max_examples=150, deadline=None)
-    def test_trajectory_block_visibility_matches_eager_reference(
+    def test_trajectory_block_visibility_matches_reference(
             self, seed, count, n_poses, fps, period_s, radius_m, fov_deg, max_range_m,
             boundary, stacked_rows):
         """Consecutive camera frames, the blocks the pipeline classifies:
-        each frame's ids are the eager formula's."""
+        each frame's ids are the reference's."""
         rng = np.random.default_rng(seed)
         points = generate_landmarks(count, rng)
         truth, first = CircleTrajectory(radius_m, period_s), int(rng.integers(0, 10_000))
@@ -998,11 +789,11 @@ class TestBitExactness:
         with mock.patch.object(kernel, "_STACKED_ROWS", stacked_rows):
             blocks = _visible_block(LandmarkField(points), poses, max_range_m, fov_deg)
         for pose, ids in zip(poses, blocks):
-            assert ids.tobytes() == _eager_visible(points, pose, max_range_m, fov_deg).tobytes()
+            _assert_ids(ids, reference.visible(points, pose, max_range_m, fov_deg))
 
     @pytest.mark.blas_bits
     @pytest.mark.parametrize("stretch", [4e-10, 6e-10, 0.3, -0.2])
-    def test_non_unit_headings_match_eager_reference(self, stretch):
+    def test_non_unit_headings_match_reference(self, stretch):
         """A heading's norm scales its depths; the classification takes unit
         headings, so it runs only on headings of norm 1 within 1e-9."""
         points = generate_landmarks(500, np.random.default_rng(3))
@@ -1012,8 +803,7 @@ class TestBitExactness:
                  for p in poses]
         blocks = _visible_block(LandmarkField(points), poses, K.visibility_range_m, K.fov_deg)
         for pose, ids in zip(poses, blocks):
-            assert ids.tobytes() == _eager_visible(points, pose, K.visibility_range_m,
-                                                   K.fov_deg).tobytes()
+            _assert_ids(ids, reference.visible(points, pose, K.visibility_range_m, K.fov_deg))
 
     @pytest.mark.blas_bits
     @pytest.mark.parametrize("stacked_rows", [0, 1 << 40])
@@ -1049,35 +839,32 @@ class TestBitExactness:
                 assert block.seen.tolist() == [False, True]
                 with mock.patch.object(kernel, "_STACKED_ROWS", stacked_rows):
                     ids = block.visible(1)
-                assert ids.tobytes() == _eager_visible(points, pose, K.visibility_range_m,
-                                                       K.fov_deg).tobytes()
+                _assert_ids(ids, reference.visible(points, pose, K.visibility_range_m,
+                                                   K.fov_deg))
             if straddled >= 3:
                 break
 
     @given(seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=15, deadline=None)
-    def test_capped_block_ids_match_eager_subset(self, seed):
+    def test_capped_block_ids_match_reference(self, seed):
         world = np.random.default_rng(seed)
         points = generate_landmarks(4000, world)
         pose = _default_circle().pose_at(int(world.integers(0, 60 * NS_PER_S)))
-        ids = _eager_visible(points, pose, K.visibility_range_m, K.fov_deg)
+        ids = reference.visible(points, pose, K.visibility_range_m, K.fov_deg)
         assert len(ids) > feature_capacity()
         frame = CameraFrame(frame_id=0, t_ns=0, visible_landmarks=LandmarkField(points).visible(
             pose, K.visibility_range_m, K.fov_deg))
         rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         block = extract_features(frame, rng)
-        keep = np.sort(ref_rng.choice(len(ids), size=feature_capacity(), replace=False))
+        features, _ = reference.extract_features(ids, ref_rng, BANK_BYTES)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert block.features.tobytes() == ids[keep].tobytes()
+        _assert_ids(block.features, features)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
-    def test_landmarks_match_per_landmark_reference(self, seed, count):
+    def test_landmarks_match_reference(self, seed, count):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         lm = generate_landmarks(count, rng)
-        angles = ref_rng.uniform(0.0, 2.0 * math.pi, count)
-        radii = 8.0 + ref_rng.uniform(-1.0, 1.0, count)
-        heights = ref_rng.uniform(-2.0, 2.0, count)
-        ref = [[radii[i] * math.cos(angles[i]), radii[i] * math.sin(angles[i]), heights[i]]
-               for i in range(count)]
-        assert np.array_equal(lm, np.array(ref).reshape(count, 3))
+        assert lm.shape == (count, 3)
+        assert lm.tobytes() == _bits(reference.generate_landmarks(count, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -702,11 +702,15 @@ class TestFrameBlockSize:
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_frames_past_the_end(self, name):
-        """`run_until` past the run's end still makes frames: each frame
+        """`run_until` past the end of `run()` still makes frames: each frame
         after the run's last one gets a frame block that reaches it, and the
-        ids of a per-frame `visible` call."""
-        sim = Simulation(dataclasses.replace(preset(name), duration_s=2.0, warmup_s=0.5))
-        sim.engine.run_until(sim.duration_ns)
+        ids of a per-frame `visible` call. The continuation accepts frames
+        and matches the one after `run_until(duration)`, which ends no task."""
+        config = dataclasses.replace(preset(name), duration_s=2.0, warmup_s=0.5)
+        sim, plain = Simulation(config), Simulation(config)
+        sim.run()
+        plain.engine.run_until(plain.duration_ns)
+        accepted = sim.frames_accepted
         made, make = [], sim._make_frame
 
         def record(frame_id):
@@ -715,6 +719,10 @@ class TestFrameBlockSize:
 
         sim._make_frame = record
         sim.engine.run_until(sim.duration_ns + 2 * NS_PER_S)
+        plain.engine.run_until(plain.duration_ns + 2 * NS_PER_S)
+        assert sim.frames_accepted > accepted
+        assert (sim.frames_accepted, sim.update_completions, sim.trace) == \
+            (plain.frames_accepted, plain.update_completions, plain.trace)
         k, fps = sim.config.kernel, sim.config.camera_fps
         assert made
         for frame in made:
