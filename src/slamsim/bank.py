@@ -45,7 +45,8 @@ class FeatureBankController:
     """Pure state machine; the caller supplies timing and event delivery.
 
     An optional `trace` callback receives (transition, detail_dict) for every
-    state change so runs can be audited offline.
+    state change so runs can be audited offline; the detail dict is new on
+    each call and holds the `bank`, plus the `consumer` of a ConsumeDone.
     """
 
     def __init__(self, trace=None):
@@ -55,7 +56,7 @@ class FeatureBankController:
         self._full_backlog: deque[int] = deque()
         self._trace = trace
 
-    def _emit(self, transition: str, **detail):
+    def _emit(self, transition: str, detail: dict) -> None:
         if self._trace is not None:
             self._trace(transition, detail)
 
@@ -64,21 +65,23 @@ class FeatureBankController:
     def writable_bank(self) -> int | None:
         """An EMPTY bank the producer may start filling, or None. At most one
         bank may be FILLING at any time."""
-        if any(b.state is BankState.FILLING for b in self.banks):
-            return None
+        free = None
         for i, b in enumerate(self.banks):
-            if b.state is BankState.EMPTY:
-                return i
-        return None
+            if b.state is BankState.FILLING:
+                return None
+            if free is None and b.state is BankState.EMPTY:
+                free = i
+        return free
 
     def begin_fill(self, bank: int) -> None:
         b = self.banks[bank]
         if b.state is not BankState.EMPTY:
             raise ProtocolError(f"begin_fill on bank {bank} in state {b.state.value}")
-        if any(x.state is BankState.FILLING for x in self.banks):
-            raise ProtocolError("two banks filling simultaneously")
+        for x in self.banks:
+            if x.state is BankState.FILLING:
+                raise ProtocolError("two banks filling simultaneously")
         b.state = BankState.FILLING
-        self._emit("FillStart", bank=bank)
+        self._emit("FillStart", {"bank": bank})
 
     def fill_complete(self, bank: int, block) -> None:
         """Bank becomes FULL; its id is latched into the fill register (or
@@ -88,12 +91,12 @@ class FeatureBankController:
             raise ProtocolError(f"fill_complete on bank {bank} in state {b.state.value}")
         b.state = BankState.FULL
         b.block = block
-        self._emit("BankFilled", bank=bank)
+        self._emit("BankFilled", {"bank": bank})
         if self.fill_register is None:
             self.fill_register = bank
             self.pending_interrupt = True
-            self._emit("RegisterSet", bank=bank)
-            self._emit("InterruptRaised", bank=bank)
+            self._emit("RegisterSet", {"bank": bank})
+            self._emit("InterruptRaised", {"bank": bank})
         else:
             self._full_backlog.append(bank)
 
@@ -110,14 +113,14 @@ class FeatureBankController:
             raise ProtocolError(f"acknowledge of bank {bank} in state {b.state.value}")
         b.state = BankState.LOCKED
         b.consumers_pending = set(CONSUMERS)
-        self._emit("BankLocked", bank=bank)
-        self._emit("RegisterCleared", bank=bank)
+        self._emit("BankLocked", {"bank": bank})
+        self._emit("RegisterCleared", {"bank": bank})
         if self._full_backlog:
             nxt = self._full_backlog.popleft()
             self.fill_register = nxt
             self.pending_interrupt = True
-            self._emit("RegisterSet", bank=nxt)
-            self._emit("InterruptRaised", bank=nxt)
+            self._emit("RegisterSet", {"bank": nxt})
+            self._emit("InterruptRaised", {"bank": nxt})
         else:
             self.fill_register = None
             self.pending_interrupt = False
@@ -130,7 +133,7 @@ class FeatureBankController:
         if consumer not in b.consumers_pending:
             raise ProtocolError(f"{consumer} already consumed bank {bank}")
         b.consumers_pending.discard(consumer)
-        self._emit("ConsumeDone", bank=bank, consumer=consumer)
+        self._emit("ConsumeDone", {"bank": bank, "consumer": consumer})
 
     def all_consumed(self, bank: int) -> bool:
         return not self.banks[bank].consumers_pending
@@ -145,7 +148,7 @@ class FeatureBankController:
             raise ProtocolError(f"release of bank {bank} with consumers pending: {pending}")
         b.state = BankState.EMPTY
         b.block = None
-        self._emit("BankReleased", bank=bank)
+        self._emit("BankReleased", {"bank": bank})
 
     # -- invariants ---------------------------------------------------------
 

@@ -25,7 +25,13 @@ squares. These small BLAS dots are left: `_dot` in `quat_slerp`; `_norm` in
 `quat_normalize`, `quat_exp` and the position error of
 `Simulation._apply_update` (the `np.linalg.norm` of a 1-D array is the square
 root of the same dot); `_row_norms`'s stacked matmul in `imu_rows`, one dot
-per row; and the normalization dot in `integrate`.
+per row; and the normalization dot in `integrate`. `_norm` of a 3- or
+4-vector and `_dot` of two quaternions write the components into
+module-level scratch arrays through memoryviews and take `ndarray.dot` of
+those: the same BLAS dot on the same contiguous doubles as on fresh
+`np.array`s, so the same bits on any BLAS kernel, without making two arrays
+per call. Every call writes all the components it reads, so nothing of an
+earlier call reaches its result; vectors of other lengths take fresh arrays.
 
 Visibility distance. `np.linalg.norm(rel, axis=1)` is the square root of
 numpy's add-reduce of the squares over each row of 3. numpy adds fewer than 8
@@ -153,13 +159,30 @@ MAX_FRAME_BYTES = int(MAX_CONVERTED) * MIB
 # ---------------------------------------------------------------------------
 # vector and quaternion helpers on float tuples; quaternions are (w, x, y, z)
 
+# Scratch vectors for `_dot` and `_norm`, written in place through
+# memoryviews (see the module notes).
+_A3, _A4, _B4 = np.empty(3), np.empty(4), np.empty(4)
+_a3, _a4, _b4 = memoryview(_A3), memoryview(_A4), memoryview(_B4)
+
+
 def _dot(a, b) -> float:
     """Dot product as numpy's BLAS dot computes it (see the module notes)."""
+    if len(a) == 4:
+        _a4[0], _a4[1], _a4[2], _a4[3] = a
+        _b4[0], _b4[1], _b4[2], _b4[3] = b
+        return float(_A4.dot(_B4))
     return float(np.array(a).dot(np.array(b)))
 
 
 def _norm(v) -> float:
     """Euclidean norm as np.linalg.norm computes it: sqrt of a BLAS dot."""
+    n = len(v)
+    if n == 3:
+        _a3[0], _a3[1], _a3[2] = v
+        return math.sqrt(_A3.dot(_A3))
+    if n == 4:
+        _a4[0], _a4[1], _a4[2], _a4[3] = v
+        return math.sqrt(_A4.dot(_A4))
     a = np.array(v)
     return math.sqrt(a.dot(a))
 
@@ -207,14 +230,17 @@ def quat_from_yaw(yaw):
 
 def quat_slerp(a, b, t):
     dot = _dot(a, b)
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
     if dot < 0.0:
-        b, dot = tuple(-c for c in b), -dot
+        bw, bx, by, bz, dot = -bw, -bx, -by, -bz, -dot
     if dot > 0.9995:
-        return quat_normalize(tuple(ac + t * (bc - ac) for ac, bc in zip(a, b)))
+        return quat_normalize((aw + t * (bw - aw), ax + t * (bx - ax),
+                               ay + t * (by - ay), az + t * (bz - az)))
     theta = math.acos(min(1.0, dot))
     s = math.sin(theta)
     wa, wb = math.sin((1 - t) * theta) / s, math.sin(t * theta) / s
-    return tuple(wa * ac + wb * bc for ac, bc in zip(a, b))
+    return (wa * aw + wb * bw, wa * ax + wb * bx, wa * ay + wb * by, wa * az + wb * bz)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,8 @@ Before the first event ordered after them, and at the end of each
 (at, seq) position its event would have had, and calls `_serve` for each
 with the last sample delivered before it. A settled completion does what
 the completion event did: it appends the stage duration and writes the
-unit's `TaskDone` record (the literal `note_task_done` would build), advances
+unit's `TaskDone` record, the same record `note_task_done` writes for the
+other units' completions (both write it as one dict literal), advances
 `imu_done` through `_apply_propagation` and takes the samples delivered
 since as the next batch, which starts at once. `_serve` returns the next
 action to the engine: the new task's completion time; with no sample to
@@ -124,6 +125,9 @@ IMU_BLOCK = 256
 # leaves more landmarks to the exact test of each frame.
 FRAME_BLOCK = 32
 
+# Each stage's name in its TaskDone records, looked up once per record
+# instead of read through the enum's `value` property.
+_STAGE_NAMES = {stage: stage.value for stage in Stage}
 _PROPAGATION = Stage.PROPAGATION.value
 
 
@@ -366,7 +370,7 @@ class Simulation:
         self.pending_frame = None
         self.active_cycle_bank = None
         if spec.handoff is Handoff.TWO_BANK:
-            self.controller = FeatureBankController(trace=lambda tr, d: self._emit("bank", tr, **d))
+            self.controller = FeatureBankController(trace=self._bank_record)
 
     def _executor(self, unit_id: str) -> _Unit:
         """The lazy server for the propagation unit of the shared handoff
@@ -415,9 +419,28 @@ class Simulation:
         self.trace.append({"t_ns": self.engine.now(), "entity": entity,
                            "transition": transition, **detail})
 
+    # The records written on every frame are each one dict literal, with the
+    # keys in `_emit`'s order.
+
     def note_task_done(self, unit_id: str, stage: Stage, duration_ns: int) -> None:
         self.stage_durations_ns[stage].append(duration_ns)
-        self._emit(unit_id, "TaskDone", stage=stage.value)
+        self.trace.append({"t_ns": self.engine.now(), "entity": unit_id,
+                           "transition": "TaskDone", "stage": _STAGE_NAMES[stage]})
+
+    def _bank_record(self, transition: str, detail: dict) -> None:
+        """The bank controller's trace callback."""
+        self.trace.append({"t_ns": self.engine.now(), "entity": "bank",
+                           "transition": transition, **detail})
+
+    def _update_consume_start(self, task: _Task) -> None:
+        self.trace.append({"t_ns": self.engine.now(), "entity": "bank",
+                           "transition": "ConsumeStart", "bank": task.payload[0],
+                           "consumer": UPDATE_CONSUMER})
+
+    def _mapping_consume_start(self, task: _Task) -> None:
+        self.trace.append({"t_ns": self.engine.now(), "entity": "bank",
+                           "transition": "ConsumeStart", "bank": task.payload[0],
+                           "consumer": MAPPING_CONSUMER})
 
     def _submit(self, stage: Stage, payload, on_done, on_start=None) -> None:
         self.stage_exec[stage].submit(
@@ -491,7 +514,8 @@ class Simulation:
             return self._drop(frame_id, "gc_frozen")
         frame = self._make_frame(frame_id)
         self.frames_accepted += 1
-        self._emit("pipeline", "FrameAccepted", frame=frame_id)
+        self.trace.append({"t_ns": self.engine.now(), "entity": "pipeline",
+                           "transition": "FrameAccepted", "frame": frame_id})
         if ingest is Ingest.CPU_RELAY:
             relay = self.config.relay
             copy_ms = self.engine.stream("relay").uniform(relay.copy_latency_ms_min,
@@ -585,11 +609,9 @@ class Simulation:
         self.active_cycle_bank = bank
         block = self.controller.banks[bank].block
         self._submit(Stage.UPDATE, (bank, block), self._on_cycle_update_done,
-                     on_start=lambda t: self._emit(
-                         "bank", "ConsumeStart", bank=bank, consumer=UPDATE_CONSUMER))
+                     on_start=self._update_consume_start)
         self._submit(Stage.MAPPING, (bank, block), self._on_cycle_mapping_done,
-                     on_start=lambda t: self._emit(
-                         "bank", "ConsumeStart", bank=bank, consumer=MAPPING_CONSUMER))
+                     on_start=self._mapping_consume_start)
 
     def _on_cycle_update_done(self, task: _Task) -> None:
         bank, block = task.payload

@@ -211,21 +211,25 @@ def dump_trace(records: list[dict], fh) -> None:
 
 def load_trace(path) -> list[dict]:
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh, 1):
-            line = line.strip()
+    # Read as bytes and decode line by line, so a byte that is not UTF-8 is
+    # reported with its line; bytes.splitlines breaks at \n, \r and \r\n,
+    # the lines text mode reads.
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for i, raw in enumerate(data.splitlines(), 1):
+        try:
+            line = raw.decode("utf-8").strip()
             if not line:
                 continue
-            try:
-                rec = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # bad, too deep, or an int too long
-                raise ValueError(f"{path}: line {i}: invalid trace record: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise ValueError(f"{path}: line {i}: trace record is not a JSON object")
-            t = rec.get("t_ns")
-            if t is not None and (not isinstance(t, int) or isinstance(t, bool)):
-                raise ValueError(f"{path}: line {i}: t_ns is not an integer: {t!r}")
-            records.append(rec)
+            rec = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # not UTF-8, bad, too deep, or an int too long
+            raise ValueError(f"{path}: line {i}: invalid trace record: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise ValueError(f"{path}: line {i}: trace record is not a JSON object")
+        t = rec.get("t_ns")
+        if t is not None and (not isinstance(t, int) or isinstance(t, bool)):
+            raise ValueError(f"{path}: line {i}: t_ns is not an integer: {t!r}")
+        records.append(rec)
     return records
 
 

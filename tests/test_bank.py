@@ -126,6 +126,46 @@ def test_trace_of_one_cycle_audits_clean():
     assert audit_trace(records).ok
 
 
+def test_trace_callback_gets_the_transition_and_a_new_detail_dict():
+    """A full cycle of both banks, the second fill backlogged behind the
+    register: each transition reaches the callback as (transition, detail),
+    the detail a dict of its own holding the int bank, and the consumer of a
+    ConsumeDone after it."""
+    calls = []
+    ctl = FeatureBankController(trace=lambda transition, detail: calls.append(
+        (transition, detail)))
+    ctl.begin_fill(0)
+    ctl.fill_complete(0, "a")
+    ctl.begin_fill(1)
+    ctl.fill_complete(1, "b")
+    assert ctl.acknowledge() == 0
+    ctl.consumer_done(0, UPDATE_CONSUMER)
+    ctl.consumer_done(0, MAPPING_CONSUMER)
+    ctl.release(0)
+    assert ctl.acknowledge() == 1
+    ctl.consumer_done(1, MAPPING_CONSUMER)
+    ctl.consumer_done(1, UPDATE_CONSUMER)
+    ctl.release(1)
+    assert calls == [
+        ("FillStart", {"bank": 0}), ("BankFilled", {"bank": 0}),
+        ("RegisterSet", {"bank": 0}), ("InterruptRaised", {"bank": 0}),
+        ("FillStart", {"bank": 1}), ("BankFilled", {"bank": 1}),
+        ("BankLocked", {"bank": 0}), ("RegisterCleared", {"bank": 0}),
+        ("RegisterSet", {"bank": 1}), ("InterruptRaised", {"bank": 1}),
+        ("ConsumeDone", {"bank": 0, "consumer": UPDATE_CONSUMER}),
+        ("ConsumeDone", {"bank": 0, "consumer": MAPPING_CONSUMER}),
+        ("BankReleased", {"bank": 0}),
+        ("BankLocked", {"bank": 1}), ("RegisterCleared", {"bank": 1}),
+        ("ConsumeDone", {"bank": 1, "consumer": MAPPING_CONSUMER}),
+        ("ConsumeDone", {"bank": 1, "consumer": UPDATE_CONSUMER}),
+        ("BankReleased", {"bank": 1}),
+    ]
+    for transition, detail in calls:
+        assert type(detail) is dict and type(detail["bank"]) is int
+        assert list(detail) == ["bank", "consumer"][:len(detail)]
+    assert len({id(detail) for _, detail in calls}) == len(calls)
+
+
 @given(st.integers(0, 2 ** 31 - 1), st.integers(50, 300))
 @settings(max_examples=30, deadline=None)
 def test_random_legal_drive_never_violates_invariants(seed, steps):

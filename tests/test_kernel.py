@@ -17,7 +17,8 @@ from slamsim.kernel import (CameraFrame, CircleTrajectory, ImuModel, ImuSample,
                             draw_imu, extend_map, extract_features, feature_capacity,
                             generate_landmarks, imu_rows, integrate, propagate, quat_exp,
                             quat_from_yaw, quat_multiply, quat_normalize, quat_rotate,
-                            sample_imu, sample_imu_block, update_pose, _exact, _norm, _row_norms,
+                            sample_imu, sample_imu_block, update_pose, _dot, _exact, _norm,
+                            _row_norms,
                             FEATURE_BLOCK_HEADER_BYTES, FEATURE_RECORD_BYTES)
 from slamsim.pipeline import IMU_BLOCK
 from slamsim.scenario import KernelConfig
@@ -337,6 +338,11 @@ _trajectories = st.one_of(
     st.builds(CircleTrajectory, st.just(0.0), _period),
     st.builds(CircleTrajectory, st.floats(0.0, 20.0), _period))
 _coord = st.floats(-1e4, 1e4, allow_nan=False)
+# Any double: every magnitude from subnormal to the largest, the signed
+# zeros, the infinities and NaN, each of the named ones drawn often.
+_component = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                                        math.inf, -math.inf, math.nan]),
+                       st.floats())
 _vec = st.tuples(_coord, _coord, _coord)
 
 
@@ -553,6 +559,24 @@ class TestBitExactness:
                                            prev_sample=ref[a - 1] if a else None)
             assert _pose_bits(pose) == _pose_bits(public) == _pose_bits(expected)
             prev_accel = rows[b - 1][5:]
+
+    @pytest.mark.blas_bits
+    @given(first=st.sampled_from([3, 4]),
+           pairs=st.lists(st.tuples(st.tuples(*[_component] * 4),
+                                    st.tuples(*[_component] * 4)), min_size=2, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_scratch_dots_are_the_dots_of_fresh_arrays(self, first, pairs):
+        """`_dot` and `_norm` write 3- and 4-vectors into reused scratch
+        arrays; each must give the bits of the same dot on fresh arrays. The
+        lengths alternate between calls, so a component left in a scratch
+        array by the previous call cannot reach a later result."""
+        for i, (a, b) in enumerate(pairs):
+            n = 3 + (first + i) % 2
+            a, b = a[:n], b[:n]
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert _dot(a, b).hex() == float(np.array(a).dot(np.array(b))).hex()
+                assert _norm(a).hex() == math.sqrt(np.array(a).dot(np.array(a))).hex()
+                assert _norm(b).hex() == math.sqrt(np.array(b).dot(np.array(b))).hex()
 
     def test_stacked_norms_are_the_per_row_blas_dot(self):
         """`imu_rows` takes a block's rotation-vector norms with one stacked

@@ -65,6 +65,12 @@ class TestTraceIo:
         with pytest.raises(ValueError, match="line 2"):
             rpt.load_trace(path)
 
+    def test_lines_end_at_each_universal_newline(self, tmp_path):
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes(b'{"t_ns": 0}\r\n{"t_ns": 1}\rnot json\n')
+        with pytest.raises(ValueError, match="line 3"):
+            rpt.load_trace(path)
+
 
 class TestAudit:
     def test_clean_slam_trace(self):
@@ -186,6 +192,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {trace}: line 2: invalid trace record: ")
         assert err.count("\n") == 1
+
+    def test_audit_of_an_undecodable_line_names_the_file_and_line(self, tmp_path, capsys):
+        trace = tmp_path / "bytes.jsonl"
+        trace.write_bytes(b'{"t_ns": 0, "entity": "x", "transition": "y"}\n\xff\n')
+        assert cli.main(["audit", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trace}: line 2: invalid trace record: ")
+        assert "can't decode byte 0xff" in err and err.count("\n") == 1
 
     def test_deeply_nested_scenario_is_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

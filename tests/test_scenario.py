@@ -6,11 +6,31 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import slamsim.cli as cli
+from slamsim.bank import CONSUMERS
 from slamsim.pipeline import Simulation
 from slamsim.report import audit_trace, run_scenario
 from slamsim.scenario import (ArchVariant, Handoff, Ingest, KernelConfig, PRESET_NAMES,
                               RelayConfig, ScenarioConfig, VARIANTS, preset)
-from slamsim.soc import MAX_CONVERTED, ConfigError, MemoryPath, PowerCalibration, SocConfig
+from slamsim.soc import (MAX_CONVERTED, ConfigError, MemoryPath, PowerCalibration, SocConfig,
+                         Stage)
+
+STAGE_NAMES = {s.value for s in Stage}
+
+
+def _assert_record_shapes(trace):
+    """Every trace record is flat JSON of ints and strs with the keys of
+    `Simulation._emit`'s order first; a TaskDone names a stage, and a bank
+    record its int bank, plus a consumer on ConsumeStart and ConsumeDone."""
+    for rec in trace:
+        assert all(type(v) in (int, str) for v in rec.values()), rec
+        assert list(rec)[:3] == ["t_ns", "entity", "transition"], rec
+        if rec["transition"] == "TaskDone":
+            assert rec["stage"] in STAGE_NAMES, rec
+        if rec["entity"] == "bank":
+            assert type(rec["bank"]) is int, rec
+            if rec["transition"] in ("ConsumeStart", "ConsumeDone"):
+                assert rec["consumer"] in CONSUMERS, rec
+        assert json.loads(json.dumps(rec)) == rec
 
 
 class TestPresets:
@@ -24,6 +44,14 @@ class TestPresets:
             sim = Simulation(dataclasses.replace(config, duration_s=3.0))
             assert sim.config.variant is config.variant
             assert sim.duration_ns == 3_000_000_000
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_trace_records_are_flat_json(self, name):
+        _, sim = run_scenario(preset(name))
+        transitions = {rec["transition"] for rec in sim.trace}
+        assert "TaskDone" in transitions
+        assert ("ConsumeStart" in transitions) == (name == "slam-arch")
+        _assert_record_shapes(sim.trace)
 
     def test_unknown_preset_lists_valid_names(self):
         with pytest.raises(ConfigError, match="baseline-cpu"):
@@ -558,6 +586,7 @@ class TestAnyScenario:
             return
         report, sim = run_scenario(config)
         assert audit_trace(sim.trace).ok
+        _assert_record_shapes(sim.trace)
         full = (0, sim.duration_ns)
         ledger, cal = sim.ledger, sim.calibration
         for unit in ledger.units:
