@@ -31,7 +31,10 @@ module-level scratch arrays through memoryviews and take `ndarray.dot` of
 those: the same BLAS dot on the same contiguous doubles as on fresh
 `np.array`s, so the same bits on any BLAS kernel, without making two arrays
 per call. Every call writes all the components it reads, so nothing of an
-earlier call reaches its result; vectors of other lengths take fresh arrays.
+earlier call reaches its result; a vector of any other length fails to
+unpack with ValueError. The scratch arrays are shared by every call in the
+process, so these helpers assume one thread per process, as the simulation
+and perfbench run.
 
 Visibility distance. `np.linalg.norm(rel, axis=1)` is the square root of
 numpy's add-reduce of the squares over each row of 3. numpy adds fewer than 8
@@ -166,25 +169,21 @@ _a3, _a4, _b4 = memoryview(_A3), memoryview(_A4), memoryview(_B4)
 
 
 def _dot(a, b) -> float:
-    """Dot product as numpy's BLAS dot computes it (see the module notes)."""
-    if len(a) == 4:
-        _a4[0], _a4[1], _a4[2], _a4[3] = a
-        _b4[0], _b4[1], _b4[2], _b4[3] = b
-        return float(_A4.dot(_B4))
-    return float(np.array(a).dot(np.array(b)))
+    """Dot product of two quaternions as numpy's BLAS dot computes it (see
+    the module notes)."""
+    _a4[0], _a4[1], _a4[2], _a4[3] = a
+    _b4[0], _b4[1], _b4[2], _b4[3] = b
+    return float(_A4.dot(_B4))
 
 
 def _norm(v) -> float:
-    """Euclidean norm as np.linalg.norm computes it: sqrt of a BLAS dot."""
-    n = len(v)
-    if n == 3:
+    """Euclidean norm of a 3- or 4-vector as np.linalg.norm computes it: sqrt
+    of a BLAS dot."""
+    if len(v) == 3:
         _a3[0], _a3[1], _a3[2] = v
         return math.sqrt(_A3.dot(_A3))
-    if n == 4:
-        _a4[0], _a4[1], _a4[2], _a4[3] = v
-        return math.sqrt(_A4.dot(_A4))
-    a = np.array(v)
-    return math.sqrt(a.dot(a))
+    _a4[0], _a4[1], _a4[2], _a4[3] = v
+    return math.sqrt(_A4.dot(_A4))
 
 
 def quat_normalize(q):

@@ -95,6 +95,7 @@ and wherever a run is cut.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from itertools import count
 
 import numpy as np
@@ -370,7 +371,7 @@ class Simulation:
         self.pending_frame = None
         self.active_cycle_bank = None
         if spec.handoff is Handoff.TWO_BANK:
-            self.controller = FeatureBankController(trace=self._bank_record)
+            self.controller = FeatureBankController(trace=partial(self._emit, "bank"))
 
     def _executor(self, unit_id: str) -> _Unit:
         """The lazy server for the propagation unit of the shared handoff
@@ -415,32 +416,26 @@ class Simulation:
     # ------------------------------------------------------------------
     # bookkeeping helpers
 
-    def _emit(self, entity: str, transition: str, **detail) -> None:
+    def _emit(self, entity: str, transition: str, detail: dict) -> None:
+        """Append a record; `functools.partial(self._emit, "bank")` is the
+        bank controller's trace callback."""
         self.trace.append({"t_ns": self.engine.now(), "entity": entity,
                            "transition": transition, **detail})
 
-    # The records written on every frame are each one dict literal, with the
-    # keys in `_emit`'s order.
+    # The other records written on every frame are each one dict literal,
+    # with the keys in `_emit`'s order.
 
     def note_task_done(self, unit_id: str, stage: Stage, duration_ns: int) -> None:
         self.stage_durations_ns[stage].append(duration_ns)
         self.trace.append({"t_ns": self.engine.now(), "entity": unit_id,
                            "transition": "TaskDone", "stage": _STAGE_NAMES[stage]})
 
-    def _bank_record(self, transition: str, detail: dict) -> None:
-        """The bank controller's trace callback."""
-        self.trace.append({"t_ns": self.engine.now(), "entity": "bank",
-                           "transition": transition, **detail})
-
-    def _update_consume_start(self, task: _Task) -> None:
+    def _consume_start(self, task: _Task) -> None:
+        """The start hook of a cycle's update and mapping tasks."""
         self.trace.append({"t_ns": self.engine.now(), "entity": "bank",
                            "transition": "ConsumeStart", "bank": task.payload[0],
-                           "consumer": UPDATE_CONSUMER})
-
-    def _mapping_consume_start(self, task: _Task) -> None:
-        self.trace.append({"t_ns": self.engine.now(), "entity": "bank",
-                           "transition": "ConsumeStart", "bank": task.payload[0],
-                           "consumer": MAPPING_CONSUMER})
+                           "consumer": UPDATE_CONSUMER if task.stage is Stage.UPDATE
+                           else MAPPING_CONSUMER})
 
     def _submit(self, stage: Stage, payload, on_done, on_start=None) -> None:
         self.stage_exec[stage].submit(
@@ -505,7 +500,7 @@ class Simulation:
         ingest = self.spec.ingest
         if ingest is Ingest.SENSOR_PIN and self.pending_frame is not None:
             self.frames_throttled += 1
-            self._emit("pipeline", "FrameThrottled", frame=frame_id)
+            self._emit("pipeline", "FrameThrottled", {"frame": frame_id})
             return
         if ingest is Ingest.DROP_IF_BUSY and \
                 not self.stage_exec[Stage.FEATURE_EXTRACTION].idle():
@@ -527,7 +522,7 @@ class Simulation:
 
     def _drop(self, frame_id: int, reason: str) -> None:
         self.frames_dropped += 1
-        self._emit("pipeline", "FrameDropped", frame=frame_id, reason=reason)
+        self._emit("pipeline", "FrameDropped", {"frame": frame_id, "reason": reason})
 
     def _extract(self, frame) -> None:
         """Hand an accepted frame to feature extraction."""
@@ -553,14 +548,14 @@ class Simulation:
         pause = ms_to_ns(self.config.relay.gc_pause_ms)
         self.frozen_until_ns = now + pause
         self.gc_stalls.append((now, self.frozen_until_ns))
-        self._emit("runtime", "GcStart")
+        self._emit("runtime", "GcStart", {})
         for uid, ex in self.execs.items():
             if self.units[uid].kind is not UnitKind.DSP:
                 ex.freeze_running(self.frozen_until_ns)
         self.engine.schedule(self.frozen_until_ns, "gc", EventKind.GC_END)
 
     def _on_gc_end(self, ev) -> None:
-        self._emit("runtime", "GcEnd")
+        self._emit("runtime", "GcEnd", {})
         for ex in self.execs.values():
             ex.try_start()
 
@@ -609,9 +604,9 @@ class Simulation:
         self.active_cycle_bank = bank
         block = self.controller.banks[bank].block
         self._submit(Stage.UPDATE, (bank, block), self._on_cycle_update_done,
-                     on_start=self._update_consume_start)
+                     on_start=self._consume_start)
         self._submit(Stage.MAPPING, (bank, block), self._on_cycle_mapping_done,
-                     on_start=self._mapping_consume_start)
+                     on_start=self._consume_start)
 
     def _on_cycle_update_done(self, task: _Task) -> None:
         bank, block = task.payload

@@ -566,15 +566,16 @@ class TestBitExactness:
                                     st.tuples(*[_component] * 4)), min_size=2, max_size=8))
     @settings(max_examples=300, deadline=None)
     def test_scratch_dots_are_the_dots_of_fresh_arrays(self, first, pairs):
-        """`_dot` and `_norm` write 3- and 4-vectors into reused scratch
-        arrays; each must give the bits of the same dot on fresh arrays. The
-        lengths alternate between calls, so a component left in a scratch
-        array by the previous call cannot reach a later result."""
+        """`_dot` writes two quaternions and `_norm` a 3- or 4-vector into
+        reused scratch arrays; each must give the bits of the same dot on
+        fresh arrays. The norms' lengths alternate between calls, so a
+        component left in a scratch array by the previous call cannot reach
+        a later result."""
         for i, (a, b) in enumerate(pairs):
             n = 3 + (first + i) % 2
-            a, b = a[:n], b[:n]
             with np.errstate(over="ignore", invalid="ignore"):
                 assert _dot(a, b).hex() == float(np.array(a).dot(np.array(b))).hex()
+                a, b = a[:n], b[:n]
                 assert _norm(a).hex() == math.sqrt(np.array(a).dot(np.array(a))).hex()
                 assert _norm(b).hex() == math.sqrt(np.array(b).dot(np.array(b))).hex()
 
