@@ -26,13 +26,17 @@ before it, which returns the server's next action: a time (a completion),
 ordered as an event scheduled then would be; `NEXT_SAMPLE`, the arrival of
 the next sample, at that sample's position; or None. The server starts out
 waiting for the next sample, and outside a settle `serve_at` moves its next
-action to a time. Before an event E is handled, the engine settles every
-action ordered before E in one loop, with the clock, the seq counter, the
-sample clock and the next action in locals: per action it delivers the
-samples ordered before it, sets the clock to its time, calls the callback
-and reserves a seq for the returned time. `run_until(end)` settles the
-actions at or before `end` before it returns. The callback must schedule
-no event and set no action itself.
+action to a time. Before an event E is handled, the engine settles the
+server's actions ordered before E in one loop over them, with the clock,
+the seq counter, the sample clock and the next action in locals: per action
+it delivers the samples ordered before it, sets the clock to its time,
+calls the callback and reserves a seq for the returned time. After the last
+of them it delivers the samples ordered before E, once. Either delivery
+moves `sample_index` straight to the last sample ordered before its (at,
+seq) position: every sample earlier than `at`, or one more for a tie, and
+reserves one seq. `run_until(end)` settles the actions at or before `end`
+before it returns. The callback must schedule no event and set no action
+itself.
 """
 
 from __future__ import annotations
@@ -188,39 +192,43 @@ class Engine:
         before an event at (at, seq)."""
         seq_counter, k = self._seq, self.sample_index
         rate, next_ns, next_seq = self._sample_rate_hz, self._next_sample_ns, self._next_sample_seq
-        server_ns, server_seq, serve = self._server_ns, self._server_seq, self._server
-        while True:
-            if server_ns < at or (server_ns == at and server_seq < seq):
-                t, s, acting = server_ns, server_seq, True
-            else:
-                t, s, acting = at, seq, False
-            # Deliver the samples ordered before (t, s); each delivery
-            # reserves the seq of the next sample's event.
-            if next_ns <= t and (t > next_ns or s >= next_seq):
-                if t > next_ns:
-                    k = (t * rate - 1) // NS_PER_S  # the last with t_k < t
-                else:
-                    k += 1  # tie: scheduled after sample k-1 was delivered
-                next_ns = ((k + 1) * NS_PER_S) // rate
-                next_seq = seq_counter
+        t, s, serve = self._server_ns, self._server_seq, self._server
+        # Each server action (t, s) ordered before (at, seq), in turn.
+        while t < at or (t == at and s < seq):
+            # Deliver the samples ordered before (t, s); a delivery reserves
+            # the seq of the next sample's event.
+            if next_ns < t:
+                k = (t * rate - 1) // NS_PER_S  # the last with t_k < t
+                next_ns, next_seq = ((k + 1) * NS_PER_S) // rate, seq_counter
                 seq_counter += 1
-            if not acting:
-                break
+            elif next_ns == t and s >= next_seq:
+                k += 1  # tie: scheduled after sample k-1 was delivered
+                next_ns, next_seq = ((k + 1) * NS_PER_S) // rate, seq_counter
+                seq_counter += 1
             self._now = t
             action = serve(t, k)
             if action is None:
-                server_ns = _NEVER_NS
+                t = _NEVER_NS
             elif action >= t:
-                server_ns, server_seq = action, seq_counter
+                t, s = action, seq_counter
                 seq_counter += 1
             elif action == NEXT_SAMPLE:
-                server_ns, server_seq = next_ns, next_seq
+                t, s = next_ns, next_seq
             else:
                 raise SchedulingError(f"cannot serve at t={action} ns; clock is at {t} ns")
+        # The samples ordered before (at, seq), the same way.
+        if next_ns < at:
+            k = (at * rate - 1) // NS_PER_S
+            next_ns, next_seq = ((k + 1) * NS_PER_S) // rate, seq_counter
+            seq_counter += 1
+        elif next_ns == at and seq >= next_seq:
+            k += 1
+            next_ns, next_seq = ((k + 1) * NS_PER_S) // rate, seq_counter
+            seq_counter += 1
         self._seq, self.sample_index = seq_counter, k
         self._next_sample_ns, self._next_sample_seq = next_ns, next_seq
-        self._server_ns, self._server_seq = server_ns, server_seq
-        self._lazy_ns = server_ns if server_ns < next_ns else next_ns
+        self._server_ns, self._server_seq = t, s
+        self._lazy_ns = t if t < next_ns else next_ns
 
     def run_until(self, end: int) -> None:
         """Process every event with at <= end; afterwards now() == end, every

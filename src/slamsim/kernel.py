@@ -47,36 +47,40 @@ subtraction from the contiguous coordinate rows of the landmark array
 pose: subtraction is exact per element, so only the gemv depends on the
 layout, and it gets the C-order matrix it is specified on.
 
-Block visibility. `VisibilityBlock(field, poses, max_range_m, fov_deg)`
-classifies the landmarks once for all the poses; its `visible(i)` is
-`field.visible(poses[i], max_range_m, fov_deg)`, bit for bit. The pipeline
-makes one block per run of consecutive camera frames and asks it only for the
+Block visibility. `VisibilityBlock(field, positions, heads, max_range_m,
+fov_deg)` takes its poses as two C-order (n, 3) arrays, the positions and the
+headings (the body +x axis turned by `quat_rotate`), and classifies the
+landmarks once for all of them; its `visible(i)` is `field.visible(pose,
+max_range_m, fov_deg)` for the pose of row i, bit for bit. The pipeline makes
+one block per run of consecutive camera frames, with the arrays
+`CircleTrajectory.positions_and_headings` computes in one pass (the bits of
+`pose_at` and `quat_rotate`, signed zeros included), and asks it only for the
 frames it accepts. A block is classified once, from its first pose: delta is
 the largest distance of a pose from it and phi the largest angle of a heading
-from its heading. For a landmark at distance r and angle theta from the
-first pose, every pose sees it at a distance in [r - delta, r + delta] and
-at an angle within theta +- (asin(delta / r) + phi), by the triangle
-inequality for distances and for angles between directions; the asin bounds
-how far the direction to the landmark turns, and needs r > 2 delta, so only
-those landmarks are sorted by angle. Sure-out landmarks fail the range test
-or the cone test for every pose, sure-in landmarks pass all three tests for
-every pose, and the rest, including every landmark within about 2 delta of
-the first pose, are edge landmarks. The classification is conservative:
-distances are widened by the relative margin 1e-9, angles by 1e-9 rad, and
-the cone's cosine by 2e-9, far above the ~1e-15 rounding error of the exact
-formula and the 1e-9 by which a heading's norm may differ from 1 (the depths
-scale with it). Angles are taken as atan2(|v x h|, v . h), accurate near 0
-and pi too. numpy's arctan2 and arcsin, and libm's acos, may round
-differently on another host; within the margins that moves no landmark
-across a class it does not belong to, so no output bit. A block with a
-non-finite position, a non-finite cone or a heading norm outside 1 +- 1e-9
-makes every landmark an edge landmark: slower, still exact. Classifying
-pays only for a compact block, whose middle and last poses lie within a
-quarter of the range of its first pose and whose headings turn by at most a
-quarter of the cone's half angle (`_SPREAD`); a wider block leaves most
-landmarks on the edge. The pipeline alone checks that, before it makes a
-block, by passing those three poses to `is_compact`, and the frames of a
-block that is not compact call `visible` one by one.
+from its heading. For a landmark at distance r and angle theta from the first
+pose, every pose sees it at a distance in [r - delta, r + delta] and at an
+angle within theta +- (asin(delta / r) + phi), by the triangle inequality for
+distances and for angles between directions; the asin bounds how far the
+direction to the landmark turns, and needs r > 2 delta, so only those
+landmarks are sorted by angle. Sure-out landmarks fail the range test or the
+cone test for every pose, sure-in landmarks pass all three tests for every
+pose, and the rest, including every landmark within about 2 delta of the
+first pose, are edge landmarks. The classification is conservative: distances
+are widened by the relative margin 1e-9, angles by 1e-9 rad, and the cone's
+cosine by 2e-9, far above the ~1e-15 rounding error of the exact formula and
+the 1e-9 by which a heading's norm may differ from 1 (the depths scale with
+it). Angles are taken as atan2(|v x h|, v . h), accurate near 0 and pi too.
+numpy's arctan2 and arcsin, and libm's acos, may round differently on another
+host; within the margins that moves no landmark across a class it does not
+belong to, so no output bit. A block with a non-finite position, a non-finite
+cone or a heading norm outside 1 +- 1e-9 makes every landmark an edge
+landmark: slower, still exact. Classifying pays only for a compact block,
+whose middle and last poses lie within a quarter of the range of its first
+pose and whose headings turn by at most a quarter of the cone's half angle
+(`_SPREAD`); a wider block leaves most landmarks on the edge. The pipeline
+alone checks that, before it makes a block, by passing the block's arrays to
+`is_compact`, which reads those three rows, and the frames of a block that is
+not compact call `visible` one by one.
 
 The exact test (`_exact`) is the one visibility formula. It takes a stack of
 poses and returns a (poses, landmarks) mask: `visible(pose)` runs it for one
@@ -127,11 +131,13 @@ libm's sin and cos through `map`, and the angles from one stacked matmul
 once per row. `integrate` loops over the rows only, with `quat_multiply`,
 `quat_normalize` and `quat_rotate` written out in the helpers' operand order
 (including the `0.0` terms of the pure quaternion and the negated conjugate).
-The normalization takes `_norm`'s BLAS dot on one scratch 4-vector per call,
-whose components each row writes in place through a memoryview: the same
-dot on the same four doubles, without a fresh array per row. The helpers
-stay for their other callers; `propagate` in `tests/reference.py`, one
-sample at a time, is the specification of both halves.
+The normalization takes `ndarray.dot` of `_norm`'s scratch 4-vector, whose
+components each row writes in place through its memoryview, into a
+preallocated 0-d output: the same BLAS dot on the same four doubles as
+`_norm`, so the same bits, without a fresh array and memoryview per call or
+a fresh 0-d result array per row. The helpers stay for their other callers;
+`propagate` in `tests/reference.py`, one sample at a time, is the
+specification of both halves.
 
 Conventions: accelerometer samples are gravity-compensated specific force
 (gravity handling is out of scope for this model). The drift-correction
@@ -166,6 +172,8 @@ MAX_FRAME_BYTES = int(MAX_CONVERTED) * MIB
 # memoryviews (see the module notes).
 _A3, _A4, _B4 = np.empty(3), np.empty(4), np.empty(4)
 _a3, _a4, _b4 = memoryview(_A3), memoryview(_A4), memoryview(_B4)
+# The 0-d output `integrate` takes its normalization dot into.
+_DOT_OUT = np.empty(())
 
 
 def _dot(a, b) -> float:
@@ -394,6 +402,23 @@ class CircleTrajectory:
         # Rz(-yaw) @ a_world; a_world has no vertical component
         return (c * ax - s * ay, s * ax + c * ay, 0.0)
 
+    def positions_and_headings(self, times_ns) -> tuple[np.ndarray, np.ndarray]:
+        """`pose_at(t).position` and the heading `quat_rotate(pose_at(t)
+        .orientation, (1.0, 0.0, 0.0))` at each time, as two C-order (n, 3)
+        arrays with the same bits, signed zeros included: libm's cos/sin
+        through `map`, and `quat_from_yaw` and `quat_rotate` element-wise,
+        with the same operands in the same order."""
+        n = len(times_ns)
+        r = self.radius
+        th = self.omega * (np.asarray(times_ns, dtype=np.int64) / NS_PER_S)
+        th_list, half_yaw = th.tolist(), ((th + math.pi / 2) / 2).tolist()
+        positions = np.zeros((n, 3))
+        positions[:, 0] = r * np.fromiter(map(math.cos, th_list), float, n)
+        positions[:, 1] = r * np.fromiter(map(math.sin, th_list), float, n)
+        yaw_quat = (np.fromiter(map(math.cos, half_yaw), float, n), 0.0, 0.0,
+                    np.fromiter(map(math.sin, half_yaw), float, n))
+        return positions, np.stack(quat_rotate(yaw_quat, (1.0, 0.0, 0.0)), axis=1)
+
     def imu_signals(self, times_ns) -> tuple[np.ndarray, np.ndarray]:
         """`gyro_body` and `accel_body` at each time, as two (n, 3) arrays
         with the same bits: the same operations column-wise, with libm's
@@ -498,9 +523,9 @@ def integrate(pose: Pose, rows, prev_accel=None) -> Pose:
         a0x, a0y, a0z = quat_rotate(pose.orientation, prev_accel)
     else:
         a0x = a0y = a0z = None
-    # `_norm`'s BLAS dot on a scratch vector, written in place per row.
-    buf = np.empty(4)
-    fill, dot, sqrt = memoryview(buf), buf.dot, math.sqrt
+    # `_norm`'s BLAS dot on its scratch 4-vector, written in place per row,
+    # into a preallocated 0-d output.
+    fill, dot, buf, out, sqrt = _a4, _A4.dot, _A4, _DOT_OUT, math.sqrt
     for dt, ew, ex, ey, ez, bx, by, bz in rows:
         # quat_multiply, then quat_normalize
         mw = qw * ew - qx * ex - qy * ey - qz * ez
@@ -511,7 +536,7 @@ def integrate(pose: Pose, rows, prev_accel=None) -> Pose:
         fill[1] = mx
         fill[2] = my
         fill[3] = mz
-        n = sqrt(dot(buf))
+        n = sqrt(dot(buf, out))
         qw, qx, qy, qz = mw / n, mx / n, my / n, mz / n
         # quat_rotate: (q * (0, accel)) * conj(q), vector part
         tw = qw * 0.0 - qx * bx - qy * by - qz * bz
@@ -723,13 +748,14 @@ def _sort(rel, head, delta, phi, max_range_m, half_in, half_out):
     return sure_in, sure_out
 
 
-def is_compact(first: Pose, middle: Pose, last: Pose, max_range_m: float,
+def is_compact(positions: np.ndarray, heads: np.ndarray, max_range_m: float,
                fov_deg: float) -> bool:
-    """Whether a block of poses looks compact enough to classify, judged
-    cheaply from its first, middle and last poses (see _SPREAD). The
-    pipeline asks before it makes a block; `VisibilityBlock` does not."""
-    (p0, h0), *rest = [(p.position, quat_rotate(p.orientation, (1.0, 0.0, 0.0)))
-                       for p in (first, middle, last)]
+    """Whether a block of poses, given by their (n, 3) positions and
+    headings, looks compact enough to classify, judged cheaply from its
+    first, middle and last poses (see _SPREAD). The pipeline asks before it
+    makes a block; `VisibilityBlock` does not."""
+    ends = [0, len(positions) // 2, -1]
+    (p0, h0), *rest = zip(positions[ends].tolist(), heads[ends].tolist())
     cos_half = math.cos(math.radians(fov_deg) / 2.0)
     cos_turn = math.cos(_SPREAD * math.acos(max(-1.0, min(1.0, cos_half))))
     for p, h in rest:
@@ -741,19 +767,22 @@ def is_compact(first: Pose, middle: Pose, last: Pose, max_range_m: float,
 
 
 class VisibilityBlock:
-    """A block of poses with its landmarks classified once: `visible(i)` is
-    the ascending ids `field.visible(poses[i], max_range_m, fov_deg)`
-    returns. A block with at most _STACKED_ROWS (pose, edge landmark) pairs
-    runs the exact test for all its poses at once, on the first query; a
-    larger block runs it for the queried pose alone."""
+    """A block of poses with its landmarks classified once. The poses are
+    two C-order (n, 3) float arrays: row i of `positions` is pose i's
+    position and row i of `heads` its heading, the body +x axis in the world
+    frame. `visible(i)` is the ascending ids `field.visible(pose, max_range_m,
+    fov_deg)` returns for a pose with that position and heading. A block
+    with at most _STACKED_ROWS (pose, edge landmark) pairs runs the exact
+    test for all its poses at once, on the first query; a larger block runs
+    it for the queried pose alone."""
 
     __slots__ = ("positions", "heads", "max_range_m", "cos_half", "ids", "columns",
                  "seen", "at", "passed")
 
-    def __init__(self, field: LandmarkField, poses, max_range_m: float, fov_deg: float):
-        self.positions = np.array([p.position for p in poses], dtype=float)
-        self.heads = np.array([quat_rotate(p.orientation, (1.0, 0.0, 0.0)) for p in poses],
-                              dtype=float).reshape(-1, 3)
+    def __init__(self, field: LandmarkField, positions: np.ndarray, heads: np.ndarray,
+                 max_range_m: float, fov_deg: float):
+        self.positions = positions
+        self.heads = heads
         self.max_range_m = max_range_m
         self.cos_half = cos_half = math.cos(math.radians(fov_deg) / 2.0)
         sure_in, edge = field._classify(self.positions, self.heads, max_range_m, cos_half)

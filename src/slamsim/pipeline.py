@@ -50,21 +50,31 @@ sample that wakes the idle unit has an engine event.
 Before the first event ordered after them, and at the end of each
 `run_until`, the engine settles all of them in one loop, each at the exact
 (at, seq) position its event would have had, and calls `_serve` for each
-with the last sample delivered before it. A settled completion does what
-the completion event did: it appends the stage duration and writes the
-unit's `TaskDone` record, the same record `note_task_done` writes for the
-other units' completions (both write it as one dict literal), advances
-`imu_done` through `_apply_propagation` and takes the samples delivered
-since as the next batch, which starts at once. `_serve` returns the next
-action to the engine: the new task's completion time; with no sample to
-take, the next sample's arrival (`NEXT_SAMPLE`); with a batch taken while a
-GC freeze holds the unit, none, and the batch starts when the freeze ends.
-A GC freeze suspends the running task and pushes its completion out.
-Back-to-back tasks are booked as one busy interval, which leaves every
-ledger total as it was. Every other unit is a `UnitExecutor`: each
-completion is a `TASK_DONE` event. Under the two-bank handoff propagation
-runs on one of them (cpu0 of slam-arch, beside mapping), and the drain after
-mapping takes the delivered samples as one batch.
+with the last sample delivered before it. `_serve` is one straight-line
+step. A settled completion does what the completion event did: it appends
+the stage duration and writes the unit's `TaskDone` record, the dict literal
+`UnitExecutor` writes, and hands its batch to `_apply_propagation`. Then the
+step takes the samples delivered and not yet taken, in place on the
+`imu_taken` int, as the next batch, which starts at once. It returns the
+next action to the engine: the new task's completion time; with no sample
+to take, the next sample's arrival (`NEXT_SAMPLE`); with a batch taken
+while a GC freeze holds the unit, none, and the batch starts when the
+freeze ends. A GC freeze suspends the running task and pushes its
+completion out. Back-to-back tasks are booked as one busy interval, in the
+step that leaves the unit idle, which leaves every ledger total as it was.
+
+Every other unit is a `UnitExecutor`, whose tasks are `_Task` tuples in a
+FIFO queue. `submit` queues a task and, if none runs, `try_start` starts
+the head of the queue: it sets the busy segment, calls the task's
+`on_start` hook and schedules its `TASK_DONE` event. The event's handler
+books the busy segment, appends the stage duration, writes the `TaskDone`
+record, calls `on_done` and starts the next queued task; a completion that
+a GC freeze moved later is stale and does nothing. Under the two-bank
+handoff propagation runs on one of these executors (cpu0 of slam-arch,
+beside mapping), and the drain after mapping takes the delivered samples as
+one batch. On either kind of unit, `_apply_propagation` is where each
+completed batch goes, the one seam for a test oracle that integrates
+batches as they complete.
 
 The estimate is integrated when it is read, not when a propagation task
 completes. A completion (`_apply_propagation`) only advances `imu_done`; at
@@ -81,15 +91,17 @@ interval meets the same endpoints either way.
 Camera frames take their visible landmarks from blocks in the same way.
 Frame k arrives at k * NS_PER_S // camera_fps. The first accepted frame of a
 block of FRAME_BLOCK frame indices classifies the landmarks once for the
-true poses of all the block's frames (`VisibilityBlock`), and each
-accepted frame then takes its ids from the block with the exact test on the
-block's edge landmarks (`VisibilityBlock.visible`); a dropped or throttled
-frame asks for nothing, and no frame's ids are kept past its own frame. A
-block whose first, middle and last poses are not compact (`is_compact`; a
-fast trajectory) is not made, and its accepted frames call `visible` one by
-one. Visibility draws no random number and reads only the trajectory, so
-the ids are those of a per-frame `visible` call, whatever the block size
-and wherever a run is cut.
+true poses of all the block's frames (`VisibilityBlock`), given as the
+positions and headings `CircleTrajectory.positions_and_headings` computes
+for all of them at once, and each accepted frame then takes its ids from
+the block with the exact test on the block's edge landmarks
+(`VisibilityBlock.visible`); a dropped or throttled frame asks for nothing,
+and no frame's ids are kept past its own frame. A block whose first, middle
+and last poses are not compact (`is_compact`; a fast trajectory) is not
+made, and its accepted frames call `visible` one by one. Visibility draws
+no random number and reads only the trajectory, so the ids are those of a
+per-frame `visible` call, whatever the block size and wherever a run is
+cut.
 """
 
 from __future__ import annotations
@@ -97,6 +109,7 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 from itertools import count
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -132,15 +145,14 @@ _STAGE_NAMES = {stage: stage.value for stage in Stage}
 _PROPAGATION = Stage.PROPAGATION.value
 
 
-class _Task:
-    __slots__ = ("stage", "duration_ns", "payload", "on_done", "on_start")
-
-    def __init__(self, stage, duration_ns, payload, on_done, on_start=None):
-        self.stage = stage
-        self.duration_ns = int(duration_ns)
-        self.payload = payload
-        self.on_done = on_done
-        self.on_start = on_start
+class _Task(NamedTuple):
+    """One task of a `UnitExecutor`: its stage, its length in ns, its payload,
+    and the hooks called with it when it ends and when it starts."""
+    stage: Stage
+    duration_ns: int
+    payload: Any
+    on_done: Callable
+    on_start: Callable | None = None
 
 
 class _Unit:
@@ -164,7 +176,7 @@ class _Unit:
         self.end_ns = 0
 
     def _due_at(self, end_ns: int) -> None:
-        """Have the running task complete at `end_ns`."""
+        """Have the running task, frozen by a GC pause, complete at `end_ns`."""
         raise NotImplementedError
 
     def _book(self, end_ns: int) -> None:
@@ -208,35 +220,49 @@ class UnitExecutor(_Unit):
 
     def submit(self, task: _Task) -> None:
         self.queue.append(task)
-        self.try_start()
+        if self.task is None:
+            self.try_start()
 
     def try_start(self) -> None:
-        if self.task is not None or not self.queue:
+        """Start the task at the head of the queue, unless a task runs, none
+        waits or a GC pause freezes the unit (it is kicked again at GC end)."""
+        queue = self.queue
+        if self.task is not None or not queue:
             return
-        now = self.sim.engine.now()
-        if now < self.sim.frozen_until_ns:
-            return  # kicked again at GC end
-        task = self.queue.popleft()
+        sim = self.sim
+        engine = sim.engine
+        now = engine.now()
+        if now < sim.frozen_until_ns:
+            return
+        self.task = task = queue.popleft()
         self.seg_start_ns = now
-        self.end_ns = now + task.duration_ns
-        self.task = task
+        self.end_ns = end = now + task.duration_ns
         if task.on_start is not None:
             task.on_start(task)
-        self._due_at(self.end_ns)
+        engine.schedule(end, self.target, EventKind.TASK_DONE)
 
     def _due_at(self, end_ns: int) -> None:
         self.sim.engine.schedule(end_ns, self.target, EventKind.TASK_DONE)
 
     def _on_task_done(self, ev) -> None:
+        """The running task completes, unless a freeze moved its end later (a
+        stale completion): book its busy time, append its duration, write
+        its `TaskDone` record, call its `on_done` and start the next task."""
         task = self.task
         now = ev.at
         if task is None or now != self.end_ns:
-            return  # stale completion: a freeze moved the task's end later
-        self._book(now)
-        self.sim.note_task_done(self.unit_id, task.stage, task.duration_ns)
+            return
+        sim = self.sim
+        if self.seg_start_ns < now:
+            sim.ledger.record_busy(self.unit_id, self.seg_start_ns, now)
+        stage = task.stage
+        sim.stage_durations_ns[stage].append(task.duration_ns)
+        sim.trace.append({"t_ns": now, "entity": self.unit_id,
+                          "transition": "TaskDone", "stage": _STAGE_NAMES[stage]})
         self.task = None
         task.on_done(task)
-        self.try_start()
+        if self.queue:
+            self.try_start()
 
 
 class PropagationServer(_Unit):
@@ -273,26 +299,31 @@ class PropagationServer(_Unit):
         sim = self.sim
         done = self.task
         if done is not None:
-            # What `note_task_done` does, with the record written as a literal.
+            # What `UnitExecutor._on_task_done` does on a completion.
             self.durations.append(self.duration_ns)
             sim.trace.append({"t_ns": now, "entity": self.unit_id,
                               "transition": "TaskDone", "stage": _PROPAGATION})
             sim._apply_propagation(done)
-            self.task = None
-        lo = sim._take_imu(delivered)
+        # Take the samples (lo, delivered] as the next batch.
+        lo = sim.imu_taken
         if lo < delivered:
+            sim.imu_taken = delivered
+            if delivered - lo > sim.imu_max_batch:
+                sim.imu_max_batch = delivered - lo
             if now >= sim.frozen_until_ns:
                 if done is None:
                     self.seg_start_ns = now
                 self.task = (lo, delivered)
-                self.end_ns = now + self.duration_ns
-                return self.end_ns
+                self.end_ns = end = now + self.duration_ns
+                return end
             self.waiting = (lo, delivered)
             action = None
         else:
             action = NEXT_SAMPLE
-        if done is not None:
-            self._book(now)
+        self.task = None
+        # The unit goes idle: book the busy run that ends here.
+        if done is not None and self.seg_start_ns < now:
+            sim.ledger.record_busy(self.unit_id, self.seg_start_ns, now)
         return action
 
 
@@ -425,11 +456,6 @@ class Simulation:
     # The other records written on every frame are each one dict literal,
     # with the keys in `_emit`'s order.
 
-    def note_task_done(self, unit_id: str, stage: Stage, duration_ns: int) -> None:
-        self.stage_durations_ns[stage].append(duration_ns)
-        self.trace.append({"t_ns": self.engine.now(), "entity": unit_id,
-                           "transition": "TaskDone", "stage": _STAGE_NAMES[stage]})
-
     def _consume_start(self, task: _Task) -> None:
         """The start hook of a cycle's update and mapping tasks."""
         self.trace.append({"t_ns": self.engine.now(), "entity": "bank",
@@ -438,8 +464,9 @@ class Simulation:
                            else MAPPING_CONSUMER})
 
     def _submit(self, stage: Stage, payload, on_done, on_start=None) -> None:
-        self.stage_exec[stage].submit(
-            _Task(stage, self.stage_ns[stage], payload, on_done, on_start))
+        # tuple.__new__ skips the Python-level __new__ that _Task(...) runs.
+        self.stage_exec[stage].submit(tuple.__new__(
+            _Task, (stage, self.stage_ns[stage], payload, on_done, on_start)))
 
     def _make_frame(self, frame_id: int) -> CameraFrame:
         """Frame `frame_id`, arriving at frame_id * NS_PER_S // camera_fps,
@@ -468,12 +495,12 @@ class Simulation:
         # for every j up to this one.
         last = max(frame_id, ((self.duration_ns + 1) * fps - 1) // NS_PER_S)
         frames = range(first, min(first + FRAME_BLOCK, last + 1))
-        times = [j * NS_PER_S // fps for j in frames]
-        ends = [self.truth.pose_at(times[i]) for i in (0, len(times) // 2, -1)]
-        if not is_compact(*ends, k.visibility_range_m, k.fov_deg):
+        positions, heads = self.truth.positions_and_headings(
+            [j * NS_PER_S // fps for j in frames])
+        if not is_compact(positions, heads, k.visibility_range_m, k.fov_deg):
             return frames, None
-        poses = [self.truth.pose_at(t) for t in times]
-        return frames, VisibilityBlock(self.field, poses, k.visibility_range_m, k.fov_deg)
+        return frames, VisibilityBlock(self.field, positions, heads, k.visibility_range_m,
+                                       k.fov_deg)
 
     # ------------------------------------------------------------------
     # sources

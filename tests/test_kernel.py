@@ -324,9 +324,18 @@ def _boundary_points(rng, pose, max_range_m, fov_deg):
     return np.array(pose.position) + np.array(out)
 
 
+def _block_arrays(poses):
+    """The (n, 3) positions and headings of `poses`, the input of
+    `VisibilityBlock` and `is_compact`: each row the pose's position, and
+    its heading as the reference turns the body +x axis."""
+    return (np.array([p.position for p in poses], dtype=float),
+            np.array([reference._rotate(p.orientation, (1.0, 0.0, 0.0)) for p in poses],
+                     dtype=float))
+
+
 def _visible_block(field, poses, max_range_m, fov_deg):
     """`visible(i)` of one `VisibilityBlock` of `poses` for every pose i."""
-    block = VisibilityBlock(field, poses, max_range_m, fov_deg)
+    block = VisibilityBlock(field, *_block_arrays(poses), max_range_m, fov_deg)
     return [block.visible(i) for i in range(len(poses))]
 
 
@@ -459,6 +468,24 @@ class TestBitExactness:
     @settings(max_examples=300, deadline=None)
     def test_truth_signals_match_scalar(self, truth, times):
         _assert_signals_match_scalar(truth, times)
+
+    @given(radius_m=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+           period_s=st.floats(min_value=1e-3, allow_infinity=False),
+           times=st.lists(st.integers(0, 3600 * NS_PER_S), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_block_poses_match_pose_at(self, radius_m, period_s, times):
+        """A frame block's positions and headings are, bit for bit and signed
+        zeros included, each time's `pose_at` position and the heading the
+        reference turns from its orientation."""
+        truth = CircleTrajectory(radius_m, period_s)
+        positions, heads = truth.positions_and_headings(times)
+        assert positions.shape == heads.shape == (len(times), 3)
+        assert positions.flags.c_contiguous and heads.flags.c_contiguous
+        poses = [truth.pose_at(t) for t in times]
+        hexes = lambda rows: [tuple(map(float.hex, row)) for row in rows]  # noqa: E731
+        assert hexes(positions.tolist()) == hexes(p.position for p in poses)
+        assert hexes(heads.tolist()) == hexes(
+            reference._rotate(p.orientation, (1.0, 0.0, 0.0)) for p in poses)
 
     @given(seed=st.integers(0, 2 ** 32 - 1),
            rate_hz=st.sampled_from([1, 7, 200, 333, 1000]),
@@ -859,7 +886,7 @@ class TestBitExactness:
                 if straddled and (gemv >= cos_half) == (dot >= cos_half):
                     continue
                 straddled += (gemv >= cos_half) != (dot >= cos_half)
-                block = VisibilityBlock(LandmarkField(points), (pose, pose),
+                block = VisibilityBlock(LandmarkField(points), *_block_arrays((pose, pose)),
                                         K.visibility_range_m, K.fov_deg)
                 assert block.seen.tolist() == [False, True]
                 with mock.patch.object(kernel, "_STACKED_ROWS", stacked_rows):

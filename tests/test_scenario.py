@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import slamsim.cli as cli
 from slamsim.bank import CONSUMERS
-from slamsim.pipeline import Simulation
+from slamsim.pipeline import PropagationServer, Simulation
 from slamsim.report import audit_trace, run_scenario
 from slamsim.scenario import (ArchVariant, Handoff, Ingest, KernelConfig, PRESET_NAMES,
                               RelayConfig, ScenarioConfig, VARIANTS, preset)
@@ -31,6 +31,23 @@ def _assert_record_shapes(trace):
             if rec["transition"] in ("ConsumeStart", "ConsumeDone"):
                 assert rec["consumer"] in CONSUMERS, rec
         assert json.loads(json.dumps(rec)) == rec
+
+
+def _assert_busy_conserved(sim):
+    """Each unit's booked busy time is the summed durations of the tasks
+    completed on it, recorded per stage, plus what ran before the end of
+    the task still in flight on it: between 0 and that task's duration."""
+    for unit in sim.ledger.units:
+        completed = sum(sum(sim.stage_durations_ns[stage])
+                        for stage, uid in sim.spec.stage_units.items() if uid == unit)
+        ex = sim.execs[unit]
+        if ex.task is None:
+            in_flight = 0
+        elif isinstance(ex, PropagationServer):
+            in_flight = ex.duration_ns
+        else:
+            in_flight = ex.task.duration_ns
+        assert 0 <= sim.ledger.busy_ns(unit) - completed <= in_flight, unit
 
 
 class TestPresets:
@@ -591,6 +608,7 @@ class TestAnyScenario:
         ledger, cal = sim.ledger, sim.calibration
         for unit in ledger.units:
             assert 0 <= ledger.busy_ns(unit) <= sim.duration_ns
+        _assert_busy_conserved(sim)
         parts = (ledger.dynamic_energy_j(full) + ledger.idle_energy_j(full, cal)
                  + ledger.static_energy_j(full, cal))
         assert ledger.total_energy_j(full, cal) == pytest.approx(parts, rel=1e-12)
