@@ -482,10 +482,9 @@ class TestBitExactness:
         assert positions.shape == heads.shape == (len(times), 3)
         assert positions.flags.c_contiguous and heads.flags.c_contiguous
         poses = [truth.pose_at(t) for t in times]
-        hexes = lambda rows: [tuple(map(float.hex, row)) for row in rows]  # noqa: E731
-        assert hexes(positions.tolist()) == hexes(p.position for p in poses)
-        assert hexes(heads.tolist()) == hexes(
-            reference._rotate(p.orientation, (1.0, 0.0, 0.0)) for p in poses)
+        assert positions.tobytes() == _bits([p.position for p in poses])
+        assert heads.tobytes() == _bits(
+            [reference._rotate(p.orientation, (1.0, 0.0, 0.0)) for p in poses])
 
     @given(seed=st.integers(0, 2 ** 32 - 1),
            rate_hz=st.sampled_from([1, 7, 200, 333, 1000]),
