@@ -176,7 +176,7 @@ class _Unit:
         self.end_ns = 0
 
     def _due_at(self, end_ns: int) -> None:
-        """Have the running task, frozen by a GC pause, complete at `end_ns`."""
+        """Have the running task complete at `end_ns`."""
         raise NotImplementedError
 
     def _book(self, end_ns: int) -> None:
