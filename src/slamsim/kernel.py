@@ -55,17 +55,22 @@ max_range_m, fov_deg)` for the pose of row i, bit for bit. The pipeline makes
 one block per run of consecutive camera frames, with the arrays
 `CircleTrajectory.positions_and_headings` computes in one pass (the bits of
 `pose_at` and `quat_rotate`, signed zeros included), and asks it only for the
-frames it accepts. A block is classified once, from its first pose: delta is
-the largest distance of a pose from it and phi the largest angle of a heading
-from its heading. For a landmark at distance r and angle theta from the first
-pose, every pose sees it at a distance in [r - delta, r + delta] and at an
-angle within theta +- (asin(delta / r) + phi), by the triangle inequality for
+frames it accepts. A block is classified once, from its middle pose, row
+n // 2: delta is the largest distance of a pose from it and phi the largest
+angle of a heading from its heading. Measured from the middle, every pose of
+a block that moves and turns steadily lies at most about half the block's
+span away, so delta and phi, and with them the band of edge landmarks, are
+about half what they are from the first pose (on the default circle with
+4000 landmarks at 50 FPS, 144.5 edge landmarks per block of 32 instead of
+280.2). For a landmark at distance r and angle theta from the middle pose,
+every pose sees it at a distance in [r - delta, r + delta] and at an angle
+within theta +- (asin(delta / r) + phi), by the triangle inequality for
 distances and for angles between directions; the asin bounds how far the
 direction to the landmark turns, and needs r > 2 delta, so only those
 landmarks are sorted by angle. Sure-out landmarks fail the range test or the
 cone test for every pose, sure-in landmarks pass all three tests for every
 pose, and the rest, including every landmark within about 2 delta of the
-first pose, are edge landmarks. The classification is conservative: distances
+middle pose, are edge landmarks. The classification is conservative: distances
 are widened by the relative margin 1e-9, angles by 1e-9 rad, and the cone's
 cosine by 2e-9, far above the ~1e-15 rounding error of the exact formula and
 the 1e-9 by which a heading's norm may differ from 1 (the depths scale with
@@ -75,12 +80,14 @@ host; within the margins that moves no landmark across a class it does not
 belong to, so no output bit. A block with a non-finite position, a non-finite
 cone or a heading norm outside 1 +- 1e-9 makes every landmark an edge
 landmark: slower, still exact. Classifying pays only for a compact block,
-whose middle and last poses lie within a quarter of the range of its first
-pose and whose headings turn by at most a quarter of the cone's half angle
-(`_SPREAD`); a wider block leaves most landmarks on the edge. The pipeline
-alone checks that, before it makes a block, by passing the block's arrays to
-`is_compact`, which reads those three rows, and the frames of a block that is
-not compact call `visible` one by one.
+whose first and last poses lie within a quarter of the range of its middle
+pose and whose headings turn from the middle heading by at most a quarter of
+the cone's half angle (`_SPREAD`); a wider block leaves most landmarks on the
+edge. A block may so span up to half the range and half the cone's half
+angle, which admits trajectories twice as fast as a first-pose reference
+would. The pipeline alone checks that, before it makes a block, by passing
+the block's arrays to `is_compact`, which reads those three rows, and the
+frames of a block that is not compact call `visible` one by one.
 
 The exact test (`_exact`) is the one visibility formula. It takes a stack of
 poses and returns a (poses, landmarks) mask: `visible(pose)` runs it for one
@@ -406,18 +413,28 @@ class CircleTrajectory:
         """`pose_at(t).position` and the heading `quat_rotate(pose_at(t)
         .orientation, (1.0, 0.0, 0.0))` at each time, as two C-order (n, 3)
         arrays with the same bits, signed zeros included: libm's cos/sin
-        through `map`, and `quat_from_yaw` and `quat_rotate` element-wise,
-        with the same operands in the same order."""
+        through `map`, and for the yaw quaternion (w, 0, 0, z) the heading
+        (w*w - z*z, w*z + w*z, +0.0). That is the value of `quat_rotate`'s
+        two products, term by term, whenever w*z is not a zero: each zero
+        term then leaves the sum it joins unchanged, and the last coordinate
+        sums zeros of both signs. w and z are the cosine and sine of the half
+        yaw (th + pi/2) / 2, which is +0 (w = 1 and z = +0, where the formula
+        holds too) or at least 1e-16 from 0; and no double lies closer than
+        about 1e-19 to another multiple of pi/2 (the worst case of argument
+        reduction), so w*z is never a zero."""
         n = len(times_ns)
-        r = self.radius
         th = self.omega * (np.asarray(times_ns, dtype=np.int64) / NS_PER_S)
-        th_list, half_yaw = th.tolist(), ((th + math.pi / 2) / 2).tolist()
-        positions = np.zeros((n, 3))
-        positions[:, 0] = r * np.fromiter(map(math.cos, th_list), float, n)
-        positions[:, 1] = r * np.fromiter(map(math.sin, th_list), float, n)
-        yaw_quat = (np.fromiter(map(math.cos, half_yaw), float, n), 0.0, 0.0,
-                    np.fromiter(map(math.sin, half_yaw), float, n))
-        return positions, np.stack(quat_rotate(yaw_quat, (1.0, 0.0, 0.0)), axis=1)
+        angles = np.concatenate((th, (th + math.pi / 2) / 2)).tolist()
+        cos = np.fromiter(map(math.cos, angles), float, 2 * n)
+        sin = np.fromiter(map(math.sin, angles), float, 2 * n)
+        positions, heads = np.zeros((n, 3)), np.zeros((n, 3))
+        positions[:, 0] = self.radius * cos[:n]
+        positions[:, 1] = self.radius * sin[:n]
+        w, z = cos[n:], sin[n:]
+        wz = w * z
+        heads[:, 0] = w * w - z * z
+        heads[:, 1] = wz + wz
+        return positions, heads
 
     def imu_signals(self, times_ns) -> tuple[np.ndarray, np.ndarray]:
         """`gyro_body` and `accel_body` at each time, as two (n, 3) arrays
@@ -426,12 +443,13 @@ class CircleTrajectory:
         n = len(times_ns)
         r, w = self.radius, self.omega
         th = w * (np.asarray(times_ns, dtype=np.int64) / NS_PER_S)
-        th_list, neg_yaw = th.tolist(), (-(th + math.pi / 2)).tolist()
+        # the angles, then the negated yaws: one libm pass per function
+        angles = np.concatenate((th, -(th + math.pi / 2))).tolist()
+        cos = np.fromiter(map(math.cos, angles), float, 2 * n)
+        sin = np.fromiter(map(math.sin, angles), float, 2 * n)
         k = -r * w * w
-        ax = k * np.fromiter(map(math.cos, th_list), float, n)
-        ay = k * np.fromiter(map(math.sin, th_list), float, n)
-        c = np.fromiter(map(math.cos, neg_yaw), float, n)
-        s = np.fromiter(map(math.sin, neg_yaw), float, n)
+        ax, ay = k * cos[:n], k * sin[:n]
+        c, s = cos[n:], sin[n:]
         gyro, accel = np.zeros((n, 3)), np.zeros((n, 3))
         gyro[:, 2] = w
         accel[:, 0] = c * ax - s * ay
@@ -487,7 +505,12 @@ def imu_rows(times_ns, gyro: np.ndarray, accel: np.ndarray, from_t_ns: int,
     ey, ez, ax, ay, az) of the interval ending at it in seconds, the
     interval's rotation increment and the sample's body accel. `prev_gyro` is
     the gyro at `from_t_ns`; without it the first interval is a rectangle."""
-    ticks = np.diff(np.asarray(times_ns, dtype=np.int64), prepend=from_t_ns)
+    times = np.asarray(times_ns, dtype=np.int64)
+    # each time minus the one before it, from_t_ns before the first
+    ticks = np.empty(len(times), dtype=np.int64)
+    ticks[0] = from_t_ns
+    ticks[1:] = times[:-1]
+    np.subtract(times, ticks, out=ticks)
     if (ticks <= 0).any():
         raise ValueError("IMU batch timestamps must be strictly increasing")
     dt = ticks / NS_PER_S
@@ -672,9 +695,9 @@ _STACKED_ROWS = 1 << 14
 # its temporary arrays below those of one pose's exact test on the whole
 # array.
 _CLASSIFY_ROWS = 1 << 16
-# The pipeline makes a block only if its middle and last poses lie within
-# this share of the range of its first pose, and their headings within this
-# share of the cone's half angle of its first heading (`is_compact`); with a
+# The pipeline makes a block only if its first and last poses lie within
+# this share of the range of its middle pose, and their headings within this
+# share of the cone's half angle of its middle heading (`is_compact`); with a
 # larger spread most landmarks would be edge landmarks.
 _SPREAD = 0.25
 
@@ -702,34 +725,36 @@ class LandmarkField:
                                      max_range_m, math.cos(math.radians(fov_deg) / 2.0))[0])
 
     def _classify(self, positions, heads, max_range_m, cos_half):
-        """Two bool masks over the landmarks for a block of poses: those that
-        every pose sees (sure-in), and the edge landmarks, which the exact
-        test decides; no pose sees the rest (sure-out). If a pose or the cone
-        fails the preconditions, every landmark is an edge landmark."""
+        """Two bool masks over the landmarks for a block of poses, measured
+        from its middle pose (row n // 2): those that every pose sees
+        (sure-in), and the edge landmarks, which the exact test decides; no
+        pose sees the rest (sure-out). If a pose or the cone fails the
+        preconditions, every landmark is an edge landmark."""
         n = len(self.points)
         norms = np.sqrt((heads * heads).sum(axis=1))
         if not (np.isfinite(positions).all() and math.isfinite(cos_half)
                 and (np.abs(norms - 1.0) <= _MARGIN).all()):
             return np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
-        # The block's spread around its first pose: delta (m) and phi (rad).
-        off = positions - positions[0]
+        # The block's spread around its middle pose: delta (m) and phi (rad).
+        mid = len(positions) // 2
+        off = positions - positions[mid]
         delta = float(np.sqrt((off * off).sum(axis=1)).max()) * (1.0 + _MARGIN)
         units = heads / norms[:, None]
-        phi = float(_angles_to(*units.T, units[0]).max()) + _MARGIN
+        phi = float(_angles_to(*units.T, units[mid]).max()) + _MARGIN
         half_in = math.acos(min(1.0, cos_half + 2.0 * _MARGIN)) - _MARGIN
         half_out = math.acos(max(-1.0, cos_half - 2.0 * _MARGIN)) + _MARGIN
         sure_in, sure_out = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
         for first in range(0, n, _CLASSIFY_ROWS):
             part = slice(first, first + _CLASSIFY_ROWS)
             sure_in[part], sure_out[part] = _sort(
-                self._columns[:, part] - positions[0][:, None], units[0], delta, phi,
+                self._columns[:, part] - positions[mid][:, None], units[mid], delta, phi,
                 max_range_m, half_in, half_out)
         return sure_in, ~(sure_in | sure_out)
 
 
 def _sort(rel, head, delta, phi, max_range_m, half_in, half_out):
     """The sure-in and the sure-out masks of the landmarks at `rel` (x, y, z
-    rows) from a block's first pose, with unit heading `head`."""
+    rows) from a block's middle pose, with unit heading `head`."""
     x, y, z = rel
     r0 = np.sqrt(x * x + y * y + z * z)
     r_lo = r0 * (1.0 - _MARGIN)
@@ -752,10 +777,10 @@ def is_compact(positions: np.ndarray, heads: np.ndarray, max_range_m: float,
                fov_deg: float) -> bool:
     """Whether a block of poses, given by their (n, 3) positions and
     headings, looks compact enough to classify, judged cheaply from its
-    first, middle and last poses (see _SPREAD). The pipeline asks before it
-    makes a block; `VisibilityBlock` does not."""
-    ends = [0, len(positions) // 2, -1]
-    (p0, h0), *rest = zip(positions[ends].tolist(), heads[ends].tolist())
+    first and last poses against its middle one (see _SPREAD). The pipeline
+    asks before it makes a block; `VisibilityBlock` does not."""
+    rows = [len(positions) // 2, 0, -1]
+    (p0, h0), *rest = zip(positions[rows].tolist(), heads[rows].tolist())
     cos_half = math.cos(math.radians(fov_deg) / 2.0)
     cos_turn = math.cos(_SPREAD * math.acos(max(-1.0, min(1.0, cos_half))))
     for p, h in rest:

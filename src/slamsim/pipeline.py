@@ -96,12 +96,12 @@ positions and headings `CircleTrajectory.positions_and_headings` computes
 for all of them at once, and each accepted frame then takes its ids from
 the block with the exact test on the block's edge landmarks
 (`VisibilityBlock.visible`); a dropped or throttled frame asks for nothing,
-and no frame's ids are kept past its own frame. A block whose first, middle
-and last poses are not compact (`is_compact`; a fast trajectory) is not
-made, and its accepted frames call `visible` one by one. Visibility draws
-no random number and reads only the trajectory, so the ids are those of a
-per-frame `visible` call, whatever the block size and wherever a run is
-cut.
+and no frame's ids are kept past its own frame. The block measures its
+landmarks from its middle frame's pose; a block whose first and last poses
+are not compact around it (`is_compact`; a fast trajectory) is not made, and
+its accepted frames call `visible` one by one. Visibility draws no random
+number and reads only the trajectory, so the ids are those of a per-frame
+`visible` call, whatever the block size and wherever a run is cut.
 """
 
 from __future__ import annotations

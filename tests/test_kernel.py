@@ -15,8 +15,8 @@ from slamsim.engine import NS_PER_S
 from slamsim.kernel import (CameraFrame, CircleTrajectory, ImuModel, ImuSample,
                             LandmarkField, Pose, StationaryTrajectory, VisibilityBlock, WorldMap,
                             draw_imu, extend_map, extract_features, feature_capacity,
-                            generate_landmarks, imu_rows, integrate, propagate, quat_exp,
-                            quat_from_yaw, quat_multiply, quat_normalize, quat_rotate,
+                            generate_landmarks, imu_rows, integrate, is_compact, propagate,
+                            quat_exp, quat_from_yaw, quat_multiply, quat_normalize, quat_rotate,
                             sample_imu, sample_imu_block, update_pose, _dot, _exact, _norm,
                             _row_norms,
                             FEATURE_BLOCK_HEADER_BYTES, FEATURE_RECORD_BYTES)
@@ -233,6 +233,60 @@ class TestVisibility:
         assert lm.shape == (400, 3)
         radii = np.hypot(lm[:, 0], lm[:, 1])
         assert np.all((7.0 <= radii) & (radii <= 9.0))
+
+
+class TestCompactBlocks:
+    """`is_compact` judges a block by its first and last rows against its
+    middle row, n // 2: each within _SPREAD of the range of it, and its
+    heading within _SPREAD of the cone's half angle of the middle heading."""
+
+    @staticmethod
+    def _block(n, end, offset=(0.0, 0.0, 0.0), turn=0.0):
+        """n rows at the middle row's pose, but the `end` row ("first" or
+        "last") moved by `offset` and its heading turned by `turn` rad about
+        the vertical. For n = 2 the last row is the middle one, and for n = 1
+        both ends are."""
+        middle, yaw = np.array([3.0, -1.5, 0.25]), 0.7
+        positions = np.tile(middle, (n, 1))
+        heads = np.tile([math.cos(yaw), math.sin(yaw), 0.0], (n, 1))
+        row = 0 if end == "first" else n - 1
+        positions[row] = middle + offset
+        heads[row] = (math.cos(yaw + turn), math.sin(yaw + turn), 0.0)
+        return positions, heads
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 31, 32])
+    @pytest.mark.parametrize("end", ["first", "last"])
+    @pytest.mark.parametrize("inside", [True, False])
+    @pytest.mark.parametrize("max_range_m, fov_deg", [(K.visibility_range_m, K.fov_deg),
+                                                      (3.0, 170.0)])
+    def test_spread_boundary(self, n, end, inside, max_range_m, fov_deg):
+        """A row just inside or just outside either bound, for odd and even
+        lengths; a 1-row block is its own middle, so it is always compact."""
+        scale = 1.0 - 1e-9 if inside else 1.0 + 1e-9
+        reach = kernel._SPREAD * max_range_m * scale
+        direction = np.array([2.0, -1.0, 2.0]) / 3.0
+        turn = kernel._SPREAD * math.radians(fov_deg) / 2.0 * (1.0 - 1e-6 if inside
+                                                                else 1.0 + 1e-6)
+        compact = inside or n == 1
+        far = self._block(n, end, offset=reach * direction)
+        assert is_compact(*far, max_range_m, fov_deg) is compact
+        turned = self._block(n, end, turn=turn)
+        assert is_compact(*turned, max_range_m, fov_deg) is compact
+
+    @pytest.mark.parametrize("n", [3, 4, 32])
+    def test_ends_spread_on_both_sides_of_the_middle(self, n):
+        """The first and last rows may each lie almost _SPREAD of the range
+        from the middle row on opposite sides, nearly twice that from each
+        other, and turn almost _SPREAD of the half angle each way."""
+        max_range_m, fov_deg = K.visibility_range_m, K.fov_deg
+        reach = 0.99 * kernel._SPREAD * max_range_m
+        turn = 0.99 * kernel._SPREAD * math.radians(fov_deg) / 2.0
+        positions, heads = self._block(n, "first", offset=(-reach, 0.0, 0.0), turn=-turn)
+        last = self._block(n, "last", offset=(reach, 0.0, 0.0), turn=turn)
+        positions[-1], heads[-1] = last[0][-1], last[1][-1]
+        assert is_compact(positions, heads, max_range_m, fov_deg)
+        positions[-1] += (0.02 * kernel._SPREAD * max_range_m, 0.0, 0.0)
+        assert not is_compact(positions, heads, max_range_m, fov_deg)
 
 
 # ---------------------------------------------------------------------------

@@ -681,12 +681,33 @@ class TestFrameBlockSize:
                                 kernel=KernelConfig(landmark_count=4000))
         self._assert_same_across_blocks(config)
 
-    @pytest.mark.parametrize("period_s, compact", [(60.0, True), (5.0, False), (1.0, False)])
+    def test_fast_trajectory(self):
+        """A dense map on a loop four times as fast as the default: every
+        full block lies compact around its middle pose and is classified,
+        and the report and trace equal the per-frame path's."""
+        config = ScenarioConfig(variant=ArchVariant.SLAM_ARCH, camera_fps=50, duration_s=5.0,
+                                kernel=KernelConfig(landmark_count=4000,
+                                                    trajectory_period_s=15.0))
+        full, check = [], pipeline.is_compact
+
+        def recording(positions, *args):
+            compact = check(positions, *args)
+            if len(positions) == pipeline.FRAME_BLOCK > 1:
+                full.append(compact)
+            return compact
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "is_compact", recording)
+            self._assert_same_across_blocks(config)
+        assert len(full) > 10 and all(full)
+
+    @pytest.mark.parametrize("period_s, compact", [(60.0, True), (15.0, True), (5.0, False),
+                                                   (1.0, False)])
     def test_only_compact_blocks_are_made(self, period_s, compact):
         """Classifying pays only for a block whose frames stay close: for
-        one that turns or moves far, by its first, middle and last poses,
-        the pipeline makes no block, and its frames call `visible` one by
-        one."""
+        one that turns or moves far, by its first and last poses against its
+        middle one, the pipeline makes no block, and its frames call
+        `visible` one by one."""
         kernel_config = KernelConfig(landmark_count=400, trajectory_period_s=period_s)
         sim = Simulation(ScenarioConfig(variant=ArchVariant.SLAM_ARCH, duration_s=5.0,
                                         camera_fps=50, kernel=kernel_config))
