@@ -11,8 +11,8 @@ trajectories work on Python floats: vectors are 3-tuples, quaternions are
 4-tuples (w, x, y, z), and a `Pose` holds three such tuples. The feature path
 is struct-of-arrays over the dense landmark ids 0..N-1: landmark truth is one
 (N, 3) array with contiguous coordinates, a frame's visible landmarks and a
-`FeatureBlock`'s features are ascending int id arrays, and a `WorldMap` is a
-bool `known` mask plus an (N, 3) point array, so matching and map extension
+`FeatureBlock`'s features are ascending int id arrays, and a `WorldMap` is
+only a bool `known` mask, not a point array, so matching and map extension
 are single masked gathers. Drift correction and mapping read only which
 landmarks were seen, so no pixel is projected.
 
@@ -319,38 +319,15 @@ class FeatureBlock(NamedTuple):
 
 
 class WorldMap:
-    """Map points of landmark ids 0..size-1; insert-only, so its size never
-    decreases. `known` marks the ids inserted so far; `points` rows of
-    unknown ids are meaningless. Points are allocated on the first insert."""
+    """The landmarks mapped so far, as a bool mask over the ids 0..size-1:
+    `known[i]` says landmark i is in the map. Insert-only, so its size never
+    decreases."""
 
     def __init__(self, size: int):
         self.known = np.zeros(size, dtype=bool)
-        self.points: np.ndarray | None = None
 
     def __len__(self):
         return int(np.count_nonzero(self.known))
-
-    def point(self, landmark_id):
-        if not self.known[landmark_id]:
-            raise KeyError(landmark_id)
-        return self.points[landmark_id]
-
-    def insert(self, ids, points) -> None:
-        """Store `points` (one row per id) for the distinct `ids` not yet in
-        the map; known ids keep their points."""
-        ids = np.asarray(ids, dtype=np.intp)
-        points = np.asarray(points, dtype=float).reshape(len(ids), 3)
-        if not np.isfinite(points).all():
-            bad = ~np.isfinite(points).all(axis=1)
-            raise ValueError(f"non-finite map point for landmark {int(ids[bad][0])}")
-        new = ~self.known[ids]
-        if self.points is None:
-            self.points = np.empty((len(self.known), 3))
-        if new.all():
-            self.points[ids] = points
-        else:
-            self.points[ids[new]] = points[new]
-        self.known[ids] = True
 
 
 # ---------------------------------------------------------------------------
@@ -643,18 +620,12 @@ def update_pose(pose: Pose, block: FeatureBlock, world_map: WorldMap, truth_pose
     return corrected, matched
 
 
-def extend_map(world_map: WorldMap, block: FeatureBlock, landmark_points: np.ndarray,
-               rng: np.random.Generator, noise_std: float) -> int:
-    """Insert unmatched landmarks at their true position (a row of
-    `landmark_points`) perturbed by mapping noise; matched ids are left
-    intact. Returns the number inserted."""
+def extend_map(world_map: WorldMap, block: FeatureBlock) -> int:
+    """Mark the block's unmatched landmarks known; matched ids are left as
+    they are. Returns the number of features that were unmatched, which is
+    the number of landmarks added, as a block's features are distinct."""
     ids = block.features[~world_map.known[block.features]]
-    if not len(ids):
-        return 0
-    points = landmark_points[ids]
-    if noise_std > 0:
-        points += rng.normal(0.0, noise_std, (len(ids), 3))
-    world_map.insert(ids, points)
+    world_map.known[ids] = True
     return len(ids)
 
 
@@ -714,7 +685,6 @@ class LandmarkField:
     """Landmark truth positions with a vectorized visibility query."""
 
     def __init__(self, points: np.ndarray):
-        self.points = points
         self._columns = np.ascontiguousarray(points.T)  # x, y, z rows
 
     def visible(self, true_pose: Pose, max_range_m: float, fov_deg: float) -> np.ndarray:
@@ -730,7 +700,7 @@ class LandmarkField:
         (sure-in), and the edge landmarks, which the exact test decides; no
         pose sees the rest (sure-out). If a pose or the cone fails the
         preconditions, every landmark is an edge landmark."""
-        n = len(self.points)
+        n = self._columns.shape[1]
         norms = np.sqrt((heads * heads).sum(axis=1))
         if not (np.isfinite(positions).all() and math.isfinite(cos_half)
                 and (np.abs(norms - 1.0) <= _MARGIN).all()):

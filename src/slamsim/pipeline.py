@@ -715,9 +715,7 @@ class Simulation:
         self.position_errors.append(_norm((px - tx, py - ty, pz - tz)))
 
     def _apply_mapping(self, block) -> None:
-        k = self.config.kernel
-        extend_map(self.world_map, block, self.field.points,
-                   rng=self.engine.stream("map"), noise_std=k.map_noise_std)
+        extend_map(self.world_map, block)
 
     # ------------------------------------------------------------------
 

@@ -162,6 +162,9 @@ class KernelConfig:
     update_gain: float = spec(0.8, number(0, 1))
     obs_noise_std: float = spec(0.02, _NOISE_STD)
     min_matches: int = spec(10, integer(0))
+    # map_noise_std is accepted but not read by the model, whose map holds
+    # only which landmarks are mapped; removing a key would change every
+    # config digest.
     map_noise_std: float = spec(0.01, _NOISE_STD)
     landmark_count: int = spec(400, integer(0, MAX_LANDMARKS))
     visibility_range_m: float = spec(12.0, number(0, lo_open=True))

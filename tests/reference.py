@@ -1,6 +1,6 @@
 """The kernel's numerics written once, per sample, per landmark and per
-feature, on Python floats, tuples, lists and dicts (a map is a dict from
-landmark id to point), in the operand order the `slamsim.kernel` module notes
+feature, on Python floats, tuples, lists and sets (a map is the set of its
+landmark ids), in the operand order the `slamsim.kernel` module notes
 promise. The kernel's fast paths are tested against it bit for bit, draw for
 draw. It takes only types and constants from `slamsim`, no kernel function.
 
@@ -181,27 +181,10 @@ def update_pose(pose, features, world_map, truth_pose, rng, gain, obs_noise_std,
                 _normalize(_slerp(pose.orientation, truth_pose.orientation, gain))), matched
 
 
-def insert(world_map, ids, points) -> None:
-    """Store each point under its id unless the id was known before the
-    call; a new id given twice keeps its last point. A non-finite coordinate
-    raises, naming the first bad row's id, before anything is stored."""
-    rows = [tuple(row) for row in np.asarray(points, dtype=float).reshape(-1, 3).tolist()]
-    ids = [int(i) for i in ids]
-    for i, row in zip(ids, rows):
-        if not all(math.isfinite(c) for c in row):
-            raise ValueError(f"non-finite map point for landmark {i}")
-    new = {i for i in ids if i not in world_map}
-    world_map.update((i, row) for i, row in zip(ids, rows) if i in new)
-
-
-def extend_map(world_map, features, landmark_points, rng, noise_std) -> int:
-    """Insert each feature not yet in the map at its landmark's position plus
-    `rng.normal(0.0, noise_std, 3)` (no draw for a std of 0), feature by
-    feature. Returns the number inserted."""
+def extend_map(world_map, features) -> int:
+    """Add to the map (a set of landmark ids) each feature not yet in it.
+    Returns the number of features that were not in the map before the
+    call."""
     new = [i for i in features if i not in world_map]
-    for i in new:
-        point = tuple(float(c) for c in landmark_points[i])
-        if noise_std > 0:
-            point = _add(point, rng.normal(0.0, noise_std, 3).tolist())
-        insert(world_map, [i], [point])
+    world_map.update(new)
     return len(new)

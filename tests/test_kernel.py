@@ -12,7 +12,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from slamsim import kernel
 from slamsim.engine import NS_PER_S
-from slamsim.kernel import (CameraFrame, CircleTrajectory, ImuModel, ImuSample,
+from slamsim.kernel import (CameraFrame, CircleTrajectory, FeatureBlock, ImuModel, ImuSample,
                             LandmarkField, Pose, StationaryTrajectory, VisibilityBlock, WorldMap,
                             draw_imu, extend_map, extract_features, feature_capacity,
                             generate_landmarks, imu_rows, integrate, is_compact, propagate,
@@ -181,9 +181,9 @@ class TestFeatures:
             + 5 * FEATURE_RECORD_BYTES
 
 
-def _map(size, ids, point=(0.0, 0.0, 0.0)):
+def _map(size, ids):
     wm = WorldMap(size)
-    wm.insert(ids, np.tile(point, (len(ids), 1)))
+    wm.known[list(ids)] = True
     return wm
 
 
@@ -210,20 +210,11 @@ class TestUpdateAndMap:
         assert out.position[0] == pytest.approx(1.0 - K.update_gain)
 
     def test_extend_map_inserts_only_new(self):
-        wm = _map(4, [0], point=(9.0, 9.0, 9.0))
-        truth = np.array([[float(i), 0.0, 0.0] for i in range(4)])
-        # without mapping noise
-        inserted = extend_map(wm, self._block(range(4)), truth, np.random.default_rng(0), 0.0)
+        wm = _map(6, [0, 4])
+        inserted = extend_map(wm, self._block(range(4)))
         assert inserted == 3
-        assert len(wm) == 4
-        assert np.array_equal(wm.point(0), [9.0, 9.0, 9.0])  # insert-only
-        assert np.array_equal(wm.point(3), [3.0, 0.0, 0.0])
-
-    def test_map_rejects_non_finite_points(self):
-        wm = WorldMap(4)
-        with pytest.raises(ValueError):
-            wm.insert([1], [[np.nan, 0.0, 0.0]])
-        assert len(wm) == 0
+        assert len(wm) == 5
+        assert wm.known.tolist() == [True, True, True, True, True, False]
 
 
 @pytest.mark.blas_bits
@@ -309,11 +300,9 @@ def _imu_bits(sample):
     return t_ns, _bits(gyro), _bits(accel)
 
 
-def _map_bits(world_map):
-    """A `WorldMap`'s or a reference map's points by id, as exact bytes."""
-    if isinstance(world_map, WorldMap):
-        world_map = {int(i): world_map.points[i] for i in np.flatnonzero(world_map.known)}
-    return {i: _bits(point) for i, point in world_map.items()}
+def _assert_map(world_map, ref_map):
+    """A `WorldMap` knows exactly the ids of a reference map."""
+    assert np.flatnonzero(world_map.known).tolist() == sorted(ref_map)
 
 
 def _assert_ids(ids, expected):
@@ -558,7 +547,7 @@ class TestBitExactness:
         count = sum(n + 1 for n, _ in steps)
         times = [(k * NS_PER_S) // rate_hz for k in range(1, count + 1)]
         samples = sample_imu_block(model, truth, times, rng)
-        world_map, ref_map = _map(20, range(20)), dict.fromkeys(range(20), (0.0, 0.0, 0.0))
+        world_map, ref_map = _map(20, range(20)), set(range(20))
         block = extract_features(_frame(range(20)), rng)
         features = block.features.tolist()
 
@@ -715,22 +704,21 @@ class TestBitExactness:
     @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 1200),
            visible_share=st.floats(0.0, 1.0), known_share=st.floats(0.0, 1.0),
            position=_vec, velocity=_vec, truth_position=_vec, truth_velocity=_vec,
-           gain=st.floats(0.0, 1.0), obs_std=_std, map_std=_std,
+           gain=st.floats(0.0, 1.0), obs_std=_std,
            min_matches=st.integers(0, 30), rounds=st.integers(1, 4),
            orientation=st.sampled_from(["near", "far", "opposite"]))
     @settings(max_examples=80, deadline=None, phases=NO_SHRINK)
     def test_feature_path_matches_reference(self, seed, size, visible_share, known_share,
                                             position, velocity, truth_position,
-                                            truth_velocity, gain, obs_std, map_std,
-                                            min_matches, rounds, orientation):
+                                            truth_velocity, gain, obs_std, min_matches,
+                                            rounds, orientation):
         """`extract_features`, `update_pose`, the pipeline's position error
         and `extend_map` give the reference's features, bits, draws and map,
-        round after round on a growing map; a miss of `min_matches` and a std
-        of 0 draw nothing."""
+        round after round on a growing map; a miss of `min_matches`, a std
+        of 0 and `extend_map` draw nothing."""
         world = np.random.default_rng(seed)
         landmarks = generate_landmarks(size, world)
         known = np.flatnonzero(world.uniform(size=size) < known_share)
-        known_points = world.normal(0.0, 5.0, (len(known), 3))
         truth_q = quat_normalize(tuple(world.normal(size=4)))
         # Near the truth orientation, slerp takes its normalized-lerp branch;
         # "opposite" exercises the hemisphere flip.
@@ -739,9 +727,7 @@ class TestBitExactness:
         if orientation == "opposite":
             q = tuple(-c for c in q) if np.dot(q, truth_q) > 0 else q
         truth, pose = Pose(truth_position, truth_velocity, truth_q), Pose(position, velocity, q)
-        wm, ref_map = WorldMap(size), {}
-        wm.insert(known, known_points)
-        reference.insert(ref_map, known, known_points)
+        wm, ref_map = _map(size, known), set(known.tolist())
         rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         for _ in range(rounds):
             ids = np.flatnonzero(world.uniform(size=size) < visible_share)
@@ -768,46 +754,26 @@ class TestBitExactness:
                 [r - t for r, t in zip(ref.position, truth.position)]).hex()
 
             state = rng.bit_generator.state
-            inserted = extend_map(wm, block, landmarks, rng=rng, noise_std=map_std)
-            assert inserted == reference.extend_map(ref_map, features, landmarks, ref_rng,
-                                                    map_std)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-            if not inserted or map_std == 0:
-                assert rng.bit_generator.state == state
-            assert _map_bits(wm) == _map_bits(ref_map)
+            assert extend_map(wm, block) == reference.extend_map(ref_map, features)
+            assert rng.bit_generator.state == state
+            _assert_map(wm, ref_map)
             pose = out
 
     @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 60),
-           batches=st.lists(st.tuples(st.integers(0, 40),
-                                      st.sampled_from([None, math.nan, math.inf, -math.inf])),
-                            min_size=1, max_size=6))
+           known_share=st.floats(0.0, 1.0),
+           batches=st.lists(st.integers(0, 40), min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
-    def test_map_insert_matches_reference(self, seed, size, batches):
-        """Inserts of new, known and repeated ids store what the reference
-        stores; a batch with a non-finite coordinate raises its error, naming
-        the first bad landmark, and leaves the map as it was."""
+    def test_extend_map_matches_reference(self, seed, size, known_share, batches):
+        """Blocks of new, already-known and repeated ids, in any order, leave
+        the reference's map and count what it counts."""
         rng = np.random.default_rng(seed)
-        wm, ref_map = WorldMap(size), {}
-        for count, bad_value in batches:
+        known = np.flatnonzero(rng.uniform(size=size) < known_share)
+        wm, ref_map = _map(size, known), set(known.tolist())
+        for count in batches:
             ids = rng.integers(0, size, count)
-            points = rng.normal(0.0, 5.0, (count, 3))
-            if bad_value is None or not count:
-                wm.insert(ids, points)
-                reference.insert(ref_map, ids, points)
-            else:
-                rows = rng.uniform(size=count) < 0.3
-                rows[rng.integers(count)] = True
-                points[rows, rng.integers(0, 3, np.count_nonzero(rows))] = bad_value
-                before = _map_bits(wm)
-                with pytest.raises(ValueError) as ref_error:
-                    reference.insert(ref_map, ids, points)
-                with pytest.raises(ValueError) as error:
-                    wm.insert(ids, points)
-                first = int(ids[np.flatnonzero(rows)[0]])
-                assert str(error.value) == str(ref_error.value) \
-                    == f"non-finite map point for landmark {first}"
-                assert _map_bits(wm) == before
-            assert _map_bits(wm) == _map_bits(ref_map)
+            block = FeatureBlock(0, ids, 0)
+            assert extend_map(wm, block) == reference.extend_map(ref_map, ids.tolist())
+            _assert_map(wm, ref_map)
 
     @pytest.mark.blas_bits
     @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(0, 5000),

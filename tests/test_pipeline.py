@@ -253,6 +253,19 @@ def test_same_seed_runs_are_identical():
     assert a.position_errors == b.position_errors
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_random_streams_are_the_documented_ones(name):
+    """A run draws from exactly the streams the README names: "relay" only
+    where a relay copies frames (hetero-dsp), and no "map" stream, as
+    mapping draws nothing."""
+    sim = Simulation(dataclasses.replace(preset(name), duration_s=3.0))
+    sim.run()
+    expected = {"landmarks", "imu", "features", "obs"}
+    if name == "hetero-dsp":
+        expected.add("relay")
+    assert set(sim.engine._streams) == expected
+
+
 def _replace_unit(variant, old_id, new_id, kind, stage):
     """The variant's table entry with unit `old_id` swapped for a `kind` unit
     that runs `stage`."""
