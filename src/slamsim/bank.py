@@ -52,9 +52,14 @@ class FeatureBankController:
     def __init__(self, trace=None):
         self.banks = [Bank() for _ in range(BANKS)]
         self.fill_register: int | None = None
-        self.pending_interrupt = False
         self._full_backlog: deque[int] = deque()
         self._trace = trace
+
+    @property
+    def pending_interrupt(self) -> bool:
+        """The interrupt toward the CPU is raised while a bank id is latched
+        in the fill register."""
+        return self.fill_register is not None
 
     def _emit(self, transition: str, detail: dict) -> None:
         if self._trace is not None:
@@ -94,7 +99,6 @@ class FeatureBankController:
         self._emit("BankFilled", {"bank": bank})
         if self.fill_register is None:
             self.fill_register = bank
-            self.pending_interrupt = True
             self._emit("RegisterSet", {"bank": bank})
             self._emit("InterruptRaised", {"bank": bank})
         else:
@@ -118,12 +122,10 @@ class FeatureBankController:
         if self._full_backlog:
             nxt = self._full_backlog.popleft()
             self.fill_register = nxt
-            self.pending_interrupt = True
             self._emit("RegisterSet", {"bank": nxt})
             self._emit("InterruptRaised", {"bank": nxt})
         else:
             self.fill_register = None
-            self.pending_interrupt = False
         return bank
 
     def consumer_done(self, bank: int, consumer: str) -> None:

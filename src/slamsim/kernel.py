@@ -22,7 +22,7 @@ bit-identical to it. Vector norms and quaternion dot products are the
 exception: numpy takes them with its BLAS dot product, which may accumulate
 with fused multiply-adds and so differs in the last bit from a Python sum of
 squares. These small BLAS dots are left: `_dot` in `quat_slerp`; `_norm` in
-`quat_normalize`, `quat_exp` and the position error of
+`quat_normalize` and the position error of
 `Simulation._apply_update` (the `np.linalg.norm` of a 1-D array is the square
 root of the same dot); `_row_norms`'s stacked matmul in `imu_rows`, one dot
 per row; and the normalization dot in `integrate`. `_norm` of a 3- or
@@ -128,8 +128,9 @@ them `ImuSample`s with a single `.tolist()`, and `sample_imu` is the
 1-sample block.
 
 Two-half integration. `propagate` is `imu_rows` then `integrate`. An
-interval's rotation increment, `quat_exp(0.5 * (h + g) * dt)` for gyro
-samples h and g, depends on two consecutive samples and never on the
+interval's rotation increment, the quaternion exponential of the rotation
+vector `0.5 * (h + g) * dt` for gyro samples h and g (`_exp` in
+`tests/reference.py`), depends on two consecutive samples and never on the
 estimate, so `imu_rows` computes it for a block of samples at once with the
 scalar operations element-wise: `g * dt` for a first interval without a
 previous sample (the rectangle rule), the `angle < 1e-12` branch as a mask,
@@ -162,14 +163,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import NS_PER_S
-from .soc import FEATURE_BLOCK_HEADER_BYTES, FEATURE_RECORD_BYTES, MAX_CONVERTED, MIB, SocConfig
+from .soc import FEATURE_BLOCK_HEADER_BYTES, FEATURE_RECORD_BYTES, SocConfig
 
 MAX_IMU_RATE_HZ = 1000
-# A camera frame's size: 3 MiB by default, and never less in a scenario.
-MIN_FRAME_BYTES = 3 * MIB
-# ... and never more than the largest heap budget, MAX_CONVERTED MiB, so that
-# the relay's allocation total in MiB stays finite.
-MAX_FRAME_BYTES = int(MAX_CONVERTED) * MIB
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +221,6 @@ def quat_rotate(q, v):
     """Rotate vector v from body frame to world frame by unit quaternion q."""
     out = quat_multiply(quat_multiply(q, (0.0, v[0], v[1], v[2])), quat_conjugate(q))
     return out[1:]
-
-
-def quat_exp(omega_dt):
-    """Quaternion exponential of a rotation vector (axis * angle)."""
-    angle = _norm(omega_dt)
-    x, y, z = omega_dt
-    if angle < 1e-12:
-        return (1.0, 0.5 * x, 0.5 * y, 0.5 * z)
-    half = 0.5 * angle
-    s = math.sin(half)
-    return (math.cos(half), s * (x / angle), s * (y / angle), s * (z / angle))
 
 
 def quat_from_yaw(yaw):
@@ -307,7 +292,6 @@ class CameraFrame:
     frame_id: int
     t_ns: int
     visible_landmarks: np.ndarray  # ascending landmark ids
-    size_bytes: int = MIN_FRAME_BYTES
 
 
 class FeatureBlock(NamedTuple):

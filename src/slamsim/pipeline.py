@@ -69,12 +69,24 @@ the head of the queue: it sets the busy segment, calls the task's
 `on_start` hook and schedules its `TASK_DONE` event. The event's handler
 books the busy segment, appends the stage duration, writes the `TaskDone`
 record, calls `on_done` and starts the next queued task; a completion that
-a GC freeze moved later is stale and does nothing. Under the two-bank
-handoff propagation runs on one of these executors (cpu0 of slam-arch,
-beside mapping), and the drain after mapping takes the delivered samples as
-one batch. On either kind of unit, `_apply_propagation` is where each
-completed batch goes, the one seam for a test oracle that integrates
-batches as they complete.
+a GC freeze moved later is stale and does nothing. Both hooks get the
+task's payload. Under the two-bank handoff propagation runs on one of these
+executors (cpu0 of slam-arch, beside mapping), and the drain after mapping
+takes the delivered samples as one batch. On either kind of unit each
+completed batch goes to `_apply_propagation`, which only advances
+`imu_done`; a test oracle that integrates batches as they complete
+overrides it.
+
+The timing skeleton (the executors, the handoff handlers and the relay)
+reaches the functional kernel through five `Simulation` methods, the
+seams: `_make_frame` (an accepted frame), `_extract_features` (a completed
+extraction's feature block), `_integrate_pending` (the estimate brought up
+to `imu_done`, on a read of `est_pose`), `_apply_update` and
+`_apply_mapping`. It passes what they return on to later tasks as opaque
+payloads (task payloads, bank contents) and reads no kernel state, so the
+kernel moves no trace record and no report field but `map_size` and
+`rms_position_error_m`. `tests/test_pipeline.py` checks this both ways: with
+the seams replaced by no-ops, and on the bytecode of every other method.
 
 The estimate is integrated when it is read, not when a propagation task
 completes. A completion (`_apply_propagation`) only advances `imu_done`; at
@@ -147,7 +159,8 @@ _PROPAGATION = Stage.PROPAGATION.value
 
 class _Task(NamedTuple):
     """One task of a `UnitExecutor`: its stage, its length in ns, its payload,
-    and the hooks called with it when it ends and when it starts."""
+    and the hooks called with the payload when it ends and when it starts.
+    The executor passes the payload on without reading it."""
     stage: Stage
     duration_ns: int
     payload: Any
@@ -238,7 +251,7 @@ class UnitExecutor(_Unit):
         self.seg_start_ns = now
         self.end_ns = end = now + task.duration_ns
         if task.on_start is not None:
-            task.on_start(task)
+            task.on_start(task.payload)
         engine.schedule(end, self.target, EventKind.TASK_DONE)
 
     def _due_at(self, end_ns: int) -> None:
@@ -260,7 +273,7 @@ class UnitExecutor(_Unit):
         sim.trace.append({"t_ns": now, "entity": self.unit_id,
                           "transition": "TaskDone", "stage": _STAGE_NAMES[stage]})
         self.task = None
-        task.on_done(task)
+        task.on_done(task.payload)
         if self.queue:
             self.try_start()
 
@@ -456,51 +469,17 @@ class Simulation:
     # The other records written on every frame are each one dict literal,
     # with the keys in `_emit`'s order.
 
-    def _consume_start(self, task: _Task) -> None:
-        """The start hook of a cycle's update and mapping tasks."""
+    def _consume_start(self, consumer: str, payload) -> None:
+        """The start hook of a cycle's update and mapping tasks, bound to
+        the consumer with `functools.partial`."""
         self.trace.append({"t_ns": self.engine.now(), "entity": "bank",
-                           "transition": "ConsumeStart", "bank": task.payload[0],
-                           "consumer": UPDATE_CONSUMER if task.stage is Stage.UPDATE
-                           else MAPPING_CONSUMER})
+                           "transition": "ConsumeStart", "bank": payload[0],
+                           "consumer": consumer})
 
     def _submit(self, stage: Stage, payload, on_done, on_start=None) -> None:
         # tuple.__new__ skips the Python-level __new__ that _Task(...) runs.
         self.stage_exec[stage].submit(tuple.__new__(
             _Task, (stage, self.stage_ns[stage], payload, on_done, on_start)))
-
-    def _make_frame(self, frame_id: int) -> CameraFrame:
-        """Frame `frame_id`, arriving at frame_id * NS_PER_S // camera_fps,
-        with the landmarks visible from the true pose then: from its frame
-        block if that is classified."""
-        t_ns = frame_id * NS_PER_S // self.config.camera_fps
-        if frame_id not in self.frame_range:
-            self.frame_range, self.frame_block = self._frame_block(frame_id)
-        if self.frame_block is not None:
-            visible = self.frame_block.visible(frame_id - self.frame_range.start)
-        else:
-            k = self.config.kernel
-            visible = self.field.visible(self.truth.pose_at(t_ns), k.visibility_range_m,
-                                         k.fov_deg)
-        return CameraFrame(frame_id=frame_id, t_ns=t_ns, visible_landmarks=visible,
-                           size_bytes=self.config.frame_size_bytes)
-
-    def _frame_block(self, frame_id: int) -> tuple[range, VisibilityBlock | None]:
-        """The frames of `frame_id`'s frame block, from its first to its last,
-        or to the run's last frame if that comes first, but at least to
-        `frame_id`; and the landmarks classified for their true poses, or
-        None if the block is not compact (`is_compact`)."""
-        k, fps = self.config.kernel, self.config.camera_fps
-        first = (frame_id - 1) // FRAME_BLOCK * FRAME_BLOCK + 1
-        # Frame j arrives at j * NS_PER_S // fps, at or before duration_ns
-        # for every j up to this one.
-        last = max(frame_id, ((self.duration_ns + 1) * fps - 1) // NS_PER_S)
-        frames = range(first, min(first + FRAME_BLOCK, last + 1))
-        positions, heads = self.truth.positions_and_headings(
-            [j * NS_PER_S // fps for j in frames])
-        if not is_compact(positions, heads, k.visibility_range_m, k.fov_deg):
-            return frames, None
-        return frames, VisibilityBlock(self.field, positions, heads, k.visibility_range_m,
-                                       k.fov_deg)
 
     # ------------------------------------------------------------------
     # sources
@@ -511,14 +490,6 @@ class Simulation:
         self.engine.schedule(((k + 1) * NS_PER_S) // self.config.camera_fps,
                              "frames", EventKind.FRAME_ARRIVED, k + 1)
         self.on_frame_arrival(k)
-
-    def _take_imu(self, hi: int) -> int:
-        """Take the samples delivered up to `hi` and not yet taken, the index
-        range (lo, hi], and return lo; the range is empty if lo == hi."""
-        lo, self.imu_taken = self.imu_taken, hi
-        if hi - lo > self.imu_max_batch:
-            self.imu_max_batch = hi - lo
-        return lo
 
     # ------------------------------------------------------------------
     # frame ingest
@@ -559,10 +530,10 @@ class Simulation:
         else:
             self._submit(Stage.FEATURE_EXTRACTION, frame, self._on_feature_extraction_done)
 
-    def _on_relay_copy_done(self, task: _Task) -> None:
-        frame = task.payload
-        self.alloc_counter_bytes += frame.size_bytes
-        self.alloc_total_bytes += frame.size_bytes
+    def _on_relay_copy_done(self, frame) -> None:
+        size = self.config.frame_size_bytes
+        self.alloc_counter_bytes += size
+        self.alloc_total_bytes += size
         self.maybe_gc()
         self._extract(frame)
 
@@ -589,17 +560,16 @@ class Simulation:
     # ------------------------------------------------------------------
     # shared-memory handoff
 
-    def _on_feature_extraction_done(self, task: _Task) -> None:
-        block = extract_features(task.payload, self.engine.stream("features"),
-                                 self.config.soc.bank_capacity_bytes)
+    def _on_feature_extraction_done(self, frame) -> None:
+        block = self._extract_features(frame)
         self._submit(Stage.UPDATE, block, self._on_update_done)
-        self._submit(Stage.MAPPING, block, self._on_mapping_done)
+        self._submit(Stage.MAPPING, block, self._apply_mapping)
 
-    def _on_update_done(self, task: _Task) -> None:
-        self._apply_update(task.payload)
-
-    def _on_mapping_done(self, task: _Task) -> None:
-        self._apply_mapping(task.payload)
+    def _on_update_done(self, block) -> None:
+        """An update task completed, under either handoff: its time is the
+        timing model's record, its block goes to the kernel."""
+        self.update_completions.append(self.engine.now())
+        self._apply_update(block)
 
     # ------------------------------------------------------------------
     # two-bank scratchpad handoff
@@ -617,11 +587,9 @@ class Simulation:
         self.controller.begin_fill(bank)
         self._submit(Stage.FEATURE_EXTRACTION, (frame, bank), self._on_bank_fill_done)
 
-    def _on_bank_fill_done(self, task: _Task) -> None:
-        frame, bank = task.payload
-        block = extract_features(frame, self.engine.stream("features"),
-                                 self.config.soc.bank_capacity_bytes)
-        self.controller.fill_complete(bank, block)
+    def _on_bank_fill_done(self, payload) -> None:
+        frame, bank = payload
+        self.controller.fill_complete(bank, self._extract_features(frame))
         if self.controller.pending_interrupt and self.active_cycle_bank is None:
             self._acknowledge_cycle()
         self._try_start_fill()
@@ -631,18 +599,18 @@ class Simulation:
         self.active_cycle_bank = bank
         block = self.controller.banks[bank].block
         self._submit(Stage.UPDATE, (bank, block), self._on_cycle_update_done,
-                     on_start=self._consume_start)
+                     on_start=partial(self._consume_start, UPDATE_CONSUMER))
         self._submit(Stage.MAPPING, (bank, block), self._on_cycle_mapping_done,
-                     on_start=self._consume_start)
+                     on_start=partial(self._consume_start, MAPPING_CONSUMER))
 
-    def _on_cycle_update_done(self, task: _Task) -> None:
-        bank, block = task.payload
-        self._apply_update(block)
+    def _on_cycle_update_done(self, payload) -> None:
+        bank, block = payload
+        self._on_update_done(block)
         self.controller.consumer_done(bank, UPDATE_CONSUMER)
         self._maybe_release(bank)
 
-    def _on_cycle_mapping_done(self, task: _Task) -> None:
-        bank, block = task.payload
+    def _on_cycle_mapping_done(self, payload) -> None:
+        bank, block = payload
         self._apply_mapping(block)
         self.controller.consumer_done(bank, MAPPING_CONSUMER)
         # Mapping done: the propagation thread consumes buffered IMU in batch.
@@ -659,22 +627,23 @@ class Simulation:
         self._try_start_fill()
 
     def _propagate_delivered(self) -> None:
-        """Submit every delivered sample not yet taken as one batch."""
-        hi = self.engine.sample_index
-        lo = self._take_imu(hi)
+        """Take every delivered sample not yet taken, the index range
+        (lo, hi], and submit it as one batch."""
+        lo, hi = self.imu_taken, self.engine.sample_index
         if lo < hi:
-            self._submit(Stage.PROPAGATION, (lo, hi), self._on_propagation_done)
-
-    def _on_propagation_done(self, task: _Task) -> None:
-        self._apply_propagation(task.payload)
-
-    # ------------------------------------------------------------------
-    # functional kernel application
+            self.imu_taken = hi
+            if hi - lo > self.imu_max_batch:
+                self.imu_max_batch = hi - lo
+            self._submit(Stage.PROPAGATION, (lo, hi), self._apply_propagation)
 
     def _apply_propagation(self, batch: tuple[int, int]) -> None:
-        """A propagation task completed: its batch (lo, hi] is integrated on
-        the next read of `est_pose` (see the module notes)."""
+        """The completion hook of a propagation task, on either kind of unit:
+        its batch (lo, hi] is integrated on the next read of `est_pose` (see
+        the module notes)."""
         self.imu_done = batch[1]
+
+    # ------------------------------------------------------------------
+    # functional kernel: the seams and their helpers
 
     def _imu_row_blocks(self):
         """The integration rows (`kernel.imu_rows`) of samples 1, 2, ..., one
@@ -699,9 +668,46 @@ class Simulation:
             del rows[:n]
             self.imu_integrated = self.imu_done
 
+    def _make_frame(self, frame_id: int) -> CameraFrame:
+        """Frame `frame_id`, arriving at frame_id * NS_PER_S // camera_fps,
+        with the landmarks visible from the true pose then: from its frame
+        block if that is classified."""
+        t_ns = frame_id * NS_PER_S // self.config.camera_fps
+        if frame_id not in self.frame_range:
+            self.frame_range, self.frame_block = self._frame_block(frame_id)
+        if self.frame_block is not None:
+            visible = self.frame_block.visible(frame_id - self.frame_range.start)
+        else:
+            k = self.config.kernel
+            visible = self.field.visible(self.truth.pose_at(t_ns), k.visibility_range_m,
+                                         k.fov_deg)
+        return CameraFrame(frame_id=frame_id, t_ns=t_ns, visible_landmarks=visible)
+
+    def _frame_block(self, frame_id: int) -> tuple[range, VisibilityBlock | None]:
+        """The frames of `frame_id`'s frame block, from its first to its last,
+        or to the run's last frame if that comes first, but at least to
+        `frame_id`; and the landmarks classified for their true poses, or
+        None if the block is not compact (`is_compact`)."""
+        k, fps = self.config.kernel, self.config.camera_fps
+        first = (frame_id - 1) // FRAME_BLOCK * FRAME_BLOCK + 1
+        # Frame j arrives at j * NS_PER_S // fps, at or before duration_ns
+        # for every j up to this one.
+        last = max(frame_id, ((self.duration_ns + 1) * fps - 1) // NS_PER_S)
+        frames = range(first, min(first + FRAME_BLOCK, last + 1))
+        positions, heads = self.truth.positions_and_headings(
+            [j * NS_PER_S // fps for j in frames])
+        if not is_compact(positions, heads, k.visibility_range_m, k.fov_deg):
+            return frames, None
+        return frames, VisibilityBlock(self.field, positions, heads, k.visibility_range_m,
+                                       k.fov_deg)
+
+    def _extract_features(self, frame):
+        """Feature extraction on an accepted frame: its `FeatureBlock`."""
+        return extract_features(frame, self.engine.stream("features"),
+                                self.config.soc.bank_capacity_bytes)
+
     def _apply_update(self, block) -> None:
-        now = self.engine.now()
-        truth_pose = self.truth.pose_at(now)
+        truth_pose = self.truth.pose_at(self.engine.now())
         k = self.config.kernel
         pose = self.est_pose
         if k.updates_enabled:
@@ -710,7 +716,6 @@ class Simulation:
                 rng=self.engine.stream("obs"), gain=k.update_gain,
                 obs_noise_std=k.obs_noise_std, min_matches=k.min_matches)
             self._est_pose = pose
-        self.update_completions.append(now)
         (px, py, pz), (tx, ty, tz) = pose.position, truth_pose.position
         self.position_errors.append(_norm((px - tx, py - ty, pz - tz)))
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from types import MappingProxyType
 
-from .kernel import MAX_FRAME_BYTES, MAX_IMU_RATE_HZ, MIN_FRAME_BYTES
-from .soc import (MAX_DURATION_S, MIB, _POSITIVE_MS, Check, ConfigError, MemoryPath, SocConfig,
+from .kernel import MAX_IMU_RATE_HZ
+from .soc import (MAX_CONVERTED, MAX_DURATION_S, MIB, _POSITIVE_MS, Check, ConfigError, MemoryPath, SocConfig,
                   Stage, UnitKind, _is_number, check_fields, check_value, integer, number,
                   quoted, spec)
 
@@ -182,6 +182,11 @@ class KernelConfig:
 # duration_s: at least one engine tick, so the run's window is never empty, and
 # at most one simulated hour.
 MIN_DURATION_S = 1e-9
+# frame_size_bytes: 3 MiB by default, and never less; never more than the
+# largest heap budget, MAX_CONVERTED MiB, so that the relay's allocation total
+# in MiB stays finite.
+MIN_FRAME_BYTES = 3 * MIB
+MAX_FRAME_BYTES = int(MAX_CONVERTED) * MIB
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from slamsim.kernel import (CameraFrame, CircleTrajectory, FeatureBlock, ImuMode
                             LandmarkField, Pose, StationaryTrajectory, VisibilityBlock, WorldMap,
                             draw_imu, extend_map, extract_features, feature_capacity,
                             generate_landmarks, imu_rows, integrate, is_compact, propagate,
-                            quat_exp, quat_from_yaw, quat_multiply, quat_normalize, quat_rotate,
+                            quat_from_yaw, quat_normalize, quat_rotate,
                             sample_imu, sample_imu_block, update_pose, _dot, _exact, _norm,
                             _row_norms,
                             FEATURE_BLOCK_HEADER_BYTES, FEATURE_RECORD_BYTES)
@@ -42,15 +42,6 @@ class TestQuaternions:
         c, s = math.cos(yaw), math.sin(yaw)
         expected = np.array([c * v[0] - s * v[1], s * v[0] + c * v[1], v[2]])
         assert np.allclose(quat_rotate(q, v), expected)
-
-    def test_exp_of_zero_is_identity(self):
-        assert np.allclose(quat_exp((0.0, 0.0, 0.0)), [1.0, 0.0, 0.0, 0.0])
-
-    def test_exp_composes_like_angles(self):
-        a = quat_exp((0.0, 0.0, 0.3))
-        b = quat_exp((0.0, 0.0, 0.5))
-        assert np.allclose(quat_normalize(quat_multiply(a, b)),
-                           quat_exp((0.0, 0.0, 0.8)), atol=1e-9)
 
 
 class TestTrajectories:

@@ -1,20 +1,26 @@
 import dataclasses
+import io
+import json
+import types
 from collections import deque
 from functools import lru_cache
 from itertools import count
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from slamsim.engine import NS_PER_MS, NS_PER_S, Engine, EventKind, ms_to_ns
 from slamsim import kernel, pipeline
 from slamsim.kernel import integrate, propagate, sample_imu_block
 from slamsim.pipeline import FRAME_BLOCK, IMU_BLOCK, PropagationServer, Simulation
-from slamsim.report import audit_trace, build_report, run_scenario, tracking_loss_count
+from slamsim.report import (audit_trace, build_report, dump_trace, run_scenario,
+                            tracking_loss_count)
 from slamsim.scenario import (PRESET_NAMES, VARIANTS, ArchVariant, Handoff, KernelConfig,
                               RelayConfig, ScenarioConfig, preset)
-from slamsim.soc import ConfigError, SocConfig, Stage, UnitKind
+from slamsim.soc import ConfigError, PowerCalibration, SocConfig, Stage, UnitKind
+
+import test_scenario
 
 
 def _run(variant, fps, duration_s, **kwargs):
@@ -140,7 +146,7 @@ def test_task_frozen_by_two_gc_pauses():
     booked, record_busy = [], sim.ledger.record_busy
     sim.ledger.record_busy = lambda unit, a, b: (booked.append((unit, a, b)),
                                                  record_busy(unit, a, b))
-    sim._submit(Stage.UPDATE, None, lambda task: done.append(sim.engine.now()))
+    sim._submit(Stage.UPDATE, None, lambda payload: done.append(sim.engine.now()))
 
     def gc_at(t_ns):
         sim.engine.run_until(t_ns)
@@ -369,8 +375,8 @@ class EagerImuSimulation(Simulation):
         if self.spec.handoff is Handoff.SHARED and self.stage_exec[Stage.PROPAGATION].idle():
             self._propagate_delivered()
 
-    def _on_propagation_done(self, task):
-        super()._on_propagation_done(task)
+    def _apply_propagation(self, batch):
+        super()._apply_propagation(batch)
         self._kick_propagation()
 
     def _propagate_delivered(self):
@@ -379,7 +385,7 @@ class EagerImuSimulation(Simulation):
         if batch:
             assert batch == list(range(batch[0], batch[-1] + 1))
             self._submit(Stage.PROPAGATION, (batch[0] - 1, batch[-1]),
-                         self._on_propagation_done)
+                         self._apply_propagation)
 
 
 def _record_batches(sim):
@@ -778,3 +784,158 @@ class TestFrameBlockSize:
                 report, sim = run_scenario(config)
             seen.append((report.to_json_line(), sim.trace))
         assert all(result == seen[0] for result in seen[1:])
+
+
+# ---------------------------------------------------------------------------
+# The timing skeleton reaches the kernel only through five seams and reads
+# nothing they return (see the module notes of slamsim.pipeline).
+
+SEAMS = ("_make_frame", "_extract_features", "_integrate_pending", "_apply_update",
+         "_apply_mapping")
+# Report fields the kernel makes; every other field is the timing model's.
+KERNEL_FIELDS = ("map_size", "rms_position_error_m")
+_HANDLE = object()
+
+
+class NullKernelSimulation(Simulation):
+    """The five seams as no-ops: every frame and every feature block is one
+    opaque handle, the estimate is never integrated, and no update or
+    mapping reaches the kernel."""
+
+    def _make_frame(self, frame_id):
+        return _HANDLE
+
+    def _extract_features(self, frame):
+        assert frame is _HANDLE
+        return _HANDLE
+
+    def _integrate_pending(self):
+        pass
+
+    def _apply_update(self, block):
+        assert block is _HANDLE
+
+    def _apply_mapping(self, block):
+        assert block is _HANDLE
+
+
+_CALIBRATIONS = [PowerCalibration(baseline_static_w=static, unit_idle_fraction=idle)
+                 for static, idle in ((0.0, 0.05), (0.4, 0.3), (1.1, 0.6), (2.0, 0.95))]
+
+
+def _timing_outputs(sim, ignore=KERNEL_FIELDS):
+    """Run `sim`: its trace file's text, its report's JSON line without the
+    `ignore` fields, and its average power re-priced under four
+    calibrations."""
+    sim.run()
+    report = build_report(sim).to_dict()
+    for key in ignore:
+        del report[key]
+    trace = io.StringIO()
+    dump_trace(sim.trace, trace)
+    prices = [sim.ledger.average_power_w((0, sim.duration_ns), cal).hex()
+              for cal in _CALIBRATIONS]
+    return trace.getvalue(), json.dumps(report, sort_keys=True), prices
+
+
+class TestNullKernel:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets(self, name):
+        config = dataclasses.replace(preset(name), duration_s=8.0)
+        assert _timing_outputs(NullKernelSimulation(config)) == \
+            _timing_outputs(Simulation(config))
+
+    @given(test_scenario._scenario())
+    @settings(max_examples=40, deadline=None)
+    def test_any_scenario(self, data):
+        try:
+            config = ScenarioConfig.from_dict(data)
+        except ConfigError:
+            assume(False)
+        assert _timing_outputs(NullKernelSimulation(config)) == \
+            _timing_outputs(Simulation(config))
+
+
+@lru_cache(maxsize=None)
+def _default_kernel_outputs(variant):
+    return _timing_outputs(Simulation(ScenarioConfig.from_dict(
+        {"variant": variant, "duration_s": 3.0})), KERNEL_FIELDS + ("config_digest",))
+
+
+@pytest.mark.parametrize("variant", PRESET_NAMES)
+@given(section=st.fixed_dictionaries(test_scenario._VALID["kernel"]))
+@settings(max_examples=10, deadline=None)
+def test_kernel_section_moves_no_timing_output(variant, section):
+    """Metamorphic: any kernel section leaves the trace and every report
+    field that the timing model makes as the default section leaves them."""
+    config = ScenarioConfig.from_dict({"variant": variant, "duration_s": 3.0,
+                                       "kernel": section})
+    assert _timing_outputs(Simulation(config), KERNEL_FIELDS + ("config_digest",)) == \
+        _default_kernel_outputs(variant)
+
+
+# Besides the names `pipeline` binds from `kernel`, what only the kernel side
+# of a `Simulation` may name: its state, the helpers of the seams, the
+# kernel config section and the fields of the kernel's records (as attribute
+# names), and the kernel's random streams (as constants).
+KERNEL_STATE = ("truth", "imu_model", "field", "world_map", "_est_pose", "imu_integrated",
+                "imu_blocks", "imu_rows", "imu_accel", "frame_range", "frame_block",
+                "position_errors")
+KERNEL_HELPERS = ("_frame_block", "_imu_row_blocks", "est_pose")
+KERNEL_STREAMS = ("landmarks", "features", "obs", "imu")
+
+
+def _kernel_names(module, func):
+    """The names and stream constants in `func`'s bytecode, nested code
+    included, that only the kernel side of `module`'s skeleton may use."""
+    bound = {name for name, value in vars(module).items()
+             if getattr(value, "__module__", None) == kernel.__name__}
+    fields = {f.name for cls in (kernel.CameraFrame, kernel.Pose)
+              for f in dataclasses.fields(cls)}
+    fields |= {*kernel.FeatureBlock._fields, *kernel.ImuSample._fields}
+    forbidden = bound | fields | {*KERNEL_STATE, *KERNEL_HELPERS, "kernel"}
+    found, codes = set(), [func.__code__]
+    while codes:
+        code = codes.pop()
+        found |= forbidden.intersection(code.co_names)
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                codes.append(const)
+            elif isinstance(const, str) and const in KERNEL_STREAMS:
+                found.add(const)
+    return found
+
+
+def _methods(module):
+    """Qualified name -> function of every method of the timing skeleton's
+    classes, property getters included."""
+    return {f"{cls.__name__}.{name}": value.fget if isinstance(value, property) else value
+            for cls in (module._Unit, module.UnitExecutor, module.PropagationServer,
+                        module.Simulation)
+            for name, value in vars(cls).items()
+            if isinstance(value, (types.FunctionType, property))}
+
+
+def _kernel_reach(module):
+    """{method: names} for every timing method of `module` that names what
+    only the seams may; empty if the skeleton reaches the kernel only
+    through them."""
+    kernel_side = {"__init__", *SEAMS, *KERNEL_HELPERS}
+    reach = {qualname: _kernel_names(module, func)
+             for qualname, func in _methods(module).items()
+             if qualname.split(".")[1] not in kernel_side}
+    return {qualname: names for qualname, names in reach.items() if names}
+
+
+class TestKernelGuard:
+    def test_timing_methods_reach_the_kernel_only_through_the_seams(self):
+        assert _kernel_reach(pipeline) == {}
+
+    def test_every_seam_and_helper_names_the_kernel(self):
+        """The guard sees each seam's kernel use, and its lists name what
+        the simulation has."""
+        methods = _methods(pipeline)
+        for name in SEAMS + KERNEL_HELPERS:
+            assert _kernel_names(pipeline, methods[f"Simulation.{name}"]), name
+        sim = Simulation(preset("slam-arch"))
+        assert all(hasattr(sim, name) for name in KERNEL_STATE)
