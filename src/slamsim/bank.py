@@ -61,6 +61,12 @@ class FeatureBankController:
         in the fill register."""
         return self.fill_register is not None
 
+    @property
+    def cycle_active(self) -> bool:
+        """The CPU's consume cycle runs while a bank is LOCKED: from its
+        acknowledge to its release."""
+        return any(b.state is BankState.LOCKED for b in self.banks)
+
     def _emit(self, transition: str, detail: dict) -> None:
         if self._trace is not None:
             self._trace(transition, detail)

@@ -28,8 +28,9 @@ Handoffs from feature extraction to update and mapping:
 
 The IMU is a lazy source (`Engine.start_source`): a sample has no event of
 its own, and propagation takes the samples (taken, delivered] as one batch,
-the index range itself. Sample k, at t_k = k * NS_PER_S // imu_rate_hz,
-counts as delivered before an event E if
+held as the index of its last sample: a batch starts where the previous one
+ended. Sample k, at t_k = k * NS_PER_S // imu_rate_hz, counts as delivered
+before an event E if
 
 * t_k < E.at, or
 * t_k == E.at and sample k-1 already counted as delivered when E was
@@ -281,9 +282,9 @@ class UnitExecutor(_Unit):
 class PropagationServer(_Unit):
     """The propagation unit of the shared handoff, as the engine's lazy
     server (see the module notes): its tasks take no engine event. The
-    running task is its batch of samples, (lo, hi]; `waiting` is a batch
-    taken during a GC freeze, started when the freeze ends. Back-to-back
-    tasks are booked as one busy interval."""
+    running task is its batch of samples, the index of its last sample;
+    `waiting` is a batch taken during a GC freeze, started when the freeze
+    ends. Back-to-back tasks are booked as one busy interval."""
 
     def __init__(self, sim: "Simulation", unit_id: str):
         super().__init__(sim, unit_id)
@@ -317,19 +318,16 @@ class PropagationServer(_Unit):
             sim.trace.append({"t_ns": now, "entity": self.unit_id,
                               "transition": "TaskDone", "stage": _PROPAGATION})
             sim._apply_propagation(done)
-        # Take the samples (lo, delivered] as the next batch.
-        lo = sim.imu_taken
-        if lo < delivered:
+        # Take the samples (imu_taken, delivered] as the next batch.
+        if sim.imu_taken < delivered:
             sim.imu_taken = delivered
-            if delivered - lo > sim.imu_max_batch:
-                sim.imu_max_batch = delivered - lo
             if now >= sim.frozen_until_ns:
                 if done is None:
                     self.seg_start_ns = now
-                self.task = (lo, delivered)
+                self.task = delivered
                 self.end_ns = end = now + self.duration_ns
                 return end
-            self.waiting = (lo, delivered)
+            self.waiting = delivered
             action = None
         else:
             action = NEXT_SAMPLE
@@ -370,7 +368,6 @@ class Simulation:
         self.imu_blocks = self._imu_row_blocks()
         self.imu_rows: list = []  # rows of the samples drawn after imu_integrated
         self.imu_accel = None  # body accel of sample imu_integrated, if any
-        self.imu_max_batch = 0
         self.frame_range = range(0)  # the frames of the last frame block made
         self.frame_block = None
 
@@ -413,7 +410,6 @@ class Simulation:
         self.stage_exec = {stage: self.execs[uid] for stage, uid in spec.stage_units.items()}
         self.controller = None
         self.pending_frame = None
-        self.active_cycle_bank = None
         if spec.handoff is Handoff.TWO_BANK:
             self.controller = FeatureBankController(trace=partial(self._emit, "bank"))
 
@@ -442,20 +438,6 @@ class Simulation:
         """The estimated pose with every completed propagation integrated."""
         self._integrate_pending()
         return self._est_pose
-
-    @property
-    def imu_samples_emitted(self) -> int:
-        return self.engine.sample_index
-
-    @property
-    def imu_samples_processed(self) -> int:
-        return self.imu_done
-
-    @property
-    def imu_high_water(self) -> int:
-        """The most samples ever delivered and not yet taken: the largest
-        batch, or what is still pending."""
-        return max(self.imu_max_batch, self.engine.sample_index - self.imu_taken)
 
     # ------------------------------------------------------------------
     # bookkeeping helpers
@@ -590,13 +572,12 @@ class Simulation:
     def _on_bank_fill_done(self, payload) -> None:
         frame, bank = payload
         self.controller.fill_complete(bank, self._extract_features(frame))
-        if self.controller.pending_interrupt and self.active_cycle_bank is None:
+        if self.controller.pending_interrupt and not self.controller.cycle_active:
             self._acknowledge_cycle()
         self._try_start_fill()
 
     def _acknowledge_cycle(self) -> None:
         bank = self.controller.acknowledge()
-        self.active_cycle_bank = bank
         block = self.controller.banks[bank].block
         self._submit(Stage.UPDATE, (bank, block), self._on_cycle_update_done,
                      on_start=partial(self._consume_start, UPDATE_CONSUMER))
@@ -621,26 +602,23 @@ class Simulation:
         if not self.controller.all_consumed(bank):
             return
         self.controller.release(bank)
-        self.active_cycle_bank = None
         if self.controller.pending_interrupt:
             self._acknowledge_cycle()
         self._try_start_fill()
 
     def _propagate_delivered(self) -> None:
-        """Take every delivered sample not yet taken, the index range
-        (lo, hi], and submit it as one batch."""
-        lo, hi = self.imu_taken, self.engine.sample_index
-        if lo < hi:
-            self.imu_taken = hi
-            if hi - lo > self.imu_max_batch:
-                self.imu_max_batch = hi - lo
-            self._submit(Stage.PROPAGATION, (lo, hi), self._apply_propagation)
+        """Take every delivered sample not yet taken and submit them as one
+        batch, the index of its last sample."""
+        last = self.engine.sample_index
+        if self.imu_taken < last:
+            self.imu_taken = last
+            self._submit(Stage.PROPAGATION, last, self._apply_propagation)
 
-    def _apply_propagation(self, batch: tuple[int, int]) -> None:
+    def _apply_propagation(self, last: int) -> None:
         """The completion hook of a propagation task, on either kind of unit:
-        its batch (lo, hi] is integrated on the next read of `est_pose` (see
-        the module notes)."""
-        self.imu_done = batch[1]
+        its batch, the samples (imu_done, last], is integrated on the next
+        read of `est_pose` (see the module notes)."""
+        self.imu_done = last
 
     # ------------------------------------------------------------------
     # functional kernel: the seams and their helpers
@@ -684,16 +662,12 @@ class Simulation:
         return CameraFrame(frame_id=frame_id, t_ns=t_ns, visible_landmarks=visible)
 
     def _frame_block(self, frame_id: int) -> tuple[range, VisibilityBlock | None]:
-        """The frames of `frame_id`'s frame block, from its first to its last,
-        or to the run's last frame if that comes first, but at least to
-        `frame_id`; and the landmarks classified for their true poses, or
-        None if the block is not compact (`is_compact`)."""
+        """The FRAME_BLOCK frames of `frame_id`'s frame block, and the
+        landmarks classified for their true poses, or None if the block is
+        not compact (`is_compact`)."""
         k, fps = self.config.kernel, self.config.camera_fps
         first = (frame_id - 1) // FRAME_BLOCK * FRAME_BLOCK + 1
-        # Frame j arrives at j * NS_PER_S // fps, at or before duration_ns
-        # for every j up to this one.
-        last = max(frame_id, ((self.duration_ns + 1) * fps - 1) // NS_PER_S)
-        frames = range(first, min(first + FRAME_BLOCK, last + 1))
+        frames = range(first, first + FRAME_BLOCK)
         positions, heads = self.truth.positions_and_headings(
             [j * NS_PER_S // fps for j in frames])
         if not is_compact(positions, heads, k.visibility_range_m, k.fov_deg):

@@ -116,7 +116,7 @@ def build_report(sim: Simulation) -> MetricsReport:
         frames_accepted=sim.frames_accepted,
         frames_dropped=sim.frames_dropped,
         throttled_frame_count=sim.frames_throttled,
-        imu_samples_processed=sim.imu_samples_processed,
+        imu_samples_processed=sim.imu_done,
         stage_latency_ms=stage_latency,
         average_power_w=ledger.average_power_w(full, sim.calibration),
         total_energy_j=total_energy,

@@ -56,6 +56,28 @@ class TestHappyPath:
         assert ctl.pending_interrupt
         assert ctl.acknowledge() == 1
 
+    def test_cycle_active_follows_acknowledge_consume_and_release(self):
+        """A cycle with a second fill backlogged behind it: the cycle is
+        active from acknowledge to release, not while a bank only waits in
+        the register or the backlog, and consuming does not end it."""
+        ctl = FeatureBankController()
+        assert not ctl.cycle_active
+        ctl.begin_fill(0)
+        ctl.fill_complete(0, "a")
+        ctl.begin_fill(1)
+        ctl.fill_complete(1, "b")  # backlogged behind bank 0
+        assert ctl.pending_interrupt and not ctl.cycle_active
+        bank = ctl.acknowledge()
+        assert ctl.cycle_active and ctl.fill_register == 1
+        ctl.consumer_done(bank, UPDATE_CONSUMER)
+        assert ctl.cycle_active
+        ctl.consumer_done(bank, MAPPING_CONSUMER)
+        assert ctl.cycle_active
+        ctl.release(bank)
+        assert not ctl.cycle_active and ctl.pending_interrupt
+        assert ctl.acknowledge() == 1
+        assert ctl.cycle_active
+
     def test_no_writable_bank_when_both_occupied(self):
         ctl = FeatureBankController()
         ctl.begin_fill(0)

@@ -43,23 +43,38 @@ class TestTrackingLoss:
         assert tracking_loss_count([], ms_to_ns(100)) == 0
 
 
+def _imu_counters(sim, batches):
+    """(high water, emitted) of a finished run whose propagation batches
+    `_record_batches` recorded: as the one-event-per-sample IMU chain
+    reported them, its buffer's deepest point and its event count. Each
+    batch empties the buffer, so the deepest point is the largest batch,
+    the one still running or waiting included, or what the buffer still
+    holds."""
+    taken = [0, *(last for _, last in batches), sim.imu_taken, sim.engine.sample_index]
+    return max(b - a for a, b in zip(taken, taken[1:])), sim.engine.sample_index
+
+
+def _run_recording_batches(config):
+    sim = Simulation(config)
+    batches = _record_batches(sim)
+    sim.run()
+    return sim, batches
+
+
 class TestImuCounters:
     """High-water marks and emitted counts as the one-event-per-sample IMU
-    chain reported them (its buffer's deepest point and its event count)."""
+    chain reported them."""
 
     @pytest.mark.parametrize("name, high_water, emitted", [
         ("baseline-cpu", 1, 6000), ("hetero-dsp", 24, 12000), ("slam-arch", 10, 6000)])
     def test_presets(self, name, high_water, emitted):
-        sim = Simulation(preset(name))
-        sim.run()
-        assert (sim.imu_high_water, sim.imu_samples_emitted) == (high_water, emitted)
+        assert _imu_counters(*_run_recording_batches(preset(name))) == (high_water, emitted)
 
     def test_imu_storm(self):
-        sim = Simulation(ScenarioConfig(variant=ArchVariant.HETERO_DSP, camera_fps=30,
-                                        imu_rate_hz=1000, duration_s=60.0, seed=1,
-                                        kernel=KernelConfig(landmark_count=40)))
-        sim.run()
-        assert (sim.imu_high_water, sim.imu_samples_emitted) == (122, 60000)
+        config = ScenarioConfig(variant=ArchVariant.HETERO_DSP, camera_fps=30,
+                                imu_rate_hz=1000, duration_s=60.0, seed=1,
+                                kernel=KernelConfig(landmark_count=40))
+        assert _imu_counters(*_run_recording_batches(config)) == (122, 60000)
 
 
 class TestBaselinePipeline:
@@ -94,7 +109,8 @@ def hetero_sim():
 
 @pytest.fixture(scope="module")
 def slam_sim():
-    return _run(ArchVariant.SLAM_ARCH, 50, 10.0)
+    return _run_recording_batches(ScenarioConfig(variant=ArchVariant.SLAM_ARCH,
+                                                 camera_fps=50, duration_s=10.0))
 
 
 class TestHeteroPipeline:
@@ -215,7 +231,7 @@ def test_sliced_run_matches_plain_run(variant, cuts):
 class TestSlamArchPipeline:
     @pytest.fixture
     def sim(self, slam_sim):
-        return slam_sim
+        return slam_sim[0]
 
     def test_back_pressure_throttles_instead_of_dropping(self, sim):
         assert sim.frames_throttled > 0
@@ -237,9 +253,10 @@ class TestSlamArchPipeline:
         assert update == {24 * NS_PER_MS}
         assert mapping == {12 * NS_PER_MS}
 
-    def test_imu_batching_consumes_everything_processed(self, sim):
-        assert 0 < sim.imu_samples_processed <= sim.imu_samples_emitted
-        assert sim.imu_high_water >= 2  # samples buffer while mapping runs
+    def test_imu_batching_consumes_everything_processed(self, slam_sim):
+        sim, batches = slam_sim
+        assert 0 < sim.imu_done <= sim.engine.sample_index
+        assert _imu_counters(sim, batches)[0] >= 2  # samples buffer while mapping runs
 
 
 def test_memory_path_override_changes_stage_times():
@@ -332,7 +349,7 @@ class EagerImuSimulation(Simulation):
     checks that it is due at the event's time, appends its index to a FIFO
     buffer and, under the shared handoff, kicks propagation, as does each
     propagation completion; kicks and the drain after mapping empty the
-    buffer into a batch, the index range of its samples. Every unit, the
+    buffer into a batch, the index of its last sample. Every unit, the
     propagation unit included, is a `UnitExecutor`: each task completion is
     an engine event."""
 
@@ -351,14 +368,6 @@ class EagerImuSimulation(Simulation):
                              EventKind.FRAME_ARRIVED, 1)
         self.engine.schedule(NS_PER_S // self.config.imu_rate_hz, "imu",
                              EventKind.IMU_SAMPLE_READY, 1)
-
-    @property
-    def imu_samples_emitted(self):
-        return self.eager_emitted
-
-    @property
-    def imu_high_water(self):
-        return self.eager_high_water
 
     def _on_imu_event(self, ev):
         k = ev.payload
@@ -384,27 +393,25 @@ class EagerImuSimulation(Simulation):
         self.imu_buffer.clear()
         if batch:
             assert batch == list(range(batch[0], batch[-1] + 1))
-            self._submit(Stage.PROPAGATION, (batch[0] - 1, batch[-1]),
-                         self._apply_propagation)
+            self._submit(Stage.PROPAGATION, batch[-1], self._apply_propagation)
 
 
 def _record_batches(sim):
-    """Every propagation batch `sim` applies, as (completion time, first
-    sample index, last sample index)."""
+    """Every propagation batch `sim` applies, as (completion time, last
+    sample index)."""
     batches, apply = [], sim._apply_propagation
 
-    def record(batch):
-        lo, hi = batch
-        batches.append((sim.engine.now(), lo + 1, hi))
-        apply(batch)
+    def record(last):
+        batches.append((sim.engine.now(), last))
+        apply(last)
 
     sim._apply_propagation = record
     return batches
 
 
 def _outputs(sim):
-    return (build_report(sim).to_json_line(), sim.trace, sim.imu_samples_processed,
-            sim.imu_samples_emitted, sim.imu_high_water, sim.ledger.busy_per_unit(None))
+    return (build_report(sim).to_json_line(), sim.trace, sim.imu_done,
+            sim.ledger.busy_per_unit(None))
 
 
 def _assert_lazy_matches_eager(config, cuts=(), completion_cuts=()):
@@ -424,6 +431,7 @@ def _assert_lazy_matches_eager(config, cuts=(), completion_cuts=()):
     lazy.run()
     assert _outputs(lazy) == _outputs(eager)
     assert lazy_batches == eager_batches
+    assert _imu_counters(lazy, lazy_batches) == (eager.eager_high_water, eager.eager_emitted)
     assert lazy.engine.delivered_count <= eager.engine.delivered_count
     return lazy, eager
 
@@ -542,7 +550,7 @@ class TestLazyImuSource:
         sim, targets = _run_recording_targets(config)
         # Two-bank: samples never kick propagation; cpu0 drains them after mapping.
         assert set(targets) == {"frames", "exec:dsp", "exec:cpu0", "exec:cpu1"}
-        assert sim.imu_samples_emitted == 400
+        assert sim.engine.sample_index == 400
 
 
 class TestPropagationServer:
@@ -573,7 +581,7 @@ class TestPropagationServer:
         sim, targets = _run_recording_targets(
             ScenarioConfig(variant=ArchVariant.BASELINE_CPU, duration_s=3.0))
         assert set(targets) == {"frames", "exec:cpu0", "exec:cpu2", "exec:cpu3"}
-        assert sim.imu_samples_processed > 0
+        assert sim.imu_done > 0
 
 
 # ---------------------------------------------------------------------------
@@ -590,15 +598,14 @@ class EagerPropagationSimulation(Simulation):
         self.eager_samples = _eager_samples(self)
         self.eager_prev = None
 
-    def _apply_propagation(self, batch):
-        lo, hi = batch
-        assert lo == self.imu_done < hi
-        samples = [next(self.eager_samples) for _ in range(lo, hi)]
+    def _apply_propagation(self, last):
+        assert self.imu_done < last
+        samples = [next(self.eager_samples) for _ in range(self.imu_done, last)]
         prev = self.eager_prev
         self._est_pose = propagate(self._est_pose, samples, prev.t_ns if prev else 0,
                                    prev_sample=prev)
         self.eager_prev = samples[-1]
-        self.imu_done = self.imu_integrated = hi
+        self.imu_done = self.imu_integrated = last
 
 
 def _pose_bits(pose):
@@ -621,8 +628,7 @@ def _estimates(sim, cuts=()):
         at_cuts.append(_pose_bits(sim.est_pose))
     sim.run()
     at_cuts.append(_pose_bits(sim.est_pose))
-    return (after_updates, at_cuts, build_report(sim).to_json_line(),
-            sim.imu_samples_processed)
+    return (after_updates, at_cuts, build_report(sim).to_json_line(), sim.imu_done)
 
 
 class TestDeferredIntegration:
@@ -683,6 +689,21 @@ class TestImuBlockSize:
     @settings(max_examples=4, deadline=None)
     def test_tie_heavy_runs(self, variant, data):
         self._assert_same_across_blocks(data.draw(tie_heavy_configs(variant)))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_frame_blocks_do_not_depend_on_the_run_length(name):
+    """Every frame block spans FRAME_BLOCK frames, the run's last one too:
+    a 2 s and a 30 s run make the same block around the 2 s run's last
+    frame, and around the first."""
+    short, long = (Simulation(dataclasses.replace(preset(name), duration_s=d, warmup_s=0.5))
+                   for d in (2.0, 30.0))
+    for frame_id in (1, 2 * short.config.camera_fps):
+        first = (frame_id - 1) // FRAME_BLOCK * FRAME_BLOCK + 1
+        frames, block = short._frame_block(frame_id)
+        assert frames == long._frame_block(frame_id)[0] == \
+            range(first, first + FRAME_BLOCK)
+        assert (block is None) == (long._frame_block(frame_id)[1] is None)
 
 
 @pytest.mark.blas_bits
