@@ -4,6 +4,27 @@ offline event-trace protocol audit.
 Machine-readable form is line-delimited JSON with sorted keys, so identical
 (scenario, seed) pairs produce byte-identical output. Comparison output is
 also available as CSV and aligned text.
+
+Report sums add left to right, one value after another, in the order the
+run appended them: `engine.sum_left` for short lists, and numpy's `cumsum`
+(`add.accumulate`, which adds each value to the running total before it)
+for the per-task lists. Never `np.sum`, which adds pairwise, `math.fsum`,
+or the built-in `sum`, which compensates from Python 3.12 on: each rounds
+differently, and a report's bits would move. The per-task aggregates are
+whole-array passes over the run's lists:
+
+- A stage whose tasks all took the same integer time (today every stage
+  but the relay, whose copy times are drawn per frame) is summed as n
+  copies of its one quotient x = d / NS_PER_MS. Its list's quotients are n
+  copies of x, so the left-to-right sum of the copies has their bits
+  without reading the list; its p99 is x.
+- Any other stage takes its quotients as one array, its p99 the
+  `np.partition` element at the nearest-rank index. Dividing by NS_PER_MS
+  keeps the order, so that is the quotient of the integer p99. Every
+  duration is at most an hour of ns, below 2**53, so numpy's int64 to
+  float64 division gives the bits of `d / NS_PER_MS` on the Python int.
+- Each sum runs in chunks of _SUM_CHUNK values, each starting from the
+  running total, so the temporary stays bounded on hour-long runs.
 """
 
 from __future__ import annotations
@@ -13,18 +34,58 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bank import CONSUMERS
 from .engine import NS_PER_MS, ms_to_ns, ns_to_ms, ns_to_s, sum_left
 from .pipeline import Simulation
 from .soc import MIB, Stage
 
 
-def _percentile(values, q):
+# Values per cumsum pass of a report sum (128 KiB of float64).
+_SUM_CHUNK = 1 << 14
+
+
+def _sum_left_chunks(chunks) -> float:
+    """`sum_left` of float arrays laid end to end, each overwritten: np.cumsum
+    adds one value after another, and each chunk starts from the running
+    total, so the bits are those of one loop over every value."""
+    total = 0.0
+    for chunk in chunks:
+        chunk[0] += total
+        total = np.cumsum(chunk)[-1]
+    return float(total)
+
+
+def _views(a: np.ndarray):
+    return (a[lo:lo + _SUM_CHUNK] for lo in range(0, len(a), _SUM_CHUNK))
+
+
+def stage_summary(durations_ns: list[int]) -> dict:
+    """A stage's mean and p99 in ms over its non-empty list of integer task
+    durations: the left-to-right sum of `d / NS_PER_MS` over the count, and
+    the nearest-rank 99th percentile (see the module notes)."""
+    n = len(durations_ns)
+    first = durations_ns[0]
+    if durations_ns.count(first) == n:
+        ms = first / NS_PER_MS
+        total = _sum_left_chunks(np.full(min(_SUM_CHUNK, n - lo), ms)
+                                 for lo in range(0, n, _SUM_CHUNK))
+        return {"mean": total / n, "p99": ms}
+    ms = np.fromiter(durations_ns, np.int64, n) / NS_PER_MS
+    k = min(n - 1, max(0, math.ceil(0.99 * n) - 1))
+    p99 = float(np.partition(ms, k)[k])
+    return {"mean": _sum_left_chunks(_views(ms)) / n, "p99": p99}
+
+
+def rms(values: list[float]) -> float:
+    """The root of the left-to-right sum of squares over the count; 0.0 for
+    none."""
     if not values:
         return 0.0
-    xs = sorted(values)
-    k = min(len(xs) - 1, max(0, math.ceil(q * len(xs)) - 1))
-    return xs[k]
+    squares = np.fromiter(values, float, len(values))
+    squares *= squares
+    return math.sqrt(_sum_left_chunks(_views(squares)) / len(values))
 
 
 @dataclass
@@ -65,8 +126,8 @@ class MetricsReport:
 def tracking_loss_count(completions_ns: list[int], threshold_ns: int) -> int:
     """Gaps between consecutive update completions longer than the loss
     threshold, the first gap measured from t = 0, over the whole run."""
-    return sum(b - a > threshold_ns
-               for a, b in zip([0, *completions_ns], completions_ns))
+    gaps = np.diff(np.fromiter(completions_ns, np.int64, len(completions_ns)), prepend=0)
+    return int(np.count_nonzero(gaps > threshold_ns))
 
 
 def build_report(sim: Simulation) -> MetricsReport:
@@ -80,20 +141,8 @@ def build_report(sim: Simulation) -> MetricsReport:
     hi = bisect_right(sim.update_completions, window[1])
     achieved_fps = (hi - lo) / steady_s if steady_s > 0 else 0.0
 
-    errors = sim.position_errors[lo:hi]
-    rms = math.sqrt(sum_left(e * e for e in errors) / len(errors)) if errors else 0.0
-
-    # Each stage's mean in ms, summed left to right as in `sum_left`, and its
-    # p99 from the sorted integer durations: dividing by NS_PER_MS (ns_to_ms's
-    # expression, without a call per duration) keeps their order.
-    stage_latency = {}
-    for stage, durs in sim.stage_durations_ns.items():
-        if durs:
-            total = 0.0
-            for d in durs:
-                total += d / NS_PER_MS
-            stage_latency[stage.value] = {"mean": total / len(durs),
-                                          "p99": _percentile(durs, 0.99) / NS_PER_MS}
+    stage_latency = {stage.value: stage_summary(durs)
+                     for stage, durs in sim.stage_durations_ns.items() if durs}
 
     ledger, full = sim.ledger, (0, duration_ns)
     total_energy = ledger.total_energy_j(full, sim.calibration)
@@ -125,7 +174,7 @@ def build_report(sim: Simulation) -> MetricsReport:
         gc_stall_total_ms=gc_total_ms,
         tracking_loss_count=tracking_loss_count(sim.update_completions,
                                                 ms_to_ns(cfg.loss_threshold_ms)),
-        rms_position_error_m=rms,
+        rms_position_error_m=rms(sim.position_errors[lo:hi]),
         relay_alloc_mib=sim.alloc_total_bytes / MIB,
         relay_alloc_rate_mib_s=sim.alloc_total_bytes / MIB / cfg.duration_s,
         relay_busy_ms_per_frame=relay_busy_per_frame,
@@ -175,7 +224,7 @@ def compare_rows(reports: list[MetricsReport]) -> list[dict]:
 def compare_text(reports: list[MetricsReport]) -> str:
     rows = compare_rows(reports)
     names = [name for name, _ in COMPARE_COLUMNS]
-    widths = {n: max(len(n), *(len(row[n]) for row in rows)) for n in names}
+    widths = {n: max([len(n), *(len(row[n]) for row in rows)]) for n in names}
     header = "  ".join(n.ljust(widths[n]) for n in names)
     lines = [header, "-" * len(header)]
     for row in rows:

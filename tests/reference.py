@@ -1,7 +1,9 @@
 """The kernel's numerics written once, per sample, per landmark and per
 feature, on Python floats, tuples, lists and sets (a map is the set of its
 landmark ids), in the operand order the `slamsim.kernel` module notes
-promise. The kernel's fast paths are tested against it bit for bit, draw for
+promise, and the report's per-task aggregates written once, per element, in
+the order `slamsim.report` promises. The kernel's fast paths and the
+report's whole-array passes are tested against it bit for bit, draw for
 draw. It takes only types and constants from `slamsim`, no kernel function.
 
 BLAS is reached through two helpers only, `norm` and `depths`: the last bit
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-from slamsim.engine import NS_PER_S
+from slamsim.engine import NS_PER_MS, NS_PER_S
 from slamsim.kernel import ImuSample, Pose
 from slamsim.soc import FEATURE_BLOCK_HEADER_BYTES, FEATURE_RECORD_BYTES
 
@@ -188,3 +190,43 @@ def extend_map(world_map, features) -> int:
     new = [i for i in features if i not in world_map]
     world_map.update(new)
     return len(new)
+
+
+# ---------------------------------------------------------------------------
+# report aggregates, one element at a time
+
+def stage_mean_ms(durations_ns) -> float:
+    """Each integer duration in ms, added one after another from 0.0, over
+    the count."""
+    total = 0.0
+    for d in durations_ns:
+        total += d / NS_PER_MS
+    return total / len(durations_ns)
+
+
+def stage_p99_ms(durations_ns) -> float:
+    """The nearest-rank 99th percentile of the integer durations, in ms."""
+    xs = sorted(durations_ns)
+    k = min(len(xs) - 1, max(0, math.ceil(0.99 * len(xs)) - 1))
+    return xs[k] / NS_PER_MS
+
+
+def rms(values) -> float:
+    """The root of the squares added one after another, over the count; 0.0
+    for none."""
+    if not values:
+        return 0.0
+    total = 0.0
+    for e in values:
+        total += e * e
+    return math.sqrt(total / len(values))
+
+
+def tracking_loss_count(completions_ns, threshold_ns) -> int:
+    """Gaps between consecutive completions longer than the threshold, the
+    first measured from t = 0."""
+    count, last = 0, 0
+    for t in completions_ns:
+        count += t - last > threshold_ns
+        last = t
+    return count

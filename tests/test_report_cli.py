@@ -1,11 +1,17 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 import slamsim.cli as cli
 import slamsim.report as rpt
+from slamsim.engine import ms_to_ns
 from slamsim.scenario import ArchVariant, ScenarioConfig, preset
+from slamsim.soc import MAX_CONVERTED
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +56,90 @@ class TestReports:
         assert lines[0].startswith("scenario,fps,power_w")
         jl = rpt.compare_json_lines([report, report])
         assert jl.count("\n") == 2
+
+
+    def test_compare_of_no_reports_is_the_header_and_rule(self):
+        names = [name for name, _ in rpt.COMPARE_COLUMNS]
+        header = "  ".join(names)
+        assert rpt.compare_text([]) == f"{header}\n{'-' * len(header)}\n"
+        assert rpt.compare_csv([]) == ",".join(names) + "\n"
+        assert rpt.compare_json_lines([]) == ""
+
+
+# Report aggregates against the per-element loops of tests/reference.py.
+_MAX_NS = ms_to_ns(MAX_CONVERTED)  # the longest task a scenario allows
+_ns = st.integers(0, _MAX_NS)
+
+
+def _constant(d, n):
+    return [d] * n
+
+
+def _one_odd(d, n, odd, at):
+    durs = [d] * n
+    durs[at % n] = odd
+    return durs
+
+
+_durations = st.one_of(
+    st.builds(_constant, _ns, st.integers(1, 100_000)),
+    st.lists(st.floats(1.0, 3.0).map(ms_to_ns), min_size=2, max_size=2000),  # relay-like
+    st.lists(_ns, min_size=2, max_size=300),
+    st.builds(_one_odd, _ns, st.integers(2, 100_000), _ns, st.integers(0)),
+    st.lists(_ns, min_size=1, max_size=1),
+)
+
+
+def _same_bits(fast, ref):
+    assert type(fast) is float and fast.hex() == ref.hex()
+
+
+class TestAggregates:
+    """`build_report`'s whole-array passes give the bits of the per-element
+    loops they replace."""
+
+    @given(durs=_durations)
+    @settings(max_examples=60, deadline=None)
+    def test_stage_summary_is_the_per_element_mean_and_p99(self, durs):
+        summary = rpt.stage_summary(durs)
+        _same_bits(summary["mean"], reference.stage_mean_ms(durs))
+        _same_bits(summary["p99"], reference.stage_p99_ms(durs))
+
+    def test_stage_mean_is_not_the_pairwise_sum(self):
+        """On 100,000 copies of 1,234,567 ns numpy's pairwise `np.sum` and the
+        left-to-right sum differ, so a pairwise mean fails here."""
+        durs = [1_234_567] * 100_000
+        mean = reference.stage_mean_ms(durs)
+        assert float(np.sum(np.full(len(durs), durs[0] / 1e6))) / len(durs) != mean
+        _same_bits(rpt.stage_summary(durs)["mean"], mean)
+        durs[-1] += 1  # the same through the path for unequal durations
+        _same_bits(rpt.stage_summary(durs)["mean"], reference.stage_mean_ms(durs))
+
+    @given(errors=st.one_of(st.lists(st.floats(0.0, 1e6), max_size=500),
+                            st.builds(_constant, st.floats(0.0, 1e6), st.integers(1, 40_000))))
+    @settings(max_examples=60, deadline=None)
+    def test_rms_is_the_per_element_rms(self, errors):
+        _same_bits(rpt.rms(errors), reference.rms(errors))
+
+    @given(gaps=st.lists(st.integers(0, 10 ** 9), max_size=500),
+           threshold=st.integers(0, 10 ** 9))
+    @settings(max_examples=60, deadline=None)
+    def test_tracking_loss_count_is_the_per_gap_count(self, gaps, threshold):
+        completions = np.cumsum(gaps).tolist()  # ascending, as plain ints
+        assert rpt.tracking_loss_count(completions, threshold) == \
+            reference.tracking_loss_count(completions, threshold)
+
+    def test_report_figures_are_the_reference_aggregates(self, short_run):
+        report, sim = short_run
+        lo = sum(t <= sim.warmup_ns for t in sim.update_completions)
+        for stage, durs in sim.stage_durations_ns.items():
+            if durs:
+                fig = report.stage_latency_ms[stage.value]
+                _same_bits(fig["mean"], reference.stage_mean_ms(durs))
+                _same_bits(fig["p99"], reference.stage_p99_ms(durs))
+        _same_bits(report.rms_position_error_m, reference.rms(sim.position_errors[lo:]))
+        assert report.tracking_loss_count == reference.tracking_loss_count(
+            sim.update_completions, ms_to_ns(sim.config.loss_threshold_ms))
 
 
 class TestTraceIo:
