@@ -53,8 +53,8 @@ Before the first event ordered after them, and at the end of each
 (at, seq) position its event would have had, and calls `_serve` for each
 with the last sample delivered before it. `_serve` is one straight-line
 step. A settled completion does what the completion event did: it appends
-the stage duration and writes the unit's `TaskDone` record, the dict literal
-`UnitExecutor` writes, and hands its batch to `_apply_propagation`. Then the
+the stage duration and writes the unit's `TaskDone` record, as `UnitExecutor`
+does, and hands its batch to `_apply_propagation`. Then the
 step takes the samples delivered and not yet taken, in place on the
 `imu_taken` int, as the next batch, which starts at once. It returns the
 next action to the engine: the new task's completion time; with no sample
@@ -89,6 +89,14 @@ kernel moves no trace record and no report field but `map_size` and
 `rms_position_error_m`. `tests/test_pipeline.py` checks this both ways: with
 the seams replaced by no-ops, and on the bytecode of every other method.
 
+The trace records go to `sim.trace`, a `trace.Trace` of columns. Each
+writer appends the time and a record kind resolved once per process; frame
+records add the frame id. The frame, GC and ConsumeStart kinds are module
+constants, and a unit's TaskDone kinds are made on its first use and cached
+(`_task_done_kinds`). The bank controller keeps its `(transition, detail)`
+callback, `_on_bank`, which interns the kind of a transition and detail on
+its first record and looks it up after that.
+
 The estimate is integrated when it is read, not when a propagation task
 completes. A completion (`_apply_propagation`) only advances `imu_done`; at
 the start of each update and whenever `est_pose` is read, one `integrate`
@@ -120,13 +128,13 @@ number and reads only the trajectory, so the ids are those of a per-frame
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
+from functools import lru_cache, partial
 from itertools import count
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .bank import (FeatureBankController, MAPPING_CONSUMER, UPDATE_CONSUMER)
+from .bank import BANKS, CONSUMERS, FeatureBankController, MAPPING_CONSUMER, UPDATE_CONSUMER
 from .engine import NEXT_SAMPLE, NS_PER_S, Engine, EventKind, ms_to_ns, s_to_ns
 from .kernel import (CameraFrame, ImuModel, CircleTrajectory, LandmarkField, VisibilityBlock,
                      WorldMap, draw_imu, extend_map, extract_features, generate_landmarks,
@@ -136,6 +144,7 @@ from .kernel import (CameraFrame, ImuModel, CircleTrajectory, LandmarkField, Vis
 from .kernel import propagate, sample_imu  # noqa: F401
 from .scenario import VARIANTS, Handoff, Ingest, ScenarioConfig
 from .soc import MIB, ComputeUnitSpec, LatencyTable, PowerLedger, Stage, UnitKind
+from .trace import FRAME, Trace, kind
 
 # IMU samples are made in blocks of this many consecutive sample indices, one
 # kernel call per block. Block k covers indices k*IMU_BLOCK+1 .. (k+1)*IMU_BLOCK,
@@ -152,10 +161,28 @@ IMU_BLOCK = 256
 # leaves more landmarks to the exact test of each frame.
 FRAME_BLOCK = 32
 
-# Each stage's name in its TaskDone records, looked up once per record
-# instead of read through the enum's `value` property.
-_STAGE_NAMES = {stage: stage.value for stage in Stage}
-_PROPAGATION = Stage.PROPAGATION.value
+# The kinds of the records the simulation writes (`trace.kind`), resolved
+# once per process; each writer appends its kind id and the time.
+_FRAME_ACCEPTED = kind("pipeline", "FrameAccepted", frame=FRAME)
+_FRAME_THROTTLED = kind("pipeline", "FrameThrottled", frame=FRAME)
+_FRAME_DROPPED = {reason: kind("pipeline", "FrameDropped", frame=FRAME, reason=reason)
+                  for reason in ("ingest_busy", "gc_frozen")}
+_GC_START = kind("runtime", "GcStart")
+_GC_END = kind("runtime", "GcEnd")
+# The bank controller's records, keyed by its callback's transition and the
+# values of its detail dict; `_on_bank` interns each on its first record.
+_BANK_KINDS: dict[tuple, int] = {}
+# A consumer's ConsumeStart kind per bank.
+_CONSUME_START = {consumer: tuple(kind("bank", "ConsumeStart", bank=bank, consumer=consumer)
+                                  for bank in range(BANKS))
+                  for consumer in CONSUMERS}
+
+
+@lru_cache(maxsize=None)
+def _task_done_kinds(unit_id: str) -> dict:
+    """Stage -> the kind of a unit's TaskDone record of that stage; shared,
+    never mutated."""
+    return {stage: kind(unit_id, "TaskDone", stage=stage.value) for stage in Stage}
 
 
 class _Task(NamedTuple):
@@ -227,6 +254,7 @@ class UnitExecutor(_Unit):
         super().__init__(sim, unit_id)
         self.queue: deque[_Task] = deque()
         self.target = f"exec:{unit_id}"
+        self.done_kinds = _task_done_kinds(unit_id)
         sim.engine.on(self.target, self._on_task_done)
 
     def idle(self) -> bool:
@@ -271,8 +299,7 @@ class UnitExecutor(_Unit):
             sim.ledger.record_busy(self.unit_id, self.seg_start_ns, now)
         stage = task.stage
         sim.stage_durations_ns[stage].append(task.duration_ns)
-        sim.trace.append({"t_ns": now, "entity": self.unit_id,
-                          "transition": "TaskDone", "stage": _STAGE_NAMES[stage]})
+        sim.trace.add(now, self.done_kinds[stage])
         self.task = None
         task.on_done(task.payload)
         if self.queue:
@@ -290,6 +317,7 @@ class PropagationServer(_Unit):
         super().__init__(sim, unit_id)
         self.duration_ns = sim.stage_ns[Stage.PROPAGATION]
         self.durations = sim.stage_durations_ns[Stage.PROPAGATION]
+        self.done_kind = _task_done_kinds(unit_id)[Stage.PROPAGATION]
         self.waiting = None
 
     def _due_at(self, end_ns: int) -> None:
@@ -315,8 +343,7 @@ class PropagationServer(_Unit):
         if done is not None:
             # What `UnitExecutor._on_task_done` does on a completion.
             self.durations.append(self.duration_ns)
-            sim.trace.append({"t_ns": now, "entity": self.unit_id,
-                              "transition": "TaskDone", "stage": _PROPAGATION})
+            sim.trace.add(now, self.done_kind)
             sim._apply_propagation(done)
         # Take the samples (imu_taken, delivered] as the next batch.
         if sim.imu_taken < delivered:
@@ -382,7 +409,7 @@ class Simulation:
         self.alloc_counter_bytes = 0
         self.alloc_total_bytes = 0
         self.gc_stalls: list[tuple[int, int]] = []
-        self.trace: list[dict] = []
+        self.trace = Trace()
 
         self._build_units()
         self._wire_sources()
@@ -411,7 +438,7 @@ class Simulation:
         self.controller = None
         self.pending_frame = None
         if spec.handoff is Handoff.TWO_BANK:
-            self.controller = FeatureBankController(trace=partial(self._emit, "bank"))
+            self.controller = FeatureBankController(trace=self._on_bank)
 
     def _executor(self, unit_id: str) -> _Unit:
         """The lazy server for the propagation unit of the shared handoff
@@ -442,21 +469,18 @@ class Simulation:
     # ------------------------------------------------------------------
     # bookkeeping helpers
 
-    def _emit(self, entity: str, transition: str, detail: dict) -> None:
-        """Append a record; `functools.partial(self._emit, "bank")` is the
-        bank controller's trace callback."""
-        self.trace.append({"t_ns": self.engine.now(), "entity": entity,
-                           "transition": transition, **detail})
+    def _on_bank(self, transition: str, detail: dict) -> None:
+        """The bank controller's trace callback: the record of its transition."""
+        key = (transition, *detail.values())
+        k = _BANK_KINDS.get(key)
+        if k is None:
+            k = _BANK_KINDS[key] = kind("bank", transition, **detail)
+        self.trace.add(self.engine.now(), k)
 
-    # The other records written on every frame are each one dict literal,
-    # with the keys in `_emit`'s order.
-
-    def _consume_start(self, consumer: str, payload) -> None:
-        """The start hook of a cycle's update and mapping tasks, bound to
-        the consumer with `functools.partial`."""
-        self.trace.append({"t_ns": self.engine.now(), "entity": "bank",
-                           "transition": "ConsumeStart", "bank": payload[0],
-                           "consumer": consumer})
+    def _consume_start(self, kinds: tuple, payload) -> None:
+        """The start hook of a cycle's update and mapping tasks, bound with
+        `functools.partial` to the consumer's ConsumeStart kind per bank."""
+        self.trace.add(self.engine.now(), kinds[payload[0]])
 
     def _submit(self, stage: Stage, payload, on_done, on_start=None) -> None:
         # tuple.__new__ skips the Python-level __new__ that _Task(...) runs.
@@ -480,7 +504,7 @@ class Simulation:
         ingest = self.spec.ingest
         if ingest is Ingest.SENSOR_PIN and self.pending_frame is not None:
             self.frames_throttled += 1
-            self._emit("pipeline", "FrameThrottled", {"frame": frame_id})
+            self.trace.add_frame(self.engine.now(), _FRAME_THROTTLED, frame_id)
             return
         if ingest is Ingest.DROP_IF_BUSY and \
                 not self.stage_exec[Stage.FEATURE_EXTRACTION].idle():
@@ -489,8 +513,7 @@ class Simulation:
             return self._drop(frame_id, "gc_frozen")
         frame = self._make_frame(frame_id)
         self.frames_accepted += 1
-        self.trace.append({"t_ns": self.engine.now(), "entity": "pipeline",
-                           "transition": "FrameAccepted", "frame": frame_id})
+        self.trace.add_frame(self.engine.now(), _FRAME_ACCEPTED, frame_id)
         if ingest is Ingest.CPU_RELAY:
             relay = self.config.relay
             copy_ms = self.engine.stream("relay").uniform(relay.copy_latency_ms_min,
@@ -502,7 +525,7 @@ class Simulation:
 
     def _drop(self, frame_id: int, reason: str) -> None:
         self.frames_dropped += 1
-        self._emit("pipeline", "FrameDropped", {"frame": frame_id, "reason": reason})
+        self.trace.add_frame(self.engine.now(), _FRAME_DROPPED[reason], frame_id)
 
     def _extract(self, frame) -> None:
         """Hand an accepted frame to feature extraction."""
@@ -528,14 +551,14 @@ class Simulation:
         pause = ms_to_ns(self.config.relay.gc_pause_ms)
         self.frozen_until_ns = now + pause
         self.gc_stalls.append((now, self.frozen_until_ns))
-        self._emit("runtime", "GcStart", {})
+        self.trace.add(now, _GC_START)
         for uid, ex in self.execs.items():
             if self.units[uid].kind is not UnitKind.DSP:
                 ex.freeze_running(self.frozen_until_ns)
         self.engine.schedule(self.frozen_until_ns, "gc", EventKind.GC_END)
 
     def _on_gc_end(self, ev) -> None:
-        self._emit("runtime", "GcEnd", {})
+        self.trace.add(self.engine.now(), _GC_END)
         for ex in self.execs.values():
             ex.try_start()
 
@@ -580,9 +603,9 @@ class Simulation:
         bank = self.controller.acknowledge()
         block = self.controller.banks[bank].block
         self._submit(Stage.UPDATE, (bank, block), self._on_cycle_update_done,
-                     on_start=partial(self._consume_start, UPDATE_CONSUMER))
+                     on_start=partial(self._consume_start, _CONSUME_START[UPDATE_CONSUMER]))
         self._submit(Stage.MAPPING, (bank, block), self._on_cycle_mapping_done,
-                     on_start=partial(self._consume_start, MAPPING_CONSUMER))
+                     on_start=partial(self._consume_start, _CONSUME_START[MAPPING_CONSUMER]))
 
     def _on_cycle_update_done(self, payload) -> None:
         bank, block = payload

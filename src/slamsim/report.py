@@ -25,14 +25,25 @@ whole-array passes over the run's lists:
   float64 division gives the bits of `d / NS_PER_MS` on the Python int.
 - Each sum runs in chunks of _SUM_CHUNK values, each starting from the
   running total, so the temporary stays bounded on hour-long runs.
+
+The protocol audit replays the bank records through one pure step,
+`audit_step`: (state, transition, bank, consumer) -> (state', violated
+rules). Trace files and other record dicts go through it one record at a
+time, with every malformed-input check. A run's `Trace` is audited from its
+columns, _AUDIT_CHUNK records at a time: one array comparison finds the
+records whose time is below the previous record's, and the step runs only
+for the bank records, memoized per (state, kind). No dict or tuple is built
+per record, and both ways give the same violations in the same order.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,10 +51,13 @@ from .bank import CONSUMERS
 from .engine import NS_PER_MS, ms_to_ns, ns_to_ms, ns_to_s, sum_left
 from .pipeline import Simulation
 from .soc import MIB, Stage
+from .trace import KINDS, Trace
 
 
 # Values per cumsum pass of a report sum (128 KiB of float64).
 _SUM_CHUNK = 1 << 14
+# Records per pass of the audit of a `Trace`.
+_AUDIT_CHUNK = 1 << 16
 
 
 def _sum_left_chunks(chunks) -> float:
@@ -247,13 +261,14 @@ def compare_json_lines(reports: list[MetricsReport]) -> str:
 # ---------------------------------------------------------------------------
 # trace files and protocol audit
 
-def write_trace(records: list[dict], path) -> None:
+def write_trace(records, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         dump_trace(records, fh)
 
 
-def dump_trace(records: list[dict], fh) -> None:
-    """Write trace records to an open text file, one JSON object a line."""
+def dump_trace(records, fh) -> None:
+    """Write trace records (a `Trace`, or any iterable of record dicts) to an
+    open text file, one JSON object a line."""
     for rec in records:
         fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
 
@@ -291,91 +306,165 @@ class AuditResult:
         return self.violations[0] if self.violations else None
 
 
-def audit_trace(records: list[dict]) -> AuditResult:
-    """Replay bank-protocol transitions against the controller invariants.
+_EMPTY, _FILLING, _FULL, _LOCKED = "empty", "filling", "full", "locked"
+
+
+class AuditState(NamedTuple):
+    """What the audit knows of the protocol after some records: each bank's
+    state, the bank in the fill register, and per bank the consumers still
+    to consume its fill and those consuming it now."""
+    banks: tuple = (_EMPTY, _EMPTY)
+    register: int | None = None
+    pending: tuple = (frozenset(), frozenset())
+    consuming: tuple = (frozenset(), frozenset())
+
+
+def _put(pair: tuple, bank: int, value) -> tuple:
+    return (value, pair[1]) if bank == 0 else (pair[0], value)
+
+
+def audit_step(state: AuditState, transition, bank, consumer) -> tuple[AuditState, list]:
+    """One bank record replayed against the controller invariants: the state
+    after it and the (rule, message) pairs it breaks. Pure, so records of
+    one kind from one state always give the same answer.
 
     Checks: single filler, fills only into empty banks, register coherence,
     lock-before-consume, exactly-once consumption per consumer per fill,
     release only after both consumers, producer/consumer mutual exclusion.
+    A record that names no bank 0 or 1, or a consume record that names no
+    consumer, is malformed and changes nothing.
     """
-    EMPTY, FILLING, FULL, LOCKED = "empty", "filling", "full", "locked"
-    state = {0: EMPTY, 1: EMPTY}
-    register = None
-    consumers_pending: dict[int, set] = {}
-    consuming: dict[int, set] = {0: set(), 1: set()}
+    if type(bank) is not int or bank not in (0, 1):
+        return state, [("malformed-record", f"{transition} record names no bank 0 or 1: {bank!r}")]
+    banks, register, pending, consuming = state
+    now = banks[bank]
+    out = []
+    if transition == "FillStart":
+        if now != _EMPTY:
+            out.append(("fill-on-empty", f"fill into bank {bank} in state {now}"))
+        if _FILLING in banks:
+            out.append(("single-filler", "two banks filling simultaneously"))
+        if consuming[bank]:
+            out.append(("mutual-exclusion", f"fill into bank {bank} while being consumed"))
+        banks = _put(banks, bank, _FILLING)
+    elif transition == "BankFilled":
+        if now != _FILLING:
+            out.append(("fill-complete", f"bank {bank} filled from state {now}"))
+        banks = _put(banks, bank, _FULL)
+    elif transition == "RegisterSet":
+        if now != _FULL:
+            out.append(("register-coherence", f"register set to non-full bank {bank} ({now})"))
+        register = bank
+    elif transition == "RegisterCleared":
+        register = None
+    elif transition == "BankLocked":
+        if now != _FULL:
+            out.append(("lock-full-only", f"bank {bank} locked from state {now}"))
+        if register != bank:
+            out.append(("lock-registered-only",
+                        f"bank {bank} locked but register holds {register}"))
+        banks = _put(banks, bank, _LOCKED)
+        pending = _put(pending, bank, frozenset(CONSUMERS))
+    elif transition == "ConsumeStart" or transition == "ConsumeDone":
+        if consumer not in CONSUMERS:
+            return state, [("malformed-record", f"{transition} record names no consumer "
+                                                f"{' or '.join(CONSUMERS)}: {consumer!r}")]
+        if transition == "ConsumeStart":
+            if now != _LOCKED:
+                out.append(("consume-locked-only", f"consume of bank {bank} in state {now}"))
+            consuming = _put(consuming, bank, consuming[bank] | {consumer})
+        else:
+            if consumer not in pending[bank]:
+                out.append(("exactly-once", f"{consumer} consumed bank {bank} twice"))
+            pending = _put(pending, bank, pending[bank] - {consumer})
+            consuming = _put(consuming, bank, consuming[bank] - {consumer})
+    elif transition == "BankReleased":
+        if now != _LOCKED:
+            out.append(("release-locked-only", f"release of bank {bank} in state {now}"))
+        if pending[bank]:
+            out.append(("release-after-consumers",
+                        f"release of bank {bank} with pending {sorted(pending[bank])}"))
+        banks = _put(banks, bank, _EMPTY)
+        pending = _put(pending, bank, frozenset())
+    elif transition == "InterruptRaised":
+        if now != _FULL:
+            out.append(("interrupt-on-full", f"interrupt for bank {bank} in state {now}"))
+    return AuditState(banks, register, pending, consuming), out
+
+
+def audit_trace(records) -> AuditResult:
+    """Replay bank-protocol transitions against the controller invariants
+    (`audit_step`), and check that time never goes backwards from one record
+    to the next. A `Trace` is audited from its columns; any other sequence of
+    record dicts, such as a loaded trace file, record by record. Both give the
+    same violations, in record order."""
+    if isinstance(records, Trace):
+        violations = _audit_columns(records)
+    else:
+        violations = _audit_records(records)
+    return AuditResult(ok=not violations, violations=violations)
+
+
+def _violation(t, rule: str, message: str) -> dict:
+    return {"t_ns": t, "rule": rule, "message": message}
+
+
+def _audit_records(records) -> list:
     violations = []
+    state = AuditState()
     last_t = None
-
-    def violate(rec, rule, msg):
-        violations.append({"t_ns": rec.get("t_ns"), "rule": rule, "message": msg})
-
     for rec in records:
         t = rec.get("t_ns")
         if last_t is not None and t is not None and t < last_t:
-            violate(rec, "time-ordered", f"trace goes backwards at t={t}")
+            violations.append(_violation(t, "time-ordered", f"trace goes backwards at t={t}"))
         if t is not None:
             last_t = t
         if rec.get("entity") != "bank":
             continue
-        tr = rec.get("transition")
-        bank = rec.get("bank")
-        if type(bank) is not int or bank not in state:
-            violate(rec, "malformed-record", f"{tr} record names no bank 0 or 1: {bank!r}")
-            continue
-        if tr == "FillStart":
-            if state[bank] != EMPTY:
-                violate(rec, "fill-on-empty", f"fill into bank {bank} in state {state[bank]}")
-            if FILLING in state.values():
-                violate(rec, "single-filler", "two banks filling simultaneously")
-            if consuming[bank]:
-                violate(rec, "mutual-exclusion", f"fill into bank {bank} while being consumed")
-            state[bank] = FILLING
-        elif tr == "BankFilled":
-            if state[bank] != FILLING:
-                violate(rec, "fill-complete", f"bank {bank} filled from state {state[bank]}")
-            state[bank] = FULL
-        elif tr == "RegisterSet":
-            if state[bank] != FULL:
-                violate(rec, "register-coherence",
-                        f"register set to non-full bank {bank} ({state[bank]})")
-            register = bank
-        elif tr == "RegisterCleared":
-            register = None
-        elif tr == "BankLocked":
-            if state[bank] != FULL:
-                violate(rec, "lock-full-only", f"bank {bank} locked from state {state[bank]}")
-            if register != bank:
-                violate(rec, "lock-registered-only",
-                        f"bank {bank} locked but register holds {register}")
-            state[bank] = LOCKED
-            consumers_pending[bank] = set(CONSUMERS)
-        elif tr == "ConsumeStart" or tr == "ConsumeDone":
-            consumer = rec.get("consumer")
-            if consumer not in CONSUMERS:
-                violate(rec, "malformed-record",
-                        f"{tr} record names no consumer {' or '.join(CONSUMERS)}: {consumer!r}")
-            elif tr == "ConsumeStart":
-                if state[bank] != LOCKED:
-                    violate(rec, "consume-locked-only",
-                            f"consume of bank {bank} in state {state[bank]}")
-                consuming[bank].add(consumer)
-            else:
-                pending = consumers_pending.get(bank, set())
-                if consumer not in pending:
-                    violate(rec, "exactly-once", f"{consumer} consumed bank {bank} twice")
-                pending.discard(consumer)
-                consuming[bank].discard(consumer)
-        elif tr == "BankReleased":
-            if state[bank] != LOCKED:
-                violate(rec, "release-locked-only",
-                        f"release of bank {bank} in state {state[bank]}")
-            if consumers_pending.get(bank):
-                violate(rec, "release-after-consumers",
-                        f"release of bank {bank} with pending {sorted(consumers_pending[bank])}")
-            state[bank] = EMPTY
-            consumers_pending.pop(bank, None)
-        elif tr == "InterruptRaised":
-            if state[bank] != FULL:
-                violate(rec, "interrupt-on-full",
-                        f"interrupt for bank {bank} in state {state[bank]}")
-    return AuditResult(ok=not violations, violations=violations)
+        state, broken = audit_step(state, rec.get("transition"), rec.get("bank"),
+                                   rec.get("consumer"))
+        violations += [_violation(t, rule, message) for rule, message in broken]
+    return violations
+
+
+def _audit_columns(trace: Trace) -> list:
+    """The audit of a `Trace` from its columns, holding no object per record.
+    In chunks of _AUDIT_CHUNK records, the time check is one array
+    comparison of each record's time with the previous record's, and
+    `audit_step` meets only the bank records, each (state, kind) once; the
+    states are numbered as they appear."""
+    is_bank = np.array([kd.entity == "bank" for kd in KINDS], dtype=bool)
+    states, numbers = [AuditState()], {AuditState(): 0}
+    steps = [[None] * len(KINDS)]  # per state number, per kind: (next number, rules)
+    number = 0
+    violations = []
+    for lo in range(0, len(trace), _AUDIT_CHUNK):
+        hi = min(lo + _AUDIT_CHUNK, len(trace))
+        # The chunk's times, from the record before it.
+        first = max(lo - 1, 0)
+        times = np.fromiter(trace.times[first:hi], np.int64, hi - first)
+        timed = [(i, _violation(trace.times[i], "time-ordered",
+                                f"trace goes backwards at t={trace.times[i]}"))
+                 for i in (np.flatnonzero(times[1:] < times[:-1]) + first + 1).tolist()]
+        kinds = np.fromiter(trace.kinds[lo:hi], np.intp, hi - lo)
+        at = np.flatnonzero(is_bank[kinds])
+        stepped = []
+        for j, k in enumerate(kinds[at].tolist()):
+            hit = steps[number][k]
+            if hit is None:
+                kd = KINDS[k]
+                after, rules = audit_step(states[number], kd.transition,
+                                          kd.fields.get("bank"), kd.fields.get("consumer"))
+                if after not in numbers:
+                    numbers[after] = len(states)
+                    states.append(after)
+                    steps.append([None] * len(KINDS))
+                hit = steps[number][k] = (numbers[after], rules)
+            number, rules = hit
+            if rules:
+                i = lo + int(at[j])
+                stepped += [(i, _violation(trace.times[i], rule, message))
+                            for rule, message in rules]
+        # A record's time violation comes before its protocol violations.
+        violations += [v for _, v in heapq.merge(timed, stepped, key=lambda e: e[0])]
+    return violations

@@ -5,6 +5,9 @@ promise, and the report's per-task aggregates written once, per element, in
 the order `slamsim.report` promises. The kernel's fast paths and the
 report's whole-array passes are tested against it bit for bit, draw for
 draw. It takes only types and constants from `slamsim`, no kernel function.
+The trace audit is written once too, as one loop over record dicts on
+mutable state; `audit_trace`'s step function, on dicts and on a `Trace`'s
+columns, is tested against it violation for violation.
 
 BLAS is reached through two helpers only, `norm` and `depths`: the last bit
 of numpy's BLAS dot and gemv depends on the OpenBLAS kernel, and writing
@@ -230,3 +233,94 @@ def tracking_loss_count(completions_ns, threshold_ns) -> int:
         count += t - last > threshold_ns
         last = t
     return count
+
+
+# ---------------------------------------------------------------------------
+# the trace audit
+
+def audit_violations(records) -> list:
+    """The bank-protocol and time-order violations of a list of record
+    dicts, in record order, each a dict of the record's `t_ns`, the rule and
+    the message."""
+    EMPTY, FILLING, FULL, LOCKED = "empty", "filling", "full", "locked"
+    CONSUMERS = ("update", "mapping")
+    state = {0: EMPTY, 1: EMPTY}
+    register = None
+    consumers_pending: dict[int, set] = {}
+    consuming: dict[int, set] = {0: set(), 1: set()}
+    violations = []
+    last_t = None
+
+    def violate(rec, rule, msg):
+        violations.append({"t_ns": rec.get("t_ns"), "rule": rule, "message": msg})
+
+    for rec in records:
+        t = rec.get("t_ns")
+        if last_t is not None and t is not None and t < last_t:
+            violate(rec, "time-ordered", f"trace goes backwards at t={t}")
+        if t is not None:
+            last_t = t
+        if rec.get("entity") != "bank":
+            continue
+        tr = rec.get("transition")
+        bank = rec.get("bank")
+        if type(bank) is not int or bank not in state:
+            violate(rec, "malformed-record", f"{tr} record names no bank 0 or 1: {bank!r}")
+            continue
+        if tr == "FillStart":
+            if state[bank] != EMPTY:
+                violate(rec, "fill-on-empty", f"fill into bank {bank} in state {state[bank]}")
+            if FILLING in state.values():
+                violate(rec, "single-filler", "two banks filling simultaneously")
+            if consuming[bank]:
+                violate(rec, "mutual-exclusion", f"fill into bank {bank} while being consumed")
+            state[bank] = FILLING
+        elif tr == "BankFilled":
+            if state[bank] != FILLING:
+                violate(rec, "fill-complete", f"bank {bank} filled from state {state[bank]}")
+            state[bank] = FULL
+        elif tr == "RegisterSet":
+            if state[bank] != FULL:
+                violate(rec, "register-coherence",
+                        f"register set to non-full bank {bank} ({state[bank]})")
+            register = bank
+        elif tr == "RegisterCleared":
+            register = None
+        elif tr == "BankLocked":
+            if state[bank] != FULL:
+                violate(rec, "lock-full-only", f"bank {bank} locked from state {state[bank]}")
+            if register != bank:
+                violate(rec, "lock-registered-only",
+                        f"bank {bank} locked but register holds {register}")
+            state[bank] = LOCKED
+            consumers_pending[bank] = set(CONSUMERS)
+        elif tr == "ConsumeStart" or tr == "ConsumeDone":
+            consumer = rec.get("consumer")
+            if consumer not in CONSUMERS:
+                violate(rec, "malformed-record",
+                        f"{tr} record names no consumer {' or '.join(CONSUMERS)}: {consumer!r}")
+            elif tr == "ConsumeStart":
+                if state[bank] != LOCKED:
+                    violate(rec, "consume-locked-only",
+                            f"consume of bank {bank} in state {state[bank]}")
+                consuming[bank].add(consumer)
+            else:
+                pending = consumers_pending.get(bank, set())
+                if consumer not in pending:
+                    violate(rec, "exactly-once", f"{consumer} consumed bank {bank} twice")
+                pending.discard(consumer)
+                consuming[bank].discard(consumer)
+        elif tr == "BankReleased":
+            if state[bank] != LOCKED:
+                violate(rec, "release-locked-only",
+                        f"release of bank {bank} in state {state[bank]}")
+            if consumers_pending.get(bank):
+                violate(rec, "release-after-consumers",
+                        f"release of bank {bank} with pending {sorted(consumers_pending[bank])}")
+            state[bank] = EMPTY
+            consumers_pending.pop(bank, None)
+        elif tr == "InterruptRaised":
+            if state[bank] != FULL:
+                violate(rec, "interrupt-on-full",
+                        f"interrupt for bank {bank} in state {state[bank]}")
+    return violations

@@ -18,8 +18,8 @@ STAGE_NAMES = {s.value for s in Stage}
 
 
 def _assert_record_shapes(trace):
-    """Every trace record is flat JSON of ints and strs with the keys of
-    `Simulation._emit`'s order first; a TaskDone names a stage, and a bank
+    """Every trace record is flat JSON of ints and strs with `t_ns`, `entity`
+    and `transition` first; a TaskDone names a stage, and a bank
     record its int bank, plus a consumer on ConsumeStart and ConsumeDone."""
     for rec in trace:
         assert all(type(v) in (int, str) for v in rec.values()), rec
