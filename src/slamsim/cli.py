@@ -29,6 +29,8 @@ def _load_scenario(spec: str, seed=None, duration=None) -> ScenarioConfig:
             config = ScenarioConfig.load(spec)
         except FileNotFoundError:
             raise CliError(f"scenario file not found: {spec}")
+        except ValueError as exc:  # a refused value, bad JSON, or bytes that are not UTF-8
+            raise CliError(f"{exc} (scenario file {spec})") from exc
     import dataclasses
     overrides = {}
     if seed is not None:

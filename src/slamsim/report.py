@@ -395,7 +395,7 @@ def audit_step(state: AuditState, transition, bank, consumer) -> tuple[AuditStat
 def audit_trace(records) -> AuditResult:
     """Replay bank-protocol transitions against the controller invariants
     (`audit_step`), and check that time never goes backwards from one record
-    to the next. A `Trace` is audited from its columns; any other sequence of
+    to the next. A `Trace` is audited from its columns; any other iterable of
     record dicts, such as a loaded trace file, record by record. Both give the
     same violations, in record order."""
     if isinstance(records, Trace):

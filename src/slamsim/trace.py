@@ -20,18 +20,14 @@ id), so a record costs the trace about 30 B: its list slots, and its
 time's int object where no other state holds that int too. A dict per
 record cost about 200 B.
 
-Reading a `Trace` gives each record as a fresh dict, so what a caller does
-with one never reaches the store: `len` is O(1), iteration is one pass, an
-index is O(index) (it counts the frame ids before it), and a trace equals a
-list of the dicts it reads back as. A slice, `reversed` and `index` make
-one pass over the columns and build a dict only for each record they give
-or compare.
+A `Trace` is an append-only log, read by iteration: each record comes
+back as a fresh dict, so what a caller does with one never reaches the
+store. `len` is O(1), iteration is one pass, and a trace equals a list of
+the dicts it reads back as. A caller that needs random access takes
+`list(trace)`, at the cost of a dict per record.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
-from itertools import islice
 
 
 class _FrameSlot:
@@ -93,10 +89,10 @@ def kind(entity: str, transition: str, **fields) -> int:
     return k
 
 
-class Trace(Sequence):
+class Trace:
     """A run's records in columns (see the module notes). Writers append with
-    `add`, or `add_frame` for a kind that carries a frame id; readers see a
-    read-only sequence of record dicts."""
+    `add`, or `add_frame` for a kind that carries a frame id; readers iterate
+    over record dicts."""
 
     __slots__ = ("times", "kinds", "frames")
 
@@ -123,57 +119,13 @@ class Trace(Sequence):
             kd = KINDS[k]
             yield kd.record(t, next(frames) if kd.framed else None)
 
-    def _frames_before(self, i: int) -> int:
-        """How many of the first `i` records carry a frame id."""
-        return sum(KINDS[k].framed for k in islice(self.kinds, i))
-
-    def _run(self, lo: int, hi: int, step: int = 1):
-        """Records lo, lo + step, ... before hi (step > 0), each built only
-        when it is reached."""
-        kinds, times, frames = self.kinds, self.times, self.frames
-        f = self._frames_before(lo)
-        for i in range(lo, hi):
-            kd = KINDS[kinds[i]]
-            if not (i - lo) % step:
-                yield kd.record(times[i], frames[f] if kd.framed else None)
-            f += kd.framed
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            picked = range(len(self.kinds))[index]
-            if not picked:
-                return []
-            lo, hi = min(picked[0], picked[-1]), max(picked[0], picked[-1]) + 1
-            recs = list(self._run(lo, hi, abs(picked.step)))
-            return recs if picked.step > 0 else recs[::-1]
-        i = range(len(self.kinds))[index]
-        kd = KINDS[self.kinds[i]]
-        return kd.record(self.times[i], self.frames[self._frames_before(i)] if kd.framed else None)
-
-    def __reversed__(self):
-        f = len(self.frames)
-        for i in range(len(self.kinds) - 1, -1, -1):
-            kd = KINDS[self.kinds[i]]
-            f -= kd.framed
-            yield kd.record(self.times[i], self.frames[f] if kd.framed else None)
-
-    def index(self, value, start=0, stop=None) -> int:
-        picked = range(len(self.kinds))[start:stop]
-        for i, rec in zip(picked, self._run(picked.start, picked.stop)):
-            if rec is value or rec == value:
-                return i
-        raise ValueError(f"{value!r} is not in the trace")
-
     def __eq__(self, other):
-        if isinstance(other, Trace):
-            # Equal columns read back as equal records; other columns may
-            # too, through kinds whose records agree (a FRAME field and a
-            # constant one).
-            if (self.kinds == other.kinds and self.times == other.times
-                    and self.frames == other.frames):
-                return True
-            return list(self) == list(other)
-        if isinstance(other, list):
+        if isinstance(other, Trace) and (self.kinds == other.kinds and self.times == other.times
+                                         and self.frames == other.frames):
+            return True
+        # Other columns may read back as equal records too, through kinds
+        # whose records agree (a FRAME field and a constant one).
+        if isinstance(other, (Trace, list)):
             return len(other) == len(self) and all(a == b for a, b in zip(self, other))
         return NotImplemented
 

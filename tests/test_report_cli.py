@@ -298,6 +298,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: scenario: invalid JSON: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("content, start", [
+        (b'{"variant": "slam-arch", "bogus": 1}', "error: scenario: unknown key 'bogus' "),
+        (b'\xef\xbb\xbf{"variant": "slam-arch"}', "error: scenario: invalid JSON: "),
+        (b'{"variant": "slam-arch"}\xff', "error: 'utf-8' codec can't decode byte 0xff "),
+    ])
+    def test_a_refused_scenario_file_is_named(self, tmp_path, capsys, content, start):
+        path = tmp_path / "b.json"
+        path.write_bytes(content)
+        assert cli.main(["compare", "preset:slam-arch", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(start) and err.endswith(f" (scenario file {path})\n")
+        assert err.count("\n") == 1
+
     def test_int_past_the_digit_limit_is_one_error_line(self, tmp_path, capsys):
         # Python refuses to read an int of more than 4300 digits.
         digits = "1" + "0" * 5000

@@ -10,7 +10,7 @@ from slamsim.bank import BANKS, CONSUMERS
 from slamsim.pipeline import Simulation
 from slamsim.report import audit_trace
 from slamsim.scenario import PRESET_NAMES, preset
-from slamsim.trace import FRAME, Kind, Trace, kind
+from slamsim.trace import FRAME, KINDS, Kind, Trace, kind
 
 import reference
 
@@ -92,8 +92,31 @@ class TestAuditOfColumns:
         assert audit_trace(sim.trace).ok
 
 
+def _built(records) -> list:
+    """The dicts `records` read back as, built from each kind's entity,
+    transition and fields without `Kind.record`."""
+    built = []
+    for t, k, frame in records:
+        kd = KINDS[k]
+        rec = {"t_ns": t, "entity": kd.entity, "transition": kd.transition}
+        rec.update((name, frame if value is FRAME else value) for name, value in kd.fields.items())
+        built.append(rec)
+    return built
+
+
 class TestTraceSequence:
-    def test_reads_back_as_the_dicts_written(self):
+    @given(_records)
+    @settings(max_examples=200, deadline=None)
+    def test_reads_back_as_the_dicts_written(self, records):
+        """Every kind, framed and unframed mixed, in any order."""
+        trace = _trace(records)
+        expected = _built(records)
+        assert list(trace) == expected and trace == expected and expected == trace
+        assert [list(rec) for rec in trace] == [list(rec) for rec in expected]
+        assert len(trace) == len(records)
+        assert trace.frames == [frame for _, k, frame in records if k in FRAME_KINDS]
+
+    def test_records_read_as_trace_file_lines(self):
         task, frame, dropped = OTHER_KINDS[0], FRAME_KINDS[0], FRAME_KINDS[1]
         consume = kind("bank", "ConsumeStart", bank=0, consumer="update")
         trace = _trace([(1, task, 0), (2, frame, 7), (3, consume, 0), (4, dropped, 8)])
@@ -107,28 +130,23 @@ class TestTraceSequence:
         ]
         assert list(trace) == expected and trace == expected and expected == trace
         assert [list(rec) for rec in trace] == [list(rec) for rec in expected]
-        assert len(trace) == 4
-        assert [trace[i] for i in range(-4, 4)] == expected + expected
-        assert trace[1:] == expected[1:] and trace[::-2] == expected[::-2]
-        with pytest.raises(IndexError):
-            trace[4]
         assert trace != expected[:3] and trace != expected[::-1] and trace != tuple(expected)
 
-    def test_slices_reversed_and_index_read_as_the_list_does(self):
-        trace = _trace([(t, ALL_KINDS[7 * t % len(ALL_KINDS)], 100 + t) for t in range(40)])
-        dicts = list(trace)
-        for index in (slice(None), slice(3, 30, 4), slice(-5, None), slice(None, None, -3),
-                      slice(35, 2, -4), slice(10, 3), slice(-100, 100, 7), slice(39, 40)):
-            assert trace[index] == dicts[index], index
-        assert list(reversed(trace)) == dicts[::-1]
-        assert [trace.index(rec) for rec in dicts] == list(range(40))
-        assert trace.index(dicts[30], -12, -2) == 30
-        for start, stop in ((31, None), (0, 30), (1, 1)):
-            with pytest.raises(ValueError):
-                trace.index(dicts[30], start, stop)
+    def test_records_are_fresh_dicts(self):
+        trace = _trace([(1, FRAME_KINDS[0], 7)])
+        rec = next(iter(trace))
+        rec["frame"] = 8
+        next(iter(trace))["t_ns"] = 0
+        assert trace == [{"t_ns": 1, "entity": "pipeline", "transition": "FrameAccepted",
+                          "frame": 7}]
 
-    def test_a_slice_builds_only_its_records(self):
-        trace = _trace([(t, FRAME_KINDS[t % 2], t) for t in range(1000)])
+    def test_equality_stops_at_the_first_difference(self):
+        """Two traces whose first records differ build one record each; a
+        trace and a list of a different length build none."""
+        records = [(t, FRAME_KINDS[t % 2], t) for t in range(1000)]
+        a, b = _trace(records), _trace([(0, OTHER_KINDS[1], 0)] + records[1:])
+        shorter = _trace(records[:-1])
+        dicts, shorter_dicts = list(b), list(shorter)
         built = []
         record = Kind.record
 
@@ -137,18 +155,13 @@ class TestTraceSequence:
             return record(kd, *args)
 
         with patch.object(Kind, "record", counted):
-            assert [rec["frame"] for rec in trace[600:610:3]] == [600, 603, 606, 609]
-            assert [rec["frame"] for rec in trace[-2::-500]] == [998, 498]
-            assert trace.index(trace[700]) == 700
-        assert len(built) == 4 + 2 + 1 + 701
-
-    def test_records_are_fresh_dicts(self):
-        trace = _trace([(1, FRAME_KINDS[0], 7)])
-        rec = trace[0]
-        rec["frame"] = 8
-        next(iter(trace))["t_ns"] = 0
-        assert trace == [{"t_ns": 1, "entity": "pipeline", "transition": "FrameAccepted",
-                          "frame": 7}]
+            assert a != b
+            assert len(built) <= 2
+            assert a != dicts and dicts != a
+            assert len(built) <= 2 + 2
+            built.clear()
+            assert a != shorter and shorter != a and a != shorter_dicts
+        assert built == []
 
     def test_two_traces_compare_by_their_records(self):
         a, b = _trace([(1, FRAME_KINDS[0], 7)]), _trace([(1, FRAME_KINDS[0], 7)])
